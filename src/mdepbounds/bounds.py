@@ -20,7 +20,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import BoundViolationError
-from .families import Family, WindowModel, partial_sum, t_local
+from .families import Family, partial_sum, t_local
 from .montecarlo import estimate_union
 from .oracle import union_prob
 
@@ -114,11 +114,7 @@ def build_threshold(family: Family) -> ThresholdFunction:
     that mass is below 1.
     """
     n_events = family.n_events
-    if isinstance(family, WindowModel):
-        probs = np.full(n_events, family.single_event_prob)
-    else:
-        probs = family.event_probs
-    prefix = np.cumsum(probs) if n_events else np.zeros(0)
+    prefix = np.cumsum(family.event_probs) if n_events else np.zeros(0)
     total = float(prefix[-1]) if n_events else 0.0
     # defined exactly for the integers n with prefix mass >= n
     max_n = int(math.floor(total)) if total >= 1.0 else 0

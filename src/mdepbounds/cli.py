@@ -21,7 +21,7 @@ import re
 import sys
 from typing import Any, Sequence
 
-from .bounds import build_report, build_threshold, windowed_bound
+from .bounds import SLACK_TOL, build_report, build_threshold, windowed_bound
 from .dependence import check_m_dependence
 from .errors import BoundViolationError, CapExceededError, ModelSpecError
 from .families import WindowModel
@@ -208,7 +208,7 @@ def _cmd_window(args: argparse.Namespace) -> int:
         "exact_union": exact,
         "mass": result.mass,
         "mass_required": result.window_n,
-        "mass_ok": result.mass >= result.window_n - 1e-9,
+        "mass_ok": result.mass >= result.window_n - SLACK_TOL,
     }, args.out)
     return 0
 
@@ -225,8 +225,7 @@ def _cmd_mc(args: argparse.Namespace) -> int:
         "estimate": est.estimate, "ci_low": est.ci_low, "ci_high": est.ci_high,
     }
     if args.exact:
-        payload["exact_union"] = union_prob(family, args.first, args.last) \
-            if args.first <= args.last else 0.0
+        payload["exact_union"] = union_prob(family, args.first, args.last)
     _emit_json(payload, args.out)
     return 0
 

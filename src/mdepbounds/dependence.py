@@ -20,7 +20,7 @@ import operator
 import numpy as np
 
 from .errors import CapExceededError
-from .families import ExplicitEventFamily, Family, WindowModel
+from .families import Family, WindowModel, _require_event_indices
 from .reports import Check, VerificationReport
 
 #: Enumerating more candidate index subsets than this raises instead of
@@ -32,58 +32,21 @@ MAX_SUBSETS = 200_000
 MAX_DETAILED_FAILURES = 50
 
 
-def _pattern_distribution_explicit(family: ExplicitEventFamily,
-                                   indices: tuple[int, ...]) -> np.ndarray:
-    ids = np.zeros(family.n_outcomes, dtype=np.int64)
-    for t, k in enumerate(indices):
-        ids |= family.event_masks[k - 1].astype(np.int64) << t
-    return np.bincount(ids, weights=family.outcome_weights,
-                       minlength=1 << len(indices))
-
-
-def _pattern_distribution_window(model: WindowModel,
-                                 indices: tuple[int, ...]) -> np.ndarray:
-    s, m = model.alphabet_size, model.m
-    dist = model.dist_array
-    table2 = model.table_array.reshape(s, s ** m)
-    u = len(indices)
-    bit = {k: 1 << t for t, k in enumerate(indices)}
-    init = np.ones(1)
-    for _ in range(m):
-        init = np.kron(dist, init)
-    state = np.zeros((1 << u, s ** m))
-    state[0] = init
-    patterns = np.arange(1 << u)
-
-    def fold(mass: np.ndarray) -> np.ndarray:
-        # mass[p, x, st] -> state[p, new_st]: drop the oldest symbol.
-        if m == 0:
-            return mass.sum(axis=1)
-        return mass.reshape(-1, s, s ** (m - 1), s).sum(axis=3) \
-                   .reshape(-1, s ** m)
-
-    for k in range(indices[0], indices[-1] + 1):
-        mass = state[:, None, :] * dist[None, :, None]  # [p, x, st]
-        if k in bit:
-            fired = table2[None, :, :]
-            new = np.zeros_like(state)
-            np.add.at(new, patterns | bit[k], fold(np.where(fired, mass, 0.0)))
-            np.add.at(new, patterns, fold(np.where(fired, 0.0, mass)))
-            state = new
-        else:
-            state = fold(mass)
-    return state.sum(axis=1)
-
-
 def pattern_distribution(family: Family, indices: tuple[int, ...]) -> np.ndarray:
-    """Exact joint law of the event indicators at `indices` (sorted).
+    """Exact joint law of the event indicators at `indices`.
 
     Entry p is the probability that exactly the events whose position t
-    in `indices` has bit t set in p occur.  Length 2**len(indices).
+    in `indices` has bit t set in p occur.  Length 2**len(indices), so
+    the empty tuple gives [1.0].  Raises IndexError for an index outside
+    1..N and ValueError unless the indices are strictly increasing.
     """
-    if isinstance(family, WindowModel):
-        return _pattern_distribution_window(family, indices)
-    return _pattern_distribution_explicit(family, indices)
+    indices = tuple(operator.index(k) for k in indices)
+    if not indices:
+        return np.ones(1)
+    if any(a >= b for a, b in itertools.pairwise(indices)):
+        raise ValueError(f"indices {indices} must be strictly increasing")
+    _require_event_indices(family, indices)
+    return family.pattern_law(indices)
 
 
 def _chains(sorted_indices: tuple[int, ...], m: int) -> list[tuple[int, ...]]:

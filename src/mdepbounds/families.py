@@ -8,7 +8,17 @@ Two representations are supported:
 * :class:`WindowModel` draws an i.i.d. symbol stream and fires event k
   exactly when a fixed predicate holds on the window of symbols
   k..k+m.  Events whose indices differ by more than m read disjoint
-  symbols, so the family is m-dependent by construction.
+  symbols, so the family is m-dependent by construction.  Its exact
+  queries all run through one transfer-operator kernel,
+  ``WindowModel._sweep``, which carries the joint law of the last m
+  symbols forward one window at a time.
+
+Both classes answer the same small protocol, which the module-level
+query functions dispatch to: ``event_probs`` (P(A_k) for every k),
+``union(first, last)``, ``survival(members)`` (no listed event fires)
+and ``pattern_law(indices)`` (the joint law of the indicators).  The
+methods trust their arguments (nonempty, sorted, distinct, and in
+range for explicit families); the public functions check them.
 
 Event indices are 1-based throughout the public API (events A_1..A_N);
 outcome and symbol indices are 0-based.  The dependence range stored on a
@@ -35,10 +45,6 @@ from .errors import CapExceededError
 #: are renormalized to machine-exact unit mass so that complementary
 #: queries agree to ~1e-15 instead of only to the input tolerance.
 MASS_TOL = 1e-9
-
-#: Largest joint-window enumeration attempted by pair_prob before falling
-#: back to the dynamic-programming oracle.
-_ENUM_CAP = 1 << 22
 
 
 @dataclass(frozen=True, eq=False)
@@ -121,6 +127,23 @@ class ExplicitEventFamily:
         probs.flags.writeable = False
         return probs
 
+    def union(self, first: int, last: int) -> float:
+        # The direct fired-outcome sum, not 1 - survival: small unions
+        # keep their digits.
+        fired = self.event_masks[first - 1:last].any(axis=0)
+        return float(self.outcome_weights[fired].sum())
+
+    def survival(self, members: Sequence[int]) -> float:
+        fired = self.event_masks[[k - 1 for k in members]].any(axis=0)
+        return float(self.outcome_weights[~fired].sum())
+
+    def pattern_law(self, indices: Sequence[int]) -> np.ndarray:
+        ids = np.zeros(self.n_outcomes, dtype=np.int64)
+        for t, k in enumerate(indices):
+            ids |= self.event_masks[k - 1].astype(np.int64) << t
+        return np.bincount(ids, weights=self.outcome_weights,
+                           minlength=1 << len(indices))
+
     def __repr__(self) -> str:  # keep reprs small; masks can be huge
         return (f"ExplicitEventFamily(n_events={self.n_events}, "
                 f"n_outcomes={self.n_outcomes}, m={self.m})")
@@ -197,63 +220,85 @@ class WindowModel:
         return arr
 
     @cached_property
-    def window_weights(self) -> np.ndarray:
-        """Probability of each window under the i.i.d. symbol law."""
-        w = np.ones(1)
-        for _ in range(self.m + 1):
-            w = np.kron(self.dist_array, w)  # append the next (later) symbol
-        w.flags.writeable = False
-        return w
+    def _initial_law(self) -> np.ndarray:
+        """Joint law of m consecutive symbols; the earliest symbol is the
+        least significant base-s digit of the state index."""
+        law = np.ones(1)
+        for _ in range(self.m):
+            law = np.kron(self.dist_array, law)  # append the next (later) symbol
+        law.flags.writeable = False
+        return law
+
+    def _sweep(self, indices: Sequence[int], branch: bool) -> np.ndarray:
+        """Transfer-operator kernel (finite Markov chain imbedding).
+
+        Steps a [pattern, 1, s**m] state, the joint law of the last m
+        symbols per pattern, over windows indices[0]..indices[-1] (sorted,
+        any positive indices: the symbols are i.i.d., so the horizon plays
+        no part).  Each window appends one symbol x and takes one action:
+        at an index not in `indices` the mass passes forward; at one in
+        `indices` the mass where the window fires is killed
+        (``branch=False``) or split off into a fired copy appended along
+        the pattern axis (``branch=True``), so pattern bit t stands for
+        indices[t].  Returns the mass per pattern.
+        """
+        s, m = self.alphabet_size, self.m
+        # Step weights w[x, st] for the window whose earliest m symbols
+        # encode st and whose newest symbol is x.
+        fires = self.table_array.reshape(s, s ** m)
+        carry = self.dist_array[:, None]
+        clear = np.where(fires, 0.0, carry)
+        fired = np.where(fires, carry, 0.0)
+        marked = frozenset(indices)
+        state = self._initial_law.reshape(1, 1, -1)
+        for k in range(indices[0], indices[-1] + 1):
+            if k not in marked:
+                mass = state * carry  # [pattern, x, st]
+            elif branch:
+                mass = np.concatenate([state * clear, state * fired])
+            else:
+                mass = state * clear
+            # st = rest*s + oldest, so x*s**m + st = (x*s**(m-1) + rest)*s
+            # + oldest: drop the oldest symbol, append x (m = 0 drops x).
+            state = mass.reshape(-1, s ** m, s).sum(axis=2)[:, None, :]
+            state.clip(0.0, 1.0, out=state)
+        return state[:, 0, :].sum(axis=1)
+
+    @cached_property
+    def event_probs(self) -> np.ndarray:
+        """P(A_k) for k = 1..N, as a read-only vector of length N."""
+        probs = np.full(self.horizon, self.single_event_prob)
+        probs.flags.writeable = False
+        return probs
+
+    def union(self, first: int, last: int) -> float:
+        return 1.0 - self.survival(range(first, last + 1))
+
+    def survival(self, members: Sequence[int]) -> float:
+        return float(self._sweep(members, branch=False)[0])
+
+    def pattern_law(self, indices: Sequence[int]) -> np.ndarray:
+        return self._sweep(indices, branch=True)
 
     @cached_property
     def single_event_prob(self) -> float:
         """P(A_k); identical for every k by stationarity."""
-        return float(self.window_weights[self.table_array].sum())
+        return float(self.pattern_law((1,))[1])
 
     @cached_property
-    def _gap_probs(self) -> dict[int, float]:
-        return {}
+    def _pair_masses(self) -> tuple[float, ...]:
+        """P(A_k and A_{k+gap}) for gap = 0..m, the overlapping windows."""
+        return (self.single_event_prob,) + tuple(
+            float(self.pattern_law((1, 1 + gap))[0b11])
+            for gap in range(1, self.m + 1))
 
     def pair_gap_prob(self, gap: int) -> float:
         """P(A_k and A_{k+gap}); depends only on the gap by stationarity."""
         if gap < 0:
             raise ValueError("gap must be nonnegative")
-        if gap == 0:
-            return self.single_event_prob
         if gap > self.m:
             return self.single_event_prob ** 2  # disjoint windows: exact product
-        cached = self._gap_probs.get(gap)
-        if cached is not None:
-            return cached
-        value = self._overlapping_pair_prob(gap)
-        self._gap_probs[gap] = value
-        return value
-
-    def _overlapping_pair_prob(self, gap: int) -> float:
-        s, m = self.alphabet_size, self.m
-        span = gap + m + 1
-        if s ** span <= _ENUM_CAP:
-            flat = np.arange(s ** span)
-            weight = np.ones(s ** span)
-            for t in range(span):
-                weight *= self.dist_array[(flat // s ** t) % s]
-            table = self.table_array
-            first = table[flat % s ** (m + 1)]
-            second = table[(flat // s ** gap) % s ** (m + 1)]
-            return float(weight[first & second].sum())
-        # Span too wide to enumerate: inclusion-exclusion on the DP oracle.
-        from .oracle import complement_intersection_prob
-        both_clear = complement_intersection_prob(
-            _shifted_copy(self, gap), (1, 1 + gap))
-        return max(0.0, 2 * self.single_event_prob - 1 + both_clear)
-
-
-def _shifted_copy(model: WindowModel, gap: int) -> WindowModel:
-    """Same model with the horizon extended to cover index 1 + gap."""
-    if model.horizon >= 1 + gap:
-        return model
-    return WindowModel(model.alphabet_size, model.symbol_dist, model.m,
-                       model.predicate_table, 1 + gap)
+        return self._pair_masses[gap]
 
 
 Family = Union[ExplicitEventFamily, WindowModel]
@@ -266,20 +311,25 @@ def _require_event_index(family: Family, k: int, name: str = "k") -> int:
     return k
 
 
+def _require_event_indices(family: Family, members: Sequence[int]) -> None:
+    """Range check for a nonempty sorted index sequence."""
+    if members[0] < 1 or members[-1] > family.n_events:
+        raise IndexError(f"indices {members[0]}..{members[-1]} outside the "
+                         f"event range 1..{family.n_events}")
+
+
 def event_prob(family: Family, k: int) -> float:
     """Exact P(A_k) for 1 <= k <= N."""
     k = _require_event_index(family, k)
-    if isinstance(family, WindowModel):
-        return family.single_event_prob
     return float(family.event_probs[k - 1])
 
 
 def pair_prob(family: Family, i: int, j: int) -> float:
     """Exact P(A_i and A_j) for 1 <= i, j <= N.
 
-    Window models enumerate the span of symbols read by both windows
-    (at most 2(m+1) of them); indices further than m apart factorize
-    into an exact product of the marginals.
+    Window models read the both-fired entry of the transfer-operator
+    pattern law at (1, 1 + gap), once per gap <= m; indices further than
+    m apart factorize into an exact product of the marginals.
     """
     i = _require_event_index(family, i, "i")
     j = _require_event_index(family, j, "j")

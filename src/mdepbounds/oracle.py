@@ -1,12 +1,13 @@
 """Exact union and complement-intersection probabilities.
 
 Explicit families reduce to weighted sweeps over the outcome space.
-Window models use a forward dynamic program over the joint law of the
-last m symbols: one symbol is consumed per step and surviving mass is
-zeroed whenever a tracked window fires, so a query over events a..b
-costs O((b - a + m) * s**(m+1)).  State mass lives in [0, 1] and is
-clamped there after every step; at desk-scale horizons the accumulated
-rounding stays far below the 1e-9 comparison tolerances used elsewhere.
+Window models use the transfer-operator kernel ``WindowModel._sweep`` in
+:mod:`mdepbounds.families`: a forward dynamic program over the joint law
+of the last m symbols that consumes one symbol per step and zeroes the
+mass wherever a tracked window fires, so a query over events a..b costs
+O((b - a + m) * s**(m+1)).  State mass lives in [0, 1] and is clamped
+there after every step; at desk-scale horizons the accumulated rounding
+stays far below the 1e-9 comparison tolerances used elsewhere.
 """
 
 from __future__ import annotations
@@ -14,46 +15,7 @@ from __future__ import annotations
 import operator
 from typing import Iterable
 
-import numpy as np
-
-from .families import ExplicitEventFamily, Family, WindowModel
-
-
-def _initial_state(model: WindowModel) -> np.ndarray:
-    """Joint law of m consecutive symbols; earliest symbol is the least
-    significant base-s digit of the state index."""
-    state = np.ones(1)
-    for _ in range(model.m):
-        state = np.kron(model.dist_array, state)
-    return state
-
-
-def _surviving_mass(model: WindowModel, indices: Iterable[int]) -> float:
-    """P(no A_k fires for k in `indices`), by the sliding-state DP."""
-    members = sorted({operator.index(k) for k in indices})
-    if not members:
-        return 1.0
-    if members[0] < 1 or members[-1] > model.horizon:
-        raise IndexError(f"indices {members[0]}..{members[-1]} outside the "
-                         f"event range 1..{model.horizon}")
-    s, m = model.alphabet_size, model.m
-    dist = model.dist_array
-    # table2[x, st] is the predicate for the window whose earliest m
-    # symbols encode st and whose newest symbol is x.
-    table2 = model.table_array.reshape(s, s ** m)
-    member_set = frozenset(members)
-    state = _initial_state(model)
-    for k in range(members[0], members[-1] + 1):
-        mass = dist[:, None] * state[None, :]  # [new symbol x, state st]
-        if k in member_set:
-            mass = np.where(table2, 0.0, mass)
-        if m == 0:
-            state = mass.sum(axis=0)
-        else:
-            # st = rest*s + oldest; drop the oldest symbol, append x.
-            state = mass.reshape(s, s ** (m - 1), s).sum(axis=2).reshape(s ** m)
-        np.clip(state, 0.0, 1.0, out=state)
-    return float(state.sum())
+from .families import Family, _require_event_indices
 
 
 def union_prob(family: Family, first: int, last: int) -> float:
@@ -69,12 +31,7 @@ def union_prob(family: Family, first: int, last: int) -> float:
     if first < 1 or last > family.n_events:
         raise IndexError(f"interval [{first}, {last}] outside the event "
                          f"range 1..{family.n_events}")
-    if isinstance(family, WindowModel):
-        value = 1.0 - _surviving_mass(family, range(first, last + 1))
-    else:
-        fired = family.event_masks[first - 1:last].any(axis=0)
-        value = float(family.outcome_weights[fired].sum())
-    return min(1.0, max(0.0, value))
+    return min(1.0, max(0.0, family.union(first, last)))
 
 
 def complement_intersection_prob(family: Family, indices: Iterable[int]) -> float:
@@ -87,16 +44,8 @@ def complement_intersection_prob(family: Family, indices: Iterable[int]) -> floa
     members = sorted({operator.index(k) for k in indices})
     if not members:
         return 1.0
-    if members[0] < 1 or members[-1] > family.n_events:
-        raise IndexError(f"indices {members[0]}..{members[-1]} outside the "
-                         f"event range 1..{family.n_events}")
-    if isinstance(family, WindowModel):
-        value = _surviving_mass(family, members)
-    else:
-        rows = [k - 1 for k in members]
-        fired = family.event_masks[rows].any(axis=0)
-        value = float(family.outcome_weights[~fired].sum())
-    return min(1.0, max(0.0, value))
+    _require_event_indices(family, members)
+    return min(1.0, max(0.0, family.survival(members)))
 
 
 def block_event_prob(family: Family, first: int, last: int) -> float:

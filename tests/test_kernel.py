@@ -1,0 +1,84 @@
+"""The window-model transfer-operator kernel and the family protocol.
+
+Window models answer ``survival`` (kill at the members), ``pattern_law``
+(branch at the indices) and the pair masses through one kernel; these
+tests hold each action against brute-force enumeration and against the
+explicit expansion, and check the index validation of the public
+pattern-law entry point on both representations.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from mdepbounds import (
+    WindowModel,
+    complement_intersection_prob,
+    consecutive_run_model,
+    expand_window_model,
+    pair_prob,
+    pattern_distribution,
+)
+
+from exhaustive import brute_complement_prob, brute_pair_prob
+
+#: Largest outcome space s**(N+m) the differential test expands.
+MAX_STRINGS = 1 << 12
+
+
+@st.composite
+def small_window_models(draw):
+    s = draw(st.integers(2, 4))
+    m = draw(st.integers(0, 3))
+    max_n = max(n for n in range(1, 13) if s ** (n + m) <= MAX_STRINGS)
+    n = draw(st.integers(1, max_n))
+    weights = draw(st.lists(st.floats(0.05, 1.0), min_size=s, max_size=s))
+    table = draw(st.lists(st.booleans(), min_size=s ** (m + 1),
+                          max_size=s ** (m + 1)))
+    return WindowModel(s, tuple(w / sum(weights) for w in weights), m,
+                       tuple(table), n)
+
+
+@settings(max_examples=100, deadline=None)
+@given(model=small_window_models(), data=st.data())
+def test_kernel_actions_match_enumeration(model, data):
+    n = model.horizon
+    assert model.alphabet_size ** (n + model.m) <= MAX_STRINGS
+    indices = tuple(sorted(data.draw(st.sets(st.integers(1, n), min_size=1,
+                                             max_size=min(n, 4)))))
+    law = model.pattern_law(indices)
+    explicit = expand_window_model(model)
+    assert np.abs(law - explicit.pattern_law(indices)).max() < 1e-12
+
+    survival = model.survival(indices)
+    assert survival == pytest.approx(brute_complement_prob(model, indices),
+                                     abs=1e-12)
+    # kill and branch agree on the no-event pattern
+    assert abs(law[0] - survival) <= 1e-15
+
+    for gap in range(min(model.m, n - 1) + 1):
+        assert pair_prob(model, 1, 1 + gap) == pytest.approx(
+            brute_pair_prob(model, 1, 1 + gap), abs=1e-12)
+
+
+RUN_MODEL = consecutive_run_model(10)
+REPRESENTATIONS = {"window": RUN_MODEL,
+                   "explicit": expand_window_model(RUN_MODEL)}
+
+
+@pytest.mark.parametrize("kind", sorted(REPRESENTATIONS))
+class TestPatternDistributionIndices:
+    @pytest.mark.parametrize("indices", [(5, 2), (3, 3)])
+    def test_not_strictly_increasing(self, kind, indices):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            pattern_distribution(REPRESENTATIONS[kind], indices)
+
+    @pytest.mark.parametrize("indices", [(0, 2), (9, 11)])
+    def test_outside_event_range(self, kind, indices):
+        family = REPRESENTATIONS[kind]
+        with pytest.raises(IndexError) as raised:
+            pattern_distribution(family, indices)
+        with pytest.raises(IndexError) as expected:
+            complement_intersection_prob(family, indices)
+        assert str(raised.value) == str(expected.value)

@@ -46,7 +46,7 @@ def pattern_distribution(family: Family, indices: tuple[int, ...]) -> np.ndarray
     if any(a >= b for a, b in itertools.pairwise(indices)):
         raise ValueError(f"indices {indices} must be strictly increasing")
     _require_event_indices(family, indices)
-    return family.pattern_law(indices)
+    return family.pattern_law(indices).copy()  # memoized window laws are read-only
 
 
 def _chains(sorted_indices: tuple[int, ...], m: int) -> list[tuple[int, ...]]:
@@ -60,32 +60,27 @@ def _chains(sorted_indices: tuple[int, ...], m: int) -> list[tuple[int, ...]]:
     return [tuple(c) for c in chains]
 
 
-def _marginal(joint: np.ndarray, positions: tuple[int, ...],
-              u: int) -> np.ndarray:
-    """Marginal pattern law of the given bit positions."""
-    out = np.zeros(1 << len(positions))
-    for p in range(1 << u):
-        q = 0
-        for t, pos in enumerate(positions):
-            if p >> pos & 1:
-                q |= 1 << t
-        out[q] += joint[p]
-    return out
+def _sum_out(law: np.ndarray, axes: list[int]) -> np.ndarray:
+    """Sum `law` over the ascending `axes`, keeping dims, adding terms one
+    at a time in pattern order so ties break as in a scalar loop."""
+    keep = [a for a in range(law.ndim) if a not in axes]
+    shape = [1 if a in axes else 2 for a in range(law.ndim)]
+    return law.transpose(axes + keep).reshape(-1, *shape).cumsum(axis=0)[-1]
 
 
 def _worst_atom_violation(joint: np.ndarray, pos_i: tuple[int, ...],
                           pos_j: tuple[int, ...], u: int) -> float:
-    """Largest signed P(a and b) - P(a)P(b) over atom pairs, by magnitude."""
-    marg_i = _marginal(joint, pos_i, u)
-    marg_j = _marginal(joint, pos_j, u)
-    worst = 0.0
-    for p in range(1 << u):
-        a = sum(((p >> pos & 1) << t) for t, pos in enumerate(pos_i))
-        b = sum(((p >> pos & 1) << t) for t, pos in enumerate(pos_j))
-        diff = joint[p] - marg_i[a] * marg_j[b]
-        if abs(diff) > abs(worst):
-            worst = float(diff)
-    return worst
+    """Largest signed P(a and b) - P(a)P(b) over atom pairs, by magnitude.
+
+    `pos_i` and `pos_j` partition the u pattern bits.  Bit t is axis
+    u-1-t of the (2,)*u law, so its C-order ravel is the pattern order
+    and the first pattern of largest magnitude wins.
+    """
+    law = joint.reshape((2,) * u)
+    marg_i = _sum_out(law, sorted(u - 1 - t for t in pos_j))
+    marg_j = _sum_out(law, sorted(u - 1 - t for t in pos_i))
+    diff = (law - marg_i * marg_j).ravel()
+    return float(diff[np.abs(diff).argmax()])
 
 
 def check_m_dependence(family: Family, m: int | None = None, *,

@@ -26,11 +26,14 @@ family is a *claim*: nothing here assumes it holds, and
 :func:`mdepbounds.dependence.check_m_dependence` can test it.
 
 All types are immutable after construction and all operations are pure
-functions of their inputs, so concurrent readers need no locking.
+functions of their inputs, so concurrent readers need no locking: a
+window model's read-only kernel answers per gap signature live in
+``WindowModel._memo`` as long as the model, and a race only recomputes.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -202,6 +205,7 @@ class WindowModel:
         object.__setattr__(self, "horizon", horizon)
         object.__setattr__(self, "symbol_dist", dist)
         object.__setattr__(self, "predicate_table", table)
+        object.__setattr__(self, "_memo", {})  # (gap signature, branch) -> law
 
     @property
     def n_events(self) -> int:
@@ -271,34 +275,41 @@ class WindowModel:
         probs.flags.writeable = False
         return probs
 
+    def _law(self, indices: Sequence[int], branch: bool) -> np.ndarray:
+        """``_sweep`` answered once per gap signature, read-only.  After m
+        pass steps the state is the pattern mass times ``_initial_law``, so
+        a gap wider than m+1 acts like one of m+1; the walk restarts at 1."""
+        gaps = (min(b - a, self.m + 1) for a, b in itertools.pairwise(indices))
+        key = (tuple(itertools.accumulate(gaps, initial=1)), branch)
+        law = self._memo.get(key)
+        if law is None:
+            law = self._memo[key] = self._sweep(key[0], branch)
+            law.flags.writeable = False
+        return law
+
     def union(self, first: int, last: int) -> float:
         return 1.0 - self.survival(range(first, last + 1))
 
     def survival(self, members: Sequence[int]) -> float:
-        return float(self._sweep(members, branch=False)[0])
+        return float(self._law(members, branch=False)[0])
 
     def pattern_law(self, indices: Sequence[int]) -> np.ndarray:
-        return self._sweep(indices, branch=True)
+        return self._law(indices, branch=True)
 
     @cached_property
     def single_event_prob(self) -> float:
         """P(A_k); identical for every k by stationarity."""
         return float(self.pattern_law((1,))[1])
 
-    @cached_property
-    def _pair_masses(self) -> tuple[float, ...]:
-        """P(A_k and A_{k+gap}) for gap = 0..m, the overlapping windows."""
-        return (self.single_event_prob,) + tuple(
-            float(self.pattern_law((1, 1 + gap))[0b11])
-            for gap in range(1, self.m + 1))
-
     def pair_gap_prob(self, gap: int) -> float:
         """P(A_k and A_{k+gap}); depends only on the gap by stationarity."""
         if gap < 0:
             raise ValueError("gap must be nonnegative")
+        if gap == 0:
+            return self.single_event_prob
         if gap > self.m:
             return self.single_event_prob ** 2  # disjoint windows: exact product
-        return self._pair_masses[gap]
+        return float(self.pattern_law((1, 1 + gap))[0b11])
 
 
 Family = Union[ExplicitEventFamily, WindowModel]

@@ -4,10 +4,12 @@ Explicit families reduce to weighted sweeps over the outcome space.
 Window models use the transfer-operator kernel ``WindowModel._sweep`` in
 :mod:`mdepbounds.families`: a forward dynamic program over the joint law
 of the last m symbols that consumes one symbol per step and zeroes the
-mass wherever a tracked window fires, so a query over events a..b costs
-O((b - a + m) * s**(m+1)).  State mass lives in [0, 1] and is clamped
-there after every step; at desk-scale horizons the accumulated rounding
-stays far below the 1e-9 comparison tolerances used elsewhere.
+mass wherever a tracked window fires.  A model memoizes one answer per
+gap signature (gaps clamped at m+1): a new signature costs O(L * s**(m+1))
+for its clamped span L (b - a + 1 for a range a..b), a repeat O(|indices|).
+State mass lives in [0, 1] and is clamped there after every step; at
+desk-scale horizons the accumulated rounding stays far below the 1e-9
+comparison tolerances used elsewhere.
 """
 
 from __future__ import annotations

@@ -11,6 +11,7 @@ from mdepbounds import (
     pattern_distribution,
     random_window_model,
 )
+from mdepbounds.dependence import _worst_atom_violation
 from mdepbounds.errors import CapExceededError
 
 
@@ -111,3 +112,52 @@ class TestCheckMDependence:
     def test_rejects_bad_max_subset(self):
         with pytest.raises(ValueError):
             check_m_dependence(consecutive_run_model(5), max_subset=1)
+
+
+def loop_worst_atom_violation(joint, pos_i, pos_j, u):
+    """Reference: the scalar loop over all 2**u patterns; the first
+    pattern of largest magnitude wins."""
+    def marginal(positions):
+        out = np.zeros(1 << len(positions))
+        for p in range(1 << u):
+            out[sum((p >> pos & 1) << t for t, pos in enumerate(positions))] \
+                += joint[p]
+        return out
+
+    marg_i, marg_j = marginal(pos_i), marginal(pos_j)
+    worst = 0.0
+    for p in range(1 << u):
+        a = sum((p >> pos & 1) << t for t, pos in enumerate(pos_i))
+        b = sum((p >> pos & 1) << t for t, pos in enumerate(pos_j))
+        diff = joint[p] - marg_i[a] * marg_j[b]
+        if abs(diff) > abs(worst):
+            worst = float(diff)
+    return worst
+
+
+def random_joints(rng, count):
+    """Skewed random laws, plus window-model pattern laws, whose 2x2
+    covariance structure ties atoms of opposite sign in magnitude."""
+    for _ in range(count):
+        u = int(rng.integers(2, 7))
+        joint = rng.random(1 << u) ** 3
+        yield joint / joint.sum(), u
+    for seed in range(count // 4):
+        model = random_window_model(seed, min_horizon=8, max_horizon=8)
+        u = int(rng.integers(2, 5))
+        indices = tuple(sorted(rng.choice(8, u, replace=False) + 1))
+        yield pattern_distribution(model, indices), u
+
+
+def test_vectorized_atom_violation_matches_loop():
+    rng = np.random.default_rng(2024)
+    for joint, u in random_joints(rng, 400):
+        cut = int(rng.integers(1, u))
+        order = rng.permutation(u)
+        pos_i = tuple(sorted(int(t) for t in order[:cut]))
+        pos_j = tuple(sorted(int(t) for t in order[cut:]))
+        worst = loop_worst_atom_violation(joint, pos_i, pos_j, u)
+        got = _worst_atom_violation(joint, pos_i, pos_j, u)
+        assert abs(got - worst) <= 1e-15
+        # Same arg-worst: tied atoms of opposite sign break the same way.
+        assert np.sign(got) == np.sign(worst)

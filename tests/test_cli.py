@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+from pathlib import Path
 
 import pytest
 
@@ -234,3 +235,17 @@ class TestUsage:
         code, _, err = run_cli(capsys, "report", "/nonexistent/m.json")
         assert code == 2
         assert "error" in err
+
+
+MC_REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference" / "mc_reference.json"
+MC_CASES = json.loads(MC_REFERENCE.read_text())["cases"]
+
+
+@pytest.mark.parametrize("case", MC_CASES, ids=[f"ref{k}" for k in range(len(MC_CASES))])
+def test_mc_matches_stored_reference_output(capsys, tmp_path, case):
+    """`mc` stdout is byte-identical to the benchmark's stored references."""
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(case["model"]))
+    code, out, _ = run_cli(capsys, "mc", str(path), *case["args"])
+    assert code == 0
+    assert out == case["stdout"]

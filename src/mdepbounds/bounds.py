@@ -111,16 +111,16 @@ def build_threshold(family: Family) -> ThresholdFunction:
     threshold(n) is the least t with P(A_1)+..+P(A_t) >= n; minimality
     makes it nondecreasing and gives the tightest windows.  Defined for
     every integer n up to the total event mass; explicitly empty when
-    that mass is below 1.
+    that mass is below 1.  It searches the same prefix masses that
+    :func:`partial_sum` reads, so partial_sum(threshold(n)) >= n and
+    partial_sum(threshold(n) - 1) < n hold exactly.
     """
-    n_events = family.n_events
-    prefix = np.cumsum(family.event_probs) if n_events else np.zeros(0)
-    total = float(prefix[-1]) if n_events else 0.0
+    prefix = family.prefix_probs
+    total = float(prefix[-1])
     # defined exactly for the integers n with prefix mass >= n
-    max_n = int(math.floor(total)) if total >= 1.0 else 0
-    values = tuple(int(np.searchsorted(prefix, n, side="left")) + 1
-                   for n in range(1, max_n + 1))
-    return ThresholdFunction(values, total)
+    targets = np.arange(1, math.floor(total) + 1)
+    values = np.searchsorted(prefix, targets, side="left")
+    return ThresholdFunction(tuple(values.tolist()), total)
 
 
 @dataclass(frozen=True)
@@ -132,10 +132,6 @@ class WindowedBound:
     window_n: int
     bound: float
     mass: float
-
-    @property
-    def indices(self) -> tuple[int, int]:
-        return (self.first, self.last)
 
 
 def windowed_bound(family: Family, threshold: ThresholdFunction,

@@ -25,7 +25,7 @@ from .bounds import SLACK_TOL, build_report, build_threshold, windowed_bound
 from .dependence import check_m_dependence
 from .errors import BoundViolationError, CapExceededError, ModelSpecError
 from .families import WindowModel
-from .modelspec import load_model, parse_model
+from .modelspec import _read_json, load_model, parse_model
 from .montecarlo import estimate_union
 from .oracle import union_prob
 from .verify import verify_derivation
@@ -158,12 +158,9 @@ def _apply_sweep(template: dict, name: str, value: Any) -> dict:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    with open(args.model) as fh:
-        try:
-            template = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ModelSpecError(f"{args.model}: line {exc.lineno} column "
-                                 f"{exc.colno}: {exc.msg}") from exc
+    template = _read_json(args.model)
+    if not isinstance(template, dict):
+        raise ModelSpecError(f"{args.model}: top level must be a JSON object")
     name, values = _parse_sweep(args.sweep)
     mc = tuple(args.mc) if args.mc else None
     if mc is not None and template.get("type") != "window":

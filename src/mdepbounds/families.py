@@ -13,12 +13,14 @@ Two representations are supported:
   ``WindowModel._sweep``, which carries the joint law of the last m
   symbols forward one window at a time.
 
-Both classes answer the same small protocol, which the module-level
-query functions dispatch to: ``event_probs`` (P(A_k) for every k),
-``union(first, last)``, ``survival(members)`` (no listed event fires)
-and ``pattern_law(indices)`` (the joint law of the indicators).  The
-methods trust their arguments (nonempty, sorted, distinct, and in
-range for explicit families); the public functions check them.
+Both classes answer one protocol of six members, which the module-level
+query functions read without checking the representation: ``event_probs``
+(P(A_k) for k = 1..N), ``prefix_probs`` (P(A_1)+..+P(A_u) for u = 0..N),
+``pair_probs(gap)`` (P(A_k and A_{k+gap}) for k = 1..N-gap),
+``union(first, last)``, ``survival(members)`` (no listed event fires) and
+``pattern_law(indices)`` (the joint law of the indicators).  The methods
+trust their arguments (nonempty, sorted, distinct, in range, and
+0 <= gap < N); the public functions check them.
 
 Event indices are 1-based throughout the public API (events A_1..A_N);
 outcome and symbol indices are 0-based.  The dependence range stored on a
@@ -129,6 +131,17 @@ class ExplicitEventFamily:
         probs = self.event_masks @ self.outcome_weights
         probs.flags.writeable = False
         return probs
+
+    @cached_property
+    def prefix_probs(self) -> np.ndarray:
+        """P(A_1)+..+P(A_u) for u = 0..N, as a read-only vector."""
+        prefix = np.concatenate(([0.0], np.cumsum(self.event_probs)))
+        prefix.flags.writeable = False
+        return prefix
+
+    def pair_probs(self, gap: int) -> np.ndarray:
+        masks = self.event_masks
+        return (masks[:self.n_events - gap] & masks[gap:]) @ self.outcome_weights
 
     def union(self, first: int, last: int) -> float:
         # The direct fired-outcome sum, not 1 - survival: small unions
@@ -271,9 +284,27 @@ class WindowModel:
     @cached_property
     def event_probs(self) -> np.ndarray:
         """P(A_k) for k = 1..N, as a read-only vector of length N."""
-        probs = np.full(self.horizon, self.single_event_prob)
+        probs = self.pair_probs(0)
         probs.flags.writeable = False
         return probs
+
+    @cached_property
+    def prefix_probs(self) -> np.ndarray:
+        """u * P(A_1) for u = 0..N, each rounded once (read-only)."""
+        prefix = np.arange(self.horizon + 1) * self.pattern_law((1,))[1]
+        prefix.flags.writeable = False
+        return prefix
+
+    def pair_probs(self, gap: int) -> np.ndarray:
+        """Constant by stationarity; windows more than m apart share no
+        symbol, so their pair mass is the exact product p**2."""
+        if gap == 0:
+            both = self.pattern_law((1,))[1]
+        elif gap > self.m:
+            both = float(self.pattern_law((1,))[1]) ** 2
+        else:
+            both = self.pattern_law((1, 1 + gap))[0b11]
+        return np.full(self.horizon - gap, both)
 
     def _law(self, indices: Sequence[int], branch: bool) -> np.ndarray:
         """``_sweep`` answered once per gap signature, read-only.  After m
@@ -295,21 +326,6 @@ class WindowModel:
 
     def pattern_law(self, indices: Sequence[int]) -> np.ndarray:
         return self._law(indices, branch=True)
-
-    @cached_property
-    def single_event_prob(self) -> float:
-        """P(A_k); identical for every k by stationarity."""
-        return float(self.pattern_law((1,))[1])
-
-    def pair_gap_prob(self, gap: int) -> float:
-        """P(A_k and A_{k+gap}); depends only on the gap by stationarity."""
-        if gap < 0:
-            raise ValueError("gap must be nonnegative")
-        if gap == 0:
-            return self.single_event_prob
-        if gap > self.m:
-            return self.single_event_prob ** 2  # disjoint windows: exact product
-        return float(self.pattern_law((1, 1 + gap))[0b11])
 
 
 Family = Union[ExplicitEventFamily, WindowModel]
@@ -336,20 +352,10 @@ def event_prob(family: Family, k: int) -> float:
 
 
 def pair_prob(family: Family, i: int, j: int) -> float:
-    """Exact P(A_i and A_j) for 1 <= i, j <= N.
-
-    Window models read the both-fired entry of the transfer-operator
-    pattern law at (1, 1 + gap), once per gap <= m; indices further than
-    m apart factorize into an exact product of the marginals.
-    """
+    """Exact P(A_i and A_j) for 1 <= i, j <= N."""
     i = _require_event_index(family, i, "i")
     j = _require_event_index(family, j, "j")
-    if isinstance(family, WindowModel):
-        return family.pair_gap_prob(abs(j - i))
-    if i == j:
-        return float(family.event_probs[i - 1])
-    joint = family.event_masks[i - 1] & family.event_masks[j - 1]
-    return float(family.outcome_weights[joint].sum())
+    return float(family.pair_probs(abs(j - i))[min(i, j) - 1])
 
 
 def partial_sum(family: Family, upto: int) -> float:
@@ -357,9 +363,7 @@ def partial_sum(family: Family, upto: int) -> float:
     upto = operator.index(upto)
     if not 0 <= upto <= family.n_events:
         raise ValueError(f"upto={upto} outside 0..{family.n_events}")
-    if isinstance(family, WindowModel):
-        return upto * family.single_event_prob
-    return float(family.event_probs[:upto].sum())
+    return float(family.prefix_probs[upto])
 
 
 def total_mass(family: Family) -> float:
@@ -373,20 +377,10 @@ def t_local(family: Family) -> float:
     Defined for m >= 1 only; the pair range is empty for m = 1, so the
     value is exactly 0 there.
     """
-    m = family.m
-    if m == 0:
+    if family.m == 0:
         raise ValueError("t_local requires a dependence range m >= 1")
-    n = family.n_events
-    if m == 1 or n <= 1:
-        return 0.0
-    if isinstance(family, WindowModel):
-        return float(sum((n - d) * family.pair_gap_prob(d)
-                         for d in range(1, m) if d < n))
-    total = 0.0
-    for i in range(1, n):
-        for j in range(i + 1, min(i + m - 1, n) + 1):
-            total += pair_prob(family, i, j)
-    return total
+    gaps = range(1, min(family.m, family.n_events))
+    return float(sum(math.fsum(family.pair_probs(d)) for d in gaps))
 
 
 def expand_window_model(model: WindowModel,

@@ -119,19 +119,23 @@ def model_to_dict(family: Family) -> dict:
     }
 
 
-def load_model(path: str | Path) -> Family:
-    """Load and validate a model-spec JSON file."""
+def _read_json(path: str | Path) -> Any:
+    """Parsed JSON of a file; errors become ModelSpecError naming it."""
     path = Path(path)
     try:
         text = path.read_text()
     except OSError as exc:
         raise ModelSpecError(f"{path}: {exc.strerror or exc}") from exc
     try:
-        spec = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ModelSpecError(
             f"{path}: line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
-    return parse_model(spec, where=str(path))
+
+
+def load_model(path: str | Path) -> Family:
+    """Load and validate a model-spec JSON file."""
+    return parse_model(_read_json(path), where=str(path))
 
 
 def dump_model(family: Family, path: str | Path) -> None:

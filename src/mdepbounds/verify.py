@@ -19,7 +19,7 @@ import math
 from .bounds import first_order_bound, second_order_bound
 from .errors import CapExceededError
 from .families import ExplicitEventFamily, Family, WindowModel, \
-    event_prob, pair_prob, partial_sum, t_local
+    event_prob, partial_sum, t_local
 from .oracle import block_event_prob, complement_intersection_prob, union_prob
 from .partitions import pair_shift_count, residue_classes, shifted_blocks
 from .reports import Check, VerificationReport
@@ -28,6 +28,10 @@ from .reports import Check, VerificationReport
 MAX_WINDOW_TABLE = 1 << 16
 MAX_WINDOW_HORIZON = 10_000
 MAX_EXPLICIT_OUTCOMES = 1 << 20
+
+#: Residue-class independence checks every pair of a class and its first
+#: MAX_TRIPLES_PER_CLASS index triples in lexicographic order.
+MAX_TRIPLES_PER_CLASS = 200
 
 
 def _require_desk_scale(family: Family) -> None:
@@ -48,21 +52,16 @@ def _require_desk_scale(family: Family) -> None:
                 f"{MAX_EXPLICIT_OUTCOMES}")
 
 
-def verify_derivation(family: Family, *, tol: float = 1e-9,
-                      subset_size_cap: int = 3,
-                      max_triples_per_class: int = 200,
-                      max_block_pairs_per_shift: int | None = None,
-                      ) -> VerificationReport:
+def verify_derivation(family: Family, *, tol: float = 1e-9) -> VerificationReport:
     """Check every step of the bound derivation on one family.
 
     Emits, in order: residue-class independence (pairs exhaustively,
-    index subsets of size 3 up to `max_triples_per_class` per class when
-    `subset_size_cap` >= 3); the product-to-exponential chain per class;
-    block-event independence at block distance >= 2 (optionally capped);
-    the per-block second-order Bonferroni lower bound; the exhaustive
-    pair-shift count; the parity-split averaging chain; and finally the
-    exact union against both closed-form bounds.  Block checks are
-    skipped for m = 0, which has no block partition.
+    index triples up to MAX_TRIPLES_PER_CLASS per class); the
+    product-to-exponential chain per class; block-event independence at
+    block distance >= 2; the per-block second-order Bonferroni lower
+    bound; the exhaustive pair-shift count; the parity-split averaging
+    chain; and finally the exact union against both closed-form bounds.
+    Block checks are skipped for m = 0, which has no block partition.
 
     Factorization checks compare joint complement probabilities against
     products of marginals (pairs plus capped triples), not full
@@ -82,14 +81,13 @@ def verify_derivation(family: Family, *, tol: float = 1e-9,
             rhs = (1 - probs[i]) * (1 - probs[j])
             checks.append(Check.eq(
                 f"residue_independence[r={r},({i},{j})]", lhs, rhs, tol))
-        if subset_size_cap >= 3:
-            triples = itertools.islice(
-                itertools.combinations(cls, 3), max_triples_per_class)
-            for i, j, k in triples:
-                lhs = complement_intersection_prob(family, (i, j, k))
-                rhs = (1 - probs[i]) * (1 - probs[j]) * (1 - probs[k])
-                checks.append(Check.eq(
-                    f"residue_independence[r={r},({i},{j},{k})]", lhs, rhs, tol))
+        triples = itertools.islice(
+            itertools.combinations(cls, 3), MAX_TRIPLES_PER_CLASS)
+        for i, j, k in triples:
+            lhs = complement_intersection_prob(family, (i, j, k))
+            rhs = (1 - probs[i]) * (1 - probs[j]) * (1 - probs[k])
+            checks.append(Check.eq(
+                f"residue_independence[r={r},({i},{j},{k})]", lhs, rhs, tol))
 
     # Product-to-exponential chain per residue class.
     for r, cls in enumerate(classes, start=1):
@@ -118,8 +116,6 @@ def verify_derivation(family: Family, *, tol: float = 1e-9,
                 for a, b in itertools.combinations(range(len(part.blocks)), 2)
                 if part.block_js[b] - part.block_js[a] >= 2
             )
-            if max_block_pairs_per_shift is not None:
-                pairs = itertools.islice(pairs, max_block_pairs_per_shift)
             for a, b in pairs:
                 lo_a, hi_a = part.blocks[a]
                 lo_b, hi_b = part.blocks[b]
@@ -132,12 +128,15 @@ def verify_derivation(family: Family, *, tol: float = 1e-9,
                     lhs, rhs, tol))
 
         # Second-order Bonferroni inside every block:
-        # P(B) >= sum P(A_i) - sum_{pairs in B} P(A_i & A_l).
+        # P(B) >= sum P(A_i) - sum_{pairs in B} P(A_i & A_l).  A block
+        # spans at most m events, so its pairs sit at gaps 1..m-1.
+        pair_masses = {d: family.pair_probs(d).tolist()
+                       for d in range(1, min(m, n))}
         for part, bprobs in zip(partitions, block_probs):
             for (lo, hi), j, prob in zip(part.blocks, part.block_js, bprobs):
                 members = range(lo, hi + 1)
                 single = sum(probs[k] for k in members)
-                pairsum = sum(pair_prob(family, i, l)
+                pairsum = sum(pair_masses[l - i][i - 1]
                               for i, l in itertools.combinations(members, 2))
                 checks.append(Check.le(
                     f"block_bonferroni[r={part.shift},j={j}]",

@@ -134,15 +134,22 @@ class TestThresholdFunction:
 
     def test_nondecreasing_and_minimal(self):
         rng = np.random.default_rng(73)
-        for _ in range(10):
-            model = random_window_model(rng, min_horizon=50, max_horizon=150,
+        families = [random_window_model(rng, min_horizon=50, max_horizon=150,
                                         table_density=0.3)
-            phi = build_threshold(model)
+                    for _ in range(10)]
+        # Prefix masses on which a running sum of the event probabilities
+        # and partial_sum round apart: 45 * (1/9) is exactly 5.0, and ten
+        # events of mass 0.1 sum pairwise to exactly 1.0.
+        families.append(consecutive_run_model(60, m=1, alphabet_size=3))
+        families.append(ExplicitEventFamily.from_events([0.1, 0.9],
+                                                        [[0]] * 12, 1))
+        for family in families:
+            phi = build_threshold(family)
             vals = phi.values
             assert all(a <= b for a, b in zip(vals, vals[1:]))
             for n, t in enumerate(vals, start=1):
-                assert partial_sum(model, t) >= n
-                assert partial_sum(model, t - 1) < n
+                assert partial_sum(family, t) >= n
+                assert partial_sum(family, t - 1) < n
 
 
 class TestWindowedBound:

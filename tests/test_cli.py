@@ -10,6 +10,7 @@ import pytest
 from mdepbounds import (
     BoundReport,
     ExplicitEventFamily,
+    WindowModel,
     consecutive_run_model,
     dump_model,
 )
@@ -193,6 +194,16 @@ class TestSweep:
         assert code == 2
         assert "step" in err
 
+    @pytest.mark.parametrize("extra", [[], ["--mc", "10", "1"]],
+                             ids=["plain", "mc"])
+    def test_non_object_template_exit_2(self, capsys, tmp_path, extra):
+        path = tmp_path / "list.json"
+        path.write_text("[1, 2]\n")
+        code, _, err = run_cli(capsys, "sweep", str(path), "horizon=1..2",
+                               *extra)
+        assert code == 2
+        assert "top level must be a JSON object" in err
+
 
 class TestWindow:
     def test_w1_full_window(self, capsys, w1_path):
@@ -202,6 +213,18 @@ class TestWindow:
         assert (payload["first"], payload["last"]) == (1, 24)
         assert payload["bound"] == pytest.approx(0.632120558829)
         assert payload["exact_union"] >= payload["bound"]
+        assert payload["mass_ok"] is True
+
+    def test_last_index_is_minimal(self, capsys, tmp_path):
+        """p = 1/3: six events carry prefix mass 2.0 exactly, so the
+        window ends at 6 (a running sum reaches 1.9999999999999998)."""
+        path = tmp_path / "third.json"
+        dump_model(WindowModel(3, (1 / 3, 1 / 3, 1 / 3), 0,
+                               (False, False, True), 12), path)
+        code, out, _ = run_cli(capsys, "window", str(path), "0", "2")
+        assert code == 0
+        payload = json.loads(out)
+        assert (payload["first"], payload["last"]) == (1, 6)
         assert payload["mass_ok"] is True
 
     def test_undefined_threshold_names_deficit(self, capsys, w1_path):
@@ -231,10 +254,14 @@ class TestUsage:
             main(["frobnicate", w1_path])
         assert exc.value.code == 2
 
-    def test_missing_model_file_exit_2(self, capsys):
-        code, _, err = run_cli(capsys, "report", "/nonexistent/m.json")
+    @pytest.mark.parametrize("argv", [["report"], ["sweep", "horizon=1..2"]],
+                             ids=["report", "sweep"])
+    def test_missing_model_file_exit_2(self, capsys, argv):
+        path = "/nonexistent/m.json"
+        code, _, err = run_cli(capsys, argv[0], path, *argv[1:])
         assert code == 2
         assert "error" in err
+        assert f"error: {path}: No such file or directory" in err
 
 
 MC_REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference" / "mc_reference.json"

@@ -1,10 +1,10 @@
 """The window-model transfer-operator kernel and the family protocol.
 
 Window models answer ``survival`` (kill at the members), ``pattern_law``
-(branch at the indices) and the pair masses through one kernel; these
-tests hold each action against brute-force enumeration and against the
-explicit expansion, and check the index validation of the public
-pattern-law entry point on both representations.
+(branch at the indices) and the prefix and pair masses through one
+kernel; these tests hold each action against brute-force enumeration and
+against the explicit expansion, and check the index validation of the
+public pattern-law entry point on both representations.
 """
 
 import numpy as np
@@ -19,6 +19,7 @@ from mdepbounds import (
     expand_window_model,
     pair_prob,
     pattern_distribution,
+    t_local,
 )
 
 from exhaustive import brute_complement_prob, brute_pair_prob
@@ -60,6 +61,17 @@ def test_kernel_actions_match_enumeration(model, data):
     for gap in range(min(model.m, n - 1) + 1):
         assert pair_prob(model, 1, 1 + gap) == pytest.approx(
             brute_pair_prob(model, 1, 1 + gap), abs=1e-12)
+
+    # The prefix and pair masses of the family protocol, at every gap
+    # (also those beyond m, which a window model answers as p**2).
+    for gap in range(n):
+        pairs = model.pair_probs(gap)
+        assert pairs.shape == (n - gap,)
+        assert np.abs(pairs - explicit.pair_probs(gap)).max() < 1e-12
+    assert model.prefix_probs.shape == (n + 1,)
+    assert np.abs(model.prefix_probs - explicit.prefix_probs).max() < 1e-12
+    if model.m >= 1:
+        assert t_local(model) == pytest.approx(t_local(explicit), abs=1e-12)
 
 
 RUN_MODEL = consecutive_run_model(10)

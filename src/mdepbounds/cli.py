@@ -8,7 +8,9 @@ Verbs:
   mc      MODEL FIRST LAST TRIALS SEED [--exact] Monte Carlo union estimate
 
 Exit codes: 0 success / all checks pass, 1 verification failure,
-2 usage or model-spec error.  Numbers print with 12 significant digits.
+2 usage or model-spec error.  Numbers print with 12 significant digits;
+JSON output is ``json.dumps(payload, indent=2)`` with every float first
+rounded to 12 significant digits.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ import io
 import json
 import re
 import sys
+from json.encoder import encode_basestring_ascii
 from typing import Any, Sequence
 
 from .bounds import SLACK_TOL, build_report, build_threshold, windowed_bound
@@ -35,17 +38,51 @@ CSV_COLUMNS = ["param", "n", "m", "s_n", "t_local", "thm1_bound", "thm2_bound",
                "mc_ci_high"]
 
 
-def _round12(value: Any) -> Any:
-    """Round floats (recursively) to 12 significant digits for output."""
-    if isinstance(value, bool) or value is None or isinstance(value, (int, str)):
-        return value
+def _float_text(value: float) -> str:
+    """JSON text of ``float(f"{value:.12g}")``, as ``json.dumps`` writes it.
+
+    For a normal double, the 12-digit string is already the shortest
+    round-trip form (doubles hold every decimal of up to 15 digits
+    apart), so it can differ from ``repr`` only in notation: ``repr``
+    adds ".0" to integral values and keeps fixed notation up to 1e16.
+    Exponents of 12 or more, subnormals, infinities and NaN go through
+    ``json.dumps``.
+    """
+    text = f"{value:.12g}"
+    mark = text.find("e")
+    if mark < 0:
+        if "." in text:
+            return text
+        if text[-1].isdigit():
+            return text + ".0"
+    elif -308 < int(text[mark + 1:]) < 12:
+        return text
+    return json.dumps(float(text))
+
+
+def _json_text(value: Any, pad: str = "") -> str:
+    """``json.dumps(value, indent=2)`` with every float rounded to 12
+    significant digits, for a value nested `pad` deep."""
     if isinstance(value, float):
-        return float(f"{value:.12g}")
-    if isinstance(value, dict):
-        return {k: _round12(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_round12(v) for v in value]
-    return value
+        return _float_text(value)
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, dict) and value:
+        inner = pad + "  "
+        items = [(encode_basestring_ascii(key) if isinstance(key, str)
+                  else json.dumps({key: 0})[1:-4])
+                 + ": " + _json_text(item, inner)
+                 for key, item in value.items()]
+    elif isinstance(value, (list, tuple)) and value:
+        inner = pad + "  "
+        items = [_json_text(item, inner) for item in value]
+    else:
+        return json.dumps(value)  # int, None, {} and []; TypeError otherwise
+    brackets = "{}" if isinstance(value, dict) else "[]"
+    return (brackets[0] + "\n" + inner + (",\n" + inner).join(items)
+            + "\n" + pad + brackets[1])
 
 
 def _cell(value: Any) -> str:
@@ -67,7 +104,7 @@ def _emit(text: str, out_path: str | None) -> None:
 
 
 def _emit_json(payload: dict, out_path: str | None) -> None:
-    _emit(json.dumps(_round12(payload), indent=2) + "\n", out_path)
+    _emit(_json_text(payload) + "\n", out_path)
 
 
 def _cmd_report(args: argparse.Namespace) -> int:

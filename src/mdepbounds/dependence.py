@@ -4,8 +4,18 @@ m-dependence says: whenever two index sets I and J are separated by more
 than m positions, the sigma-algebras generated by their events are
 independent.  With finitely many events that is exactly factorization
 over atoms: for every sign pattern a of the events in I and b of those
-in J, P(a and b) = P(a) * P(b).  This module enumerates all index sets
-with |I| + |J| <= max_subset and measures the worst factorization error.
+in J, P(a and b) = P(a) * P(b).  This module covers all index sets with
+|I| + |J| <= max_subset and measures the worst factorization error.
+
+A subset's violations depend only on its pattern law and on which of its
+gaps exceed m, so the family hands the subsets over in groups that share
+both (``Family.subset_groups``) and one representative per group is
+evaluated.  On a window model the group of a subset is its gap tuple
+clamped at c = max(m, model m) + 1: gaps of c or more give the same
+pattern law and split alike.  A tuple with span S and j gaps equal to c
+stands for C(N-1-S+j+1, j+1) subsets, so the audit costs the same at any
+horizon N.  On an explicit family every subset is its own group.  The
+cap ``MAX_SUBSETS`` counts groups, the representatives evaluated.
 
 Window models get a structural certificate as well (windows further than
 m apart read disjoint symbols), but the numerical check still runs.
@@ -13,9 +23,10 @@ m apart read disjoint symbols), but the numerical check still runs.
 
 from __future__ import annotations
 
+import heapq
 import itertools
-import math
 import operator
+from typing import Iterator
 
 import numpy as np
 
@@ -23,8 +34,9 @@ from .errors import CapExceededError
 from .families import Family, WindowModel, _require_event_indices
 from .reports import Check, VerificationReport
 
-#: Enumerating more candidate index subsets than this raises instead of
-#: silently running for hours; lower max_subset to stay under it.
+#: Evaluating more candidate index subsets (one per subset group) than
+#: this raises instead of silently running for hours; lower max_subset
+#: to stay under it.
 MAX_SUBSETS = 200_000
 
 #: At most this many failing (I, J) splits are itemized in the report
@@ -49,15 +61,33 @@ def pattern_distribution(family: Family, indices: tuple[int, ...]) -> np.ndarray
     return family.pattern_law(indices).copy()  # memoized window laws are read-only
 
 
-def _chains(sorted_indices: tuple[int, ...], m: int) -> list[tuple[int, ...]]:
-    """Split sorted indices into runs whose consecutive gaps are <= m."""
-    chains: list[list[int]] = [[sorted_indices[0]]]
-    for a, b in itertools.pairwise(sorted_indices):
+def _chains(indices: tuple[int, ...], m: int) -> list[list[int]]:
+    """Split the positions of sorted `indices` into runs whose consecutive
+    index gaps are <= m."""
+    chains = [[0]]
+    for t, (a, b) in enumerate(itertools.pairwise(indices), start=1):
         if b - a > m:
-            chains.append([b])
+            chains.append([t])
         else:
-            chains[-1].append(b)
-    return [tuple(c) for c in chains]
+            chains[-1].append(t)
+    return chains
+
+
+def _splits(chains: list[list[int]]) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """(I, J) position tuples for every bipartition of the chains; fixing
+    chain 0 on the I side dedupes (I, J) against (J, I)."""
+    for mask in range(1 << (len(chains) - 1)):
+        side_i = [chains[0]]
+        side_j = []
+        for c, chain in enumerate(chains[1:]):
+            (side_i if mask >> c & 1 else side_j).append(chain)
+        if side_j:
+            yield (tuple(t for chain in side_i for t in chain),
+                   tuple(t for chain in side_j for t in chain))
+
+
+def _at(subset: tuple[int, ...], positions: tuple[int, ...]) -> tuple[int, ...]:
+    return tuple(subset[t] for t in positions)
 
 
 def _sum_out(law: np.ndarray, axes: list[int]) -> np.ndarray:
@@ -88,16 +118,25 @@ def check_m_dependence(family: Family, m: int | None = None, *,
                        max_subsets: int = MAX_SUBSETS) -> VerificationReport:
     """Test whether a family satisfies the claimed dependence range m.
 
-    Enumerates every index set U of size 2..max_subset, splits it into
-    all (I, J) bipartitions with separation > m, and checks that every
-    atom probability factorizes within tol.  Reports one summary check
-    per subset size (carrying the worst signed violation) plus detail
-    checks for failing splits.  A family with no qualifying splits
-    passes vacuously.
+    Covers every index set U of size 2..max_subset, splits it into all
+    (I, J) bipartitions with separation > m, and checks that every atom
+    probability factorizes within tol.  Reports one summary check per
+    subset size (the worst signed violation, first in subset order among
+    ties, and the number of splits) plus detail checks for the first
+    MAX_DETAILED_FAILURES failing splits in subset order.  A family with
+    no qualifying splits passes vacuously.
 
-    Raises CapExceededError when the subset enumeration would exceed
-    `max_subsets`; lowering max_subset (pairwise only: 2) restores
-    feasibility for large horizons.
+    The family groups the subsets (``subset_groups``): members of a
+    group share the pattern law and every gap below m+1, so they give
+    the same violations, and one representative per group is evaluated
+    and weighted by the group's size.  On a window model a group is a gap
+    tuple clamped at c = max(m, model m) + 1, so the work is the number
+    of such tuples, at most c**(max_subset-1) per size at any N; an
+    explicit family has one group per subset.
+
+    Raises CapExceededError when the number of groups (the candidate
+    index subsets evaluated) would exceed `max_subsets`; lowering
+    max_subset (pairwise only: 2) restores feasibility.
     """
     m = family.m if m is None else operator.index(m)
     if m < 0:
@@ -105,9 +144,9 @@ def check_m_dependence(family: Family, m: int | None = None, *,
     max_subset = operator.index(max_subset)
     if max_subset < 2:
         raise ValueError("max_subset must be >= 2")
-    n = family.n_events
+    sizes = range(2, max_subset + 1)
 
-    total = sum(math.comb(n, size) for size in range(2, max_subset + 1))
+    total = sum(family.subset_group_count(size, m + 1) for size in sizes)
     if total > max_subsets:
         raise CapExceededError(
             f"{total} candidate index subsets exceed the cap {max_subsets}; "
@@ -119,44 +158,39 @@ def check_m_dependence(family: Family, m: int | None = None, *,
         checks.append(Check.eq(
             f"structural_window_independence[m={m}]", 0.0, 0.0, tol))
 
-    worst_by_size: dict[int, float] = {}
-    n_splits_by_size: dict[int, int] = {}
     failures: list[Check] = []
-
-    for size in range(2, max_subset + 1):
-        worst_by_size[size] = 0.0
-        n_splits_by_size[size] = 0
-        for subset in itertools.combinations(range(1, n + 1), size):
-            chains = _chains(subset, m)
+    for size in sizes:
+        worst = 0.0
+        n_splits = 0
+        # Every member of a failing group fails, its first member first,
+        # and groups come in order of their first members: the first k
+        # failures in subset order lie in the first k failing groups.
+        failing = []
+        for group in family.subset_groups(size, m + 1):
+            chains = _chains(group.first, m)
             if len(chains) < 2:
                 continue
-            joint = pattern_distribution(family, subset)
-            position = {k: t for t, k in enumerate(subset)}
-            # Bipartitions of the chains; fixing chain 0 on the I side
-            # dedupes (I, J) against (J, I).
-            for mask in range(1 << (len(chains) - 1)):
-                side_i = [chains[0]]
-                side_j = []
-                for c, chain in enumerate(chains[1:]):
-                    (side_i if mask >> c & 1 else side_j).append(chain)
-                if not side_j:
-                    continue
-                part_i = tuple(k for chain in side_i for k in chain)
-                part_j = tuple(k for chain in side_j for k in chain)
-                pos_i = tuple(position[k] for k in part_i)
-                pos_j = tuple(position[k] for k in part_j)
+            joint = pattern_distribution(family, group.first)
+            bad = []
+            for pos_i, pos_j in _splits(chains):
                 violation = _worst_atom_violation(joint, pos_i, pos_j, size)
-                n_splits_by_size[size] += 1
-                if abs(violation) > abs(worst_by_size[size]):
-                    worst_by_size[size] = violation
-                if abs(violation) > tol and len(failures) < MAX_DETAILED_FAILURES:
-                    failures.append(Check.eq(
-                        f"atom_factorization[I={part_i},J={part_j}]",
-                        violation, 0.0, tol))
-
-    for size in sorted(worst_by_size):
+                n_splits += group.count
+                if abs(violation) > abs(worst):
+                    worst = violation
+                if abs(violation) > tol:
+                    bad.append((pos_i, pos_j, violation))
+            if bad and len(failing) < MAX_DETAILED_FAILURES - len(failures):
+                failing.append(zip(group.members, itertools.repeat(bad)))
         checks.append(Check.eq(
-            f"factorization[subset_size={size},splits={n_splits_by_size[size]}]",
-            worst_by_size[size], 0.0, tol))
+            f"factorization[subset_size={size},splits={n_splits}]",
+            worst, 0.0, tol))
+        details = (
+            Check.eq(f"atom_factorization[I={_at(subset, pos_i)},"
+                     f"J={_at(subset, pos_j)}]", violation, 0.0, tol)
+            for subset, bad in heapq.merge(*failing)
+            for pos_i, pos_j, violation in bad)
+        failures.extend(itertools.islice(
+            details, MAX_DETAILED_FAILURES - len(failures)))
+
     checks.extend(failures)
     return VerificationReport(tuple(checks))

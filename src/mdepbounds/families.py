@@ -13,14 +13,19 @@ Two representations are supported:
   ``WindowModel._sweep``, which carries the joint law of the last m
   symbols forward one window at a time.
 
-Both classes answer one protocol of six members, which the module-level
-query functions read without checking the representation: ``event_probs``
+Both classes answer one protocol, which the module-level query functions
+and the audits read without checking the representation: ``event_probs``
 (P(A_k) for k = 1..N), ``prefix_probs`` (P(A_1)+..+P(A_u) for u = 0..N),
 ``pair_probs(gap)`` (P(A_k and A_{k+gap}) for k = 1..N-gap),
-``union(first, last)``, ``survival(members)`` (no listed event fires) and
-``pattern_law(indices)`` (the joint law of the indicators).  The methods
-trust their arguments (nonempty, sorted, distinct, in range, and
-0 <= gap < N); the public functions check them.
+``pair_mass(gap)`` (the correctly rounded sum of ``pair_probs(gap)``),
+``union(first, last)``, ``survival(members)`` (no listed event fires),
+``pattern_law(indices)`` (the joint law of the indicators), and
+``subset_groups(size, far)`` with its ``subset_group_count(size, far)``
+(the index subsets of one size, grouped so that members of a group
+have the same pattern law and the same gaps below ``far``; see
+:class:`SubsetGroup`).  The methods trust their arguments (nonempty,
+sorted, distinct, in range, 0 <= gap < N and size >= 1); the public
+functions check them.
 
 Event indices are 1-based throughout the public API (events A_1..A_N);
 outcome and symbol indices are 0-based.  The dependence range stored on a
@@ -40,7 +45,7 @@ import math
 import operator
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Iterator, NamedTuple, Sequence, Union
 
 import numpy as np
 
@@ -50,6 +55,22 @@ from .errors import CapExceededError
 #: are renormalized to machine-exact unit mass so that complementary
 #: queries agree to ~1e-15 instead of only to the input tolerance.
 MASS_TOL = 1e-9
+
+
+class SubsetGroup(NamedTuple):
+    """Index subsets of one size that an audit at range far - 1 cannot
+    tell apart: one pattern law, and the same gaps wherever a gap is
+    below ``far`` (gaps of ``far`` or more split alike).
+
+    ``first`` is the lexicographically least member, ``count`` the number
+    of members and ``members`` a lazy iterator over all of them in
+    lexicographic order.  ``subset_groups`` yields groups in the order
+    of their ``first`` members.
+    """
+
+    first: tuple[int, ...]
+    count: int
+    members: Iterator[tuple[int, ...]]
 
 
 @dataclass(frozen=True, eq=False)
@@ -143,6 +164,9 @@ class ExplicitEventFamily:
         masks = self.event_masks
         return (masks[:self.n_events - gap] & masks[gap:]) @ self.outcome_weights
 
+    def pair_mass(self, gap: int) -> float:
+        return math.fsum(self.pair_probs(gap))
+
     def union(self, first: int, last: int) -> float:
         # The direct fired-outcome sum, not 1 - survival: small unions
         # keep their digits.
@@ -159,6 +183,14 @@ class ExplicitEventFamily:
             ids |= self.event_masks[k - 1].astype(np.int64) << t
         return np.bincount(ids, weights=self.outcome_weights,
                            minlength=1 << len(indices))
+
+    def subset_group_count(self, size: int, far: int) -> int:
+        return math.comb(self.n_events, size)
+
+    def subset_groups(self, size: int, far: int) -> Iterator[SubsetGroup]:
+        """Every subset is a group of its own: outcomes carry no symmetry."""
+        for subset in itertools.combinations(range(1, self.n_events + 1), size):
+            yield SubsetGroup(subset, 1, iter((subset,)))
 
     def __repr__(self) -> str:  # keep reprs small; masks can be huge
         return (f"ExplicitEventFamily(n_events={self.n_events}, "
@@ -295,16 +327,22 @@ class WindowModel:
         prefix.flags.writeable = False
         return prefix
 
-    def pair_probs(self, gap: int) -> np.ndarray:
-        """Constant by stationarity; windows more than m apart share no
-        symbol, so their pair mass is the exact product p**2."""
+    def _pair_each(self, gap: int) -> float:
+        """P(A_k and A_{k+gap}), the same for every k by stationarity;
+        windows more than m apart share no symbol, so their pair mass is
+        the exact product p**2."""
         if gap == 0:
-            both = self.pattern_law((1,))[1]
-        elif gap > self.m:
-            both = float(self.pattern_law((1,))[1]) ** 2
-        else:
-            both = self.pattern_law((1, 1 + gap))[0b11]
-        return np.full(self.horizon - gap, both)
+            return self.pattern_law((1,))[1]
+        if gap > self.m:
+            return float(self.pattern_law((1,))[1]) ** 2
+        return self.pattern_law((1, 1 + gap))[0b11]
+
+    def pair_probs(self, gap: int) -> np.ndarray:
+        return np.full(self.horizon - gap, self._pair_each(gap))
+
+    def pair_mass(self, gap: int) -> float:
+        """(N - gap) * q rounded once: fsum of N - gap equal terms."""
+        return float((self.horizon - gap) * self._pair_each(gap))
 
     def _law(self, indices: Sequence[int], branch: bool) -> np.ndarray:
         """``_sweep`` answered once per gap signature, read-only.  After m
@@ -326,6 +364,59 @@ class WindowModel:
 
     def pattern_law(self, indices: Sequence[int]) -> np.ndarray:
         return self._law(indices, branch=True)
+
+    def _clamp(self, far: int) -> int:
+        """Gaps of c or more are one class: ``_law`` clamps at m+1 and the
+        caller cannot tell gaps of ``far`` or more apart."""
+        return max(far, self.m + 1)
+
+    def subset_group_count(self, size: int, far: int) -> int:
+        """Gap tuples in {1..c}**(size-1) whose sum fits in N-1: positive
+        tuples with sum <= N-1, by inclusion-exclusion on gaps above c."""
+        c, length, budget = self._clamp(far), size - 1, self.horizon - 1
+        return sum((-1) ** i * math.comb(length, i)
+                   * math.comb(budget - i * c, length)
+                   for i in range(length + 1) if budget - i * c >= length)
+
+    def subset_groups(self, size: int, far: int) -> Iterator[SubsetGroup]:
+        """One group per gap tuple clamped at c, in lexicographic order,
+        which is the order of the first members (1, 1+g_1, ...).  A tuple
+        of span S with j gaps equal to c has C(N-1-S+j+1, j+1) members:
+        the slack N-1-S is shared by the start and the j open gaps."""
+        c, n = self._clamp(far), self.horizon
+        for gaps in _gap_tuples(size - 1, n - 1, c):
+            open_gaps = gaps.count(c) + 1
+            yield SubsetGroup(tuple(itertools.accumulate(gaps, initial=1)),
+                              math.comb(n - 1 - sum(gaps) + open_gaps, open_gaps),
+                              _placements(gaps, c, n))
+
+
+def _gap_tuples(length: int, budget: int, c: int) -> Iterator[tuple[int, ...]]:
+    """Tuples in {1..c}**length with sum <= budget, in lexicographic order."""
+    if length == 0:
+        yield ()
+        return
+    for g in range(1, min(c, budget - length + 1) + 1):
+        for rest in _gap_tuples(length - 1, budget - g, c):
+            yield (g, *rest)
+
+
+def _placements(gaps: tuple[int, ...], c: int, n: int) -> Iterator[tuple[int, ...]]:
+    """Index tuples in 1..n, in lexicographic order, whose gaps equal
+    ``gaps`` where a gap is below c and are at least c where it is c."""
+    tail = list(itertools.accumulate(reversed(gaps), initial=0))[::-1]
+
+    def extend(prefix: tuple[int, ...], t: int) -> Iterator[tuple[int, ...]]:
+        if t == len(gaps):
+            yield prefix
+            return
+        low = prefix[-1] + gaps[t]
+        high = n - tail[t + 1] if gaps[t] == c else low
+        for k in range(low, high + 1):
+            yield from extend((*prefix, k), t + 1)
+
+    for start in range(1, n - tail[0] + 1):
+        yield from extend((start,), 0)
 
 
 Family = Union[ExplicitEventFamily, WindowModel]
@@ -380,7 +471,7 @@ def t_local(family: Family) -> float:
     if family.m == 0:
         raise ValueError("t_local requires a dependence range m >= 1")
     gaps = range(1, min(family.m, family.n_events))
-    return float(sum(math.fsum(family.pair_probs(d)) for d in gaps))
+    return float(sum(family.pair_mass(d) for d in gaps))
 
 
 def expand_window_model(model: WindowModel,

@@ -26,25 +26,51 @@ from .reports import Check, VerificationReport
 
 #: Feasibility caps for the exact oracle queries made here.
 MAX_WINDOW_TABLE = 1 << 16
-MAX_WINDOW_HORIZON = 10_000
 MAX_EXPLICIT_OUTCOMES = 1 << 20
+
+#: Refuse a family whose audit would emit more checks than this.  The
+#: count grows as N**2 (about 0.75 N**2 at m = 1, its worst m), so the
+#: cap admits N = 800 at every m.
+MAX_DERIVATION_CHECKS = 500_000
 
 #: Residue-class independence checks every pair of a class and its first
 #: MAX_TRIPLES_PER_CLASS index triples in lexicographic order.
 MAX_TRIPLES_PER_CLASS = 200
 
 
+def derivation_check_count(n: int, m: int) -> int:
+    """Number of checks ``verify_derivation`` emits for N = n events and
+    range m, in closed form and in its order: residue-class pairs and
+    capped triples, two product-chain checks per class, then for m >= 1
+    per shift the block pairs at block distance >= 2 (block positions
+    are consecutive), one Bonferroni check per block and four parity
+    checks, plus the shift-cover check; and the final bound checks."""
+    count = 0
+    for r in range(1, m + 2):
+        size = len(range(r, n + 1, m + 1))
+        count += (math.comb(size, 2)
+                  + min(math.comb(size, 3), MAX_TRIPLES_PER_CLASS) + 2)
+    if m >= 1:
+        for r in range(m):
+            # Blocks hold positions j = (k - r - 1) // m + 1, k = 1..n.
+            blocks = (n - r - 1) // m - (-r) // m + 1 if n else 0
+            count += math.comb(max(blocks - 1, 0), 2) + blocks + 4
+        count += 1
+    return count + 1 + (m >= 1)
+
+
 def _require_desk_scale(family: Family) -> None:
+    checks = derivation_check_count(family.n_events, family.m)
+    if checks > MAX_DERIVATION_CHECKS:
+        raise CapExceededError(
+            f"the audit would emit {checks} checks, above the verifier cap "
+            f"{MAX_DERIVATION_CHECKS}")
     if isinstance(family, WindowModel):
         table = len(family.predicate_table)
         if table > MAX_WINDOW_TABLE:
             raise CapExceededError(
                 f"predicate table of size {table} exceeds the verifier cap "
                 f"{MAX_WINDOW_TABLE}")
-        if family.horizon > MAX_WINDOW_HORIZON:
-            raise CapExceededError(
-                f"horizon {family.horizon} exceeds the verifier cap "
-                f"{MAX_WINDOW_HORIZON}")
     elif isinstance(family, ExplicitEventFamily):
         if family.n_outcomes > MAX_EXPLICIT_OUTCOMES:
             raise CapExceededError(

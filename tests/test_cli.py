@@ -5,7 +5,10 @@ import io
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mdepbounds import (
     BoundReport,
@@ -13,7 +16,9 @@ from mdepbounds import (
     WindowModel,
     consecutive_run_model,
     dump_model,
+    expand_window_model,
 )
+from mdepbounds import cli
 from mdepbounds.cli import main
 
 
@@ -276,3 +281,110 @@ def test_mc_matches_stored_reference_output(capsys, tmp_path, case):
     code, out, _ = run_cli(capsys, "mc", str(path), *case["args"])
     assert code == 0
     assert out == case["stdout"]
+
+
+def round12(value):
+    """Reference rounding: every float (recursively) to 12 significant
+    digits, as the JSON output promises."""
+    if isinstance(value, bool) or value is None or isinstance(value, (int, str)):
+        return value
+    if isinstance(value, float):
+        return float(f"{value:.12g}")
+    if isinstance(value, dict):
+        return {k: round12(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [round12(v) for v in value]
+    return value
+
+
+def reference_json(payload):
+    return json.dumps(round12(payload), indent=2) + "\n"
+
+
+#: Floats at the edges of the fast float text: integral values, the
+#: switch to exponent notation at 1e-5 and 1e12 (repr switches at 1e16),
+#: rounding across a power of ten, subnormals and non-finite values.
+EDGE_FLOATS = [0.0, -0.0, 1.0, -3.0, 100.0, 0.1, 1e-4, 1e-5, 9.99999999999e-5,
+               0.000099999999999951, 123456789012.0, 999999999999.4,
+               999999999999.5, 1e12, 1.5e13, 1e15, 1e16, 1e17, 2.5e300,
+               1.7976931348623157e308, -1.7976931348623157e308, 1e-307,
+               2.2250738585072014e-308, 1e-308, 5e-324, -5e-324,
+               4.9406564584124654e-324, float("inf"), float("-inf"),
+               float("nan"), 1 / 3, 2 / 3, 0.1 + 0.2]
+
+
+class TestJsonOutput:
+    """JSON output is byte-identical to json.dumps(indent=2) of the
+    rounded payload."""
+
+    @pytest.fixture
+    def payloads(self, monkeypatch):
+        seen = []
+        emit = cli._emit_json
+
+        def spy(payload, out_path):
+            seen.append(payload)
+            emit(payload, out_path)
+
+        monkeypatch.setattr(cli, "_emit_json", spy)
+        return seen
+
+    @pytest.mark.parametrize("argv, code", [
+        (["report", "w1", "--exact"], 0),
+        (["report", "e1", "--exact"], 0),
+        (["verify", "w1"], 0),
+        (["verify", "e1"], 0),
+        (["verify", "broken"], 1),
+        (["verify", "misdeclared", "--max-subset", "3"], 1),
+        (["window", "w1", "0", "2"], 0),
+        (["window", "e1", "0", "1"], 0),
+        (["mc", "w1", "1", "24", "2000", "5", "--exact"], 0),
+    ])
+    def test_verbs_match_reference(self, capsys, payloads, tmp_path, w1_path,
+                                   e1_path, broken_path, argv, code):
+        # A run model's expansion claiming one less than its window
+        # needs: it fails the dependence audit with a full detail list.
+        expanded = expand_window_model(consecutive_run_model(8))
+        misdeclared = tmp_path / "misdeclared.json"
+        dump_model(ExplicitEventFamily(expanded.outcome_weights,
+                                       expanded.event_masks, 1), misdeclared)
+        paths = {"w1": w1_path, "e1": e1_path, "broken": broken_path,
+                 "misdeclared": str(misdeclared)}
+        got, out, _ = run_cli(capsys, argv[0], paths[argv[1]], *argv[2:])
+        assert got == code
+        assert out == reference_json(payloads[-1])
+
+    def test_failing_window_audit_matches_reference(self, tmp_path):
+        from mdepbounds import check_m_dependence, verify_derivation
+        model = consecutive_run_model(30)
+        payload = {"passed": False,
+                   "derivation": verify_derivation(model).to_dict(),
+                   "dependence": check_m_dependence(model, 1).to_dict()}
+        assert not payload["dependence"]["passed"]
+        path = tmp_path / "out.json"
+        cli._emit_json(payload, str(path))
+        assert path.read_text() == reference_json(payload)
+
+    def test_edge_values_match_reference(self, tmp_path):
+        payload = {"floats": EDGE_FLOATS, "ints": [0, -1, 2 ** 70, True, False],
+                   "none": None, "empty": {"dict": {}, "list": [], "tuple": ()},
+                   "text": ["café", "quote\" \\ \n", "[1, 2]"],
+                   "nested": [[{"x": -0.0}], ({"y": [1e-320]},)]}
+        path = tmp_path / "out.json"
+        cli._emit_json(payload, str(path))
+        assert path.read_text() == reference_json(payload)
+
+    @settings(max_examples=500, deadline=None)
+    @given(value=st.floats(allow_nan=True, allow_infinity=True)
+           | st.floats(-1e16, 1e16) | st.floats(-1e-300, 1e-300))
+    def test_float_text_matches_json_dumps(self, value):
+        assert cli._float_text(value) == json.dumps(float(f"{value:.12g}"))
+
+    def test_float_text_edges(self):
+        for value in EDGE_FLOATS:
+            assert cli._float_text(value) == json.dumps(float(f"{value:.12g}"))
+        rng = np.random.default_rng(12)
+        mantissas = rng.random(20_000) * 10
+        exponents = rng.integers(-330, 308, 20_000).astype(float)
+        for value in (mantissas * 10.0 ** exponents).tolist():
+            assert cli._float_text(value) == json.dumps(float(f"{value:.12g}"))

@@ -100,9 +100,18 @@ class TestCheckMDependence:
             assert report.passed  # no false negatives at tol 1e-9
 
     def test_subset_cap(self):
+        """The cap counts the subsets evaluated: all C(N, k) on an explicit
+        family, one per clamped gap tuple on a window model."""
+        explicit = ExplicitEventFamily.from_events([0.5, 0.5], [[0]] * 20, 1)
+        with pytest.raises(CapExceededError,
+                           match=r"^6175 candidate .* max_subset"):
+            check_m_dependence(explicit, max_subset=4, max_subsets=1000)
+        # m = 2, so 3 + 9 + 27 gap tuples over {1, 2, 3} at any horizon.
         model = consecutive_run_model(600)
-        with pytest.raises(CapExceededError, match="max_subset"):
-            check_m_dependence(model, max_subset=4, max_subsets=1000)
+        with pytest.raises(CapExceededError, match=r"^39 candidate .* max_subset"):
+            check_m_dependence(model, max_subset=4, max_subsets=38)
+        assert check_m_dependence(model, max_subset=4, max_subsets=39).passed
+        assert check_m_dependence(model).passed
 
     def test_pairwise_only_mode(self):
         model = consecutive_run_model(40)

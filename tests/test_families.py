@@ -144,6 +144,26 @@ class TestTLocal:
                        if j - i <= 2)
         assert t_local(family) == pytest.approx(expected, abs=1e-12)
 
+    def test_pair_mass_is_fsum_of_pair_probs(self):
+        """A window model's (N - d) * q is bit-equal to fsum of N - d
+        copies of q; an explicit family sums its pair vector."""
+        rng = np.random.default_rng(47)
+        for _ in range(60):
+            model = random_window_model(rng, max_horizon=2000)
+            small = random_window_model(rng, max_horizon=8)
+            for family in (model, small, expand_window_model(small)):
+                n = family.n_events
+                for gap in {*range(min(n, family.m + 3)), n - 1}:
+                    assert family.pair_mass(gap) \
+                        == math.fsum(family.pair_probs(gap))
+
+    def test_window_t_local_cost_does_not_grow_with_n(self, monkeypatch):
+        """t_local reads one pair mass per gap, no N-long vector."""
+        n = 10 ** 9
+        model = consecutive_run_model(n, m=3)
+        monkeypatch.setattr(WindowModel, "pair_probs", None)
+        assert t_local(model) == (n - 1) * 2.0 ** -5 + (n - 2) * 2.0 ** -6
+
 
 class TestRepresentationEquivalence:
     def test_expansion_matches_window_queries(self):

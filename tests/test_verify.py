@@ -10,6 +10,7 @@ from mdepbounds import (
     verify_derivation,
 )
 from mdepbounds.errors import CapExceededError
+from mdepbounds.verify import MAX_DERIVATION_CHECKS, derivation_check_count
 
 
 def correlated_pair_family(m=1):
@@ -68,6 +69,28 @@ class TestVerifyDerivation:
     def test_horizon_cap(self):
         with pytest.raises(CapExceededError):
             verify_derivation(consecutive_run_model(20_000))
+
+    def test_check_count_cap_states_the_estimate(self):
+        model = consecutive_run_model(900, m=1)
+        count = derivation_check_count(900, 1)
+        assert count > MAX_DERIVATION_CHECKS
+        with pytest.raises(CapExceededError, match=f"emit {count} checks"):
+            verify_derivation(model)
+        assert all(derivation_check_count(800, m) <= MAX_DERIVATION_CHECKS
+                   for m in range(12))
+
+    def test_check_count_is_exact(self):
+        rng = np.random.default_rng(404)
+        for k in range(50):
+            if k % 2:
+                model = random_window_model(rng, dependence_ranges=(0, 1, 2, 3),
+                                            min_horizon=0, max_horizon=60)
+            else:
+                n, m = int(rng.integers(0, 40)), int(rng.integers(0, 8))
+                model = ExplicitEventFamily.from_events(
+                    [0.5, 0.5], [[int(b)] for b in rng.integers(0, 2, n)], m)
+            assert verify_derivation(model).n_checks \
+                == derivation_check_count(model.n_events, model.m)
 
     def test_deterministic_report_order(self):
         model = random_window_model(7, max_horizon=14)

@@ -38,7 +38,8 @@ from .families import (
 from .generate import consecutive_run_model, random_window_model
 from .modelspec import dump_model, load_model, model_to_dict, parse_model
 from .montecarlo import MonteCarloEstimate, estimate_union, wilson_interval
-from .oracle import block_event_prob, complement_intersection_prob, union_prob
+from .oracle import (block_event_prob, complement_intersection_prob,
+                     complement_intersection_probs, union_prob)
 from .partitions import (
     ResidueClassPartition,
     ShiftedBlockPartition,
@@ -71,6 +72,7 @@ __all__ = [
     "build_threshold",
     "check_m_dependence",
     "complement_intersection_prob",
+    "complement_intersection_probs",
     "consecutive_run_model",
     "dump_model",
     "estimate_union",

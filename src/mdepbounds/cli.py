@@ -16,13 +16,14 @@ rounded to 12 significant digits.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import json
 import re
 import sys
 from json.encoder import encode_basestring_ascii
-from typing import Any, Sequence
+from typing import Any, Iterable, Iterator, Sequence
 
 from .bounds import SLACK_TOL, build_report, build_threshold, windowed_bound
 from .dependence import check_m_dependence
@@ -60,29 +61,76 @@ def _float_text(value: float) -> str:
     return json.dumps(float(text))
 
 
-def _json_text(value: Any, pad: str = "") -> str:
-    """``json.dumps(value, indent=2)`` with every float rounded to 12
-    significant digits, for a value nested `pad` deep."""
-    if isinstance(value, float):
-        return _float_text(value)
-    if isinstance(value, str):
-        return encode_basestring_ascii(value)
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, dict) and value:
-        inner = pad + "  "
-        items = [(encode_basestring_ascii(key) if isinstance(key, str)
-                  else json.dumps({key: 0})[1:-4])
-                 + ": " + _json_text(item, inner)
-                 for key, item in value.items()]
-    elif isinstance(value, (list, tuple)) and value:
-        inner = pad + "  "
-        items = [_json_text(item, inner) for item in value]
-    else:
-        return json.dumps(value)  # int, None, {} and []; TypeError otherwise
-    brackets = "{}" if isinstance(value, dict) else "[]"
-    return (brackets[0] + "\n" + inner + (",\n" + inner).join(items)
-            + "\n" + pad + brackets[1])
+#: Key order and value types of a ``Check.to_dict`` row.  A list item
+#: that matches both is written from one template per list; anything
+#: else takes the generic path.
+_ROW_KEYS = ("name", "kind", "lhs", "rhs", "tol", "slack", "passed")
+_ROW_TYPES = (str, str, float, float, float, float, bool)
+
+
+class _FloatText(dict):
+    """``_float_text`` memoized for one emission: verify reports repeat
+    few values (``tol`` on every row, one lhs per residue class)."""
+
+    def __missing__(self, value: float) -> str:
+        text = _float_text(value)
+        if value:  # 0.0 and -0.0 are one dict key
+            self[value] = text
+        return text
+
+
+def _row_template(pad: str) -> str:
+    """Text of a check row nested `pad` deep, with one %s per value."""
+    inner = pad + "  "
+    return ("{\n" + ",\n".join(f"{inner}{encode_basestring_ascii(key)}: %s"
+                                for key in _ROW_KEYS) + "\n" + pad + "}")
+
+
+def _json_pieces(payload: Any) -> Iterator[str]:
+    """``json.dumps(payload, indent=2) + "\n"`` with every float rounded
+    to 12 significant digits, as a stream of text pieces."""
+    number = _FloatText()
+
+    def pieces(value: Any, pad: str) -> Iterator[str]:
+        if isinstance(value, float):
+            yield number[value]
+        elif isinstance(value, str):
+            yield encode_basestring_ascii(value)
+        elif isinstance(value, bool):
+            yield "true" if value else "false"
+        elif isinstance(value, dict) and value:
+            inner = pad + "  "
+            head = "{\n" + inner
+            for key, item in value.items():
+                yield head + (encode_basestring_ascii(key) if isinstance(key, str)
+                              else json.dumps({key: 0})[1:-4]) + ": "
+                yield from pieces(item, inner)
+                head = ",\n" + inner
+            yield "\n" + pad + "}"
+        elif isinstance(value, (list, tuple)) and value:
+            inner = pad + "  "
+            head = "[\n" + inner
+            template = ""
+            for item in value:
+                fields = tuple(item.values()) if type(item) is dict else ()
+                if (tuple(map(type, fields)) == _ROW_TYPES
+                        and tuple(item) == _ROW_KEYS):
+                    template = template or _row_template(inner)
+                    name, kind, lhs, rhs, tol, slack, passed = fields
+                    yield head + template % (
+                        encode_basestring_ascii(name), encode_basestring_ascii(kind),
+                        number[lhs], number[rhs], number[tol], number[slack],
+                        "true" if passed else "false")
+                else:
+                    yield head
+                    yield from pieces(item, inner)
+                head = ",\n" + inner
+            yield "\n" + pad + "]"
+        else:
+            yield json.dumps(value)  # int, None, {} and []; TypeError otherwise
+
+    yield from pieces(payload, "")
+    yield "\n"
 
 
 def _cell(value: Any) -> str:
@@ -95,16 +143,27 @@ def _cell(value: Any) -> str:
     return str(value)
 
 
-def _emit(text: str, out_path: str | None) -> None:
-    if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+#: Output is written in slices of about this many characters, so a large
+#: report never sits in memory as one string.
+_SLICE_CHARS = 1 << 16
+
+
+def _emit(pieces: Iterable[str], out_path: str | None) -> None:
+    with (open(out_path, "w") if out_path
+          else contextlib.nullcontext(sys.stdout)) as fh:
+        batch: list[str] = []
+        size = 0
+        for piece in pieces:
+            batch.append(piece)
+            size += len(piece)
+            if size >= _SLICE_CHARS:
+                fh.write("".join(batch))
+                batch, size = [], 0
+        fh.write("".join(batch))
 
 
 def _emit_json(payload: dict, out_path: str | None) -> None:
-    _emit(_json_text(payload) + "\n", out_path)
+    _emit(_json_pieces(payload), out_path)
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
@@ -224,7 +283,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             "mc_ci_high": report.mc_union.ci_high if report.mc_union else None,
         }
         writer.writerow([_cell(row[col]) for col in CSV_COLUMNS])
-    _emit(buffer.getvalue(), args.out)
+    _emit([buffer.getvalue()], args.out)
     return 0
 
 

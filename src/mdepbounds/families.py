@@ -18,8 +18,12 @@ and the audits read without checking the representation: ``event_probs``
 (P(A_k) for k = 1..N), ``prefix_probs`` (P(A_1)+..+P(A_u) for u = 0..N),
 ``pair_probs(gap)`` (P(A_k and A_{k+gap}) for k = 1..N-gap),
 ``pair_mass(gap)`` (the correctly rounded sum of ``pair_probs(gap)``),
-``union(first, last)``, ``survival(members)`` (no listed event fires),
-``pattern_law(indices)`` (the joint law of the indicators), and
+``union(first, last)``, ``survival(members)`` (no listed event fires)
+and ``survivals(rows)`` (the same for each row of a 2-D index array; a
+window model answers once per row of gaps clamped at m+1),
+``pattern_law(indices)`` (the joint law of the indicators),
+``require_query_scale()`` (refuses a family whose single exact query is
+too large for an audit that makes thousands of them), and
 ``subset_groups(size, far)`` with its ``subset_group_count(size, far)``
 (the index subsets of one size, grouped so that members of a group
 have the same pattern law and the same gaps below ``far``; see
@@ -55,6 +59,12 @@ from .errors import CapExceededError
 #: are renormalized to machine-exact unit mass so that complementary
 #: queries agree to ~1e-15 instead of only to the input tolerance.
 MASS_TOL = 1e-9
+
+#: Feasibility caps on one exact query, enforced by ``require_query_scale``:
+#: a window model's predicate table sets the kernel's per-step cost, an
+#: explicit family's outcome count the cost of one outcome sweep.
+MAX_WINDOW_TABLE = 1 << 16
+MAX_EXPLICIT_OUTCOMES = 1 << 20
 
 
 class SubsetGroup(NamedTuple):
@@ -176,6 +186,16 @@ class ExplicitEventFamily:
     def survival(self, members: Sequence[int]) -> float:
         fired = self.event_masks[[k - 1 for k in members]].any(axis=0)
         return float(self.outcome_weights[~fired].sum())
+
+    def survivals(self, rows: np.ndarray) -> np.ndarray:
+        """One outcome sweep per row: outcomes carry no symmetry."""
+        return np.array([self.survival(row) for row in rows.tolist()])
+
+    def require_query_scale(self) -> None:
+        if self.n_outcomes > MAX_EXPLICIT_OUTCOMES:
+            raise CapExceededError(
+                f"{self.n_outcomes} outcomes exceed the verifier cap "
+                f"{MAX_EXPLICIT_OUTCOMES}")
 
     def pattern_law(self, indices: Sequence[int]) -> np.ndarray:
         ids = np.zeros(self.n_outcomes, dtype=np.int64)
@@ -361,6 +381,25 @@ class WindowModel:
 
     def survival(self, members: Sequence[int]) -> float:
         return float(self._law(members, branch=False)[0])
+
+    def survivals(self, rows: np.ndarray) -> np.ndarray:
+        """One ``_law`` lookup per distinct row of gaps clamped at m+1:
+        rows with the same clamped gaps have the same answer wherever
+        they start."""
+        gaps = np.minimum(np.diff(rows, axis=1, prepend=rows[:, :1]), self.m + 1)
+        # One opaque item per row, so a 1-D unique finds the distinct rows.
+        keys = gaps.view(np.dtype((np.void, gaps.itemsize * gaps.shape[1]))).ravel()
+        _, first, where = np.unique(keys, return_index=True, return_inverse=True)
+        answers = [self._law(starts, branch=False)[0]
+                   for starts in (np.cumsum(gaps[first], axis=1) + 1).tolist()]
+        return np.array(answers)[where]
+
+    def require_query_scale(self) -> None:
+        table = len(self.predicate_table)
+        if table > MAX_WINDOW_TABLE:
+            raise CapExceededError(
+                f"predicate table of size {table} exceeds the verifier cap "
+                f"{MAX_WINDOW_TABLE}")
 
     def pattern_law(self, indices: Sequence[int]) -> np.ndarray:
         return self._law(indices, branch=True)

@@ -7,6 +7,13 @@ of the last m symbols that consumes one symbol per step and zeroes the
 mass wherever a tracked window fires.  A model memoizes one answer per
 gap signature (gaps clamped at m+1): a new signature costs O(L * s**(m+1))
 for its clamped span L (b - a + 1 for a range a..b), a repeat O(|indices|).
+``complement_intersection_probs`` answers many index sets of one size at
+once and asks the family once per distinct query: once per row of gaps
+clamped at m+1 on a window model, once per row on an explicit family.
+The pairs and triples of a residue class mod m+1 all share one clamped
+row, and the far block pairs of one shift share at most nine (first,
+interior or last block on each side), so a window model's derivation
+audit makes O(m) queries of these kinds at any N.
 State mass lives in [0, 1] and is clamped there after every step; at
 desk-scale horizons the accumulated rounding stays far below the 1e-9
 comparison tolerances used elsewhere.
@@ -16,6 +23,8 @@ from __future__ import annotations
 
 import operator
 from typing import Iterable
+
+import numpy as np
 
 from .families import Family, _require_event_indices
 
@@ -48,6 +57,25 @@ def complement_intersection_prob(family: Family, indices: Iterable[int]) -> floa
         return 1.0
     _require_event_indices(family, members)
     return min(1.0, max(0.0, family.survival(members)))
+
+
+def complement_intersection_probs(family: Family, rows: np.ndarray) -> np.ndarray:
+    """``complement_intersection_prob`` of every row of a (K, L) integer
+    array whose rows are strictly increasing 1-based indices, L >= 1.
+
+    The rows are validated once as a whole and the family answers each
+    distinct query once (see the module docstring).
+    """
+    rows = np.asarray(rows, dtype=np.int64)
+    if rows.ndim != 2 or rows.shape[1] < 1:
+        raise ValueError(f"rows must be a (K, L) array with L >= 1 "
+                         f"(got shape {rows.shape})")
+    if not rows.size:
+        return np.ones(0)
+    if np.any(rows[:, 1:] <= rows[:, :-1]):
+        raise ValueError("every row must be strictly increasing")
+    _require_event_indices(family, (int(rows.min()), int(rows.max())))
+    return np.clip(family.survivals(rows), 0.0, 1.0)
 
 
 def block_event_prob(family: Family, first: int, last: int) -> float:

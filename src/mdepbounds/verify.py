@@ -9,24 +9,41 @@ link of that chain is measured here against the exact oracle and reported
 with its signed slack.
 
 Checks run in a fixed order so reports are deterministic and diffable.
+
+Cost.  The report holds one check per residue-class pair and per block
+pair at block distance >= 2, so it grows as N**2: about 0.75 N**2 checks
+at m = 1, the worst m (``derivation_check_count`` gives the exact
+number, and ``MAX_DERIVATION_CHECKS`` caps it).  The exact queries do
+not grow that way.  The pairs and the capped triples of each class, and
+the far block pairs of each shift with the same two block lengths, go to
+the family as one array of equal-size index sets
+(``complement_intersection_probs``), which asks one query per distinct
+set: on a window model one per row of gaps clamped at m+1, which is one
+per batch (every gap in a class is at least m+1, and so is the gap
+between far blocks).  Add one query per class, per block and for the
+whole range, and a window model's audit makes about N + 3(m+1) + 9m
+queries; an explicit family still makes one per check.  What is left per
+check is its name, its ``Check`` record and its row of output.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import operator
+from typing import Iterable, Iterator
+
+import numpy as np
 
 from .bounds import first_order_bound, second_order_bound
 from .errors import CapExceededError
-from .families import ExplicitEventFamily, Family, WindowModel, \
-    event_prob, partial_sum, t_local
-from .oracle import block_event_prob, complement_intersection_prob, union_prob
+from .families import Family, partial_sum, t_local
+from .families import MAX_EXPLICIT_OUTCOMES, MAX_WINDOW_TABLE  # noqa: F401 (the verifier's caps)
+from .oracle import block_event_prob, complement_intersection_prob, \
+    complement_intersection_probs, union_prob
 from .partitions import pair_shift_count, residue_classes, shifted_blocks
 from .reports import Check, VerificationReport
-
-#: Feasibility caps for the exact oracle queries made here.
-MAX_WINDOW_TABLE = 1 << 16
-MAX_EXPLICIT_OUTCOMES = 1 << 20
 
 #: Refuse a family whose audit would emit more checks than this.  The
 #: count grows as N**2 (about 0.75 N**2 at m = 1, its worst m), so the
@@ -65,17 +82,18 @@ def _require_desk_scale(family: Family) -> None:
         raise CapExceededError(
             f"the audit would emit {checks} checks, above the verifier cap "
             f"{MAX_DERIVATION_CHECKS}")
-    if isinstance(family, WindowModel):
-        table = len(family.predicate_table)
-        if table > MAX_WINDOW_TABLE:
-            raise CapExceededError(
-                f"predicate table of size {table} exceeds the verifier cap "
-                f"{MAX_WINDOW_TABLE}")
-    elif isinstance(family, ExplicitEventFamily):
-        if family.n_outcomes > MAX_EXPLICIT_OUTCOMES:
-            raise CapExceededError(
-                f"{family.n_outcomes} outcomes exceed the verifier cap "
-                f"{MAX_EXPLICIT_OUTCOMES}")
+    family.require_query_scale()
+
+
+def _rows(index_sets: Iterable[tuple[int, ...]], size: int) -> np.ndarray:
+    """Index sets of one size as the rows of a (K, size) array."""
+    return np.fromiter(itertools.chain.from_iterable(index_sets),
+                       dtype=np.int64).reshape(-1, size)
+
+
+def _eq_checks(names: Iterable[str], lhs: np.ndarray, rhs: np.ndarray,
+               tol: float) -> Iterator[Check]:
+    return map(Check.eq, names, lhs.tolist(), rhs.tolist(), itertools.repeat(tol))
 
 
 def verify_derivation(family: Family, *, tol: float = 1e-9) -> VerificationReport:
@@ -97,23 +115,21 @@ def verify_derivation(family: Family, *, tol: float = 1e-9) -> VerificationRepor
     n, m = family.n_events, family.m
     checks: list[Check] = []
 
-    probs = {k: event_prob(family, k) for k in range(1, n + 1)}
+    probs = dict(enumerate(family.event_probs.tolist(), start=1))
+    clear = 1 - family.event_probs  # clear[k - 1] = 1 - P(A_k)
 
     # Residue-class independence: complements of far-apart events factorize.
     classes = residue_classes(n, m).classes
     for r, cls in enumerate(classes, start=1):
-        for i, j in itertools.combinations(cls, 2):
-            lhs = complement_intersection_prob(family, (i, j))
-            rhs = (1 - probs[i]) * (1 - probs[j])
-            checks.append(Check.eq(
-                f"residue_independence[r={r},({i},{j})]", lhs, rhs, tol))
-        triples = itertools.islice(
-            itertools.combinations(cls, 3), MAX_TRIPLES_PER_CLASS)
-        for i, j, k in triples:
-            lhs = complement_intersection_prob(family, (i, j, k))
-            rhs = (1 - probs[i]) * (1 - probs[j]) * (1 - probs[k])
-            checks.append(Check.eq(
-                f"residue_independence[r={r},({i},{j},{k})]", lhs, rhs, tol))
+        pairs = _rows(itertools.combinations(cls, 2), 2)
+        triples = _rows(itertools.islice(itertools.combinations(cls, 3),
+                                         MAX_TRIPLES_PER_CLASS), 3)
+        for rows in (pairs, triples):
+            lhs = complement_intersection_probs(family, rows)
+            rhs = functools.reduce(operator.mul, (clear[col - 1] for col in rows.T))
+            names = (f"residue_independence[r={r},({','.join(map(str, row))})]"
+                     for row in rows.tolist())
+            checks.extend(_eq_checks(names, lhs, rhs, tol))
 
     # Product-to-exponential chain per residue class.
     for r, cls in enumerate(classes, start=1):
@@ -136,22 +152,28 @@ def verify_derivation(family: Family, *, tol: float = 1e-9) -> VerificationRepor
         ]
 
         # Block events at distance >= 2 are independent (1-dependence).
+        # A pair's index set is block a then block b, so pairs with the
+        # same two block lengths form one array of equal-length rows.
         for part, bprobs in zip(partitions, block_probs):
-            pairs = (
-                (a, b)
-                for a, b in itertools.combinations(range(len(part.blocks)), 2)
-                if part.block_js[b] - part.block_js[a] >= 2
-            )
-            for a, b in pairs:
-                lo_a, hi_a = part.blocks[a]
-                lo_b, hi_b = part.blocks[b]
-                indices = list(range(lo_a, hi_a + 1)) + list(range(lo_b, hi_b + 1))
-                lhs = complement_intersection_prob(family, indices)
-                rhs = (1 - bprobs[a]) * (1 - bprobs[b])
-                checks.append(Check.eq(
-                    f"block_independence[r={part.shift},"
-                    f"j=({part.block_js[a]},{part.block_js[b]})]",
-                    lhs, rhs, tol))
+            los, his = np.array(part.blocks, dtype=np.int64).reshape(-1, 2).T
+            js = np.array(part.block_js)
+            a, b = _rows(itertools.combinations(range(len(js)), 2), 2).T
+            far = js[b] - js[a] >= 2
+            a, b = a[far], b[far]
+            lengths = his - los + 1
+            # Block lengths lie in 1..m, so la * (m + 1) + lb names a pair.
+            kinds = lengths[a] * (m + 1) + lengths[b]
+            lhs = np.empty(len(a))
+            for kind in set(kinds.tolist()):
+                len_a, len_b = divmod(kind, m + 1)
+                same = kinds == kind
+                rows = np.concatenate([los[a[same], None] + np.arange(len_a),
+                                       los[b[same], None] + np.arange(len_b)], axis=1)
+                lhs[same] = complement_intersection_probs(family, rows)
+            bclear = 1 - np.array(bprobs)
+            names = (f"block_independence[r={part.shift},j=({ja},{jb})]"
+                     for ja, jb in zip(js[a].tolist(), js[b].tolist()))
+            checks.extend(_eq_checks(names, lhs, bclear[a] * bclear[b], tol))
 
         # Second-order Bonferroni inside every block:
         # P(B) >= sum P(A_i) - sum_{pairs in B} P(A_i & A_l).  A block

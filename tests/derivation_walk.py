@@ -1,0 +1,133 @@
+"""Reference derivation audit: one oracle query per check.
+
+``verify_derivation`` asks the family each distinct index-set question
+once, in batches of equal-size sets.  This module keeps the per-check
+loop it replaced, which calls ``complement_intersection_prob`` once per
+residue-class pair and triple, per class and per far block pair, so
+tests can require the batched audit to give the same report.  It shares
+only the public oracles, partitions, bounds and report records with the
+package, and it applies no size caps.
+"""
+
+from __future__ import annotations
+
+import itertools
+import math
+
+from mdepbounds import (Check, VerificationReport, block_event_prob,
+                        complement_intersection_prob, event_prob,
+                        first_order_bound, pair_shift_count, partial_sum,
+                        residue_classes, second_order_bound, shifted_blocks,
+                        t_local, union_prob)
+from mdepbounds.verify import MAX_TRIPLES_PER_CLASS
+
+
+def derivation_walk(family, *, tol: float = 1e-9) -> VerificationReport:
+    """The report of ``verify_derivation``, check by check."""
+    n, m = family.n_events, family.m
+    checks: list[Check] = []
+
+    probs = {k: event_prob(family, k) for k in range(1, n + 1)}
+
+    classes = residue_classes(n, m).classes
+    for r, cls in enumerate(classes, start=1):
+        for i, j in itertools.combinations(cls, 2):
+            lhs = complement_intersection_prob(family, (i, j))
+            rhs = (1 - probs[i]) * (1 - probs[j])
+            checks.append(Check.eq(
+                f"residue_independence[r={r},({i},{j})]", lhs, rhs, tol))
+        triples = itertools.islice(
+            itertools.combinations(cls, 3), MAX_TRIPLES_PER_CLASS)
+        for i, j, k in triples:
+            lhs = complement_intersection_prob(family, (i, j, k))
+            rhs = (1 - probs[i]) * (1 - probs[j]) * (1 - probs[k])
+            checks.append(Check.eq(
+                f"residue_independence[r={r},({i},{j},{k})]", lhs, rhs, tol))
+
+    for r, cls in enumerate(classes, start=1):
+        joint = complement_intersection_prob(family, cls)
+        product = math.prod(1 - probs[k] for k in cls)
+        exponential = math.exp(-sum(probs[k] for k in cls))
+        checks.append(Check.le(
+            f"product_chain[r={r},joint<=product]", joint, product, tol))
+        checks.append(Check.le(
+            f"product_chain[r={r},product<=exp]", product, exponential, tol))
+
+    union_all = union_prob(family, 1, n)
+    complement_all = 1.0 - union_all
+
+    if m >= 1:
+        partitions = [shifted_blocks(n, m, r) for r in range(m)]
+        block_probs = [
+            tuple(block_event_prob(family, lo, hi) for lo, hi in part.blocks)
+            for part in partitions
+        ]
+
+        for part, bprobs in zip(partitions, block_probs):
+            pairs = (
+                (a, b)
+                for a, b in itertools.combinations(range(len(part.blocks)), 2)
+                if part.block_js[b] - part.block_js[a] >= 2
+            )
+            for a, b in pairs:
+                lo_a, hi_a = part.blocks[a]
+                lo_b, hi_b = part.blocks[b]
+                indices = list(range(lo_a, hi_a + 1)) + list(range(lo_b, hi_b + 1))
+                lhs = complement_intersection_prob(family, indices)
+                rhs = (1 - bprobs[a]) * (1 - bprobs[b])
+                checks.append(Check.eq(
+                    f"block_independence[r={part.shift},"
+                    f"j=({part.block_js[a]},{part.block_js[b]})]",
+                    lhs, rhs, tol))
+
+        pair_masses = {d: family.pair_probs(d).tolist()
+                       for d in range(1, min(m, n))}
+        for part, bprobs in zip(partitions, block_probs):
+            for (lo, hi), j, prob in zip(part.blocks, part.block_js, bprobs):
+                members = range(lo, hi + 1)
+                single = sum(probs[k] for k in members)
+                pairsum = sum(pair_masses[l - i][i - 1]
+                              for i, l in itertools.combinations(members, 2))
+                checks.append(Check.le(
+                    f"block_bonferroni[r={part.shift},j={j}]",
+                    single - pairsum, prob, tol))
+
+        worst_gap = 0
+        for i in range(1, n + 1):
+            for l in range(i + 1, min(i + m, n + 1)):
+                claimed = pair_shift_count(i, l, m)
+                brute = sum(
+                    1 for r in range(m)
+                    if (i - r - 1) // m == (l - r - 1) // m
+                )
+                worst_gap = max(worst_gap, abs(claimed - brute))
+        checks.append(Check.eq("pair_shift_cover[exhaustive]",
+                               float(worst_gap), 0.0, 0.0))
+
+        for part, bprobs in zip(partitions, block_probs):
+            r = part.shift
+            odd = [p for p, j in zip(bprobs, part.block_js) if j % 2 == 1]
+            even = [p for p, j in zip(bprobs, part.block_js) if j % 2 == 0]
+            prod_odd = math.prod(1 - p for p in odd)
+            prod_even = math.prod(1 - p for p in even)
+            x, y = sum(odd), sum(even)
+            checks.append(Check.le(
+                f"parity_product[r={r},odd]", complement_all, prod_odd, tol))
+            checks.append(Check.le(
+                f"parity_product[r={r},even]", complement_all, prod_even, tol))
+            checks.append(Check.le(
+                f"parity_average[r={r}]",
+                min(math.exp(-x), math.exp(-y)), math.exp(-(x + y) / 2), tol))
+            checks.append(Check.le(
+                f"block_mass_exponential[r={r}]",
+                complement_all, math.exp(-(x + y) / 2), tol))
+
+    s_n = partial_sum(family, n)
+    checks.append(Check.le("bound_vs_exact[first_order]",
+                           first_order_bound(s_n, m), union_all, tol))
+    if m >= 1:
+        _, b2 = second_order_bound(s_n, t_local(family), m)
+        checks.append(Check.le("bound_vs_exact[second_order]",
+                               b2, union_all, tol))
+
+    return VerificationReport(tuple(checks))

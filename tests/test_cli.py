@@ -388,3 +388,42 @@ class TestJsonOutput:
         exponents = rng.integers(-330, 308, 20_000).astype(float)
         for value in (mantissas * 10.0 ** exponents).tolist():
             assert cli._float_text(value) == json.dumps(float(f"{value:.12g}"))
+
+
+#: Values for the float fields of a check row: every edge value, any
+#: double (NaN, infinities, -0.0 and subnormals included), and now and
+#: then an int, which no row template may take.
+ROW_VALUES = (st.sampled_from(EDGE_FLOATS) | st.floats(allow_nan=True, allow_infinity=True)
+              | st.floats(-1e-300, 1e-300) | st.integers(-3, 3))
+ROW_TEXT = st.text(st.sampled_from('ab"\\\n\t/é√ \x00[],: ') | st.characters(),
+                   max_size=12)
+
+
+@st.composite
+def check_rows(draw):
+    from mdepbounds import Check
+    return Check(draw(ROW_TEXT), draw(st.sampled_from(["le", "eq"]) | ROW_TEXT),
+                 draw(ROW_VALUES), draw(ROW_VALUES), draw(ROW_VALUES),
+                 draw(ROW_VALUES), draw(st.booleans()))
+
+
+@settings(max_examples=200, deadline=None)
+@given(derivation=st.lists(check_rows(), max_size=6),
+       dependence=st.lists(check_rows(), max_size=3), passed=st.booleans())
+def test_verification_payloads_match_reference(derivation, dependence, passed):
+    """Random verify payloads, empty check lists included, come out the
+    same on stdout and through --out, byte for byte as json.dumps."""
+    import contextlib
+    import tempfile
+    from mdepbounds import VerificationReport
+    payload = {"passed": passed,
+               "derivation": VerificationReport(tuple(derivation)).to_dict(),
+               "dependence": VerificationReport(tuple(dependence)).to_dict()}
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        cli._emit_json(payload, None)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "out.json"
+        cli._emit_json(payload, str(path))
+        written = path.read_text()
+    assert stdout.getvalue() == written == reference_json(payload)

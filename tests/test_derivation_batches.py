@@ -1,0 +1,100 @@
+"""The derivation audit asked once per distinct query.
+
+``verify_derivation`` hands the family its residue-class pairs and
+triples and its far block pairs as arrays of equal-size index sets
+(``complement_intersection_probs``).  A window model answers once per
+row of gaps clamped at m+1; an explicit family answers every row.  These
+tests require the report to equal the per-check loop in
+``tests/derivation_walk.py`` (every ``Check`` field, names and order
+included), and guard that the audit's queries on a window model do not
+grow as N**2.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from mdepbounds import (
+    ExplicitEventFamily,
+    WindowModel,
+    consecutive_run_model,
+    expand_window_model,
+    random_window_model,
+    verify_derivation,
+)
+
+from derivation_walk import derivation_walk
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), s=st.integers(2, 3),
+       m=st.integers(0, 3), n=st.integers(0, 60), density=st.floats(0.02, 0.6))
+def test_window_models_equal_walk(seed, s, m, n, density):
+    model = random_window_model(seed, alphabet_sizes=(s,), dependence_ranges=(m,),
+                                min_horizon=n, max_horizon=n, table_density=density)
+    assert verify_derivation(model) == derivation_walk(model)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), n=st.integers(0, 12), n_outcomes=st.integers(1, 12),
+       m=st.integers(0, 4))
+def test_random_explicit_families_equal_walk(data, n, n_outcomes, m):
+    """Random families claim any m, so independence checks fail often."""
+    weights = data.draw(st.lists(st.floats(0.01, 1.0), min_size=n_outcomes,
+                                 max_size=n_outcomes))
+    masks = data.draw(st.lists(st.lists(st.booleans(), min_size=n_outcomes,
+                                        max_size=n_outcomes),
+                               min_size=n, max_size=n))
+    family = ExplicitEventFamily(np.array(weights) / sum(weights),
+                                 np.array(masks, dtype=bool).reshape(n, n_outcomes), m)
+    assert verify_derivation(family) == derivation_walk(family)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_expansions_equal_walk(seed):
+    """An expansion answers per set; its report is its window model's up
+    to the last digits, and the walk's exactly."""
+    model = random_window_model(seed, dependence_ranges=(0, 1, 2, 3),
+                                min_horizon=1, max_horizon=8)
+    if model.alphabet_size ** (model.n_events + model.m) > 1 << 14:
+        model = random_window_model(seed, alphabet_sizes=(2,),
+                                    dependence_ranges=(1, 2), max_horizon=8)
+    explicit = expand_window_model(model)
+    report = verify_derivation(explicit)
+    assert report == derivation_walk(explicit)
+    assert [c.name for c in report.checks] \
+        == [c.name for c in verify_derivation(model).checks]
+
+
+def test_failing_tolerance_equals_walk():
+    """At tol = 0 the roundoff of the product side fails some checks."""
+    model = random_window_model(5, dependence_ranges=(2,), min_horizon=40,
+                                max_horizon=40)
+    report = verify_derivation(model, tol=0.0)
+    assert report == derivation_walk(model, tol=0.0)
+    assert report.failures()
+
+
+def test_queries_do_not_grow_as_n_squared(monkeypatch):
+    """Every exact index-set question a window model answers goes through
+    ``_law``.  One oracle call per check made 4,727 of them at N = 100
+    and 67,077 at N = 400; batched, the audit makes one per distinct
+    batch row and per block event (120 and 420), so the count grows
+    as N."""
+    calls = []
+    law = WindowModel._law
+
+    def counted(self, indices, branch):
+        calls.append(len(indices))
+        return law(self, indices, branch)
+
+    monkeypatch.setattr(WindowModel, "_law", counted)
+    counts = {}
+    for n in (100, 400):
+        calls.clear()
+        report = verify_derivation(consecutive_run_model(n, m=2))
+        assert report.passed
+        counts[n] = len(calls)
+    assert counts[400] <= 4 * counts[100] + 20
+    assert counts[400] < 0.01 * 400 ** 2

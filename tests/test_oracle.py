@@ -7,6 +7,7 @@ from mdepbounds import (
     ExplicitEventFamily,
     block_event_prob,
     complement_intersection_prob,
+    complement_intersection_probs,
     consecutive_run_model,
     event_prob,
     expand_window_model,
@@ -97,6 +98,29 @@ class TestComplementIntersection:
     def test_duplicate_indices_collapse(self, run_model_24):
         assert complement_intersection_prob(run_model_24, (3, 3, 3)) == \
             complement_intersection_prob(run_model_24, (3,))
+
+    @pytest.mark.parametrize("explicit", [False, True])
+    def test_rows_match_one_query_each(self, explicit):
+        """Rows of one size, some sharing clamped gaps at other starts,
+        give the scalar answer bit for bit on both representations."""
+        model = random_window_model(29, alphabet_sizes=(2,), dependence_ranges=(2,),
+                                    min_horizon=9, max_horizon=9)
+        family = expand_window_model(model) if explicit else model
+        for rows in ([[1], [5], [9]], [[1, 2], [4, 5], [1, 9], [3, 7], [2, 3]],
+                     [[1, 2, 6], [4, 5, 9], [1, 4, 8], [2, 3, 4]]):
+            assert complement_intersection_probs(family, rows).tolist() == \
+                [complement_intersection_prob(family, row) for row in rows]
+        assert complement_intersection_probs(family, np.zeros((0, 2), int)).shape == (0,)
+
+    def test_rows_are_validated(self, run_model_24):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            complement_intersection_probs(run_model_24, [[1, 2], [3, 3]])
+        with pytest.raises(ValueError, match="shape"):
+            complement_intersection_probs(run_model_24, [1, 2])
+        with pytest.raises(IndexError):
+            complement_intersection_probs(run_model_24, [[1, 2], [20, 25]])
+        with pytest.raises(IndexError):
+            complement_intersection_probs(run_model_24, [[0, 2]])
 
 
 class TestAlgebraicIdentity:

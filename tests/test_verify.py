@@ -5,12 +5,14 @@ import pytest
 
 from mdepbounds import (
     ExplicitEventFamily,
+    WindowModel,
     consecutive_run_model,
     random_window_model,
     verify_derivation,
 )
 from mdepbounds.errors import CapExceededError
-from mdepbounds.verify import MAX_DERIVATION_CHECKS, derivation_check_count
+from mdepbounds.verify import (MAX_DERIVATION_CHECKS, MAX_EXPLICIT_OUTCOMES,
+                               MAX_WINDOW_TABLE, derivation_check_count)
 
 
 def correlated_pair_family(m=1):
@@ -69,6 +71,23 @@ class TestVerifyDerivation:
     def test_horizon_cap(self):
         with pytest.raises(CapExceededError):
             verify_derivation(consecutive_run_model(20_000))
+
+    def test_window_table_cap(self):
+        """s = 2, m = 16 has a predicate table of 2**17 entries."""
+        model = WindowModel(2, (0.5, 0.5), 16, (False,) * (1 << 17), 4)
+        with pytest.raises(CapExceededError,
+                           match=f"predicate table of size {1 << 17} exceeds "
+                                 f"the verifier cap {MAX_WINDOW_TABLE}$"):
+            verify_derivation(model)
+
+    def test_explicit_outcome_cap(self):
+        n_outcomes = MAX_EXPLICIT_OUTCOMES + 1
+        family = ExplicitEventFamily(np.full(n_outcomes, 1 / n_outcomes),
+                                     np.zeros((2, n_outcomes), dtype=bool), 0)
+        with pytest.raises(CapExceededError,
+                           match=f"^{n_outcomes} outcomes exceed the verifier "
+                                 f"cap {MAX_EXPLICIT_OUTCOMES}$"):
+            verify_derivation(family)
 
     def test_check_count_cap_states_the_estimate(self):
         model = consecutive_run_model(900, m=1)

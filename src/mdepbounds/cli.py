@@ -20,6 +20,7 @@ import contextlib
 import csv
 import io
 import json
+import math
 import re
 import sys
 from json.encoder import encode_basestring_ascii
@@ -32,6 +33,7 @@ from .families import WindowModel
 from .modelspec import _read_json, load_model, parse_model
 from .montecarlo import estimate_union
 from .oracle import union_prob
+from .reports import Check
 from .verify import verify_derivation
 
 CSV_COLUMNS = ["param", "n", "m", "s_n", "t_local", "thm1_bound", "thm2_bound",
@@ -40,31 +42,14 @@ CSV_COLUMNS = ["param", "n", "m", "s_n", "t_local", "thm1_bound", "thm2_bound",
 
 
 def _float_text(value: float) -> str:
-    """JSON text of ``float(f"{value:.12g}")``, as ``json.dumps`` writes it.
-
-    For a normal double, the 12-digit string is already the shortest
-    round-trip form (doubles hold every decimal of up to 15 digits
-    apart), so it can differ from ``repr`` only in notation: ``repr``
-    adds ".0" to integral values and keeps fixed notation up to 1e16.
-    Exponents of 12 or more, subnormals, infinities and NaN go through
-    ``json.dumps``.
-    """
-    text = f"{value:.12g}"
-    mark = text.find("e")
-    if mark < 0:
-        if "." in text:
-            return text
-        if text[-1].isdigit():
-            return text + ".0"
-    elif -308 < int(text[mark + 1:]) < 12:
-        return text
-    return json.dumps(float(text))
+    """JSON text of ``float(f"{value:.12g}")``, as ``json.dumps`` writes it."""
+    rounded = float(f"{value:.12g}")
+    return repr(rounded) if math.isfinite(rounded) else json.dumps(rounded)
 
 
-#: Key order and value types of a ``Check.to_dict`` row.  A list item
-#: that matches both is written from one template per list; anything
-#: else takes the generic path.
-_ROW_KEYS = ("name", "kind", "lhs", "rhs", "tol", "slack", "passed")
+#: Value types of a ``Check.to_dict`` row, whose keys are ``Check._fields``.
+#: A list item with those keys and types is written from one template per
+#: list; anything else takes the generic path.
 _ROW_TYPES = (str, str, float, float, float, float, bool)
 
 
@@ -83,7 +68,7 @@ def _row_template(pad: str) -> str:
     """Text of a check row nested `pad` deep, with one %s per value."""
     inner = pad + "  "
     return ("{\n" + ",\n".join(f"{inner}{encode_basestring_ascii(key)}: %s"
-                                for key in _ROW_KEYS) + "\n" + pad + "}")
+                                for key in Check._fields) + "\n" + pad + "}")
 
 
 def _json_pieces(payload: Any) -> Iterator[str]:
@@ -102,8 +87,7 @@ def _json_pieces(payload: Any) -> Iterator[str]:
             inner = pad + "  "
             head = "{\n" + inner
             for key, item in value.items():
-                yield head + (encode_basestring_ascii(key) if isinstance(key, str)
-                              else json.dumps({key: 0})[1:-4]) + ": "
+                yield head + encode_basestring_ascii(key) + ": "
                 yield from pieces(item, inner)
                 head = ",\n" + inner
             yield "\n" + pad + "}"
@@ -114,7 +98,7 @@ def _json_pieces(payload: Any) -> Iterator[str]:
             for item in value:
                 fields = tuple(item.values()) if type(item) is dict else ()
                 if (tuple(map(type, fields)) == _ROW_TYPES
-                        and tuple(item) == _ROW_KEYS):
+                        and tuple(item) == Check._fields):
                     template = template or _row_template(inner)
                     name, kind, lhs, rhs, tol, slack, passed = fields
                     yield head + template % (

@@ -18,9 +18,9 @@ and the audits read without checking the representation: ``event_probs``
 (P(A_k) for k = 1..N), ``prefix_probs`` (P(A_1)+..+P(A_u) for u = 0..N),
 ``pair_probs(gap)`` (P(A_k and A_{k+gap}) for k = 1..N-gap),
 ``pair_mass(gap)`` (the correctly rounded sum of ``pair_probs(gap)``),
-``union(first, last)``, ``survival(members)`` (no listed event fires)
-and ``survivals(rows)`` (the same for each row of a 2-D index array; a
-window model answers once per row of gaps clamped at m+1),
+``union(first, last)``, ``survivals(rows)`` (for each row of a 2-D
+index array, the probability that no listed event fires; a window model
+answers once per row of gaps clamped at m+1),
 ``pattern_law(indices)`` (the joint law of the indicators),
 ``require_query_scale()`` (refuses a family whose single exact query is
 too large for an audit that makes thousands of them), and
@@ -62,7 +62,8 @@ MASS_TOL = 1e-9
 
 #: Feasibility caps on one exact query, enforced by ``require_query_scale``:
 #: a window model's predicate table sets the kernel's per-step cost, an
-#: explicit family's outcome count the cost of one outcome sweep.
+#: explicit family's outcome count the cost of one outcome sweep (and so
+#: caps the outcome space ``expand_window_model`` builds).
 MAX_WINDOW_TABLE = 1 << 16
 MAX_EXPLICIT_OUTCOMES = 1 << 20
 
@@ -183,13 +184,11 @@ class ExplicitEventFamily:
         fired = self.event_masks[first - 1:last].any(axis=0)
         return float(self.outcome_weights[fired].sum())
 
-    def survival(self, members: Sequence[int]) -> float:
-        fired = self.event_masks[[k - 1 for k in members]].any(axis=0)
-        return float(self.outcome_weights[~fired].sum())
-
     def survivals(self, rows: np.ndarray) -> np.ndarray:
         """One outcome sweep per row: outcomes carry no symmetry."""
-        return np.array([self.survival(row) for row in rows.tolist()])
+        masks, weights = self.event_masks, self.outcome_weights
+        return np.array([weights[~masks[row - 1].any(axis=0)].sum()
+                         for row in rows])
 
     def require_query_scale(self) -> None:
         if self.n_outcomes > MAX_EXPLICIT_OUTCOMES:
@@ -377,10 +376,7 @@ class WindowModel:
         return law
 
     def union(self, first: int, last: int) -> float:
-        return 1.0 - self.survival(range(first, last + 1))
-
-    def survival(self, members: Sequence[int]) -> float:
-        return float(self._law(members, branch=False)[0])
+        return 1.0 - float(self._law(range(first, last + 1), branch=False)[0])
 
     def survivals(self, rows: np.ndarray) -> np.ndarray:
         """One ``_law`` lookup per distinct row of gaps clamped at m+1:
@@ -513,22 +509,21 @@ def t_local(family: Family) -> float:
     return float(sum(family.pair_mass(d) for d in gaps))
 
 
-def expand_window_model(model: WindowModel,
-                        max_outcomes: int = 1 << 20) -> ExplicitEventFamily:
+def expand_window_model(model: WindowModel) -> ExplicitEventFamily:
     """Expand a window model into an explicit family over all symbol strings.
 
     This is the cross-representation oracle used in tests: the outcome
     space is every string in {0..s-1}^(N+m) with its product weight, and
     event k collects the strings whose k-th window fires.  Guarded by the
-    size cap s**(N+m) <= max_outcomes.
+    size cap s**(N+m) <= MAX_EXPLICIT_OUTCOMES.
     """
     s, m, n = model.alphabet_size, model.m, model.horizon
     length = n + m
     n_strings = s ** length
-    if n_strings > max_outcomes:
+    if n_strings > MAX_EXPLICIT_OUTCOMES:
         raise CapExceededError(
             f"expansion needs {s}**{length} = {n_strings} outcomes, "
-            f"above the cap of {max_outcomes}")
+            f"above the cap of {MAX_EXPLICIT_OUTCOMES}")
     flat = np.arange(n_strings)
     weights = np.ones(n_strings)
     for t in range(length):

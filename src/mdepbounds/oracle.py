@@ -10,6 +10,8 @@ for its clamped span L (b - a + 1 for a range a..b), a repeat O(|indices|).
 ``complement_intersection_probs`` answers many index sets of one size at
 once and asks the family once per distinct query: once per row of gaps
 clamped at m+1 on a window model, once per row on an explicit family.
+It is the only route to a family's ``survivals``: the one-set
+``complement_intersection_prob`` asks it for a one-row array.
 The pairs and triples of a residue class mod m+1 all share one clamped
 row, and the far block pairs of one shift share at most nine (first,
 interior or last block on each side), so a window model's derivation
@@ -55,8 +57,7 @@ def complement_intersection_prob(family: Family, indices: Iterable[int]) -> floa
     members = sorted({operator.index(k) for k in indices})
     if not members:
         return 1.0
-    _require_event_indices(family, members)
-    return min(1.0, max(0.0, family.survival(members)))
+    return float(complement_intersection_probs(family, [members])[0])
 
 
 def complement_intersection_probs(family: Family, rows: np.ndarray) -> np.ndarray:

@@ -8,14 +8,15 @@ quantitatively instead of as bare booleans.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class Check:
+class Check(NamedTuple):
     """One verified relation.
 
     kind "le" asserts lhs <= rhs + tol; kind "eq" asserts
-    |lhs - rhs| <= tol.  slack is always lhs - rhs.
+    |lhs - rhs| <= tol.  slack is always lhs - rhs.  The fields, in
+    order, are the keys of a JSON row (``to_dict``).
     """
 
     name: str

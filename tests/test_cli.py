@@ -301,7 +301,7 @@ def reference_json(payload):
     return json.dumps(round12(payload), indent=2) + "\n"
 
 
-#: Floats at the edges of the fast float text: integral values, the
+#: Floats at the edges of the float text: integral values, the
 #: switch to exponent notation at 1e-5 and 1e12 (repr switches at 1e16),
 #: rounding across a power of ten, subnormals and non-finite values.
 EDGE_FLOATS = [0.0, -0.0, 1.0, -3.0, 100.0, 0.1, 1e-4, 1e-5, 9.99999999999e-5,

@@ -1,6 +1,6 @@
 """Window-model kernel answers memoized per canonical gap signature.
 
-A window model answers ``survival``, ``pattern_law`` and ``union`` once
+A window model answers ``survivals``, ``pattern_law`` and ``union`` once
 per gap signature (gaps clamped at m+1, walk restarted at index 1) and
 keeps the read-only answer for the life of the model object.  These
 tests hold the memoized answers against the raw kernel ``_sweep``, check
@@ -28,6 +28,11 @@ from mdepbounds import (
 CLAMP_TOL = 1e-13
 
 
+def survival(model, indices):
+    """The protocol's survival query on one index set: a one-row batch."""
+    return model.survivals(np.array([indices]))[0]
+
+
 @st.composite
 def window_models(draw, max_horizon=200):
     s = draw(st.integers(2, 3))
@@ -48,7 +53,7 @@ def test_clamped_gaps_match_raw_sweep(model, data):
                                              max_size=min(n, 5)))))
     law = model.pattern_law(indices)
     assert np.abs(law - model._sweep(indices, branch=True)).max() <= CLAMP_TOL
-    assert abs(model.survival(indices)
+    assert abs(survival(model, indices)
                - model._sweep(indices, branch=False)[0]) <= CLAMP_TOL
 
 
@@ -65,10 +70,10 @@ def test_translated_queries_are_bit_identical(model, data):
     # A translated copy fills the memo first, so the second query is a hit.
     shift = 1 - start + data.draw(st.integers(0, n - span - 1))
     model.pattern_law(tuple(k + shift for k in indices))
-    model.survival(tuple(k + shift for k in indices))
+    survival(model, tuple(k + shift for k in indices))
     assert np.array_equal(model.pattern_law(indices),
                           model._sweep(indices, branch=True))
-    assert model.survival(indices) == model._sweep(indices, branch=False)[0]
+    assert survival(model, indices) == model._sweep(indices, branch=False)[0]
 
 
 @settings(max_examples=60, deadline=None)

@@ -1,10 +1,11 @@
 """The window-model transfer-operator kernel and the family protocol.
 
-Window models answer ``survival`` (kill at the members), ``pattern_law``
+Window models answer ``survivals`` (kill at the members), ``pattern_law``
 (branch at the indices) and the prefix and pair masses through one
 kernel; these tests hold each action against brute-force enumeration and
-against the explicit expansion, and check the index validation of the
-public pattern-law entry point on both representations.
+against the explicit expansion, check that both representations define
+the whole protocol, and check the index validation of the public
+pattern-law entry point on both representations.
 """
 
 import numpy as np
@@ -13,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mdepbounds import (
+    ExplicitEventFamily,
     WindowModel,
     complement_intersection_prob,
     consecutive_run_model,
@@ -21,11 +23,29 @@ from mdepbounds import (
     pattern_distribution,
     t_local,
 )
+from mdepbounds import families
 
 from exhaustive import brute_complement_prob, brute_pair_prob
 
 #: Largest outcome space s**(N+m) the differential test expands.
 MAX_STRINGS = 1 << 12
+
+#: The family protocol: every member the query functions and the audits
+#: read without checking the representation.
+PROTOCOL = ("event_probs", "prefix_probs", "pair_probs", "pair_mass", "union",
+            "survivals", "pattern_law", "require_query_scale", "subset_groups",
+            "subset_group_count")
+
+
+@pytest.mark.parametrize("cls", [WindowModel, ExplicitEventFamily])
+def test_both_representations_define_the_protocol(cls):
+    assert [name for name in PROTOCOL if name not in vars(cls)] == []
+    assert not hasattr(cls, "survival")  # one index-set query: survivals
+
+
+def test_families_docstring_names_the_protocol():
+    assert [name for name in PROTOCOL
+            if f"``{name}" not in families.__doc__] == []
 
 
 @st.composite
@@ -52,7 +72,7 @@ def test_kernel_actions_match_enumeration(model, data):
     explicit = expand_window_model(model)
     assert np.abs(law - explicit.pattern_law(indices)).max() < 1e-12
 
-    survival = model.survival(indices)
+    survival = model.survivals(np.array([indices]))[0]
     assert survival == pytest.approx(brute_complement_prob(model, indices),
                                      abs=1e-12)
     # kill and branch agree on the no-event pattern

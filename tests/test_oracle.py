@@ -102,7 +102,8 @@ class TestComplementIntersection:
     @pytest.mark.parametrize("explicit", [False, True])
     def test_rows_match_one_query_each(self, explicit):
         """Rows of one size, some sharing clamped gaps at other starts,
-        give the scalar answer bit for bit on both representations."""
+        give the scalar answer bit for bit on both representations, and
+        the scalar query keeps its contract on both."""
         model = random_window_model(29, alphabet_sizes=(2,), dependence_ranges=(2,),
                                     min_horizon=9, max_horizon=9)
         family = expand_window_model(model) if explicit else model
@@ -111,6 +112,15 @@ class TestComplementIntersection:
             assert complement_intersection_probs(family, rows).tolist() == \
                 [complement_intersection_prob(family, row) for row in rows]
         assert complement_intersection_probs(family, np.zeros((0, 2), int)).shape == (0,)
+
+        assert complement_intersection_prob(family, ()) == 1.0
+        single = complement_intersection_prob(family, [2, 6])
+        assert type(single) is float
+        assert complement_intersection_prob(family, iter((6, 2, 6, 2, 2))) == single
+        for indices, span in [((3, 0), "0..3"), ((10, 4, 4), "4..10")]:
+            with pytest.raises(IndexError, match=rf"^indices {span} outside "
+                                                 rf"the event range 1\.\.9$"):
+                complement_intersection_prob(family, indices)
 
     def test_rows_are_validated(self, run_model_24):
         with pytest.raises(ValueError, match="strictly increasing"):

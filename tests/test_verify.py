@@ -126,10 +126,21 @@ class TestVerifyDerivation:
 
 class TestVerifyReportShape:
     def test_json_roundtrip(self):
-        from mdepbounds import VerificationReport
+        """A real report survives its JSON rows, whose keys are the record
+        fields in order; records are immutable values."""
+        from mdepbounds import Check, VerificationReport
         report = verify_derivation(consecutive_run_model(9))
-        clone = VerificationReport.from_dict(report.to_dict())
+        payload = report.to_dict()
+        assert all(type(row) is dict for row in payload["checks"])
+        clone = VerificationReport.from_dict(payload)
         assert clone == report
+        assert Check._fields == ("name", "kind", "lhs", "rhs", "tol", "slack",
+                                 "passed")
+        for check, copy in zip(report.checks, clone.checks):
+            assert tuple(check.to_dict()) == Check._fields
+            assert hash(copy) == hash(check)
+        with pytest.raises(AttributeError):
+            report.checks[0].lhs = 0.0
 
     def test_worst_check_identified(self):
         report = verify_derivation(correlated_pair_family())

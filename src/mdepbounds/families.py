@@ -3,8 +3,13 @@
 Two representations are supported:
 
 * :class:`ExplicitEventFamily` lists every atomic outcome with its weight
-  and every event as a subset of outcomes.  All queries reduce to weighted
-  sweeps over the outcome space, so everything is exact.
+  and every event as a subset of outcomes.  Every query depends only on
+  the joint law of the indicators, so the family lumps the outcomes once
+  into the atoms of sigma(A_1, .., A_N), one per distinct event-membership
+  column, and all queries are weighted sweeps over at most min(M, 2**N)
+  atoms instead of the M outcomes.  Building and lumping still cost
+  O(N * M) once, so the outcome cap ``MAX_EXPLICIT_OUTCOMES`` still
+  guards them.
 * :class:`WindowModel` draws an i.i.d. symbol stream and fires event k
   exactly when a fixed predicate holds on the window of symbols
   k..k+m.  Events whose indices differ by more than m read disjoint
@@ -37,9 +42,10 @@ family is a *claim*: nothing here assumes it holds, and
 :func:`mdepbounds.dependence.check_m_dependence` can test it.
 
 All types are immutable after construction and all operations are pure
-functions of their inputs, so concurrent readers need no locking: a
-window model's read-only kernel answers per gap signature live in
-``WindowModel._memo`` as long as the model, and a race only recomputes.
+functions of their inputs, so concurrent readers need no locking: an
+explicit family's atom table and a window model's read-only kernel
+answers per gap signature (``WindowModel._memo``) live as long as the
+object, and a race only recomputes.
 """
 
 from __future__ import annotations
@@ -62,8 +68,9 @@ MASS_TOL = 1e-9
 
 #: Feasibility caps on one exact query, enforced by ``require_query_scale``:
 #: a window model's predicate table sets the kernel's per-step cost, an
-#: explicit family's outcome count the cost of one outcome sweep (and so
-#: caps the outcome space ``expand_window_model`` builds).
+#: explicit family's outcome count the cost of lumping it into atoms and
+#: the most atoms a query sweeps (and so caps the outcome space
+#: ``expand_window_model`` builds).
 MAX_WINDOW_TABLE = 1 << 16
 MAX_EXPLICIT_OUTCOMES = 1 << 20
 
@@ -96,6 +103,9 @@ class ExplicitEventFamily:
         outcomes belonging to event A_k.
       m: claimed dependence range (not verified at construction).
 
+    Queries read only :attr:`atoms`, the outcomes lumped once by event
+    membership, so each costs O(N * A) for A <= min(M, 2**N) atoms; the
+    lumping itself is O(N * M) and runs on the first query.
     Prefer :meth:`from_events` when events are given as index sets.
     """
 
@@ -135,12 +145,7 @@ class ExplicitEventFamily:
         n_outcomes = len(outcome_weights)
         masks = np.zeros((len(events), n_outcomes), dtype=bool)
         for row, event in enumerate(events):
-            for idx in event:
-                idx = int(idx)
-                if not 0 <= idx < n_outcomes:
-                    raise ValueError(f"event {row + 1}: outcome index {idx} "
-                                     f"outside [0, {n_outcomes})")
-                masks[row, idx] = True
+            masks[row, _outcome_indices(event, row, n_outcomes)] = True
         return cls(np.asarray(outcome_weights, dtype=float), masks, m)
 
     @property
@@ -154,13 +159,47 @@ class ExplicitEventFamily:
     @property
     def events(self) -> tuple[tuple[int, ...], ...]:
         """Events as sorted tuples of outcome indices (JSON-friendly view)."""
-        return tuple(tuple(int(i) for i in np.nonzero(row)[0])
-                     for row in self.event_masks)
+        return tuple(tuple(np.flatnonzero(row).tolist()) for row in self.event_masks)
+
+    @cached_property
+    def atoms(self) -> tuple[np.ndarray, np.ndarray]:
+        """The atoms of sigma(A_1, .., A_N), built once: the outcomes
+        lumped by the set of events they belong to.
+
+        Returns read-only ``(masks, weights)``.  ``masks`` has shape
+        (N, A) and no two equal columns; column a marks the events that
+        hold on atom a, and ``weights[a]`` is its mass.  Atoms come in the
+        order of their packed columns, and an atom of zero-weight outcomes
+        is kept.
+
+        Each outcome's membership column is packed into 64-bit words,
+        and one stable ``np.lexsort`` over the words brings the outcomes
+        of each atom together in their original order.  Each atom's mass
+        is then a pairwise sum of its outcome weights (``np.add.reduceat``),
+        which keeps the digits a sequential sum would lose on atoms of
+        many outcomes.
+        """
+        masks, weights = self.event_masks, self.outcome_weights
+        # One word at least, so that N = 0 gives one atom.
+        words = np.zeros((max(1, -(-self.n_events // 64)), self.n_outcomes),
+                         dtype=np.uint64)
+        for k, row in enumerate(masks):
+            words[k // 64] |= row.astype(np.uint64) << np.uint64(k % 64)
+        order = np.lexsort(words)
+        ranked = words[:, order]
+        starts = np.flatnonzero(np.concatenate(
+            ([True], (ranked[:, 1:] != ranked[:, :-1]).any(axis=0))))
+        masses = np.add.reduceat(weights[order], starts)
+        atom_masks = masks[:, order[starts]]
+        atom_masks.flags.writeable = False
+        masses.flags.writeable = False
+        return atom_masks, masses
 
     @cached_property
     def event_probs(self) -> np.ndarray:
         """P(A_k) for k = 1..N, as a read-only vector of length N."""
-        probs = self.event_masks @ self.outcome_weights
+        masks, weights = self.atoms
+        probs = masks @ weights
         probs.flags.writeable = False
         return probs
 
@@ -172,21 +211,21 @@ class ExplicitEventFamily:
         return prefix
 
     def pair_probs(self, gap: int) -> np.ndarray:
-        masks = self.event_masks
-        return (masks[:self.n_events - gap] & masks[gap:]) @ self.outcome_weights
+        masks, weights = self.atoms
+        return (masks[:self.n_events - gap] & masks[gap:]) @ weights
 
     def pair_mass(self, gap: int) -> float:
         return math.fsum(self.pair_probs(gap))
 
     def union(self, first: int, last: int) -> float:
-        # The direct fired-outcome sum, not 1 - survival: small unions
-        # keep their digits.
-        fired = self.event_masks[first - 1:last].any(axis=0)
-        return float(self.outcome_weights[fired].sum())
+        # The direct fired-atom sum, not 1 - survival: small unions keep
+        # their digits.
+        masks, weights = self.atoms
+        return float(weights[masks[first - 1:last].any(axis=0)].sum())
 
     def survivals(self, rows: np.ndarray) -> np.ndarray:
-        """One outcome sweep per row: outcomes carry no symmetry."""
-        masks, weights = self.event_masks, self.outcome_weights
+        """One atom sweep per row: atoms carry no symmetry."""
+        masks, weights = self.atoms
         return np.array([weights[~masks[row - 1].any(axis=0)].sum()
                          for row in rows])
 
@@ -197,23 +236,45 @@ class ExplicitEventFamily:
                 f"{MAX_EXPLICIT_OUTCOMES}")
 
     def pattern_law(self, indices: Sequence[int]) -> np.ndarray:
-        ids = np.zeros(self.n_outcomes, dtype=np.int64)
-        for t, k in enumerate(indices):
-            ids |= self.event_masks[k - 1].astype(np.int64) << t
-        return np.bincount(ids, weights=self.outcome_weights,
-                           minlength=1 << len(indices))
+        masks, weights = self.atoms
+        ids = (1 << np.arange(len(indices))) @ masks[np.subtract(indices, 1)]
+        return np.bincount(ids, weights=weights, minlength=1 << len(indices))
 
     def subset_group_count(self, size: int, far: int) -> int:
         return math.comb(self.n_events, size)
 
     def subset_groups(self, size: int, far: int) -> Iterator[SubsetGroup]:
-        """Every subset is a group of its own: outcomes carry no symmetry."""
+        """Every subset is a group of its own: atoms carry no symmetry."""
         for subset in itertools.combinations(range(1, self.n_events + 1), size):
             yield SubsetGroup(subset, 1, iter((subset,)))
 
     def __repr__(self) -> str:  # keep reprs small; masks can be huge
         return (f"ExplicitEventFamily(n_events={self.n_events}, "
                 f"n_outcomes={self.n_outcomes}, m={self.m})")
+
+
+def _outcome_indices(event: Iterable[int], row: int, n_outcomes: int) -> np.ndarray:
+    """The outcome indices of event ``row + 1`` as one int64 array, each
+    converted by ``int`` and checked to lie in [0, n_outcomes)."""
+    items = list(event)
+    try:
+        # numpy converts each item with int(), as the loop below does.
+        idx = np.array(items, dtype=np.int64)
+        if idx.ndim == 1 and (not idx.size
+                              or 0 <= idx.min() <= idx.max() < n_outcomes):
+            return idx
+    except (TypeError, ValueError, OverflowError):
+        pass
+    # Element by element, so that the first bad index raises its own
+    # exception or message.
+    checked = []
+    for v in items:
+        v = int(v)
+        if not 0 <= v < n_outcomes:
+            raise ValueError(f"event {row + 1}: outcome index {v} "
+                             f"outside [0, {n_outcomes})")
+        checked.append(v)
+    return np.array(checked, dtype=np.int64)
 
 
 @dataclass(frozen=True)

@@ -19,9 +19,12 @@ symbol indices are 0-based.
 
 from __future__ import annotations
 
+import itertools
 import json
 from pathlib import Path
 from typing import Any
+
+import numpy as np
 
 from .errors import ModelSpecError
 from .families import ExplicitEventFamily, Family, WindowModel
@@ -42,15 +45,33 @@ def _require(d: dict, field: str, kinds: tuple[type, ...], where: str) -> Any:
     return value
 
 
-def _number_list(d: dict, field: str, where: str) -> list[float]:
+def _number_list(d: dict, field: str, where: str) -> np.ndarray:
     raw = _require(d, field, (list,), where)
+    if set(map(type, raw)) <= {int, float}:  # what JSON numbers parse to
+        return np.array(raw, dtype=float)
     out = []
     for i, v in enumerate(raw):
         if isinstance(v, bool) or not isinstance(v, (int, float)):
             raise ModelSpecError(f"{where}: {field}[{i}] must be a number "
                                  f"(got {type(v).__name__})")
         out.append(float(v))
-    return out
+    return np.array(out)
+
+
+def _events(d: dict, where: str) -> list[list[int]]:
+    raw = _require(d, "events", (list,), where)
+    if (set(map(type, raw)) <= {list}
+            and set(map(type, itertools.chain.from_iterable(raw))) <= {int}):
+        return raw
+    for i, ev in enumerate(raw):
+        if not isinstance(ev, list):
+            raise ModelSpecError(f"{where}: events[{i}] must be a list "
+                                 f"of outcome indices")
+        for v in ev:
+            if isinstance(v, bool) or not isinstance(v, int):
+                raise ModelSpecError(f"{where}: events[{i}] contains a "
+                                     f"non-integer outcome index")
+    return raw
 
 
 def parse_model(spec: dict, where: str = "model spec") -> Family:
@@ -61,17 +82,7 @@ def parse_model(spec: dict, where: str = "model spec") -> Family:
     try:
         if kind == "explicit":
             weights = _number_list(spec, "outcome_weights", where)
-            events_raw = _require(spec, "events", (list,), where)
-            events = []
-            for i, ev in enumerate(events_raw):
-                if not isinstance(ev, list):
-                    raise ModelSpecError(f"{where}: events[{i}] must be a list "
-                                         f"of outcome indices")
-                for v in ev:
-                    if isinstance(v, bool) or not isinstance(v, int):
-                        raise ModelSpecError(f"{where}: events[{i}] contains a "
-                                             f"non-integer outcome index")
-                events.append(ev)
+            events = _events(spec, where)
             m = _require(spec, "m", (int,), where)
             return ExplicitEventFamily.from_events(weights, events, m)
         if kind == "window":
@@ -114,7 +125,7 @@ def model_to_dict(family: Family) -> dict:
     return {
         "type": "explicit",
         "m": family.m,
-        "outcome_weights": [float(w) for w in family.outcome_weights],
+        "outcome_weights": family.outcome_weights.tolist(),
         "events": [list(ev) for ev in family.events],
     }
 

@@ -1,6 +1,8 @@
 """Exact union and complement-intersection probabilities.
 
-Explicit families reduce to weighted sweeps over the outcome space.
+Explicit families reduce to weighted sweeps over their atoms, the
+outcomes lumped once by event membership: at most min(M, 2**N) of them
+for M outcomes and N events.
 Window models use the transfer-operator kernel ``WindowModel._sweep`` in
 :mod:`mdepbounds.families`: a forward dynamic program over the joint law
 of the last m symbols that consumes one symbol per step and zeroes the
@@ -67,7 +69,13 @@ def complement_intersection_probs(family: Family, rows: np.ndarray) -> np.ndarra
     The rows are validated once as a whole and the family answers each
     distinct query once (see the module docstring).
     """
-    rows = np.asarray(rows, dtype=np.int64)
+    try:
+        rows = np.asarray(rows, dtype=np.int64)
+    except OverflowError:
+        # An index beyond int64 is outside 1..N for any array-sized N.
+        flat = [operator.index(k) for row in rows for k in row]
+        _require_event_indices(family, (min(flat), max(flat)))
+        raise
     if rows.ndim != 2 or rows.shape[1] < 1:
         raise ValueError(f"rows must be a (K, L) array with L >= 1 "
                          f"(got shape {rows.shape})")

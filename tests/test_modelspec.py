@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from mdepbounds import (
@@ -96,3 +97,82 @@ class TestNormativeFieldNames:
         raw = json.loads(path.read_text())
         assert raw["type"] == "window"
         assert parse_model(raw) == model
+
+
+def explicit_spec(weights=(0.5, 0.5), events=([0], [1])):
+    return {"type": "explicit", "m": 1, "outcome_weights": list(weights),
+            "events": list(events)}
+
+
+def window_spec(dist):
+    return {"type": "window", "m": 0, "alphabet_size": 2, "symbol_dist": dist,
+            "predicate_table": [True, False], "horizon": 3}
+
+
+class TestLoaderMessages:
+    """Lists are checked at once; a bad entry still gets the message of
+    the element-by-element check."""
+
+    @pytest.mark.parametrize("spec, message", [
+        (explicit_spec(weights=[0.5, True]),
+         "outcome_weights[1] must be a number (got bool)"),
+        (explicit_spec(weights=["0.5", 0.5]),
+         "outcome_weights[0] must be a number (got str)"),
+        (explicit_spec(events=[[0], 1]),
+         "events[1] must be a list of outcome indices"),
+        (explicit_spec(events=[[5], "x"]),
+         "events[1] must be a list of outcome indices"),
+        (explicit_spec(events=[[0], [True]]),
+         "events[1] contains a non-integer outcome index"),
+        (explicit_spec(events=[[0], [1.0]]),
+         "events[1] contains a non-integer outcome index"),
+        (explicit_spec(events=[[0], ["1"]]),
+         "events[1] contains a non-integer outcome index"),
+        (explicit_spec(events=[[0], [-1]]),
+         "event 2: outcome index -1 outside [0, 2)"),
+        (explicit_spec(events=[[0], [2]]),
+         "event 2: outcome index 2 outside [0, 2)"),
+        (explicit_spec(events=[[0], [1, 2 ** 70]]),
+         "event 2: outcome index 1180591620717411303424 outside [0, 2)"),
+        (window_spec([False, 1.0]),
+         "symbol_dist[0] must be a number (got bool)"),
+        (window_spec([0.5, "0.5"]),
+         "symbol_dist[1] must be a number (got str)"),
+    ])
+    def test_message(self, spec, message):
+        with pytest.raises(ModelSpecError) as info:
+            parse_model(spec)
+        assert str(info.value) == f"model spec: {message}"
+
+    def test_number_too_large_for_a_float(self):
+        with pytest.raises(OverflowError, match="int too large to convert to float"):
+            parse_model(explicit_spec(weights=[10 ** 400, 0.5]))
+
+    def test_ints_are_numbers(self):
+        family = parse_model(explicit_spec(weights=[1, 0], events=[[0, 1], []]))
+        assert family.outcome_weights.tolist() == [1.0, 0.0]
+        assert family.events == ((0, 1), ())
+
+
+class TestFromEvents:
+    @pytest.mark.parametrize("make", [
+        list, tuple, set, np.array, iter, lambda ev: (i for i in ev),
+        lambda ev: range(min(ev, default=0), max(ev, default=-1) + 1, 3),
+        lambda ev: [float(i) for i in ev], lambda ev: [str(i) for i in ev],
+    ])
+    def test_any_iterable_gives_the_same_masks(self, make):
+        events = [[3, 0], [], [1]]
+        family = ExplicitEventFamily.from_events([0.25] * 4, [make(ev) for ev in events], 1)
+        assert family.events == ((0, 3), (), (1,))
+
+    @pytest.mark.parametrize("event, error, message", [
+        ([5, None], ValueError, "event 1: outcome index 5 outside [0, 2)"),
+        ([None, 5], TypeError, "int() argument must be"),
+        ([1, -3], ValueError, "event 1: outcome index -3 outside [0, 2)"),
+        ([2 ** 64], ValueError, "event 1: outcome index 18446744073709551616 outside"),
+        ([[1]], TypeError, "int() argument must be"),
+    ])
+    def test_first_bad_index_raises(self, event, error, message):
+        with pytest.raises(error) as info:
+            ExplicitEventFamily.from_events([0.5, 0.5], [event], 0)
+        assert str(info.value).startswith(message)

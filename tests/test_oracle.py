@@ -132,6 +132,21 @@ class TestComplementIntersection:
         with pytest.raises(IndexError):
             complement_intersection_probs(run_model_24, [[0, 2]])
 
+    @pytest.mark.parametrize("explicit", [False, True])
+    def test_indices_beyond_int64_are_out_of_range(self, explicit):
+        model = consecutive_run_model(10)
+        family = expand_window_model(model) if explicit else model
+        big = 2 ** 70
+        for indices, span in [([big], f"{big}..{big}"), ([3, -big], f"-{big}..3")]:
+            with pytest.raises(IndexError, match=rf"^indices {span} outside "
+                                                 rf"the event range 1\.\.10$"):
+                complement_intersection_prob(family, indices)
+        for rows, span in [([[1, 2], [3, big]], f"1..{big}"),
+                           (np.array([[1, 2 ** 64]], dtype=object), f"1..{2 ** 64}")]:
+            with pytest.raises(IndexError, match=rf"^indices {span} outside "
+                                                 rf"the event range 1\.\.10$"):
+                complement_intersection_probs(family, rows)
+
 
 class TestAlgebraicIdentity:
     def test_union_equals_one_minus_complement(self):

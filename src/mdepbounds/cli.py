@@ -8,9 +8,9 @@ Verbs:
   mc      MODEL FIRST LAST TRIALS SEED [--exact] Monte Carlo union estimate
 
 Exit codes: 0 success / all checks pass, 1 verification failure,
-2 usage or model-spec error.  Numbers print with 12 significant digits;
-JSON output is ``json.dumps(payload, indent=2)`` with every float first
-rounded to 12 significant digits.
+2 usage, model-spec, cap or out-of-memory error.  Numbers print with 12
+significant digits; JSON output is ``json.dumps(payload, indent=2)`` with
+every float first rounded to 12 significant digits.
 """
 
 from __future__ import annotations
@@ -29,8 +29,7 @@ from typing import Any, Iterable, Iterator, Sequence
 from .bounds import SLACK_TOL, build_report, build_threshold, windowed_bound
 from .dependence import check_m_dependence
 from .errors import BoundViolationError, CapExceededError, ModelSpecError
-from .families import WindowModel
-from .modelspec import _read_json, load_model, parse_model
+from .modelspec import _number_list, _read_json, load_model, parse_model
 from .montecarlo import estimate_union
 from .oracle import union_prob
 from .reports import Check
@@ -151,12 +150,8 @@ def _emit_json(payload: dict, out_path: str | None) -> None:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
-    family = load_model(args.model)
-    mc = tuple(args.mc) if args.mc else None
-    if mc is not None and not isinstance(family, WindowModel):
-        raise ModelSpecError("--mc applies to window models only "
-                             "(explicit families are exact by enumeration)")
-    report = build_report(family, exact=args.exact, mc=mc)
+    report = build_report(load_model(args.model), exact=args.exact,
+                          mc=tuple(args.mc) if args.mc else None)
     _emit_json(report.to_dict(), args.out)
     return 0
 
@@ -205,7 +200,7 @@ def _parse_sweep(spec: str) -> tuple[str, list[Any]]:
                          f"horizon, m, p<digit> (symbol probability)")
 
 
-def _apply_sweep(template: dict, name: str, value: Any) -> dict:
+def _apply_sweep(template: dict, name: str, value: Any, where: str) -> dict:
     spec = dict(template)
     if name == "horizon":
         if spec.get("type") != "window":
@@ -221,7 +216,7 @@ def _apply_sweep(template: dict, name: str, value: Any) -> dict:
             raise ModelSpecError("symbol-probability sweeps need a window "
                                  "model template")
         digit = int(name[1:])
-        dist = [float(p) for p in spec.get("symbol_dist", [])]
+        dist = _number_list(spec, "symbol_dist", where).tolist()
         if not 0 <= digit < len(dist):
             raise ModelSpecError(f"symbol index {digit} outside the alphabet")
         rest = sum(dist) - dist[digit]
@@ -243,30 +238,19 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         raise ModelSpecError(f"{args.model}: top level must be a JSON object")
     name, values = _parse_sweep(args.sweep)
     mc = tuple(args.mc) if args.mc else None
-    if mc is not None and template.get("type") != "window":
-        raise ModelSpecError("--mc applies to window models only")
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
     for value in values:
-        family = parse_model(_apply_sweep(template, name, value),
-                             where=f"{args.model}[{name}={value}]")
+        where = f"{args.model}[{name}={value}]"
+        family = parse_model(_apply_sweep(template, name, value, where), where)
         report = build_report(family, exact=args.exact, mc=mc)
-        row = {
-            "param": value,
-            "n": report.n,
-            "m": report.m,
-            "s_n": report.s_n,
-            "t_local": report.t_local,
-            "thm1_bound": report.thm1_bound,
-            "thm2_bound": report.thm2_bound,
-            "thm2_sharper": report.thm2_sharper,
-            "exact_union": report.exact_union,
-            "mc_estimate": report.mc_union.estimate if report.mc_union else None,
-            "mc_ci_low": report.mc_union.ci_low if report.mc_union else None,
-            "mc_ci_high": report.mc_union.ci_high if report.mc_union else None,
-        }
-        writer.writerow([_cell(row[col]) for col in CSV_COLUMNS])
+        # Column mc_<field> is that field of the Monte Carlo record; every
+        # other column after param is the report field of its name.
+        mc_union = report.mc_union._asdict() if report.mc_union else {}
+        writer.writerow([_cell(value)] + [
+            _cell(mc_union.get(col[3:]) if col.startswith("mc_")
+                  else getattr(report, col)) for col in CSV_COLUMNS[1:]])
     _emit([buffer.getvalue()], args.out)
     return 0
 
@@ -292,9 +276,6 @@ def _cmd_window(args: argparse.Namespace) -> int:
 
 def _cmd_mc(args: argparse.Namespace) -> int:
     family = load_model(args.model)
-    if not isinstance(family, WindowModel):
-        raise ModelSpecError("Monte Carlo estimation applies to window "
-                             "models only")
     est = estimate_union(family, args.first, args.last, args.trials, args.seed)
     payload = {
         "first": args.first, "last": args.last,
@@ -374,8 +355,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"verification failure: {exc}", file=sys.stderr)
         return 1
     except (ModelSpecError, CapExceededError, ValueError, IndexError,
-            OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+            OSError, MemoryError) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
 
 

@@ -17,8 +17,9 @@ stands for C(N-1-S+j+1, j+1) subsets, so the audit costs the same at any
 horizon N.  On an explicit family every subset is its own group.  The
 cap ``MAX_SUBSETS`` counts groups, the representatives evaluated.
 
-Window models get a structural certificate as well (windows further than
-m apart read disjoint symbols), but the numerical check still runs.
+A family whose representation fixes a dependence range
+(``structural_range``) gets a structural certificate as well, but the
+numerical check still runs.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from typing import Iterator
 import numpy as np
 
 from .errors import CapExceededError
-from .families import Family, WindowModel, _require_event_indices
+from .families import Family, _require_event_indices
 from .reports import Check, VerificationReport
 
 #: Evaluating more candidate index subsets (one per subset group) than
@@ -153,8 +154,8 @@ def check_m_dependence(family: Family, m: int | None = None, *,
             f"lower max_subset (currently {max_subset}) or raise max_subsets")
 
     checks: list[Check] = []
-    if isinstance(family, WindowModel) and m >= family.m:
-        # Windows at gap > m >= window length - 1 read disjoint symbols.
+    if family.structural_range is not None and m >= family.structural_range:
+        # Events further apart than m >= structural_range are independent.
         checks.append(Check.eq(
             f"structural_window_independence[m={m}]", 0.0, 0.0, tol))
 

@@ -28,7 +28,9 @@ index array, the probability that no listed event fires; a window model
 answers once per row of gaps clamped at m+1),
 ``pattern_law(indices)`` (the joint law of the indicators),
 ``require_query_scale()`` (refuses a family whose single exact query is
-too large for an audit that makes thousands of them), and
+too large for an audit that makes thousands of them),
+``structural_range`` (a range m' that the representation itself
+guarantees, so events more than m' apart are independent, or None), and
 ``subset_groups(size, far)`` with its ``subset_group_count(size, far)``
 (the index subsets of one size, grouped so that members of a group
 have the same pattern law and the same gaps below ``far``; see
@@ -112,6 +114,9 @@ class ExplicitEventFamily:
     outcome_weights: np.ndarray
     event_masks: np.ndarray
     m: int
+
+    #: Nothing in an outcome table bounds the dependence range.
+    structural_range = None
 
     def __post_init__(self) -> None:
         weights = np.array(self.outcome_weights, dtype=float)
@@ -321,10 +326,12 @@ class WindowModel:
                              f"(got {total!r})")
         dist = tuple(p / total for p in dist)
         table = tuple(bool(b) for b in self.predicate_table)
-        if len(table) != s ** (m + 1):
-            raise ValueError(f"predicate_table must have length "
-                             f"{s ** (m + 1)} = alphabet_size**(m+1) "
-                             f"(got {len(table)})")
+        # s >= 2: past the table's bit length no power matches; only name it
+        expected = (f"{s}**{m + 1}" if m + 1 > len(table).bit_length()
+                    else s ** (m + 1))
+        if len(table) != expected:
+            raise ValueError(f"predicate_table must have length {expected} "
+                             f"= alphabet_size**(m+1) (got {len(table)})")
         object.__setattr__(self, "alphabet_size", s)
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "horizon", horizon)
@@ -451,6 +458,11 @@ class WindowModel:
                    for starts in (np.cumsum(gaps[first], axis=1) + 1).tolist()]
         return np.array(answers)[where]
 
+    @property
+    def structural_range(self) -> int:
+        """m: windows more than m apart read disjoint symbols."""
+        return self.m
+
     def require_query_scale(self) -> None:
         table = len(self.predicate_table)
         if table > MAX_WINDOW_TABLE:
@@ -480,39 +492,32 @@ class WindowModel:
         of span S with j gaps equal to c has C(N-1-S+j+1, j+1) members:
         the slack N-1-S is shared by the start and the j open gaps."""
         c, n = self._clamp(far), self.horizon
-        for gaps in _gap_tuples(size - 1, n - 1, c):
-            open_gaps = gaps.count(c) + 1
+        # gap g_t = 1 + h_t with h_t <= c-1, and the gaps sum to <= N-1
+        for excess in _compositions(size - 1, n - size, c - 1):
+            gaps = tuple(h + 1 for h in excess)
+            slack, open_gaps = n - 1 - sum(gaps), gaps.count(c) + 1
             yield SubsetGroup(tuple(itertools.accumulate(gaps, initial=1)),
-                              math.comb(n - 1 - sum(gaps) + open_gaps, open_gaps),
-                              _placements(gaps, c, n))
+                              math.comb(slack + open_gaps, open_gaps),
+                              _members(gaps, c, slack))
 
 
-def _gap_tuples(length: int, budget: int, c: int) -> Iterator[tuple[int, ...]]:
-    """Tuples in {1..c}**length with sum <= budget, in lexicographic order."""
+def _compositions(length: int, total: int, top: int) -> Iterator[tuple[int, ...]]:
+    """Tuples in {0..top}**length with sum <= total, in lexicographic order."""
     if length == 0:
         yield ()
         return
-    for g in range(1, min(c, budget - length + 1) + 1):
-        for rest in _gap_tuples(length - 1, budget - g, c):
-            yield (g, *rest)
+    for x in range(min(top, total) + 1):
+        for rest in _compositions(length - 1, total - x, top):
+            yield (x, *rest)
 
 
-def _placements(gaps: tuple[int, ...], c: int, n: int) -> Iterator[tuple[int, ...]]:
-    """Index tuples in 1..n, in lexicographic order, whose gaps equal
-    ``gaps`` where a gap is below c and are at least c where it is c."""
-    tail = list(itertools.accumulate(reversed(gaps), initial=0))[::-1]
-
-    def extend(prefix: tuple[int, ...], t: int) -> Iterator[tuple[int, ...]]:
-        if t == len(gaps):
-            yield prefix
-            return
-        low = prefix[-1] + gaps[t]
-        high = n - tail[t + 1] if gaps[t] == c else low
-        for k in range(low, high + 1):
-            yield from extend((*prefix, k), t + 1)
-
-    for start in range(1, n - tail[0] + 1):
-        yield from extend((start,), 0)
+def _members(gaps: tuple[int, ...], c: int, slack: int) -> Iterator[tuple[int, ...]]:
+    """Index tuples, in lexicographic order, with gaps ``gaps`` below c and
+    gaps c widened: the start offset and the widenings share the slack."""
+    for start, *widen in _compositions(gaps.count(c) + 1, slack, slack):
+        extra = iter(widen)
+        yield tuple(itertools.accumulate(
+            (g + next(extra) if g == c else g for g in gaps), initial=1 + start))
 
 
 Family = Union[ExplicitEventFamily, WindowModel]

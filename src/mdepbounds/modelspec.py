@@ -19,6 +19,7 @@ symbol indices are 0-based.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import json
 from pathlib import Path
@@ -48,13 +49,18 @@ def _require(d: dict, field: str, kinds: tuple[type, ...], where: str) -> Any:
 def _number_list(d: dict, field: str, where: str) -> np.ndarray:
     raw = _require(d, field, (list,), where)
     if set(map(type, raw)) <= {int, float}:  # what JSON numbers parse to
-        return np.array(raw, dtype=float)
+        with contextlib.suppress(OverflowError):  # named by the loop below
+            return np.array(raw, dtype=float)
     out = []
     for i, v in enumerate(raw):
         if isinstance(v, bool) or not isinstance(v, (int, float)):
             raise ModelSpecError(f"{where}: {field}[{i}] must be a number "
                                  f"(got {type(v).__name__})")
-        out.append(float(v))
+        try:
+            out.append(float(v))
+        except OverflowError:
+            raise ModelSpecError(f"{where}: {field}[{i}] is too large for a "
+                                 f"float") from None
     return np.array(out)
 
 

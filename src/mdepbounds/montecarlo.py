@@ -118,10 +118,10 @@ def estimate_union(model: WindowModel, first: int, last: int,
     when a trial is longer than the budget; `chunk_size` (trials per chunk)
     can only lower it.  Any chunking yields byte-identical results because
     trial t consumes exactly the counters [t*L, (t+1)*L) of the seed's
-    stream.
+    stream.  Raises ValueError unless `model` is a window model.
     """
     if not isinstance(model, WindowModel):
-        raise TypeError("Monte Carlo estimation applies to window models only")
+        raise ValueError("Monte Carlo estimation applies to window models only")
     first = operator.index(first)
     last = operator.index(last)
     trials = operator.index(trials)

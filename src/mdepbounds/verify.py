@@ -61,16 +61,18 @@ def derivation_check_count(n: int, m: int) -> int:
     capped triples, two product-chain checks per class, then for m >= 1
     per shift the block pairs at block distance >= 2 (block positions
     are consecutive), one Bonferroni check per block and four parity
-    checks, plus the shift-cover check; and the final bound checks."""
-    count = 0
-    for r in range(1, m + 2):
+    checks, plus the shift-cover check; and the final bound checks.
+    Classes and shifts past N are counted in bulk: O(min(m, N)) time."""
+    count = 2 * max(m + 1 - n, 0)  # classes past N are empty
+    for r in range(1, min(m + 1, n) + 1):
         size = len(range(r, n + 1, m + 1))
         count += (math.comb(size, 2)
                   + min(math.comb(size, 3), MAX_TRIPLES_PER_CLASS) + 2)
     if m >= 1:
-        for r in range(m):
+        count += (5 if n else 4) * max(m - n, 0)  # shifts r >= N: one block
+        for r in range(min(m, n)):
             # Blocks hold positions j = (k - r - 1) // m + 1, k = 1..n.
-            blocks = (n - r - 1) // m - (-r) // m + 1 if n else 0
+            blocks = (n - r - 1) // m - (-r) // m + 1
             count += math.comb(max(blocks - 1, 0), 2) + blocks + 4
         count += 1
     return count + 1 + (m >= 1)

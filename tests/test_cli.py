@@ -17,6 +17,7 @@ from mdepbounds import (
     consecutive_run_model,
     dump_model,
     expand_window_model,
+    model_to_dict,
 )
 from mdepbounds import cli
 from mdepbounds.cli import main
@@ -94,6 +95,22 @@ class TestReport:
         code, _, err = run_cli(capsys, "report", e1_path, "--mc", "100", "0")
         assert code == 2
         assert "window models" in err
+
+    @pytest.mark.parametrize("field, spec", [
+        ("outcome_weights[0]", {"type": "explicit", "m": 0,
+                                "outcome_weights": [10 ** 400, 0.5],
+                                "events": [[0]]}),
+        ("symbol_dist[1]", {"type": "window", "m": 0, "alphabet_size": 2,
+                            "symbol_dist": [0.5, 10 ** 400],
+                            "predicate_table": [True, False], "horizon": 3}),
+    ], ids=["explicit", "window"])
+    def test_number_too_large_for_a_float_exit_2(self, capsys, tmp_path,
+                                                  field, spec):
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(spec))
+        code, out, err = run_cli(capsys, "report", str(path))
+        assert (code, out) == (2, "")
+        assert err == f"error: {path}: {field} is too large for a float\n"
 
     def test_schema_error_exit_2(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
@@ -199,6 +216,34 @@ class TestSweep:
         assert code == 2
         assert "step" in err
 
+    def test_mc_on_explicit_rejected(self, capsys, e1_path):
+        code, out, err = run_cli(capsys, "sweep", e1_path, "m=1..2",
+                                 "--mc", "100", "0")
+        assert (code, out) == (2, "")
+        assert "window models" in err
+
+    def test_mc_on_explicit_empty_range_header_only(self, capsys, e1_path):
+        """No row, so no report and no estimator call to refuse it."""
+        code, out, _ = run_cli(capsys, "sweep", e1_path, "m=2..1",
+                               "--mc", "100", "0")
+        assert (code, out) == (0, ",".join(cli.CSV_COLUMNS) + "\n")
+
+    @pytest.mark.parametrize("entry, message", [
+        (True, "symbol_dist[0] must be a number (got bool)"),
+        (10 ** 400, "symbol_dist[0] is too large for a float"),
+    ], ids=["bool", "huge"])
+    def test_probability_sweep_reads_symbol_dist_like_the_loader(
+            self, capsys, tmp_path, entry, message):
+        spec = model_to_dict(consecutive_run_model(4, m=0))
+        spec["symbol_dist"][0] = entry
+        path = tmp_path / "w.json"
+        path.write_text(json.dumps(spec))
+        code, out, err = run_cli(capsys, "sweep", str(path), "p1=0.2..0.4:0.1")
+        assert (code, out) == (2, "")
+        assert err == f"error: {path}[p1=0.2]: {message}\n"
+        _, _, report_err = run_cli(capsys, "report", str(path))
+        assert report_err == f"error: {path}: {message}\n"
+
     @pytest.mark.parametrize("extra", [[], ["--mc", "10", "1"]],
                              ids=["plain", "mc"])
     def test_non_object_template_exit_2(self, capsys, tmp_path, extra):
@@ -252,8 +297,26 @@ class TestMC:
         _, second, _ = run_cli(capsys, "mc", w1_path, "1", "24", "10000", "5")
         assert first == second
 
+    def test_explicit_rejected(self, capsys, e1_path):
+        code, out, err = run_cli(capsys, "mc", e1_path, "1", "2", "100", "0")
+        assert (code, out) == (2, "")
+        assert "window models" in err
+
 
 class TestUsage:
+    @pytest.mark.parametrize("exc, line", [
+        (MemoryError("Unable to allocate 7.28 TiB"),
+         "error: Unable to allocate 7.28 TiB\n"),
+        (MemoryError(), "error: MemoryError\n"),
+    ], ids=["numpy", "bare"])
+    def test_out_of_memory_exit_2(self, capsys, monkeypatch, w1_path, exc,
+                                  line):
+        def run_out(args):
+            raise exc
+
+        monkeypatch.setattr(cli, "_cmd_report", run_out)
+        assert run_cli(capsys, "report", w1_path) == (2, "", line)
+
     def test_unknown_command_exit_2(self, w1_path):
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate", w1_path])

@@ -1,12 +1,17 @@
 """Elementary probability queries on both family representations."""
 
 import math
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mdepbounds
 from mdepbounds import (
     ExplicitEventFamily,
     WindowModel,
@@ -209,6 +214,41 @@ class TestValidation:
     def test_table_length_must_match(self):
         with pytest.raises(ValueError):
             WindowModel(2, (0.5, 0.5), 2, (True, False), 5)
+
+    def test_table_length_message_names_the_power(self):
+        with pytest.raises(ValueError, match=r"length 8 = alphabet_size"):
+            WindowModel(2, (0.5, 0.5), 2, (True,) * 9, 5)
+        with pytest.raises(ValueError, match=r"length 3\*\*4 = alphabet_size"):
+            WindowModel(3, (0.5, 0.5, 0.0), 3, (True,) * 7, 5)
+
+    def test_huge_m_is_refused_without_building_the_power(self):
+        """2**(10**12 + 1) would take 125 GB.  The child process caps its
+        own address space 256 MiB above what it holds after the import,
+        so a regression fails with MemoryError instead of filling the
+        machine's memory."""
+        pytest.importorskip("resource")
+        statm = Path("/proc/self/statm")
+        if not statm.exists():
+            pytest.skip("needs /proc/self/statm to size the cap")
+        child = textwrap.dedent("""
+            import os, resource
+            from mdepbounds import WindowModel
+            with open("/proc/self/statm") as fh:
+                held = int(fh.read().split()[0]) * os.sysconf("SC_PAGE_SIZE")
+            cap = held + (256 << 20)
+            resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+            try:
+                WindowModel(2, (0.5, 0.5), 10 ** 12, (True, False), 1)
+            except ValueError as exc:
+                print(exc)
+        """)
+        src = str(Path(mdepbounds.__file__).resolve().parents[1])
+        result = subprocess.run([sys.executable, "-c", child], cwd=src,
+                                capture_output=True, text=True, timeout=60)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == ("predicate_table must have length "
+                                 "2**1000000000001 = alphabet_size**(m+1) "
+                                 "(got 2)\n")
 
     def test_symbol_dist_must_sum_to_one(self):
         with pytest.raises(ValueError):

@@ -8,6 +8,9 @@ the whole protocol, and check the index validation of the public
 pattern-law entry point on both representations.
 """
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -23,7 +26,7 @@ from mdepbounds import (
     pattern_distribution,
     t_local,
 )
-from mdepbounds import families
+from mdepbounds import cli, dependence, families
 
 from exhaustive import brute_complement_prob, brute_pair_prob
 
@@ -33,8 +36,8 @@ MAX_STRINGS = 1 << 12
 #: The family protocol: every member the query functions and the audits
 #: read without checking the representation.
 PROTOCOL = ("event_probs", "prefix_probs", "pair_probs", "pair_mass", "union",
-            "survivals", "pattern_law", "require_query_scale", "subset_groups",
-            "subset_group_count")
+            "survivals", "pattern_law", "require_query_scale", "structural_range",
+            "subset_groups", "subset_group_count")
 
 
 @pytest.mark.parametrize("cls", [WindowModel, ExplicitEventFamily])
@@ -46,6 +49,31 @@ def test_both_representations_define_the_protocol(cls):
 def test_families_docstring_names_the_protocol():
     assert [name for name in PROTOCOL
             if f"``{name}" not in families.__doc__] == []
+
+
+def test_structural_range_is_read_only():
+    """A window model guarantees its own m; an outcome table guarantees
+    nothing."""
+    model = consecutive_run_model(5, m=2)
+    explicit = expand_window_model(model)
+    assert (model.structural_range, explicit.structural_range) == (2, None)
+    for family in (model, explicit):
+        with pytest.raises(AttributeError):
+            family.structural_range = 0
+
+
+@pytest.mark.parametrize("module", [cli, dependence], ids=lambda m: m.__name__)
+def test_protocol_readers_do_not_name_the_representations(module):
+    """The CLI and the dependence audit read the family protocol only."""
+    names = set()
+    for node in ast.walk(ast.parse(Path(module.__file__).read_text())):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name)
+    assert names & {"WindowModel", "ExplicitEventFamily"} == set()
 
 
 @st.composite

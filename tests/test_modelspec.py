@@ -145,8 +145,12 @@ class TestLoaderMessages:
         assert str(info.value) == f"model spec: {message}"
 
     def test_number_too_large_for_a_float(self):
-        with pytest.raises(OverflowError, match="int too large to convert to float"):
-            parse_model(explicit_spec(weights=[10 ** 400, 0.5]))
+        for spec, field in [
+                (explicit_spec(weights=[10 ** 400, 0.5]), "outcome_weights[0]"),
+                (window_spec([0.5, -10 ** 400]), "symbol_dist[1]")]:
+            with pytest.raises(ModelSpecError) as info:
+                parse_model(spec)
+            assert str(info.value) == f"model spec: {field} is too large for a float"
 
     def test_ints_are_numbers(self):
         family = parse_model(explicit_spec(weights=[1, 0], events=[[0, 1], []]))

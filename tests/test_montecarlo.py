@@ -14,6 +14,7 @@ from mdepbounds import (
     WindowModel,
     consecutive_run_model,
     estimate_union,
+    expand_window_model,
     union_prob,
     wilson_interval,
 )
@@ -63,6 +64,13 @@ class TestEstimateUnion:
 
     def test_empty_range(self, run_model_24):
         assert estimate_union(run_model_24, 3, 2, 100, 0) == (0.0, 0.0, 0.0)
+
+    def test_explicit_family_refused(self, run_model_24):
+        """The estimator is the one place that refuses a non-window
+        family; the CLI maps its ValueError to exit 2."""
+        explicit = expand_window_model(consecutive_run_model(4))
+        with pytest.raises(ValueError, match="applies to window models only"):
+            estimate_union(explicit, 1, 4, 100, 0)
 
     def test_invalid_trials(self, run_model_24):
         with pytest.raises(ValueError):

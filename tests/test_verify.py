@@ -1,5 +1,7 @@
 """The derivation auditor: passing families pass, broken claims fail."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,24 @@ from mdepbounds import (
 )
 from mdepbounds.errors import CapExceededError
 from mdepbounds.verify import (MAX_DERIVATION_CHECKS, MAX_EXPLICIT_OUTCOMES,
-                               MAX_WINDOW_TABLE, derivation_check_count)
+                               MAX_TRIPLES_PER_CLASS, MAX_WINDOW_TABLE,
+                               derivation_check_count)
+
+
+def loop_check_count(n, m):
+    """``derivation_check_count`` by a loop over every residue class and
+    every shift, O(m): the reference for the bulk count."""
+    count = 0
+    for r in range(1, m + 2):
+        size = len(range(r, n + 1, m + 1))
+        count += (math.comb(size, 2)
+                  + min(math.comb(size, 3), MAX_TRIPLES_PER_CLASS) + 2)
+    if m >= 1:
+        for r in range(m):
+            blocks = (n - r - 1) // m - (-r) // m + 1 if n else 0
+            count += math.comb(max(blocks - 1, 0), 2) + blocks + 4
+        count += 1
+    return count + 1 + (m >= 1)
 
 
 def correlated_pair_family(m=1):
@@ -97,6 +116,19 @@ class TestVerifyDerivation:
             verify_derivation(model)
         assert all(derivation_check_count(800, m) <= MAX_DERIVATION_CHECKS
                    for m in range(12))
+
+    def test_check_count_matches_the_loop(self):
+        assert [(n, m) for n in range(60) for m in range(70)
+                if derivation_check_count(n, m) != loop_check_count(n, m)] == []
+
+    @pytest.mark.parametrize("n", [0, 1, 5, 40])
+    def test_check_count_at_huge_m(self, n):
+        """Past m = N each unit of m adds one empty class (2 checks) and
+        one one-block shift (5, or 4 when N = 0), so m = 10**12 is
+        counted without a loop of that length."""
+        m = 10 ** 12
+        assert derivation_check_count(n, m) \
+            == loop_check_count(n, n + 1) + (7 if n else 6) * (m - n - 1)
 
     def test_check_count_is_exact(self):
         rng = np.random.default_rng(404)

@@ -47,7 +47,7 @@ from .partitions import (
     residue_classes,
     shifted_blocks,
 )
-from .reports import Check, VerificationReport
+from .reports import Check, CheckBlock, VerificationReport
 from .verify import verify_derivation
 
 __version__ = "0.1.0"
@@ -57,6 +57,7 @@ __all__ = [
     "BoundViolationError",
     "CapExceededError",
     "Check",
+    "CheckBlock",
     "ExplicitEventFamily",
     "ModelSpecError",
     "MonteCarloEstimate",

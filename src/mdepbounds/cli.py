@@ -22,9 +22,12 @@ import io
 import json
 import math
 import re
+import struct
 import sys
 from json.encoder import encode_basestring_ascii
 from typing import Any, Iterable, Iterator, Sequence
+
+import numpy as np
 
 from .bounds import SLACK_TOL, build_report, build_threshold, windowed_bound
 from .dependence import check_m_dependence
@@ -32,7 +35,7 @@ from .errors import BoundViolationError, CapExceededError, ModelSpecError
 from .modelspec import _number_list, _read_json, load_model, parse_model
 from .montecarlo import estimate_union
 from .oracle import union_prob
-from .reports import Check
+from .reports import Check, CheckBlock, VerificationReport
 from .verify import verify_derivation
 
 CSV_COLUMNS = ["param", "n", "m", "s_n", "t_local", "thm1_bound", "thm2_bound",
@@ -46,42 +49,79 @@ def _float_text(value: float) -> str:
     return repr(rounded) if math.isfinite(rounded) else json.dumps(rounded)
 
 
-#: Value types of a ``Check.to_dict`` row, whose keys are ``Check._fields``.
-#: A list item with those keys and types is written from one template per
-#: list; anything else takes the generic path.
-_ROW_TYPES = (str, str, float, float, float, float, bool)
+_DOUBLE = struct.Struct("<d")
+_WORD = struct.Struct("<q")
 
 
 class _FloatText(dict):
-    """``_float_text`` memoized for one emission: verify reports repeat
-    few values (``tol`` on every row, one lhs per residue class)."""
+    """``_float_text`` memoized for one emission and keyed by the float's
+    64-bit pattern, so 0.0, -0.0 and each NaN are formatted once and
+    kept apart: verify reports repeat few values (``tol`` on every row,
+    one lhs per residue class)."""
 
-    def __missing__(self, value: float) -> str:
-        text = _float_text(value)
-        if value:  # 0.0 and -0.0 are one dict key
-            self[value] = text
+    def __missing__(self, bits: int) -> str:
+        text = self[bits] = _float_text(_DOUBLE.unpack(_WORD.pack(bits))[0])
         return text
 
+    def of(self, value: float) -> str:
+        return self[_WORD.unpack(_DOUBLE.pack(value))[0]]
 
-def _row_template(pad: str) -> str:
-    """Text of a check row nested `pad` deep, with one %s per value."""
-    inner = pad + "  "
-    return ("{\n" + ",\n".join(f"{inner}{encode_basestring_ascii(key)}: %s"
-                                for key in Check._fields) + "\n" + pad + "}")
+    def column(self, values: np.ndarray) -> Iterator[str]:
+        """The text of every entry of a float64 array."""
+        return map(self.__getitem__, values.view(np.int64).tolist())
+
+
+#: Check rows are written from a block's columns this many at a time.
+_SLICE_ROWS = 1 << 10
+
+_BOOL_TEXT = ("false", "true")
 
 
 def _json_pieces(payload: Any) -> Iterator[str]:
     """``json.dumps(payload, indent=2) + "\n"`` with every float rounded
-    to 12 significant digits, as a stream of text pieces."""
+    to 12 significant digits, as a stream of text pieces.  A
+    ``VerificationReport`` in the payload is written as its
+    ``to_dict()``, with the check rows taken from its blocks' columns."""
     number = _FloatText()
+
+    def check_rows(blocks: Sequence[CheckBlock], pad: str) -> Iterator[str]:
+        inner = pad + "  "
+        # A row nested `inner` deep with one %s per field.  A block fills
+        # in its name format, kind and tol, and leaves %s for the values;
+        # its name is JSON-escaped before its index columns fill it in,
+        # which is exact since they format to digits.
+        row = ("{\n" + ",\n".join(f"{inner}  {encode_basestring_ascii(key)}: %s"
+                                  for key in Check._fields) + "\n" + inner + "}")
+        head = "[\n" + inner
+        for block in blocks:
+            template = row % (encode_basestring_ascii(block.fmt),
+                              encode_basestring_ascii(block.kind).replace("%", "%%"),
+                              "%s", "%s", number.of(block.tol), "%s", "%s")
+            for lo in range(0, len(block.passed), _SLICE_ROWS):
+                rows = slice(lo, lo + _SLICE_ROWS)
+                fields = zip(*block.index[rows].T.tolist(),
+                             number.column(block.lhs[rows]),
+                             number.column(block.rhs[rows]),
+                             number.column(block.slack[rows]),
+                             map(_BOOL_TEXT.__getitem__, block.passed[rows].tolist()))
+                yield head + (",\n" + inner).join(map(template.__mod__, fields))
+                head = ",\n" + inner
+        yield "[]" if head[0] == "[" else "\n" + pad + "]"
 
     def pieces(value: Any, pad: str) -> Iterator[str]:
         if isinstance(value, float):
-            yield number[value]
+            yield number.of(value)
         elif isinstance(value, str):
             yield encode_basestring_ascii(value)
         elif isinstance(value, bool):
             yield "true" if value else "false"
+        elif isinstance(value, VerificationReport):
+            # The totals object, reopened before its closing "\n}" for
+            # the "checks" key that ends ``to_dict()``.
+            totals = "".join(pieces(value.totals(), pad))
+            yield totals[:-len(pad) - 2] + ",\n" + pad + '  "checks": '
+            yield from check_rows(value.blocks, pad + "  ")
+            yield "\n" + pad + "}"
         elif isinstance(value, dict) and value:
             inner = pad + "  "
             head = "{\n" + inner
@@ -93,20 +133,9 @@ def _json_pieces(payload: Any) -> Iterator[str]:
         elif isinstance(value, (list, tuple)) and value:
             inner = pad + "  "
             head = "[\n" + inner
-            template = ""
             for item in value:
-                fields = tuple(item.values()) if type(item) is dict else ()
-                if (tuple(map(type, fields)) == _ROW_TYPES
-                        and tuple(item) == Check._fields):
-                    template = template or _row_template(inner)
-                    name, kind, lhs, rhs, tol, slack, passed = fields
-                    yield head + template % (
-                        encode_basestring_ascii(name), encode_basestring_ascii(kind),
-                        number[lhs], number[rhs], number[tol], number[slack],
-                        "true" if passed else "false")
-                else:
-                    yield head
-                    yield from pieces(item, inner)
+                yield head
+                yield from pieces(item, inner)
                 head = ",\n" + inner
             yield "\n" + pad + "]"
         else:
@@ -162,9 +191,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     dependence = check_m_dependence(family, max_subset=args.max_subset,
                                     tol=args.tol)
     passed = derivation.passed and dependence.passed
-    _emit_json({"passed": passed,
-                "derivation": derivation.to_dict(),
-                "dependence": dependence.to_dict()}, args.out)
+    _emit_json({"passed": passed, "derivation": derivation,
+                "dependence": dependence}, args.out)
     return 0 if passed else 1
 
 
@@ -173,7 +201,16 @@ _SWEEP_RE = re.compile(
     r"(?::(?P<step>-?[0-9.]+))?$")
 
 
-def _parse_sweep(spec: str) -> tuple[str, list[Any]]:
+#: Refuse a sweep of more rows than this before listing any.  A row
+#: costs what one ``report`` on its model costs: about 0.25 ms on a small
+#: model and 9 us per event with --exact, so ``horizon=1..10000 --exact``
+#: (the cap) runs for minutes, not hours.
+MAX_SWEEP_ROWS = 10_000
+
+
+def _parse_sweep(spec: str) -> tuple[str, Iterable[Any]]:
+    """The swept parameter and its values, in order and produced lazily,
+    after the row count is checked against ``MAX_SWEEP_ROWS``."""
     match = _SWEEP_RE.match(spec)
     if not match:
         raise ModelSpecError(
@@ -185,7 +222,9 @@ def _parse_sweep(spec: str) -> tuple[str, list[Any]]:
         step = int(match["step"]) if match["step"] else 1
         if step < 1:
             raise ModelSpecError("integer sweep step must be >= 1")
-        return name, list(range(lo, hi + 1, step))
+        values = range(lo, hi + 1, step)
+        _require_sweep_rows(len(values))
+        return name, values
     if prob:
         if not match["step"]:
             raise ModelSpecError(
@@ -193,11 +232,21 @@ def _parse_sweep(spec: str) -> tuple[str, list[Any]]:
         lo, hi, step = float(match["lo"]), float(match["hi"]), float(match["step"])
         if step <= 0:
             raise ModelSpecError("probability sweep step must be positive")
-        count = int(round((hi - lo) / step)) + 1 if hi >= lo else 0
-        values = [lo + k * step for k in range(count)]
-        return f"p{prob[1]}", [v for v in values if v <= hi + 1e-12]
+        steps = (hi - lo) / step  # inf for a subnormal step
+        count = (0 if hi < lo else math.inf if math.isinf(steps)
+                 else int(round(steps)) + 1)
+        _require_sweep_rows(count)
+        values = (lo + k * step for k in range(count))
+        return f"p{prob[1]}", (v for v in values if v <= hi + 1e-12)
     raise ModelSpecError(f"unknown sweep parameter {name!r}; supported: "
                          f"horizon, m, p<digit> (symbol probability)")
+
+
+def _require_sweep_rows(count: float) -> None:
+    if count > MAX_SWEEP_ROWS:
+        raise CapExceededError(
+            f"the sweep would emit {count} rows, above the sweep cap "
+            f"{MAX_SWEEP_ROWS}; narrow the range or raise the step")
 
 
 def _apply_sweep(template: dict, name: str, value: Any, where: str) -> dict:

@@ -33,7 +33,7 @@ import numpy as np
 
 from .errors import CapExceededError
 from .families import Family, _require_event_indices
-from .reports import Check, VerificationReport
+from .reports import CheckBlock, VerificationReport
 
 #: Evaluating more candidate index subsets (one per subset group) than
 #: this raises instead of silently running for hours; lower max_subset
@@ -153,13 +153,13 @@ def check_m_dependence(family: Family, m: int | None = None, *,
             f"{total} candidate index subsets exceed the cap {max_subsets}; "
             f"lower max_subset (currently {max_subset}) or raise max_subsets")
 
-    checks: list[Check] = []
+    blocks: list[CheckBlock] = []
     if family.structural_range is not None and m >= family.structural_range:
         # Events further apart than m >= structural_range are independent.
-        checks.append(Check.eq(
+        blocks.append(CheckBlock.eq(
             f"structural_window_independence[m={m}]", 0.0, 0.0, tol))
 
-    failures: list[Check] = []
+    failures: list[CheckBlock] = []
     for size in sizes:
         worst = 0.0
         n_splits = 0
@@ -182,16 +182,15 @@ def check_m_dependence(family: Family, m: int | None = None, *,
                     bad.append((pos_i, pos_j, violation))
             if bad and len(failing) < MAX_DETAILED_FAILURES - len(failures):
                 failing.append(zip(group.members, itertools.repeat(bad)))
-        checks.append(Check.eq(
+        blocks.append(CheckBlock.eq(
             f"factorization[subset_size={size},splits={n_splits}]",
             worst, 0.0, tol))
         details = (
-            Check.eq(f"atom_factorization[I={_at(subset, pos_i)},"
-                     f"J={_at(subset, pos_j)}]", violation, 0.0, tol)
+            CheckBlock.eq(f"atom_factorization[I={_at(subset, pos_i)},"
+                          f"J={_at(subset, pos_j)}]", violation, 0.0, tol)
             for subset, bad in heapq.merge(*failing)
             for pos_i, pos_j, violation in bad)
         failures.extend(itertools.islice(
             details, MAX_DETAILED_FAILURES - len(failures)))
 
-    checks.extend(failures)
-    return VerificationReport(tuple(checks))
+    return VerificationReport.from_blocks(blocks + failures)

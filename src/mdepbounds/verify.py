@@ -22,8 +22,13 @@ set: on a window model one per row of gaps clamped at m+1, which is one
 per batch (every gap in a class is at least m+1, and so is the gap
 between far blocks).  Add one query per class, per block and for the
 whole range, and a window model's audit makes about N + 3(m+1) + 9m
-queries; an explicit family still makes one per check.  What is left per
-check is its name, its ``Check`` record and its row of output.
+queries; an explicit family still makes one per check.  Each batch's
+answers stay one block of checks (``CheckBlock``): lhs, rhs, slack and
+passed arrays under one name format over the batch's index rows, so the
+N**2 pair checks run no Python per check.  The report's summary is
+array reductions, and ``verify`` writes each block's rows straight from
+its arrays; a ``Check`` record per row is built only when a caller asks
+for ``checks``.
 """
 
 from __future__ import annotations
@@ -32,7 +37,6 @@ import functools
 import itertools
 import math
 import operator
-from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -43,7 +47,7 @@ from .families import MAX_EXPLICIT_OUTCOMES, MAX_WINDOW_TABLE  # noqa: F401 (the
 from .oracle import block_event_prob, complement_intersection_prob, \
     complement_intersection_probs, union_prob
 from .partitions import pair_shift_count, residue_classes, shifted_blocks
-from .reports import Check, VerificationReport
+from .reports import CheckBlock, VerificationReport
 
 #: Refuse a family whose audit would emit more checks than this.  The
 #: count grows as N**2 (about 0.75 N**2 at m = 1, its worst m), so the
@@ -87,15 +91,16 @@ def _require_desk_scale(family: Family) -> None:
     family.require_query_scale()
 
 
-def _rows(index_sets: Iterable[tuple[int, ...]], size: int) -> np.ndarray:
-    """Index sets of one size as the rows of a (K, size) array."""
-    return np.fromiter(itertools.chain.from_iterable(index_sets),
-                       dtype=np.int64).reshape(-1, size)
-
-
-def _eq_checks(names: Iterable[str], lhs: np.ndarray, rhs: np.ndarray,
-               tol: float) -> Iterator[Check]:
-    return map(Check.eq, names, lhs.tolist(), rhs.tolist(), itertools.repeat(tol))
+def _pairs(values: np.ndarray) -> np.ndarray:
+    """The 2-subsets of `values` in lexicographic order, as (K, 2) rows."""
+    n = len(values)
+    counts = np.arange(n - 1, -1, -1)  # pairs whose first member is values[i]
+    first = np.repeat(np.arange(n), counts)
+    # Pair t of the run of first member i, which starts at sum(counts[:i]),
+    # has second member i + 1 + t - sum(counts[:i]).
+    second = np.arange(len(first)) - np.repeat(
+        np.cumsum(counts) - counts - np.arange(1, n + 1), counts)
+    return np.stack([values[first], values[second]], axis=1)
 
 
 def verify_derivation(family: Family, *, tol: float = 1e-9) -> VerificationReport:
@@ -115,7 +120,7 @@ def verify_derivation(family: Family, *, tol: float = 1e-9) -> VerificationRepor
     """
     _require_desk_scale(family)
     n, m = family.n_events, family.m
-    checks: list[Check] = []
+    blocks: list[CheckBlock] = []
 
     probs = dict(enumerate(family.event_probs.tolist(), start=1))
     clear = 1 - family.event_probs  # clear[k - 1] = 1 - P(A_k)
@@ -123,24 +128,25 @@ def verify_derivation(family: Family, *, tol: float = 1e-9) -> VerificationRepor
     # Residue-class independence: complements of far-apart events factorize.
     classes = residue_classes(n, m).classes
     for r, cls in enumerate(classes, start=1):
-        pairs = _rows(itertools.combinations(cls, 2), 2)
-        triples = _rows(itertools.islice(itertools.combinations(cls, 3),
-                                         MAX_TRIPLES_PER_CLASS), 3)
+        pairs = _pairs(np.array(cls, dtype=np.int64))
+        triples = np.fromiter(
+            itertools.chain.from_iterable(itertools.islice(
+                itertools.combinations(cls, 3), MAX_TRIPLES_PER_CLASS)),
+            dtype=np.int64).reshape(-1, 3)
         for rows in (pairs, triples):
             lhs = complement_intersection_probs(family, rows)
             rhs = functools.reduce(operator.mul, (clear[col - 1] for col in rows.T))
-            names = (f"residue_independence[r={r},({','.join(map(str, row))})]"
-                     for row in rows.tolist())
-            checks.extend(_eq_checks(names, lhs, rhs, tol))
+            fmt = f"residue_independence[r={r},({','.join(['%d'] * rows.shape[1])})]"
+            blocks.append(CheckBlock.eq(fmt, lhs, rhs, tol, rows))
 
     # Product-to-exponential chain per residue class.
     for r, cls in enumerate(classes, start=1):
         joint = complement_intersection_prob(family, cls)
         product = math.prod(1 - probs[k] for k in cls)
         exponential = math.exp(-sum(probs[k] for k in cls))
-        checks.append(Check.le(
+        blocks.append(CheckBlock.le(
             f"product_chain[r={r},joint<=product]", joint, product, tol))
-        checks.append(Check.le(
+        blocks.append(CheckBlock.le(
             f"product_chain[r={r},product<=exp]", product, exponential, tol))
 
     union_all = union_prob(family, 1, n)
@@ -158,8 +164,8 @@ def verify_derivation(family: Family, *, tol: float = 1e-9) -> VerificationRepor
         # same two block lengths form one array of equal-length rows.
         for part, bprobs in zip(partitions, block_probs):
             los, his = np.array(part.blocks, dtype=np.int64).reshape(-1, 2).T
-            js = np.array(part.block_js)
-            a, b = _rows(itertools.combinations(range(len(js)), 2), 2).T
+            js = np.array(part.block_js, dtype=np.int64)
+            a, b = _pairs(np.arange(len(js))).T
             far = js[b] - js[a] >= 2
             a, b = a[far], b[far]
             lengths = his - los + 1
@@ -173,9 +179,9 @@ def verify_derivation(family: Family, *, tol: float = 1e-9) -> VerificationRepor
                                        los[b[same], None] + np.arange(len_b)], axis=1)
                 lhs[same] = complement_intersection_probs(family, rows)
             bclear = 1 - np.array(bprobs)
-            names = (f"block_independence[r={part.shift},j=({ja},{jb})]"
-                     for ja, jb in zip(js[a].tolist(), js[b].tolist()))
-            checks.extend(_eq_checks(names, lhs, bclear[a] * bclear[b], tol))
+            blocks.append(CheckBlock.eq(
+                f"block_independence[r={part.shift},j=(%d,%d)]", lhs,
+                bclear[a] * bclear[b], tol, np.stack([js[a], js[b]], axis=1)))
 
         # Second-order Bonferroni inside every block:
         # P(B) >= sum P(A_i) - sum_{pairs in B} P(A_i & A_l).  A block
@@ -183,14 +189,16 @@ def verify_derivation(family: Family, *, tol: float = 1e-9) -> VerificationRepor
         pair_masses = {d: family.pair_probs(d).tolist()
                        for d in range(1, min(m, n))}
         for part, bprobs in zip(partitions, block_probs):
-            for (lo, hi), j, prob in zip(part.blocks, part.block_js, bprobs):
+            lower = []
+            for lo, hi in part.blocks:
                 members = range(lo, hi + 1)
                 single = sum(probs[k] for k in members)
                 pairsum = sum(pair_masses[l - i][i - 1]
                               for i, l in itertools.combinations(members, 2))
-                checks.append(Check.le(
-                    f"block_bonferroni[r={part.shift},j={j}]",
-                    single - pairsum, prob, tol))
+                lower.append(single - pairsum)
+            blocks.append(CheckBlock.le(
+                f"block_bonferroni[r={part.shift},j=%d]", lower, bprobs, tol,
+                np.array(part.block_js, dtype=np.int64).reshape(-1, 1)))
 
         # The shift count for every local pair, against brute membership.
         worst_gap = 0
@@ -202,8 +210,8 @@ def verify_derivation(family: Family, *, tol: float = 1e-9) -> VerificationRepor
                     if (i - r - 1) // m == (l - r - 1) // m
                 )
                 worst_gap = max(worst_gap, abs(claimed - brute))
-        checks.append(Check.eq("pair_shift_cover[exhaustive]",
-                               float(worst_gap), 0.0, 0.0))
+        blocks.append(CheckBlock.eq("pair_shift_cover[exhaustive]",
+                                    float(worst_gap), 0.0, 0.0))
 
         # Parity split and averaging: complements bounded by parity
         # products, then by exponentials of half the block mass.
@@ -214,24 +222,24 @@ def verify_derivation(family: Family, *, tol: float = 1e-9) -> VerificationRepor
             prod_odd = math.prod(1 - p for p in odd)
             prod_even = math.prod(1 - p for p in even)
             x, y = sum(odd), sum(even)
-            checks.append(Check.le(
+            blocks.append(CheckBlock.le(
                 f"parity_product[r={r},odd]", complement_all, prod_odd, tol))
-            checks.append(Check.le(
+            blocks.append(CheckBlock.le(
                 f"parity_product[r={r},even]", complement_all, prod_even, tol))
-            checks.append(Check.le(
+            blocks.append(CheckBlock.le(
                 f"parity_average[r={r}]",
                 min(math.exp(-x), math.exp(-y)), math.exp(-(x + y) / 2), tol))
-            checks.append(Check.le(
+            blocks.append(CheckBlock.le(
                 f"block_mass_exponential[r={r}]",
                 complement_all, math.exp(-(x + y) / 2), tol))
 
     # Final bounds against the exact union probability.
     s_n = partial_sum(family, n)
-    checks.append(Check.le("bound_vs_exact[first_order]",
-                           first_order_bound(s_n, m), union_all, tol))
+    blocks.append(CheckBlock.le("bound_vs_exact[first_order]",
+                                first_order_bound(s_n, m), union_all, tol))
     if m >= 1:
         _, b2 = second_order_bound(s_n, t_local(family), m)
-        checks.append(Check.le("bound_vs_exact[second_order]",
-                               b2, union_all, tol))
+        blocks.append(CheckBlock.le("bound_vs_exact[second_order]",
+                                    b2, union_all, tol))
 
-    return VerificationReport(tuple(checks))
+    return VerificationReport.from_blocks(blocks)

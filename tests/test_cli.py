@@ -3,6 +3,9 @@
 import csv
 import io
 import json
+import subprocess
+import sys
+import textwrap
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +16,7 @@ from hypothesis import strategies as st
 from mdepbounds import (
     BoundReport,
     ExplicitEventFamily,
+    VerificationReport,
     WindowModel,
     consecutive_run_model,
     dump_model,
@@ -46,6 +50,17 @@ def broken_path(tmp_path):
         [0.5, 0.5], [[0], [0], [0]], 0)
     path = tmp_path / "broken.json"
     dump_model(family, path)
+    return str(path)
+
+
+@pytest.fixture
+def misdeclared_path(tmp_path):
+    """A run model's expansion claiming one less than its window needs:
+    it fails the dependence audit with a full detail list."""
+    expanded = expand_window_model(consecutive_run_model(8))
+    path = tmp_path / "misdeclared.json"
+    dump_model(ExplicitEventFamily(expanded.outcome_weights,
+                                   expanded.event_masks, 1), path)
     return str(path)
 
 
@@ -244,6 +259,51 @@ class TestSweep:
         _, _, report_err = run_cli(capsys, "report", str(path))
         assert report_err == f"error: {path}: {message}\n"
 
+    @pytest.mark.parametrize("spec, rows", [
+        ("horizon=1..4", 4), ("horizon=1..9:2", 5), ("p1=0.1..0.4:0.1", 4),
+    ], ids=["int", "int-step", "float"])
+    def test_sweep_row_cap(self, capsys, monkeypatch, w1_path, spec, rows):
+        """A range of one row more than the cap is refused before any
+        row; at the cap it runs."""
+        monkeypatch.setattr(cli, "MAX_SWEEP_ROWS", rows)
+        code, out, _ = run_cli(capsys, "sweep", w1_path, spec)
+        assert (code, len(out.splitlines())) == (0, rows + 1)
+        monkeypatch.setattr(cli, "MAX_SWEEP_ROWS", rows - 1)
+        code, out, err = run_cli(capsys, "sweep", w1_path, spec)
+        assert (code, out) == (2, "")
+        assert err == (f"error: the sweep would emit {rows} rows, above the "
+                       f"sweep cap {rows - 1}; narrow the range or raise the step\n")
+
+    @pytest.mark.parametrize("spec, rows", [
+        ("horizon=1..1000000000", 10 ** 9), ("p1=0.0..1.0:0.000000001", 10 ** 9 + 1),
+        ("p1=0.0..1.0:0." + "0" * 315 + "1", "inf"),
+    ], ids=["int", "float", "subnormal-step"])
+    def test_huge_sweep_is_refused_before_listing(self, tmp_path, spec, rows):
+        """Listing 10**9 values would take about 36 GB.  The child caps
+        its own address space 256 MiB above what it holds after the
+        import, so a regression fails instead of filling the memory."""
+        pytest.importorskip("resource")
+        if not Path("/proc/self/statm").exists():
+            pytest.skip("needs /proc/self/statm to size the cap")
+        path = tmp_path / "w.json"
+        dump_model(consecutive_run_model(4), path)
+        child = textwrap.dedent(f"""
+            import os, resource, sys
+            from mdepbounds.cli import main
+            with open("/proc/self/statm") as fh:
+                held = int(fh.read().split()[0]) * os.sysconf("SC_PAGE_SIZE")
+            cap = held + (256 << 20)
+            resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+            sys.exit(main(["sweep", {str(path)!r}, {spec!r}]))
+        """)
+        src = str(Path(cli.__file__).resolve().parents[1])
+        result = subprocess.run([sys.executable, "-c", child], cwd=src,
+                                capture_output=True, text=True, timeout=60)
+        assert (result.returncode, result.stdout) == (2, "")
+        assert result.stderr == (
+            f"error: the sweep would emit {rows} rows, above the sweep cap "
+            f"{cli.MAX_SWEEP_ROWS}; narrow the range or raise the step\n")
+
     @pytest.mark.parametrize("extra", [[], ["--mc", "10", "1"]],
                              ids=["plain", "mc"])
     def test_non_object_template_exit_2(self, capsys, tmp_path, extra):
@@ -348,7 +408,10 @@ def test_mc_matches_stored_reference_output(capsys, tmp_path, case):
 
 def round12(value):
     """Reference rounding: every float (recursively) to 12 significant
-    digits, as the JSON output promises."""
+    digits, as the JSON output promises.  A verification report stands
+    for its ``to_dict()``."""
+    if isinstance(value, VerificationReport):
+        return round12(value.to_dict())
     if isinstance(value, bool) or value is None or isinstance(value, (int, str)):
         return value
     if isinstance(value, float):
@@ -403,16 +466,10 @@ class TestJsonOutput:
         (["window", "e1", "0", "1"], 0),
         (["mc", "w1", "1", "24", "2000", "5", "--exact"], 0),
     ])
-    def test_verbs_match_reference(self, capsys, payloads, tmp_path, w1_path,
-                                   e1_path, broken_path, argv, code):
-        # A run model's expansion claiming one less than its window
-        # needs: it fails the dependence audit with a full detail list.
-        expanded = expand_window_model(consecutive_run_model(8))
-        misdeclared = tmp_path / "misdeclared.json"
-        dump_model(ExplicitEventFamily(expanded.outcome_weights,
-                                       expanded.event_masks, 1), misdeclared)
+    def test_verbs_match_reference(self, capsys, payloads, w1_path, e1_path,
+                                   broken_path, misdeclared_path, argv, code):
         paths = {"w1": w1_path, "e1": e1_path, "broken": broken_path,
-                 "misdeclared": str(misdeclared)}
+                 "misdeclared": misdeclared_path}
         got, out, _ = run_cli(capsys, argv[0], paths[argv[1]], *argv[2:])
         assert got == code
         assert out == reference_json(payloads[-1])
@@ -490,3 +547,117 @@ def test_verification_payloads_match_reference(derivation, dependence, passed):
         cli._emit_json(payload, str(path))
         written = path.read_text()
     assert stdout.getvalue() == written == reference_json(payload)
+
+
+@st.composite
+def check_blocks(draw):
+    """A block with any name text around %d fields, any kind, edge and
+    random floats, and up to a few slices of rows."""
+    from mdepbounds import CheckBlock
+    columns = draw(st.integers(0, 3))
+    parts = draw(st.lists(ROW_TEXT, min_size=columns + 1, max_size=columns + 1))
+    fmt = "%d".join(part.replace("%", "%%") for part in parts)
+    rows = 1 if columns == 0 else draw(st.integers(0, 9))
+    index = np.array(draw(st.lists(
+        st.lists(st.integers(-10 ** 6, 10 ** 6), min_size=columns, max_size=columns),
+        min_size=rows, max_size=rows)), dtype=np.int64).reshape(rows, columns)
+    values = st.lists(st.sampled_from(EDGE_FLOATS) | st.floats(), min_size=rows,
+                      max_size=rows)
+    make = draw(st.sampled_from([CheckBlock.eq, CheckBlock.le]))
+    block = make(fmt, draw(values), draw(values), draw(st.sampled_from(EDGE_FLOATS)),
+                 index)
+    kind = draw(st.sampled_from(["le", "eq"]) | ROW_TEXT)
+    return CheckBlock(fmt, index, kind, block.lhs, block.rhs, block.tol,
+                      block.slack, block.passed)
+
+
+#: Edge values overflow numpy's subtraction, which warns where float
+#: arithmetic is silent; the text is what this test is about.
+@pytest.mark.filterwarnings("ignore:.*encountered in subtract:RuntimeWarning")
+@settings(max_examples=200, deadline=None)
+@given(blocks=st.lists(check_blocks(), max_size=5))
+def test_block_rows_match_reference(blocks):
+    """Rows written from block columns, in slices of three rows here, are
+    ``json.dumps`` of the report's ``to_dict()``, byte for byte."""
+    report = VerificationReport.from_blocks(blocks)
+    slice_rows = cli._SLICE_ROWS
+    cli._SLICE_ROWS = 3
+    try:
+        text = "".join(cli._json_pieces({"report": report, "after": [report]}))
+    finally:
+        cli._SLICE_ROWS = slice_rows
+    assert text == reference_json({"report": report.to_dict(),
+                                   "after": [report.to_dict()]})
+
+
+def record_dict(checks):
+    """``VerificationReport.to_dict`` over check records, reduced the way
+    a loop over the records does it: ``max`` picks the worst check, the
+    first of a tie, and a NaN never replaces it unless it comes first."""
+    worst = max(checks, key=lambda c: c.violation, default=None)
+    return {"passed": all(c.passed for c in checks), "total": len(checks),
+            "failed": sum(not c.passed for c in checks),
+            "worst": None if worst is None else worst.name,
+            "checks": [c.to_dict() for c in checks]}
+
+
+@pytest.mark.parametrize("tol", ["1e-9", "0", "-1", "inf", "nan"])
+@pytest.mark.parametrize("model", ["w1", "e1", "misdeclared"])
+def test_verify_tolerance_edges_match_record_walks(capsys, w1_path, e1_path,
+                                                  misdeclared_path, model, tol):
+    """`verify` writes its rows, counts and worst check from the blocks'
+    arrays; at every tolerance edge (all fail, all pass, NaN) they are
+    the per-check walk's, byte for byte."""
+    from derivation_walk import derivation_walk
+    from mdepbounds import check_m_dependence, load_model
+    from mdepbounds.dependence import MAX_DETAILED_FAILURES
+    path = {"w1": w1_path, "e1": e1_path, "misdeclared": misdeclared_path}[model]
+    family = load_model(path)
+    derivation = derivation_walk(family, tol=float(tol)).checks
+    dependence = check_m_dependence(family, max_subset=3, tol=float(tol)).checks
+    passed = all(c.passed for c in derivation + dependence)
+    code, out, err = run_cli(capsys, "verify", path, "--max-subset", "3",
+                             f"--tol={tol}")
+    assert (code, err) == (0 if passed else 1, "")
+    assert out == reference_json({"passed": passed,
+                                  "derivation": record_dict(derivation),
+                                  "dependence": record_dict(dependence)})
+    if model == "misdeclared" and tol == "1e-9":
+        details = [c for c in dependence if c.name.startswith("atom_factorization")]
+        assert len(details) == MAX_DETAILED_FAILURES
+
+
+def test_verify_holds_no_record_per_check(tmp_path, monkeypatch):
+    """`verify` at N = 400, m = 1 emits 120,014 checks.  Written from the
+    blocks' columns, its traced peak stays below 24 MiB (63 MiB with a
+    record and a row dict per check), and it makes no more ``Check.eq``
+    or ``Check.le`` records than the audits have blocks (17 derivation
+    blocks at m = 1, at most 51 dependence blocks)."""
+    import tracemalloc
+    from mdepbounds import Check
+    from mdepbounds.verify import derivation_check_count
+    path = tmp_path / "run400.json"
+    dump_model(consecutive_run_model(400, m=1), path)
+    records = 0
+
+    def counted(make):
+        def count(*args):
+            nonlocal records
+            records += 1
+            return make(*args)
+        return count
+
+    monkeypatch.setattr(Check, "eq", counted(Check.eq))
+    monkeypatch.setattr(Check, "le", counted(Check.le))
+    tracemalloc.start()
+    try:
+        code = main(["verify", str(path), "--max-subset", "2",
+                     "--out", str(tmp_path / "out.json")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert json.loads((tmp_path / "out.json").read_text())["derivation"]["total"] \
+        == derivation_check_count(400, 1) == 120_012
+    assert peak < 24 << 20
+    assert records <= 17 + 51

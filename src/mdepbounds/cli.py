@@ -202,14 +202,18 @@ _SWEEP_RE = re.compile(
 
 
 #: Refuse a sweep of more rows than this before listing any.  A row
-#: costs what one ``report`` on its model costs: about 0.25 ms on a small
-#: model and 9 us per event with --exact, so ``horizon=1..10000 --exact``
-#: (the cap) runs for minutes, not hours.
+#: costs what one ``report`` on its model costs, about 0.25 ms on a small
+#: model.
 MAX_SWEEP_ROWS = 10_000
 
+#: Refuse a sweep whose --exact rows sum to more events than this before
+#: computing any.  An exact row costs 7-10 us per event, so the cap, the
+#: sum of ``horizon=1..10000``, runs for minutes, not hours.
+MAX_SWEEP_EXACT_EVENTS = 50_005_000
 
-def _parse_sweep(spec: str) -> tuple[str, Iterable[Any]]:
-    """The swept parameter and its values, in order and produced lazily,
+
+def _parse_sweep(spec: str) -> tuple[str, Sequence[Any]]:
+    """The swept parameter and its values in order, a range or a list,
     after the row count is checked against ``MAX_SWEEP_ROWS``."""
     match = _SWEEP_RE.match(spec)
     if not match:
@@ -237,7 +241,7 @@ def _parse_sweep(spec: str) -> tuple[str, Iterable[Any]]:
                  else int(round(steps)) + 1)
         _require_sweep_rows(count)
         values = (lo + k * step for k in range(count))
-        return f"p{prob[1]}", (v for v in values if v <= hi + 1e-12)
+        return f"p{prob[1]}", [v for v in values if v <= hi + 1e-12]
     raise ModelSpecError(f"unknown sweep parameter {name!r}; supported: "
                          f"horizon, m, p<digit> (symbol probability)")
 
@@ -290,9 +294,18 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
-    for value in values:
+    for row, value in enumerate(values):
         where = f"{args.model}[{name}={value}]"
         family = parse_model(_apply_sweep(template, name, value, where), where)
+        if args.exact and not row:
+            # Only a horizon sweep changes N, by a fixed step a row.
+            last = values[-1] if name == "horizon" else family.n_events
+            events = len(values) * (family.n_events + last) // 2
+            if events > MAX_SWEEP_EXACT_EVENTS:
+                raise CapExceededError(
+                    f"the sweep's exact rows would cover {events} events, above "
+                    f"the exact sweep cap {MAX_SWEEP_EXACT_EVENTS}; narrow the "
+                    f"range or drop --exact")
         report = build_report(family, exact=args.exact, mc=mc)
         # Column mc_<field> is that field of the Monte Carlo record; every
         # other column after param is the report field of its name.

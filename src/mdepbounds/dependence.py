@@ -193,4 +193,4 @@ def check_m_dependence(family: Family, m: int | None = None, *,
         failures.extend(itertools.islice(
             details, MAX_DETAILED_FAILURES - len(failures)))
 
-    return VerificationReport.from_blocks(blocks + failures)
+    return VerificationReport(tuple(blocks + failures))

@@ -6,8 +6,8 @@ instead of as bare booleans.  The audits emit their checks as
 :class:`CheckBlock` columns, one block per batch of checks that share a
 kind, a tolerance and a name pattern: lhs, rhs, slack and passed are
 float64 and bool arrays, and the names are a %-format over integer
-index columns.  A :class:`VerificationReport` is an ordered run of
-blocks; its summary (passed, counts, the worst check) is array
+index columns.  A :class:`VerificationReport` is a run of blocks and
+nothing else; its summary (passed, counts, the worst check) is array
 reductions, and a :class:`Check` record per row is built only when
 ``checks``, ``failures`` or ``to_dict`` asks for one.
 """
@@ -17,7 +17,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -58,9 +58,7 @@ class Check(NamedTuple):
         return self.slack - self.tol
 
     def to_dict(self) -> dict:
-        return {"name": self.name, "kind": self.kind, "lhs": self.lhs,
-                "rhs": self.rhs, "tol": self.tol, "slack": self.slack,
-                "passed": self.passed}
+        return self._asdict()
 
     @classmethod
     def from_dict(cls, d: dict) -> "Check":
@@ -117,9 +115,9 @@ class CheckBlock:
 
     @classmethod
     def of(cls, check: Check) -> "CheckBlock":
-        """The one-row block of a check record, its values as given."""
+        """The one-row block of a check record, its numbers as float64."""
         return cls(check.name.replace("%", "%%"), _NO_INDEX, check.kind,
-                   _column(check.lhs), _column(check.rhs), check.tol,
+                   _column(check.lhs), _column(check.rhs), float(check.tol),
                    _column(check.slack), np.array([check.passed], dtype=bool))
 
     @property
@@ -140,34 +138,22 @@ def _column(values) -> np.ndarray:
     return np.array(values, dtype=np.float64, ndmin=1, copy=None)
 
 
+@dataclass(frozen=True, eq=False)
 class VerificationReport:
-    """Ordered, deterministic collection of checks.
+    """Ordered, deterministic run of check blocks; a check record enters
+    as its one-row block, ``CheckBlock.of(check)``.  Reports are equal
+    when their checks are."""
 
-    Built from check records (``VerificationReport(checks)``) or from
-    blocks (``from_blocks``); either form is derived from the other on
-    first use.  Reports are equal when their checks are.
-    """
+    blocks: tuple[CheckBlock, ...]
 
-    def __init__(self, checks: Iterable[Check]) -> None:
-        self.__dict__["checks"] = tuple(checks)
-
-    @classmethod
-    def from_blocks(cls, blocks: Iterable[CheckBlock]) -> "VerificationReport":
-        report = cls.__new__(cls)
-        report.__dict__["blocks"] = tuple(blocks)
-        return report
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"{type(self).__name__} is immutable")
+    def __post_init__(self) -> None:
+        if not all(isinstance(block, CheckBlock) for block in self.blocks):
+            raise TypeError("a report holds CheckBlocks; wrap a Check with CheckBlock.of")
 
     @functools.cached_property
     def checks(self) -> tuple[Check, ...]:
         return tuple(itertools.chain.from_iterable(
             block.checks() for block in self.blocks))
-
-    @functools.cached_property
-    def blocks(self) -> tuple[CheckBlock, ...]:
-        return tuple(map(CheckBlock.of, self.checks))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, VerificationReport):
@@ -216,4 +202,4 @@ class VerificationReport:
 
     @classmethod
     def from_dict(cls, d: dict) -> "VerificationReport":
-        return cls(tuple(Check.from_dict(c) for c in d["checks"]))
+        return cls(tuple(CheckBlock.of(Check.from_dict(c)) for c in d["checks"]))

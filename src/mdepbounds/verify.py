@@ -93,14 +93,7 @@ def _require_desk_scale(family: Family) -> None:
 
 def _pairs(values: np.ndarray) -> np.ndarray:
     """The 2-subsets of `values` in lexicographic order, as (K, 2) rows."""
-    n = len(values)
-    counts = np.arange(n - 1, -1, -1)  # pairs whose first member is values[i]
-    first = np.repeat(np.arange(n), counts)
-    # Pair t of the run of first member i, which starts at sum(counts[:i]),
-    # has second member i + 1 + t - sum(counts[:i]).
-    second = np.arange(len(first)) - np.repeat(
-        np.cumsum(counts) - counts - np.arange(1, n + 1), counts)
-    return np.stack([values[first], values[second]], axis=1)
+    return values[np.stack(np.triu_indices(len(values), 1), axis=1)]
 
 
 def verify_derivation(family: Family, *, tol: float = 1e-9) -> VerificationReport:
@@ -242,4 +235,4 @@ def verify_derivation(family: Family, *, tol: float = 1e-9) -> VerificationRepor
         blocks.append(CheckBlock.le("bound_vs_exact[second_order]",
                                     b2, union_all, tol))
 
-    return VerificationReport.from_blocks(blocks)
+    return VerificationReport(tuple(blocks))

@@ -14,8 +14,8 @@ from __future__ import annotations
 import itertools
 import math
 
-from mdepbounds import (Check, VerificationReport, block_event_prob,
-                        complement_intersection_prob, event_prob,
+from mdepbounds import (Check, CheckBlock, VerificationReport,
+                        block_event_prob, complement_intersection_prob, event_prob,
                         first_order_bound, pair_shift_count, partial_sum,
                         residue_classes, second_order_bound, shifted_blocks,
                         t_local, union_prob)
@@ -130,4 +130,4 @@ def derivation_walk(family, *, tol: float = 1e-9) -> VerificationReport:
         checks.append(Check.le("bound_vs_exact[second_order]",
                                b2, union_all, tol))
 
-    return VerificationReport(tuple(checks))
+    return VerificationReport(tuple(map(CheckBlock.of, checks)))

@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import itertools
 
-from mdepbounds import Check, VerificationReport, WindowModel, pattern_distribution
+from mdepbounds import (Check, CheckBlock, VerificationReport, WindowModel,
+                        pattern_distribution)
 from mdepbounds.dependence import MAX_DETAILED_FAILURES, _worst_atom_violation
 
 
@@ -73,4 +74,4 @@ def subset_walk(family, m=None, *, max_subset=4, tol=1e-9) -> VerificationReport
             f"factorization[subset_size={size},splits={n_splits_by_size[size]}]",
             worst_by_size[size], 0.0, tol))
     checks.extend(failures)
-    return VerificationReport(tuple(checks))
+    return VerificationReport(tuple(map(CheckBlock.of, checks)))

@@ -274,6 +274,50 @@ class TestSweep:
         assert err == (f"error: the sweep would emit {rows} rows, above the "
                        f"sweep cap {rows - 1}; narrow the range or raise the step\n")
 
+    @pytest.mark.parametrize("model, spec, events", [
+        ("w1", "horizon=1..4", 10), ("w1", "horizon=3..9:3", 18),
+        ("w1", "p1=0.1..0.4:0.1", 4 * 24), ("e1", "m=1..2", 2 * 2),
+    ], ids=["int", "int-step", "float", "m"])
+    def test_exact_sweep_event_cap(self, capsys, monkeypatch, w1_path, e1_path,
+                                   model, spec, events):
+        """The events of a sweep's --exact rows are summed before any row:
+        a horizon sweep's from its range, any other's as rows times the
+        first row's N.  At the cap it runs; one event less and it is
+        refused, with or without rows."""
+        path = {"w1": w1_path, "e1": e1_path}[model]
+        monkeypatch.setattr(cli, "MAX_SWEEP_EXACT_EVENTS", events)
+        code, out, _ = run_cli(capsys, "sweep", path, spec, "--exact")
+        rows = len(out.splitlines()) - 1
+        assert code == 0 and rows > 0
+        monkeypatch.setattr(cli, "MAX_SWEEP_EXACT_EVENTS", events - 1)
+        code, out, err = run_cli(capsys, "sweep", path, spec, "--exact")
+        assert (code, out) == (2, "")
+        assert err == (f"error: the sweep's exact rows would cover {events} "
+                       f"events, above the exact sweep cap {events - 1}; "
+                       f"narrow the range or drop --exact\n")
+        code, out, _ = run_cli(capsys, "sweep", path, spec)
+        assert (code, len(out.splitlines()) - 1) == (0, rows)
+
+    @pytest.mark.parametrize("spec, exact, err", [
+        ("horizon=100000..109999", True,
+         "error: the sweep's exact rows would cover 1049995000 events, above "
+         "the exact sweep cap 50005000; narrow the range or drop --exact\n"),
+        ("horizon=100000..109999", False, "error: a row was computed\n"),
+        ("horizon=1..10000", True, "error: a row was computed\n"),
+    ], ids=["exact", "plain", "documented-exact"])
+    def test_long_exact_sweep_is_refused_before_any_row(
+            self, capsys, monkeypatch, w1_path, spec, exact, err):
+        """10,000 exact rows at N >= 10**5 would run for hours; they are
+        refused before the first report.  Without --exact, and for the
+        documented horizon=1..10000 --exact, the first row is computed."""
+        def no_row(*args, **kwargs):
+            raise ValueError("a row was computed")
+
+        monkeypatch.setattr(cli, "build_report", no_row)
+        code, out, got = run_cli(capsys, "sweep", w1_path, spec,
+                                 *["--exact"][:exact])
+        assert (code, out, got) == (2, "", err)
+
     @pytest.mark.parametrize("spec, rows", [
         ("horizon=1..1000000000", 10 ** 9), ("p1=0.0..1.0:0.000000001", 10 ** 9 + 1),
         ("p1=0.0..1.0:0." + "0" * 315 + "1", "inf"),
@@ -535,10 +579,12 @@ def test_verification_payloads_match_reference(derivation, dependence, passed):
     same on stdout and through --out, byte for byte as json.dumps."""
     import contextlib
     import tempfile
-    from mdepbounds import VerificationReport
+    from mdepbounds import CheckBlock, VerificationReport
     payload = {"passed": passed,
-               "derivation": VerificationReport(tuple(derivation)).to_dict(),
-               "dependence": VerificationReport(tuple(dependence)).to_dict()}
+               "derivation": VerificationReport(
+                   tuple(map(CheckBlock.of, derivation))).to_dict(),
+               "dependence": VerificationReport(
+                   tuple(map(CheckBlock.of, dependence))).to_dict()}
     stdout = io.StringIO()
     with contextlib.redirect_stdout(stdout):
         cli._emit_json(payload, None)
@@ -579,7 +625,7 @@ def check_blocks(draw):
 def test_block_rows_match_reference(blocks):
     """Rows written from block columns, in slices of three rows here, are
     ``json.dumps`` of the report's ``to_dict()``, byte for byte."""
-    report = VerificationReport.from_blocks(blocks)
+    report = VerificationReport(tuple(blocks))
     slice_rows = cli._SLICE_ROWS
     cli._SLICE_ROWS = 3
     try:
@@ -588,6 +634,40 @@ def test_block_rows_match_reference(blocks):
         cli._SLICE_ROWS = slice_rows
     assert text == reference_json({"report": report.to_dict(),
                                    "after": [report.to_dict()]})
+
+
+def test_records_are_written_as_their_blocks():
+    """A record holding an int or a numpy scalar enters a report as its
+    one-row block, so ``to_dict()`` and the emitter give the same text
+    (``3.0``, never ``3``)."""
+    from mdepbounds import Check, CheckBlock
+    records = [Check("int", "le", 3, 2, 0, 1, False),
+               Check.le("ints", 3, 2, 0),
+               Check("numpy", "eq", np.float64(0.5), np.float64(0.25),
+                     np.float64(1e-9), np.float64(0.25), np.bool_(False)),
+               Check.eq("numpy-made", np.float64(1 / 3), np.float64(0.25), 1e-9)]
+    report = VerificationReport(tuple(map(CheckBlock.of, records)))
+    text = "".join(cli._json_pieces({"r": report}))
+    assert text == reference_json({"r": report.to_dict()})
+    assert '"lhs": 3.0,' in text and '"tol": 0.0,' in text
+
+
+def test_report_refuses_records():
+    from mdepbounds import Check
+    record = Check.le("x", 0.0, 1.0, 0.0)
+    with pytest.raises(TypeError, match=r"CheckBlock\.of"):
+        VerificationReport((record,))
+
+
+@pytest.mark.parametrize("model", ["w1", "e1", "misdeclared"])
+def test_audit_reports_roundtrip_through_dict(w1_path, e1_path, misdeclared_path,
+                                             model):
+    from mdepbounds import check_m_dependence, load_model, verify_derivation
+    path = {"w1": w1_path, "e1": e1_path, "misdeclared": misdeclared_path}[model]
+    family = load_model(path)
+    for report in (verify_derivation(family),
+                   check_m_dependence(family, max_subset=3)):
+        assert VerificationReport.from_dict(report.to_dict()) == report
 
 
 def record_dict(checks):

@@ -179,3 +179,15 @@ class TestVerifyReportShape:
         worst = report.worst()
         assert not worst.passed
         assert worst.violation > 0
+
+
+@pytest.mark.parametrize("n", range(61))
+def test_pairs_are_the_lexicographic_2_subsets(n):
+    import itertools
+    from mdepbounds.verify import _pairs
+    values = (np.arange(2 * n, dtype=np.int64) * 7 - 40)[::2]
+    expected = np.array(list(itertools.combinations(values, 2)),
+                        dtype=np.int64).reshape(-1, 2)
+    got = _pairs(values)
+    assert got.dtype == np.int64 and got.shape == expected.shape
+    assert np.array_equal(got, expected)

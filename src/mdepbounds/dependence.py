@@ -17,6 +17,17 @@ stands for C(N-1-S+j+1, j+1) subsets, so the audit costs the same at any
 horizon N.  On an explicit family every subset is its own group.  The
 cap ``MAX_SUBSETS`` counts groups, the representatives evaluated.
 
+The representatives are evaluated in batches, not one by one.  A split
+shape is one (I, J) bipartition of the positions 0..k-1 of a k-subset,
+with position 0 in I; a subset admits it when I and J are unions of its
+chains (the runs of positions whose gaps stay within m).  The groups of
+one size come in chunks of at most ``BATCH_CELLS`` pattern-law cells;
+the family answers a chunk's laws in one call (``pattern_laws``), and
+each split shape is measured on every row of the chunk that admits it
+in one pass of array operations.  So the numpy calls per chunk grow
+with the 2**(k-1) - 1 split shapes, not with the groups, and each
+number is the one a scalar walk over the same subset gives.
+
 A family whose representation fixes a dependence range
 (``structural_range``) gets a structural certificate as well, but the
 numerical check still runs.
@@ -27,7 +38,6 @@ from __future__ import annotations
 import heapq
 import itertools
 import operator
-from typing import Iterator
 
 import numpy as np
 
@@ -39,6 +49,11 @@ from .reports import CheckBlock, VerificationReport
 #: this raises instead of silently running for hours; lower max_subset
 #: to stay under it.
 MAX_SUBSETS = 200_000
+
+#: Pattern-law cells per batch: the audit takes the subset groups of
+#: size k in chunks of BATCH_CELLS >> k rows (at least one), so its
+#: working memory does not grow with the number of groups.
+BATCH_CELLS = 1 << 16
 
 #: At most this many failing (I, J) splits are itemized in the report
 #: (summary checks always cover everything).
@@ -62,56 +77,42 @@ def pattern_distribution(family: Family, indices: tuple[int, ...]) -> np.ndarray
     return family.pattern_law(indices).copy()  # memoized window laws are read-only
 
 
-def _chains(indices: tuple[int, ...], m: int) -> list[list[int]]:
-    """Split the positions of sorted `indices` into runs whose consecutive
-    index gaps are <= m."""
-    chains = [[0]]
-    for t, (a, b) in enumerate(itertools.pairwise(indices), start=1):
-        if b - a > m:
-            chains.append([t])
-        else:
-            chains[-1].append(t)
-    return chains
-
-
-def _splits(chains: list[list[int]]) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """(I, J) position tuples for every bipartition of the chains; fixing
-    chain 0 on the I side dedupes (I, J) against (J, I)."""
-    for mask in range(1 << (len(chains) - 1)):
-        side_i = [chains[0]]
-        side_j = []
-        for c, chain in enumerate(chains[1:]):
-            (side_i if mask >> c & 1 else side_j).append(chain)
-        if side_j:
-            yield (tuple(t for chain in side_i for t in chain),
-                   tuple(t for chain in side_j for t in chain))
+def _split(shape: int, size: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The (I, J) positions of split shape `shape`: position t >= 1 is in
+    I when bit t-1 is set, and position 0 always is."""
+    side_i = [t for t in range(1, size) if shape >> (t - 1) & 1]
+    return (0, *side_i), tuple(t for t in range(1, size) if t not in side_i)
 
 
 def _at(subset: tuple[int, ...], positions: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(subset[t] for t in positions)
 
 
-def _sum_out(law: np.ndarray, axes: list[int]) -> np.ndarray:
-    """Sum `law` over the ascending `axes`, keeping dims, adding terms one
-    at a time in pattern order so ties break as in a scalar loop."""
-    keep = [a for a in range(law.ndim) if a not in axes]
-    shape = [1 if a in axes else 2 for a in range(law.ndim)]
-    return law.transpose(axes + keep).reshape(-1, *shape).cumsum(axis=0)[-1]
+def _sum_out(laws: np.ndarray, axes: list[int]) -> np.ndarray:
+    """Sum every law of a (K, 2, .., 2) batch over the ascending `axes`
+    (never the batch axis 0), keeping dims, adding terms one at a time in
+    pattern order so ties break as in a scalar loop."""
+    keep = [a for a in range(1, laws.ndim) if a not in axes]
+    shape = [1 if a in axes else 2 for a in range(1, laws.ndim)]
+    terms = laws.transpose([0, *axes, *keep]).reshape(len(laws), -1, *shape)
+    return terms.cumsum(axis=1)[:, -1]
 
 
-def _worst_atom_violation(joint: np.ndarray, pos_i: tuple[int, ...],
-                          pos_j: tuple[int, ...], u: int) -> float:
-    """Largest signed P(a and b) - P(a)P(b) over atom pairs, by magnitude.
+def _worst_violations(laws: np.ndarray, pos_i: tuple[int, ...],
+                      pos_j: tuple[int, ...]) -> np.ndarray:
+    """Per row of a (K, 2**u) batch of pattern laws, the largest signed
+    P(a and b) - P(a)P(b) over atom pairs, by magnitude.
 
-    `pos_i` and `pos_j` partition the u pattern bits.  Bit t is axis
-    u-1-t of the (2,)*u law, so its C-order ravel is the pattern order
-    and the first pattern of largest magnitude wins.
+    `pos_i` and `pos_j` partition the u pattern bits.  Bit t is axis u-t
+    of the (K, 2, .., 2) batch, so each row's C-order ravel is the
+    pattern order and the first pattern of largest magnitude wins.
     """
-    law = joint.reshape((2,) * u)
-    marg_i = _sum_out(law, sorted(u - 1 - t for t in pos_j))
-    marg_j = _sum_out(law, sorted(u - 1 - t for t in pos_i))
-    diff = (law - marg_i * marg_j).ravel()
-    return float(diff[np.abs(diff).argmax()])
+    k, u = len(laws), len(pos_i) + len(pos_j)
+    law = laws.reshape(k, *(2,) * u)
+    marg_i = _sum_out(law, sorted(u - t for t in pos_j))
+    marg_j = _sum_out(law, sorted(u - t for t in pos_i))
+    diff = (law - marg_i * marg_j).reshape(k, -1)
+    return diff[np.arange(k), np.abs(diff).argmax(axis=1)]
 
 
 def check_m_dependence(family: Family, m: int | None = None, *,
@@ -133,7 +134,9 @@ def check_m_dependence(family: Family, m: int | None = None, *,
     and weighted by the group's size.  On a window model a group is a gap
     tuple clamped at c = max(m, model m) + 1, so the work is the number
     of such tuples, at most c**(max_subset-1) per size at any N; an
-    explicit family has one group per subset.
+    explicit family has one group per subset.  The representatives are
+    measured in chunks, one batched pass per split shape (see the module
+    docstring).
 
     Raises CapExceededError when the number of groups (the candidate
     index subsets evaluated) would exceed `max_subsets`; lowering
@@ -167,29 +170,54 @@ def check_m_dependence(family: Family, m: int | None = None, *,
         # and groups come in order of their first members: the first k
         # failures in subset order lie in the first k failing groups.
         failing = []
-        for group in family.subset_groups(size, m + 1):
-            chains = _chains(group.first, m)
-            if len(chains) < 2:
+        # Split shape s puts position t on side I when bit t of 2s+1 is
+        # set.  Bit t-1 of turns[s] marks a change of side between
+        # positions t-1 and t, which only a gap wider than m allows.  A
+        # subset's splits in increasing s are its splits in chain order.
+        low = (1 << (size - 1)) - 1
+        sides = np.arange(low) << 1 | 1
+        turns = (sides ^ sides >> 1) & low
+        splits = [_split(s, size) for s in range(low)]
+        groups = family.subset_groups(size, m + 1)
+        batch = max(1, BATCH_CELLS >> size)
+        for chunk in iter(lambda: list(itertools.islice(groups, batch)), []):
+            firsts = np.array([group.first for group in chunk])
+            cuts = (np.diff(firsts, axis=1) > m) @ (1 << np.arange(size - 1))
+            admits = (turns & ~cuts[:, None]) == 0
+            rows = np.flatnonzero(admits.any(axis=1))
+            if not rows.size:
                 continue
-            joint = pattern_distribution(family, group.first)
-            bad = []
-            for pos_i, pos_j in _splits(chains):
-                violation = _worst_atom_violation(joint, pos_i, pos_j, size)
-                n_splits += group.count
-                if abs(violation) > abs(worst):
-                    worst = violation
-                if abs(violation) > tol:
-                    bad.append((pos_i, pos_j, violation))
-            if bad and len(failing) < MAX_DETAILED_FAILURES - len(failures):
-                failing.append(zip(group.members, itertools.repeat(bad)))
+            admits = admits[rows]
+            laws = family.pattern_laws(firsts[rows])
+            # violations[r, s]: row r's worst atom violation at shape s,
+            # 0.0 where the row does not admit s.
+            violations = np.zeros(admits.shape)
+            for s, (pos_i, pos_j) in enumerate(splits):
+                at = np.flatnonzero(admits[:, s])
+                if at.size:
+                    violations[at, s] = _worst_violations(laws[at], pos_i, pos_j)
+            counts = [chunk[r].count for r in rows.tolist()]
+            n_splits += sum(map(operator.mul, counts, admits.sum(axis=1).tolist()))
+            # The first largest magnitude in (group, split) order.
+            magnitude = np.abs(violations)
+            top = violations.flat[magnitude.argmax()]
+            if abs(top) > abs(worst):
+                worst = float(top)
+            bad = (magnitude > tol) & admits
+            room = MAX_DETAILED_FAILURES - len(failures) - len(failing)
+            for r in np.flatnonzero(bad.any(axis=1))[:room].tolist():
+                bad_splits = [(*splits[s], float(violations[r, s]))
+                              for s in np.flatnonzero(bad[r]).tolist()]
+                failing.append(zip(chunk[rows[r]].members,
+                                   itertools.repeat(bad_splits)))
         blocks.append(CheckBlock.eq(
             f"factorization[subset_size={size},splits={n_splits}]",
             worst, 0.0, tol))
         details = (
             CheckBlock.eq(f"atom_factorization[I={_at(subset, pos_i)},"
                           f"J={_at(subset, pos_j)}]", violation, 0.0, tol)
-            for subset, bad in heapq.merge(*failing)
-            for pos_i, pos_j, violation in bad)
+            for subset, bad_splits in heapq.merge(*failing)
+            for pos_i, pos_j, violation in bad_splits)
         failures.extend(itertools.islice(
             details, MAX_DETAILED_FAILURES - len(failures)))
 

@@ -27,6 +27,9 @@ and the audits read without checking the representation: ``event_probs``
 index array, the probability that no listed event fires; a window model
 answers once per row of gaps clamped at m+1),
 ``pattern_law(indices)`` (the joint law of the indicators),
+``pattern_laws(rows)`` (the laws of the rows of a 2-D index array, one
+row each: an explicit family bins them together, a window model looks
+each up by its clamped gaps),
 ``require_query_scale()`` (refuses a family whose single exact query is
 too large for an audit that makes thousands of them),
 ``structural_range`` (a range m' that the representation itself
@@ -75,6 +78,10 @@ MASS_TOL = 1e-9
 #: ``expand_window_model`` builds).
 MAX_WINDOW_TABLE = 1 << 16
 MAX_EXPLICIT_OUTCOMES = 1 << 20
+
+#: Atom cells (rows times atoms) per ``np.bincount`` of an explicit
+#: family's ``pattern_laws``, so a batch's ids stay a few hundred KiB.
+ATOM_BATCH_CELLS = 1 << 16
 
 
 class SubsetGroup(NamedTuple):
@@ -241,9 +248,34 @@ class ExplicitEventFamily:
                 f"{MAX_EXPLICIT_OUTCOMES}")
 
     def pattern_law(self, indices: Sequence[int]) -> np.ndarray:
+        return self.pattern_laws(np.array([indices], dtype=np.int64))[0]
+
+    def pattern_laws(self, rows: np.ndarray) -> np.ndarray:
+        """One ``np.bincount`` over (row, pattern) ids per batch of rows
+        that fits ``ATOM_BATCH_CELLS`` atom cells.  A bin adds its atoms
+        in atom order, so a row's law does not depend on the batch."""
         masks, weights = self.atoms
-        ids = (1 << np.arange(len(indices))) @ masks[np.subtract(indices, 1)]
-        return np.bincount(ids, weights=weights, minlength=1 << len(indices))
+        bits = masks.view(np.uint8)
+        n_rows, u = rows.shape
+        laws = np.empty((n_rows, 1 << u))
+        step = max(1, min(n_rows, ATOM_BATCH_CELLS // weights.size))
+        # Row r of a batch has pattern ids offset by r << u, in the
+        # narrowest signed type that holds them (np.bincount refuses
+        # uint64); every batch reuses one tiling of the weights.
+        dtype = np.min_scalar_type(-(step << u))
+        offsets = (np.arange(step, dtype=dtype) << u)[:, None]
+        tiled = np.tile(weights, step)
+        for lo in range(0, n_rows, step):
+            block = rows[lo:lo + step] - 1
+            k = len(block)
+            ids = np.empty((k, weights.size), dtype)
+            ids[:] = offsets[:k]
+            for t in range(u):
+                ids |= np.left_shift(bits[block[:, t]], t, dtype=dtype)
+            laws[lo:lo + k] = np.bincount(
+                ids.ravel(), weights=tiled[:ids.size],
+                minlength=k << u).reshape(k, 1 << u)
+        return laws
 
     def subset_group_count(self, size: int, far: int) -> int:
         return math.comb(self.n_events, size)
@@ -472,6 +504,11 @@ class WindowModel:
 
     def pattern_law(self, indices: Sequence[int]) -> np.ndarray:
         return self._law(indices, branch=True)
+
+    def pattern_laws(self, rows: np.ndarray) -> np.ndarray:
+        """One memoized ``_law`` per row."""
+        laws = [self._law(row, branch=True) for row in rows.tolist()]
+        return np.array(laws).reshape(len(rows), 1 << rows.shape[1])
 
     def _clamp(self, far: int) -> int:
         """Gaps of c or more are one class: ``_law`` clamps at m+1 and the

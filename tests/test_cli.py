@@ -318,6 +318,49 @@ class TestSweep:
                                  *["--exact"][:exact])
         assert (code, out, got) == (2, "", err)
 
+    @pytest.mark.parametrize("model, spec, work", [
+        ("w1", "horizon=1..4", 10 * 200), ("w1", "p1=0.1..0.4:0.1", 4 * 24 * 200),
+        ("e1", "m=1..2", 2 * 2 * 200),
+    ], ids=["int", "float", "m"])
+    def test_mc_sweep_work_cap(self, capsys, monkeypatch, w1_path, e1_path,
+                               model, spec, work):
+        """Trials times the events of a sweep's --mc rows are summed before
+        any row.  At the cap it runs; one trial-event less and it is
+        refused, before any row."""
+        path = {"w1": w1_path, "e1": e1_path}[model]
+        monkeypatch.setattr(cli, "MAX_SWEEP_MC_WORK", work)
+        code, out, err = run_cli(capsys, "sweep", path, spec, "--mc", "200", "1")
+        if model == "w1":
+            assert (code, len(out.splitlines()) > 1) == (0, True)
+        else:  # the estimator refuses explicit families after the cap
+            assert (code, out) == (2, "") and "window model" in err
+        monkeypatch.setattr(cli, "MAX_SWEEP_MC_WORK", work - 1)
+        code, out, err = run_cli(capsys, "sweep", path, spec, "--mc", "200", "1")
+        assert (code, out) == (2, "")
+        assert err == (f"error: the sweep's Monte Carlo rows would cover {work} "
+                       f"trial-events, above the Monte Carlo sweep cap "
+                       f"{work - 1}; narrow the range or lower TRIALS\n")
+
+    @pytest.mark.parametrize("args, err", [
+        (("horizon=1..10000", "--mc", "100000", "1"),
+         "error: the sweep's Monte Carlo rows would cover 5000500000000 "
+         "trial-events, above the Monte Carlo sweep cap 30000000000; narrow "
+         "the range or lower TRIALS\n"),
+        (("horizon=1..10000", "--mc", "500", "1"), "error: a row was computed\n"),
+        (("horizon=1..10000", "--exact", "--mc", "500", "1"),
+         "error: a row was computed\n"),
+    ], ids=["refused", "admitted", "admitted-exact"])
+    def test_long_mc_sweep_is_refused_before_any_row(
+            self, capsys, monkeypatch, w1_path, args, err):
+        """10**5 trials on each of horizon=1..10000 would run for about 14
+        hours; it is refused before the first report.  500 trials, about
+        4 minutes of work, reach the first row."""
+        def no_row(*args, **kwargs):
+            raise ValueError("a row was computed")
+
+        monkeypatch.setattr(cli, "build_report", no_row)
+        assert run_cli(capsys, "sweep", w1_path, *args) == (2, "", err)
+
     @pytest.mark.parametrize("spec, rows", [
         ("horizon=1..1000000000", 10 ** 9), ("p1=0.0..1.0:0.000000001", 10 ** 9 + 1),
         ("p1=0.0..1.0:0." + "0" * 315 + "1", "inf"),

@@ -11,7 +11,7 @@ from mdepbounds import (
     pattern_distribution,
     random_window_model,
 )
-from mdepbounds.dependence import _worst_atom_violation
+from mdepbounds.dependence import _worst_violations
 from mdepbounds.errors import CapExceededError
 
 
@@ -159,14 +159,27 @@ def random_joints(rng, count):
 
 
 def test_vectorized_atom_violation_matches_loop():
+    """The batched measure, on a batch of one row and on the batch of all
+    laws of one size under one split, against the scalar loop."""
     rng = np.random.default_rng(2024)
+    by_size = {}
     for joint, u in random_joints(rng, 400):
         cut = int(rng.integers(1, u))
         order = rng.permutation(u)
         pos_i = tuple(sorted(int(t) for t in order[:cut]))
         pos_j = tuple(sorted(int(t) for t in order[cut:]))
         worst = loop_worst_atom_violation(joint, pos_i, pos_j, u)
-        got = _worst_atom_violation(joint, pos_i, pos_j, u)
+        (got,) = _worst_violations(joint[None, :], pos_i, pos_j)
         assert abs(got - worst) <= 1e-15
         # Same arg-worst: tied atoms of opposite sign break the same way.
         assert np.sign(got) == np.sign(worst)
+        by_size.setdefault(u, []).append(joint)
+    for u, joints in by_size.items():
+        pos_i = (0,) + tuple(range(2, u, 2))
+        pos_j = tuple(range(1, u, 2))
+        got = _worst_violations(np.array(joints), pos_i, pos_j)
+        assert len(got) == len(joints) > 1
+        for joint, value in zip(joints, got):
+            worst = loop_worst_atom_violation(joint, pos_i, pos_j, u)
+            assert abs(value - worst) <= 1e-15
+            assert np.sign(value) == np.sign(worst)

@@ -36,8 +36,8 @@ MAX_STRINGS = 1 << 12
 #: The family protocol: every member the query functions and the audits
 #: read without checking the representation.
 PROTOCOL = ("event_probs", "prefix_probs", "pair_probs", "pair_mass", "union",
-            "survivals", "pattern_law", "require_query_scale", "structural_range",
-            "subset_groups", "subset_group_count")
+            "survivals", "pattern_law", "pattern_laws", "require_query_scale",
+            "structural_range", "subset_groups", "subset_group_count")
 
 
 @pytest.mark.parametrize("cls", [WindowModel, ExplicitEventFamily])

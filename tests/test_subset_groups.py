@@ -6,8 +6,10 @@ window model groups subsets by their gap tuple clamped at
 max(claimed m, model m) + 1; an explicit family puts every subset in a
 group of its own.  These tests hold the groups against plain
 enumeration, require the grouped audit's report to equal the subset walk
-in ``tests/subset_walk.py`` (failures and detail lists included), and
-guard that the audit's work on a window model does not grow with N.
+in ``tests/subset_walk.py`` (failures and detail lists included) on both
+representations, require the batched evaluation to give the same report
+at any batch budget, and guard that the audit's work on a window model
+does not grow with N.
 """
 
 import itertools
@@ -26,9 +28,10 @@ from mdepbounds import (
     expand_window_model,
     random_window_model,
 )
-from mdepbounds import dependence
+from mdepbounds import dependence, families
 
 from subset_walk import chains, subset_walk
+from test_dependence import random_joints
 
 #: Largest horizon drawn per max_subset, so one reference walk stays
 #: under about 0.2 s.
@@ -80,6 +83,122 @@ def test_explicit_families_equal_subset_walk():
         == subset_walk(explicit, 1).to_dict()
 
 
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), max_subset=st.integers(2, 4),
+       shift=st.sampled_from([-2, -1, 0, 1]))
+def test_expanded_audit_equals_subset_walk(seed, max_subset, shift):
+    """The explicit expansion of a window model, claimed below, at and
+    above the model's own range (its true range for most tables)."""
+    model = random_window_model(seed, alphabet_sizes=(2,),
+                                dependence_ranges=(1, 2, 3), max_horizon=9)
+    explicit = expand_window_model(model)
+    claimed = max(model.m + shift, 0)
+    assert check_m_dependence(explicit, claimed, max_subset=max_subset) \
+        == subset_walk(explicit, claimed, max_subset=max_subset)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 10),
+       n_outcomes=st.integers(1, 40), density=st.floats(0.05, 0.95),
+       claimed=st.integers(0, 4))
+def test_random_explicit_audit_equals_subset_walk(seed, n, n_outcomes,
+                                                  density, claimed):
+    """Unstructured explicit families: most claims fail, many on more
+    splits than the detail list holds."""
+    rng = np.random.default_rng(seed)
+    weights = rng.random(n_outcomes) + 1e-3
+    events = [np.flatnonzero(rng.random(n_outcomes) < density) for _ in range(n)]
+    family = ExplicitEventFamily.from_events(weights / weights.sum(), events, 0)
+    assert check_m_dependence(family, claimed) == subset_walk(family, claimed)
+
+
+def test_explicit_detail_list_equals_subset_walk():
+    """An explicit family failing on more splits than the detail list
+    holds: the list is the walk's first ones."""
+    rng = np.random.default_rng(5)
+    events = [np.flatnonzero(rng.random(24) < 0.5) for _ in range(9)]
+    family = ExplicitEventFamily.from_events(np.full(24, 1 / 24), events, 0)
+    for claimed in (0, 1, 2):
+        reference = subset_walk(family, claimed)
+        assert len(reference.failures()) > dependence.MAX_DETAILED_FAILURES
+        assert check_m_dependence(family, claimed) == reference
+
+
+def pattern_family(joint, u):
+    """An explicit family whose outcomes are the 2**u patterns of `joint`
+    and whose event t+1 is the set of patterns with bit t set."""
+    events = [[p for p in range(1 << u) if p >> t & 1] for t in range(u)]
+    return ExplicitEventFamily.from_events(joint / joint.sum(), events, 0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), pick=st.integers(0, 4),
+       claimed=st.integers(0, 2))
+def test_tied_laws_audit_equals_subset_walk(seed, pick, claimed):
+    """Laws from ``random_joints``, whose window-model draws tie atoms of
+    opposite sign in magnitude, as the law of events 1..u: the batched
+    audit breaks the ties as the walk does."""
+    joint, u = list(random_joints(np.random.default_rng(seed), 4))[pick]
+    family = pattern_family(joint, u)
+    assert check_m_dependence(family, claimed, max_subset=u) \
+        == subset_walk(family, claimed, max_subset=u)
+
+
+def chunk_cases():
+    model = random_window_model(3, alphabet_sizes=(2,), dependence_ranges=(2,),
+                                min_horizon=14, max_horizon=14)
+    rng = np.random.default_rng(11)
+    events = [np.flatnonzero(rng.random(40) < 0.4) for _ in range(12)]
+    explicit = ExplicitEventFamily.from_events(np.full(40, 1 / 40), events, 0)
+    # Pairs (1, 2), (1, 3), (2, 3) violate by +0.25, -0.25, -0.25: a tie
+    # of opposite sign across groups, which the first pair wins.
+    tied = ExplicitEventFamily.from_events([0.5, 0.5], [[0], [0], [1]], 0)
+    return [(model, 1), (model, 2), (explicit, 0), (explicit, 2), (tied, 0)]
+
+
+@pytest.mark.parametrize("case", range(5))
+def test_reports_do_not_depend_on_the_batch_budget(monkeypatch, case):
+    family, claimed = chunk_cases()[case]
+    default = check_m_dependence(family, claimed)
+    assert default == subset_walk(family, claimed)
+    monkeypatch.setattr(dependence, "BATCH_CELLS", 1)
+    monkeypatch.setattr(families, "ATOM_BATCH_CELLS", 1)
+    assert check_m_dependence(family, claimed) == default
+    monkeypatch.setattr(dependence, "BATCH_CELLS", 40)
+    assert check_m_dependence(family, claimed) == default
+
+
+def test_explicit_pattern_laws_add_atoms_in_atom_order():
+    """Each law cell is the sequential sum of its atoms' masses in atom
+    order, whatever rows share the batch."""
+    family = expand_window_model(random_window_model(
+        6, alphabet_sizes=(2,), dependence_ranges=(2,), min_horizon=9,
+        max_horizon=9))
+    masks, weights = family.atoms
+    for size in range(1, 5):
+        rows = np.array(list(itertools.combinations(range(1, 10), size)))[::7]
+        for row, law in zip(rows.tolist(), family.pattern_laws(rows)):
+            expected = [0.0] * (1 << size)
+            for a, mass in enumerate(weights.tolist()):
+                expected[sum(int(masks[k - 1, a]) << t
+                             for t, k in enumerate(row))] += mass
+            assert law.tolist() == expected
+
+
+@pytest.mark.parametrize("budget", [1, 1000, families.ATOM_BATCH_CELLS])
+def test_pattern_laws_equal_stacked_pattern_law(monkeypatch, budget):
+    monkeypatch.setattr(families, "ATOM_BATCH_CELLS", budget)
+    model = random_window_model(4, min_horizon=12, max_horizon=12)
+    for family in (model, expand_window_model(random_window_model(
+            4, alphabet_sizes=(2,), min_horizon=10, max_horizon=10))):
+        for size in range(1, 5):
+            rows = np.array(list(itertools.combinations(range(1, 11), size)))
+            laws = family.pattern_laws(rows)
+            assert laws.dtype == np.float64
+            assert np.array_equal(laws, np.stack(
+                [family.pattern_law(tuple(row)) for row in rows.tolist()]))
+
+
 @pytest.mark.parametrize("n", [1, 2, 5, 9, 17])
 @pytest.mark.parametrize("m, far", [(0, 1), (1, 3), (2, 1), (2, 4), (3, 2)])
 def test_window_groups_partition_the_subsets(n, m, far):
@@ -116,21 +235,22 @@ def test_explicit_groups_are_single_subsets():
 
 @pytest.fixture
 def work_counter(monkeypatch):
-    """Counts kernel sweeps and per-split violation measurements."""
+    """Counts kernel sweeps and per-split violation measurements: the
+    rows the batched measure evaluates, one per (group, split)."""
     counts = {"sweeps": 0, "violations": 0}
     sweep = WindowModel._sweep
-    violation = dependence._worst_atom_violation
+    violations = dependence._worst_violations
 
     def counted_sweep(self, indices, branch):
         counts["sweeps"] += 1
         return sweep(self, indices, branch)
 
-    def counted_violation(*args):
-        counts["violations"] += 1
-        return violation(*args)
+    def counted_violations(laws, *args):
+        counts["violations"] += len(laws)
+        return violations(laws, *args)
 
     monkeypatch.setattr(WindowModel, "_sweep", counted_sweep)
-    monkeypatch.setattr(dependence, "_worst_atom_violation", counted_violation)
+    monkeypatch.setattr(dependence, "_worst_violations", counted_violations)
     return counts
 
 

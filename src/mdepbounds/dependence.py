@@ -23,10 +23,11 @@ with position 0 in I; a subset admits it when I and J are unions of its
 chains (the runs of positions whose gaps stay within m).  The groups of
 one size come in chunks of at most ``BATCH_CELLS`` pattern-law cells;
 the family answers a chunk's laws in one call (``pattern_laws``), and
-each split shape is measured on every row of the chunk that admits it
-in one pass of array operations.  So the numpy calls per chunk grow
-with the 2**(k-1) - 1 split shapes, not with the groups, and each
-number is the one a scalar walk over the same subset gives.
+each split shape that some row of the chunk admits is measured on all
+those rows in one pass of array operations.  So the numpy calls per
+chunk grow with the admitted split shapes, at most 2**(k-1) - 1, not
+with the groups, and each number is the one a scalar walk over the
+same subset gives.
 
 A family whose representation fixes a dependence range
 (``structural_range``) gets a structural certificate as well, but the
@@ -74,7 +75,7 @@ def pattern_distribution(family: Family, indices: tuple[int, ...]) -> np.ndarray
     if any(a >= b for a, b in itertools.pairwise(indices)):
         raise ValueError(f"indices {indices} must be strictly increasing")
     _require_event_indices(family, indices)
-    return family.pattern_law(indices).copy()  # memoized window laws are read-only
+    return family.pattern_laws(np.array([indices]))[0]
 
 
 def _split(shape: int, size: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -192,10 +193,9 @@ def check_m_dependence(family: Family, m: int | None = None, *,
             # violations[r, s]: row r's worst atom violation at shape s,
             # 0.0 where the row does not admit s.
             violations = np.zeros(admits.shape)
-            for s, (pos_i, pos_j) in enumerate(splits):
+            for s in np.flatnonzero(admits.any(axis=0)).tolist():
                 at = np.flatnonzero(admits[:, s])
-                if at.size:
-                    violations[at, s] = _worst_violations(laws[at], pos_i, pos_j)
+                violations[at, s] = _worst_violations(laws[at], *splits[s])
             counts = [chunk[r].count for r in rows.tolist()]
             n_splits += sum(map(operator.mul, counts, admits.sum(axis=1).tolist()))
             # The first largest magnitude in (group, split) order.

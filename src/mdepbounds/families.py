@@ -26,10 +26,10 @@ and the audits read without checking the representation: ``event_probs``
 ``union(first, last)``, ``survivals(rows)`` (for each row of a 2-D
 index array, the probability that no listed event fires; a window model
 answers once per row of gaps clamped at m+1),
-``pattern_law(indices)`` (the joint law of the indicators),
-``pattern_laws(rows)`` (the laws of the rows of a 2-D index array, one
-row each: an explicit family bins them together, a window model looks
-each up by its clamped gaps),
+``pattern_laws(rows)`` (for each row of a 2-D index array, the joint
+law of its indicators, as a fresh (K, 2**u) array: an explicit family
+bins the rows together, a window model looks each up by its clamped
+gaps),
 ``require_query_scale()`` (refuses a family whose single exact query is
 too large for an audit that makes thousands of them),
 ``structural_range`` (a range m' that the representation itself
@@ -247,9 +247,6 @@ class ExplicitEventFamily:
                 f"{self.n_outcomes} outcomes exceed the verifier cap "
                 f"{MAX_EXPLICIT_OUTCOMES}")
 
-    def pattern_law(self, indices: Sequence[int]) -> np.ndarray:
-        return self.pattern_laws(np.array([indices], dtype=np.int64))[0]
-
     def pattern_laws(self, rows: np.ndarray) -> np.ndarray:
         """One ``np.bincount`` over (row, pattern) ids per batch of rows
         that fits ``ATOM_BATCH_CELLS`` atom cells.  A bin adds its atoms
@@ -442,7 +439,7 @@ class WindowModel:
     @cached_property
     def prefix_probs(self) -> np.ndarray:
         """u * P(A_1) for u = 0..N, each rounded once (read-only)."""
-        prefix = np.arange(self.horizon + 1) * self.pattern_law((1,))[1]
+        prefix = np.arange(self.horizon + 1) * self._law((1,), branch=True)[1]
         prefix.flags.writeable = False
         return prefix
 
@@ -451,10 +448,10 @@ class WindowModel:
         windows more than m apart share no symbol, so their pair mass is
         the exact product p**2."""
         if gap == 0:
-            return self.pattern_law((1,))[1]
+            return self._law((1,), branch=True)[1]
         if gap > self.m:
-            return float(self.pattern_law((1,))[1]) ** 2
-        return self.pattern_law((1, 1 + gap))[0b11]
+            return float(self._law((1,), branch=True)[1]) ** 2
+        return self._law((1, 1 + gap), branch=True)[0b11]
 
     def pair_probs(self, gap: int) -> np.ndarray:
         return np.full(self.horizon - gap, self._pair_each(gap))
@@ -502,11 +499,8 @@ class WindowModel:
                 f"predicate table of size {table} exceeds the verifier cap "
                 f"{MAX_WINDOW_TABLE}")
 
-    def pattern_law(self, indices: Sequence[int]) -> np.ndarray:
-        return self._law(indices, branch=True)
-
     def pattern_laws(self, rows: np.ndarray) -> np.ndarray:
-        """One memoized ``_law`` per row."""
+        """One memoized ``_law`` per row, copied out of the memo."""
         laws = [self._law(row, branch=True) for row in rows.tolist()]
         return np.array(laws).reshape(len(rows), 1 << rows.shape[1])
 

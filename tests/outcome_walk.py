@@ -20,7 +20,13 @@ from mdepbounds import ExplicitEventFamily
 
 
 class OutcomeWalkFamily(ExplicitEventFamily):
-    """An explicit family whose queries never read ``atoms``."""
+    """An explicit family whose queries never read ``atoms``: reading
+    them raises, so a query member it fails to override shows up as an
+    error rather than as the atom answer checked against itself."""
+
+    @property
+    def atoms(self):
+        raise AssertionError("the outcome walk reads no atoms")
 
     @classmethod
     def of(cls, family: ExplicitEventFamily) -> "OutcomeWalkFamily":
@@ -54,12 +60,15 @@ class OutcomeWalkFamily(ExplicitEventFamily):
         return np.array([weights[~masks[row - 1].any(axis=0)].sum()
                          for row in rows])
 
-    def pattern_law(self, indices) -> np.ndarray:
-        ids = np.zeros(self.n_outcomes, dtype=np.int64)
-        for t, k in enumerate(indices):
-            ids |= self.event_masks[k - 1].astype(np.int64) << t
-        return np.bincount(ids, weights=self.outcome_weights,
-                           minlength=1 << len(indices))
+    def pattern_laws(self, rows: np.ndarray) -> np.ndarray:
+        laws = np.empty((len(rows), 1 << rows.shape[1]))
+        for law, row in zip(laws, rows.tolist()):
+            ids = np.zeros(self.n_outcomes, dtype=np.int64)
+            for t, k in enumerate(row):
+                ids |= self.event_masks[k - 1].astype(np.int64) << t
+            law[:] = np.bincount(ids, weights=self.outcome_weights,
+                                 minlength=law.size)
+        return laws
 
 
 def outcome_dict(family: ExplicitEventFamily) -> dict:

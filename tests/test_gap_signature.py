@@ -1,6 +1,6 @@
 """Window-model kernel answers memoized per canonical gap signature.
 
-A window model answers ``survivals``, ``pattern_law`` and ``union`` once
+A window model answers ``survivals``, ``pattern_laws`` and ``union`` once
 per gap signature (gaps clamped at m+1, walk restarted at index 1) and
 keeps the read-only answer for the life of the model object.  These
 tests hold the memoized answers against the raw kernel ``_sweep``, check
@@ -51,7 +51,7 @@ def test_clamped_gaps_match_raw_sweep(model, data):
     n = model.horizon
     indices = tuple(sorted(data.draw(st.sets(st.integers(1, n), min_size=1,
                                              max_size=min(n, 5)))))
-    law = model.pattern_law(indices)
+    law = pattern_distribution(model, indices)
     assert np.abs(law - model._sweep(indices, branch=True)).max() <= CLAMP_TOL
     assert abs(survival(model, indices)
                - model._sweep(indices, branch=False)[0]) <= CLAMP_TOL
@@ -69,9 +69,9 @@ def test_translated_queries_are_bit_identical(model, data):
     indices = tuple(int(k) for k in np.cumsum([start] + gaps))
     # A translated copy fills the memo first, so the second query is a hit.
     shift = 1 - start + data.draw(st.integers(0, n - span - 1))
-    model.pattern_law(tuple(k + shift for k in indices))
+    pattern_distribution(model, tuple(k + shift for k in indices))
     survival(model, tuple(k + shift for k in indices))
-    assert np.array_equal(model.pattern_law(indices),
+    assert np.array_equal(pattern_distribution(model, indices),
                           model._sweep(indices, branch=True))
     assert survival(model, indices) == model._sweep(indices, branch=False)[0]
 
@@ -98,12 +98,12 @@ class TestMemoIsolation:
     def test_memoized_laws_are_read_only(self):
         model = consecutive_run_model(12, m=2)
         with pytest.raises(ValueError):
-            model.pattern_law((1, 3))[0] = 0.0
+            model._law((1, 3), branch=True)[0] = 0.0
 
     def test_memo_belongs_to_one_model(self):
         a = consecutive_run_model(12, m=2)
         b = consecutive_run_model(12, m=2)
-        a.pattern_law((1, 3))
+        pattern_distribution(a, (1, 3))
         assert a._memo and not b._memo
 
 

@@ -1,6 +1,6 @@
 """The window-model transfer-operator kernel and the family protocol.
 
-Window models answer ``survivals`` (kill at the members), ``pattern_law``
+Window models answer ``survivals`` (kill at the members), ``pattern_laws``
 (branch at the indices) and the prefix and pair masses through one
 kernel; these tests hold each action against brute-force enumeration and
 against the explicit expansion, check that both representations define
@@ -36,7 +36,7 @@ MAX_STRINGS = 1 << 12
 #: The family protocol: every member the query functions and the audits
 #: read without checking the representation.
 PROTOCOL = ("event_probs", "prefix_probs", "pair_probs", "pair_mass", "union",
-            "survivals", "pattern_law", "pattern_laws", "require_query_scale",
+            "survivals", "pattern_laws", "require_query_scale",
             "structural_range", "subset_groups", "subset_group_count")
 
 
@@ -44,6 +44,7 @@ PROTOCOL = ("event_probs", "prefix_probs", "pair_probs", "pair_mass", "union",
 def test_both_representations_define_the_protocol(cls):
     assert [name for name in PROTOCOL if name not in vars(cls)] == []
     assert not hasattr(cls, "survival")  # one index-set query: survivals
+    assert not hasattr(cls, "pattern_law")  # one law query: pattern_laws
 
 
 def test_families_docstring_names_the_protocol():
@@ -96,9 +97,9 @@ def test_kernel_actions_match_enumeration(model, data):
     assert model.alphabet_size ** (n + model.m) <= MAX_STRINGS
     indices = tuple(sorted(data.draw(st.sets(st.integers(1, n), min_size=1,
                                              max_size=min(n, 4)))))
-    law = model.pattern_law(indices)
+    law = pattern_distribution(model, indices)
     explicit = expand_window_model(model)
-    assert np.abs(law - explicit.pattern_law(indices)).max() < 1e-12
+    assert np.abs(law - pattern_distribution(explicit, indices)).max() < 1e-12
 
     survival = model.survivals(np.array([indices]))[0]
     assert survival == pytest.approx(brute_complement_prob(model, indices),

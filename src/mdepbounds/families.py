@@ -16,7 +16,12 @@ Two representations are supported:
   symbols, so the family is m-dependent by construction.  Its exact
   queries all run through one transfer-operator kernel,
   ``WindowModel._sweep``, which carries the joint law of the last m
-  symbols forward one window at a time.
+  symbols forward one window at a time.  The kernel's only input is a
+  row of gaps between marked windows: the symbols are i.i.d., so where
+  a query starts plays no part, and a gap wider than m+1 acts like one
+  of m+1.  ``WindowModel._laws`` clamps the gap rows of an index array
+  at m+1 once and ``WindowModel._law`` memoizes one answer per clamped
+  row.
 
 Both classes answer one protocol, which the module-level query functions
 and the audits read without checking the representation: ``event_probs``
@@ -25,11 +30,11 @@ and the audits read without checking the representation: ``event_probs``
 ``pair_mass(gap)`` (the correctly rounded sum of ``pair_probs(gap)``),
 ``union(first, last)``, ``survivals(rows)`` (for each row of a 2-D
 index array, the probability that no listed event fires; a window model
-answers once per row of gaps clamped at m+1),
+answers once per distinct row of clamped gaps),
 ``pattern_laws(rows)`` (for each row of a 2-D index array, the joint
 law of its indicators, as a fresh (K, 2**u) array: an explicit family
-bins the rows together, a window model looks each up by its clamped
-gaps),
+bins the rows together, a window model looks up each distinct row of
+clamped gaps),
 ``require_query_scale()`` (refuses a family whose single exact query is
 too large for an audit that makes thousands of them),
 ``structural_range`` (a range m' that the representation itself
@@ -48,9 +53,9 @@ family is a *claim*: nothing here assumes it holds, and
 
 All types are immutable after construction and all operations are pure
 functions of their inputs, so concurrent readers need no locking: an
-explicit family's atom table and a window model's read-only kernel
-answers per gap signature (``WindowModel._memo``) live as long as the
-object, and a race only recomputes.
+explicit family's atom table and a window model's kernel constants
+and read-only answers per clamped gap row (``WindowModel._memo``) live
+as long as the object, and a race only recomputes.
 """
 
 from __future__ import annotations
@@ -366,7 +371,7 @@ class WindowModel:
         object.__setattr__(self, "horizon", horizon)
         object.__setattr__(self, "symbol_dist", dist)
         object.__setattr__(self, "predicate_table", table)
-        object.__setattr__(self, "_memo", {})  # (gap signature, branch) -> law
+        object.__setattr__(self, "_memo", {})  # (clamped gaps, branch) -> law
 
     @property
     def n_events(self) -> int:
@@ -385,48 +390,49 @@ class WindowModel:
         return arr
 
     @cached_property
-    def _initial_law(self) -> np.ndarray:
-        """Joint law of m consecutive symbols; the earliest symbol is the
-        least significant base-s digit of the state index."""
+    def _kernel(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """The kernel's constants, built once: the joint law of m
+        consecutive symbols as a [1, 1, s**m] state (the earliest symbol
+        is the least significant base-s digit of the state index), and
+        the carry, clear and fired step weights w[x, st] of the window
+        whose earliest m symbols encode st and whose newest symbol is x."""
+        s, m = self.alphabet_size, self.m
         law = np.ones(1)
-        for _ in range(self.m):
+        for _ in range(m):
             law = np.kron(self.dist_array, law)  # append the next (later) symbol
-        law.flags.writeable = False
-        return law
+        fires = self.table_array.reshape(s, s ** m)
+        carry = self.dist_array[:, None]
+        return (law.reshape(1, 1, -1), carry, np.where(fires, 0.0, carry),
+                np.where(fires, carry, 0.0))
 
-    def _sweep(self, indices: Sequence[int], branch: bool) -> np.ndarray:
+    def _sweep(self, gaps: Sequence[int], branch: bool) -> np.ndarray:
         """Transfer-operator kernel (finite Markov chain imbedding).
 
         Steps a [pattern, 1, s**m] state, the joint law of the last m
-        symbols per pattern, over windows indices[0]..indices[-1] (sorted,
-        any positive indices: the symbols are i.i.d., so the horizon plays
-        no part).  Each window appends one symbol x and takes one action:
-        at an index not in `indices` the mass passes forward; at one in
-        `indices` the mass where the window fires is killed
-        (``branch=False``) or split off into a fired copy appended along
-        the pattern axis (``branch=True``), so pattern bit t stands for
-        indices[t].  Returns the mass per pattern.
+        symbols per pattern, from window 1: it marks window 1, then one
+        window per gap g (positive, clamped or not), with g - 1 pass steps
+        before it.  The symbols are i.i.d., so only the gaps matter.  Each
+        window appends one symbol x and takes one action: a pass step
+        carries the mass forward; at a marked window the mass where the
+        window fires is killed (``branch=False``) or split off into a
+        fired copy appended along the pattern axis (``branch=True``), so
+        pattern bit t stands for the t-th mark.  Returns the mass per
+        pattern.
         """
         s, m = self.alphabet_size, self.m
-        # Step weights w[x, st] for the window whose earliest m symbols
-        # encode st and whose newest symbol is x.
-        fires = self.table_array.reshape(s, s ** m)
-        carry = self.dist_array[:, None]
-        clear = np.where(fires, 0.0, carry)
-        fired = np.where(fires, carry, 0.0)
-        marked = frozenset(indices)
-        state = self._initial_law.reshape(1, 1, -1)
-        for k in range(indices[0], indices[-1] + 1):
-            if k not in marked:
-                mass = state * carry  # [pattern, x, st]
-            elif branch:
-                mass = np.concatenate([state * clear, state * fired])
-            else:
-                mass = state * clear
-            # st = rest*s + oldest, so x*s**m + st = (x*s**(m-1) + rest)*s
-            # + oldest: drop the oldest symbol, append x (m = 0 drops x).
-            state = mass.reshape(-1, s ** m, s).sum(axis=2)[:, None, :]
-            state.clip(0.0, 1.0, out=state)
+        state, carry, clear, fired = self._kernel
+        for g in (1, *gaps):
+            for k in range(g):
+                if k < g - 1:
+                    mass = state * carry  # [pattern, x, st]
+                elif branch:
+                    mass = np.concatenate([state * clear, state * fired])
+                else:
+                    mass = state * clear
+                # st = rest*s + oldest, so x*s**m + st = (x*s**(m-1) + rest)*s
+                # + oldest: drop the oldest symbol, append x (m = 0 drops x).
+                state = mass.reshape(-1, s ** m, s).sum(axis=2)[:, None, :]
+                state.clip(0.0, 1.0, out=state)
         return state[:, 0, :].sum(axis=1)
 
     @cached_property
@@ -439,7 +445,7 @@ class WindowModel:
     @cached_property
     def prefix_probs(self) -> np.ndarray:
         """u * P(A_1) for u = 0..N, each rounded once (read-only)."""
-        prefix = np.arange(self.horizon + 1) * self._law((1,), branch=True)[1]
+        prefix = np.arange(self.horizon + 1) * self._law((), branch=True)[1]
         prefix.flags.writeable = False
         return prefix
 
@@ -448,10 +454,10 @@ class WindowModel:
         windows more than m apart share no symbol, so their pair mass is
         the exact product p**2."""
         if gap == 0:
-            return self._law((1,), branch=True)[1]
+            return self._law((), branch=True)[1]
         if gap > self.m:
-            return float(self._law((1,), branch=True)[1]) ** 2
-        return self._law((1, 1 + gap), branch=True)[0b11]
+            return float(self._law((), branch=True)[1]) ** 2
+        return self._law((gap,), branch=True)[0b11]
 
     def pair_probs(self, gap: int) -> np.ndarray:
         return np.full(self.horizon - gap, self._pair_each(gap))
@@ -460,32 +466,37 @@ class WindowModel:
         """(N - gap) * q rounded once: fsum of N - gap equal terms."""
         return float((self.horizon - gap) * self._pair_each(gap))
 
-    def _law(self, indices: Sequence[int], branch: bool) -> np.ndarray:
-        """``_sweep`` answered once per gap signature, read-only.  After m
-        pass steps the state is the pattern mass times ``_initial_law``, so
-        a gap wider than m+1 acts like one of m+1; the walk restarts at 1."""
-        gaps = (min(b - a, self.m + 1) for a, b in itertools.pairwise(indices))
-        key = (tuple(itertools.accumulate(gaps, initial=1)), branch)
-        law = self._memo.get(key)
+    def _law(self, gaps: tuple[int, ...], branch: bool) -> np.ndarray:
+        """``_sweep`` answered once per tuple of gaps, each at most m+1,
+        read-only.  After m pass steps the state is the pattern mass times
+        the law of m symbols, so a gap wider than m+1 acts like one of
+        m+1: callers clamp (``_laws``) and the memo key is the clamped
+        tuple itself."""
+        law = self._memo.get((gaps, branch))
         if law is None:
-            law = self._memo[key] = self._sweep(key[0], branch)
+            law = self._memo[gaps, branch] = self._sweep(gaps, branch)
             law.flags.writeable = False
         return law
 
-    def union(self, first: int, last: int) -> float:
-        return 1.0 - float(self._law(range(first, last + 1), branch=False)[0])
-
-    def survivals(self, rows: np.ndarray) -> np.ndarray:
-        """One ``_law`` lookup per distinct row of gaps clamped at m+1:
-        rows with the same clamped gaps have the same answer wherever
-        they start."""
+    def _laws(self, rows: np.ndarray, branch: bool) -> np.ndarray:
+        """``_law`` of each row of a (K, L) index array, as a fresh (K, P)
+        array: one lookup per distinct row of gaps clamped at m+1, since
+        rows with the same clamped gaps have the same law wherever they
+        start."""
         gaps = np.minimum(np.diff(rows, axis=1, prepend=rows[:, :1]), self.m + 1)
-        # One opaque item per row, so a 1-D unique finds the distinct rows.
+        # One opaque item per row (the leading 0 keeps L = 1 rows
+        # nonempty), so a 1-D unique finds the distinct rows.
         keys = gaps.view(np.dtype((np.void, gaps.itemsize * gaps.shape[1]))).ravel()
         _, first, where = np.unique(keys, return_index=True, return_inverse=True)
-        answers = [self._law(starts, branch=False)[0]
-                   for starts in (np.cumsum(gaps[first], axis=1) + 1).tolist()]
-        return np.array(answers)[where]
+        laws = [self._law(tuple(row[1:]), branch) for row in gaps[first].tolist()]
+        width = 1 << rows.shape[1] if branch else 1
+        return np.array(laws).reshape(len(laws), width)[where]
+
+    def union(self, first: int, last: int) -> float:
+        return 1.0 - float(self._law((1,) * (last - first), branch=False)[0])
+
+    def survivals(self, rows: np.ndarray) -> np.ndarray:
+        return self._laws(rows, branch=False)[:, 0]
 
     @property
     def structural_range(self) -> int:
@@ -500,13 +511,11 @@ class WindowModel:
                 f"{MAX_WINDOW_TABLE}")
 
     def pattern_laws(self, rows: np.ndarray) -> np.ndarray:
-        """One memoized ``_law`` per row, copied out of the memo."""
-        laws = [self._law(row, branch=True) for row in rows.tolist()]
-        return np.array(laws).reshape(len(rows), 1 << rows.shape[1])
+        return self._laws(rows, branch=True)
 
     def _clamp(self, far: int) -> int:
-        """Gaps of c or more are one class: ``_law`` clamps at m+1 and the
-        caller cannot tell gaps of ``far`` or more apart."""
+        """Gaps of c or more are one class: the kernel reads gaps clamped at
+        m+1 and the caller cannot tell gaps of ``far`` or more apart."""
         return max(far, self.m + 1)
 
     def subset_group_count(self, size: int, far: int) -> int:

@@ -6,9 +6,12 @@ for M outcomes and N events.
 Window models use the transfer-operator kernel ``WindowModel._sweep`` in
 :mod:`mdepbounds.families`: a forward dynamic program over the joint law
 of the last m symbols that consumes one symbol per step and zeroes the
-mass wherever a tracked window fires.  A model memoizes one answer per
-gap signature (gaps clamped at m+1): a new signature costs O(L * s**(m+1))
-for its clamped span L (b - a + 1 for a range a..b), a repeat O(|indices|).
+mass wherever a tracked window fires.  Its input is a row of gaps
+between tracked windows, clamped at m+1, and a model memoizes one answer
+per clamped row: a new row costs O(L * s**(m+1)) for its clamped span
+L = 1 + the sum of its gaps (b - a + 1 for a range a..b), a repeat a
+dict lookup on the row.  A batch of K index rows of length u costs one
+clamp and one ``np.unique`` over the (K, u) gap array before the lookups.
 ``complement_intersection_probs`` answers many index sets of one size at
 once and asks the family once per distinct query: once per row of gaps
 clamped at m+1 on a window model, once per row on an explicit family.

@@ -122,8 +122,11 @@ class CheckBlock:
 
     @property
     def violation(self) -> np.ndarray:
-        """``Check.violation`` of every row."""
-        return (np.abs(self.slack) if self.kind == "eq" else self.slack) - self.tol
+        """``Check.violation`` of every row.  Like the float scalar, an
+        overflow gives an infinity and inf - inf gives NaN without a
+        warning; ``worst`` orders both."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            return (np.abs(self.slack) if self.kind == "eq" else self.slack) - self.tol
 
     def checks(self, rows: slice | np.ndarray = slice(None)) -> Iterator[Check]:
         """The check records of the selected rows, in row order."""

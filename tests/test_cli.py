@@ -231,6 +231,39 @@ class TestSweep:
         assert code == 2
         assert "step" in err
 
+    @pytest.mark.parametrize("spec, message", [
+        ("horizon=1..5:0", "integer sweep step must be >= 1"),
+        ("p1=0.1..0.9:-0.1", "probability sweep step must be positive"),
+        ("foo=1..2", "unknown sweep parameter 'foo'; supported: horizon, m, "
+                     "p<digit> (symbol probability)"),
+    ], ids=["zero-int-step", "negative-prob-step", "unknown-param"])
+    def test_sweep_spec_errors(self, capsys, w1_path, spec, message):
+        assert run_cli(capsys, "sweep", w1_path, spec) \
+            == (2, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("template, spec, message", [
+        ("explicit", "horizon=1..2",
+         "horizon sweeps need a window model template"),
+        ("explicit", "p1=0.1..0.2:0.1",
+         "symbol-probability sweeps need a window model template"),
+        ("window", "m=1..2", "m sweeps need an explicit model template "
+                             "(a window model's table length depends on m)"),
+        ("window", "p7=0.1..0.2:0.1", "symbol index 7 outside the alphabet"),
+        ("window", "p1=0.5..1.5:0.5", "swept probability 1.5 outside [0, 1]"),
+        ("degenerate", "p0=0.1..0.2:0.1", "cannot rescale the remaining "
+                                          "symbol probabilities: they sum to 0"),
+    ], ids=["horizon-on-explicit", "p-on-explicit", "m-on-window",
+            "p-outside-alphabet", "p-above-1", "nothing-to-rescale"])
+    def test_sweep_template_errors(self, capsys, tmp_path, w1_path, e1_path,
+                                   template, spec, message):
+        degenerate = model_to_dict(consecutive_run_model(4, m=0))
+        degenerate["symbol_dist"] = [1.0, 0.0]
+        paths = {"window": w1_path, "explicit": e1_path,
+                 "degenerate": tmp_path / "degenerate.json"}
+        paths["degenerate"].write_text(json.dumps(degenerate))
+        assert run_cli(capsys, "sweep", str(paths[template]), spec) \
+            == (2, "", f"error: {message}\n")
+
     def test_mc_on_explicit_rejected(self, capsys, e1_path):
         code, out, err = run_cli(capsys, "sweep", e1_path, "m=1..2",
                                  "--mc", "100", "0")

@@ -85,9 +85,9 @@ def test_queries_do_not_grow_as_n_squared(monkeypatch):
     calls = []
     law = WindowModel._law
 
-    def counted(self, indices, branch):
-        calls.append(len(indices))
-        return law(self, indices, branch)
+    def counted(self, gaps, branch):
+        calls.append(len(gaps))
+        return law(self, gaps, branch)
 
     monkeypatch.setattr(WindowModel, "_law", counted)
     counts = {}

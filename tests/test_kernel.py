@@ -143,3 +143,12 @@ class TestPatternDistributionIndices:
         with pytest.raises(IndexError) as expected:
             complement_intersection_prob(family, indices)
         assert str(raised.value) == str(expected.value)
+
+
+@pytest.mark.parametrize("family", [
+    consecutive_run_model(6, m=1), expand_window_model(consecutive_run_model(6, m=1))],
+    ids=["window", "explicit"])
+def test_batch_queries_of_no_rows(family):
+    rows = np.zeros((0, 2), dtype=np.int64)
+    assert family.survivals(rows).shape == (0,)
+    assert family.pattern_laws(rows).shape == (0, 4)

@@ -241,9 +241,9 @@ def work_counter(monkeypatch):
     sweep = WindowModel._sweep
     violations = dependence._worst_violations
 
-    def counted_sweep(self, indices, branch):
+    def counted_sweep(self, gaps, branch):
         counts["sweeps"] += 1
-        return sweep(self, indices, branch)
+        return sweep(self, gaps, branch)
 
     def counted_violations(laws, *args):
         counts["violations"] += len(laws)

@@ -180,6 +180,22 @@ class TestVerifyReportShape:
         assert not worst.passed
         assert worst.violation > 0
 
+    def test_block_violations_saturate_silently_like_the_scalar(self):
+        """An overflowing or inf - inf violation warns in neither form."""
+        import warnings
+        from mdepbounds import Check, CheckBlock, VerificationReport
+        rows = [Check("a", "le", 0.0, 0.0, 2.5e300, -1.7976931348623157e308, False),
+                Check("b", "eq", 0.0, 0.0, math.inf, math.inf, False),
+                Check("c", "le", 0.0, 0.0, 0.0, 1.0, False)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            blocks = tuple(map(CheckBlock.of, rows))
+            violations = [block.violation[0] for block in blocks]
+            worst = VerificationReport(blocks).worst()
+        assert violations[0] == rows[0].violation == -math.inf
+        assert math.isnan(violations[1]) and math.isnan(rows[1].violation)
+        assert worst == rows[2]
+
 
 @pytest.mark.parametrize("n", range(61))
 def test_pairs_are_the_lexicographic_2_subsets(n):

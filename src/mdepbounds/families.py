@@ -417,7 +417,9 @@ class WindowModel:
         window fires is killed (``branch=False``) or split off into a
         fired copy appended along the pattern axis (``branch=True``), so
         pattern bit t stands for the t-th mark.  Returns the mass per
-        pattern.
+        pattern, clamped into [0, 1] once: the state is never clamped, so
+        a stored law that sums a rounding step above 1 can carry mass
+        above 1 until the end.
         """
         s, m = self.alphabet_size, self.m
         state, carry, clear, fired = self._kernel
@@ -432,8 +434,7 @@ class WindowModel:
                 # st = rest*s + oldest, so x*s**m + st = (x*s**(m-1) + rest)*s
                 # + oldest: drop the oldest symbol, append x (m = 0 drops x).
                 state = mass.reshape(-1, s ** m, s).sum(axis=2)[:, None, :]
-                state.clip(0.0, 1.0, out=state)
-        return state[:, 0, :].sum(axis=1)
+        return state[:, 0, :].sum(axis=1).clip(0.0, 1.0)
 
     @cached_property
     def event_probs(self) -> np.ndarray:
@@ -575,6 +576,15 @@ def _require_event_indices(family: Family, members: Sequence[int]) -> None:
     if members[0] < 1 or members[-1] > family.n_events:
         raise IndexError(f"indices {members[0]}..{members[-1]} outside the "
                          f"event range 1..{family.n_events}")
+
+
+def _nonempty_interval(family: Family, first: int, last: int) -> bool:
+    """Whether the event interval first..last is nonempty (first <= last);
+    a nonempty one must satisfy 1 <= first <= last <= N."""
+    if first <= last and (first < 1 or last > family.n_events):
+        raise IndexError(f"interval [{first}, {last}] outside the event "
+                         f"range 1..{family.n_events}")
+    return first <= last
 
 
 def event_prob(family: Family, k: int) -> float:

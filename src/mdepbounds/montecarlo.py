@@ -30,7 +30,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .families import WindowModel
+from .families import WindowModel, _nonempty_interval
 
 #: Two-sided 95% standard normal quantile.
 Z95 = 1.959963984540054
@@ -130,11 +130,8 @@ def estimate_union(model: WindowModel, first: int, last: int,
     chunk_size = operator.index(chunk_size)
     if chunk_size < 1:
         raise ValueError("chunk_size must be >= 1")
-    if first > last:
+    if not _nonempty_interval(model, first, last):
         return MonteCarloEstimate(0.0, 0.0, 0.0)
-    if first < 1 or last > model.horizon:
-        raise IndexError(f"interval [{first}, {last}] outside the event "
-                         f"range 1..{model.horizon}")
 
     s, m = model.alphabet_size, model.m
     n_windows = last - first + 1

@@ -21,9 +21,10 @@ The pairs and triples of a residue class mod m+1 all share one clamped
 row, and the far block pairs of one shift share at most nine (first,
 interior or last block on each side), so a window model's derivation
 audit makes O(m) queries of these kinds at any N.
-State mass lives in [0, 1] and is clamped there after every step; at
-desk-scale horizons the accumulated rounding stays far below the 1e-9
-comparison tolerances used elsewhere.
+The kernel clamps each law it returns into [0, 1], once per sweep, and
+``union_prob`` and ``complement_intersection_probs`` clamp their answers
+again; at desk-scale horizons the accumulated rounding stays far below
+the 1e-9 comparison tolerances used elsewhere.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .families import Family, _require_event_indices
+from .families import Family, _nonempty_interval, _require_event_indices
 
 
 def union_prob(family: Family, first: int, last: int) -> float:
@@ -44,11 +45,8 @@ def union_prob(family: Family, first: int, last: int) -> float:
     """
     first = operator.index(first)
     last = operator.index(last)
-    if first > last:
+    if not _nonempty_interval(family, first, last):
         return 0.0
-    if first < 1 or last > family.n_events:
-        raise IndexError(f"interval [{first}, {last}] outside the event "
-                         f"range 1..{family.n_events}")
     return min(1.0, max(0.0, family.union(first, last)))
 
 

@@ -4,12 +4,14 @@ Residue classes mod (m+1) collect indices that pairwise differ by at
 least m+1, so their events are mutually independent under m-dependence.
 Shifted block partitions cut 1..n into length-m intervals (the first and
 last may be shorter); the resulting block events form a 1-dependent
-sequence, which is what the second-order bound averages over.
+sequence, which is what the second-order bound averages over.  One rule
+lays the blocks out: ``block_position`` puts index k of shift r in block
+j = (k - r - 1) // m + 1, which spans r+(j-1)m+1 .. r+jm.  The
+partitions, the audit's check count and its shift-cover check all read it.
 """
 
 from __future__ import annotations
 
-import itertools
 import operator
 from dataclasses import dataclass
 
@@ -28,9 +30,8 @@ class ShiftedBlockPartition:
     """Length-m interval blocks of 1..n for one shift r in 0..m-1.
 
     blocks[i] is the inclusive interval (lo, hi); block_js[i] is its
-    position j in the unclipped layout (block j spans
-    r+(j-1)m+1 .. r+jm), which is what parity splits are taken over.
-    Empty blocks are omitted.
+    position j in the unclipped layout (``block_position``), which is
+    what parity splits are taken over.  Empty blocks are omitted.
     """
 
     n: int
@@ -51,6 +52,13 @@ def residue_classes(n: int, m: int) -> ResidueClassPartition:
     return ResidueClassPartition(n, m, classes)
 
 
+def block_position(k, m: int, shift: int):
+    """Position j of the block holding index k (an int or an integer
+    array) in the length-m layout offset by `shift`, where block j spans
+    shift+(j-1)m+1 .. shift+jm."""
+    return (k - shift - 1) // m + 1
+
+
 def shifted_blocks(n: int, m: int, shift: int) -> ShiftedBlockPartition:
     """Partition 1..n into length-m blocks offset by `shift` in 0..m-1."""
     n = operator.index(n)
@@ -62,18 +70,11 @@ def shifted_blocks(n: int, m: int, shift: int) -> ShiftedBlockPartition:
         raise ValueError("block partitions require m >= 1")
     if not 0 <= shift <= m - 1:
         raise ValueError(f"shift must lie in 0..{m - 1} (got {shift})")
-    blocks: list[tuple[int, int]] = []
-    js: list[int] = []
-    for j in itertools.count():
-        lo = shift + (j - 1) * m + 1
-        hi = shift + j * m
-        if lo > n:
-            break
-        a, b = max(lo, 1), min(hi, n)
-        if a <= b:
-            blocks.append((a, b))
-            js.append(j)
-    return ShiftedBlockPartition(n, m, shift, tuple(blocks), tuple(js))
+    first = block_position(1, m, shift)
+    js = range(first, block_position(n, m, shift) + 1 if n else first)
+    blocks = tuple((max(shift + (j - 1) * m + 1, 1), min(shift + j * m, n))
+                   for j in js)
+    return ShiftedBlockPartition(n, m, shift, blocks, tuple(js))
 
 
 def pair_shift_count(i: int, l: int, m: int) -> int:

@@ -46,7 +46,8 @@ from .families import Family, partial_sum, t_local
 from .families import MAX_EXPLICIT_OUTCOMES, MAX_WINDOW_TABLE  # noqa: F401 (the verifier's caps)
 from .oracle import block_event_prob, complement_intersection_prob, \
     complement_intersection_probs, union_prob
-from .partitions import pair_shift_count, residue_classes, shifted_blocks
+from .partitions import block_position, pair_shift_count, residue_classes, \
+    shifted_blocks
 from .reports import CheckBlock, VerificationReport
 
 #: Refuse a family whose audit would emit more checks than this.  The
@@ -75,8 +76,7 @@ def derivation_check_count(n: int, m: int) -> int:
     if m >= 1:
         count += (5 if n else 4) * max(m - n, 0)  # shifts r >= N: one block
         for r in range(min(m, n)):
-            # Blocks hold positions j = (k - r - 1) // m + 1, k = 1..n.
-            blocks = (n - r - 1) // m - (-r) // m + 1
+            blocks = block_position(n, m, r) - block_position(1, m, r) + 1
             count += math.comb(max(blocks - 1, 0), 2) + blocks + 4
         count += 1
     return count + 1 + (m >= 1)
@@ -103,7 +103,9 @@ def verify_derivation(family: Family, *, tol: float = 1e-9) -> VerificationRepor
     index triples up to MAX_TRIPLES_PER_CLASS per class); the
     product-to-exponential chain per class; block-event independence at
     block distance >= 2; the per-block second-order Bonferroni lower
-    bound; the exhaustive pair-shift count; the parity-split averaging
+    bound; the exhaustive pair-shift count, checked against membership
+    by ``block_position`` for i = 1..min(N, m) (one residue of i mod m
+    each) and every later l within gap m-1; the parity-split averaging
     chain; and finally the exact union against both closed-form bounds.
     Block checks are skipped for m = 0, which has no block partition.
 
@@ -194,15 +196,17 @@ def verify_derivation(family: Family, *, tol: float = 1e-9) -> VerificationRepor
                 np.array(part.block_js, dtype=np.int64).reshape(-1, 1)))
 
         # The shift count for every local pair, against brute membership.
+        # Block positions move by one when k moves by m, so membership
+        # depends on i only through i mod m: i = 1..min(N, m) covers every
+        # (i mod m, gap) case.
         worst_gap = 0
-        for i in range(1, n + 1):
-            for l in range(i + 1, min(i + m, n + 1)):
-                claimed = pair_shift_count(i, l, m)
-                brute = sum(
-                    1 for r in range(m)
-                    if (i - r - 1) // m == (l - r - 1) // m
-                )
-                worst_gap = max(worst_gap, abs(claimed - brute))
+        shifts = np.arange(m)[:, None]
+        for i in range(1, min(n, m) + 1):
+            ls = np.arange(i + 1, min(i + m, n + 1))
+            brute = (block_position(ls, m, shifts)
+                     == block_position(i, m, shifts)).sum(axis=0)
+            claimed = [pair_shift_count(i, l, m) for l in ls.tolist()]
+            worst_gap = max(worst_gap, int(np.abs(claimed - brute).max(initial=0)))
         blocks.append(CheckBlock.eq("pair_shift_cover[exhaustive]",
                                     float(worst_gap), 0.0, 0.0))
 

@@ -235,6 +235,40 @@ class TestBoundReport:
             build_report(model, exact=True)  # validate() runs inside
 
 
+def hand_report(**fields):
+    """An honest m = 2 report (S = 1, T = 0.25) with `fields` replaced."""
+    honest = dict(n=8, m=2, s_n=1.0, t_local=0.25,
+                  thm1_exponent=1 / 3, thm1_bound=-math.expm1(-1 / 3),
+                  thm2_exponent=0.375, thm2_bound=-math.expm1(-0.375),
+                  thm2_sharper=True, exact_union=0.5)
+    return BoundReport(**{**honest, **fields})
+
+
+class TestValidateMessages:
+    def test_honest_hand_report_passes(self):
+        hand_report().validate()
+
+    def test_first_order_mismatch(self):
+        with pytest.raises(BoundViolationError) as raised:
+            hand_report(thm1_bound=0.3).validate()
+        assert str(raised.value) == "first-order bound/exponent mismatch"
+
+    @pytest.mark.parametrize("exponent, bound", [(0.375, 0.3), (-0.5, 0.1)])
+    def test_second_order_mismatch(self, exponent, bound):
+        """A nonpositive exponent means the bound 0."""
+        with pytest.raises(BoundViolationError) as raised:
+            hand_report(thm2_exponent=exponent, thm2_bound=bound).validate()
+        assert str(raised.value) == "second-order bound/exponent mismatch"
+
+    def test_exact_union_below_the_second_order_bound(self):
+        """0.29 clears the first-order bound 0.2835 but not 0.3127."""
+        with pytest.raises(BoundViolationError) as raised:
+            hand_report(exact_union=0.29).validate()
+        assert str(raised.value) == (
+            "exact union 0.29 below the second-order bound 0.312710721209; "
+            "the claimed dependence range m=2 is probably wrong")
+
+
 class TestCoincidenceM1:
     def test_exponents_equal_for_m1_families(self):
         rng = np.random.default_rng(83)

@@ -9,6 +9,7 @@ from mdepbounds import (
     complement_intersection_prob,
     complement_intersection_probs,
     consecutive_run_model,
+    estimate_union,
     event_prob,
     expand_window_model,
     pair_prob,
@@ -37,6 +38,21 @@ class TestUnionProb:
             union_prob(run_model_24, 0, 3)
         with pytest.raises(IndexError):
             union_prob(run_model_24, 1, 25)
+
+    @pytest.mark.parametrize("first, last", [(0, 3), (1, 25), (0, 25), (-4, -2)])
+    def test_out_of_range_text_is_shared_with_the_estimator(
+            self, run_model_24, first, last):
+        message = f"interval [{first}, {last}] outside the event range 1..24"
+        for query in (lambda: union_prob(run_model_24, first, last),
+                      lambda: estimate_union(run_model_24, first, last, 10, 0)):
+            with pytest.raises(IndexError) as raised:
+                query()
+            assert str(raised.value) == message
+
+    @pytest.mark.parametrize("first, last", [(3, 2), (30, 25), (0, -1), (-2, -5)])
+    def test_empty_intervals_need_no_range(self, run_model_24, first, last):
+        assert union_prob(run_model_24, first, last) == 0.0
+        assert estimate_union(run_model_24, first, last, 10, 0) == (0.0, 0.0, 0.0)
 
     def test_monotone_in_range(self):
         rng = np.random.default_rng(41)

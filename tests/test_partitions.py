@@ -81,6 +81,27 @@ class TestShiftedBlocks:
                                for lo, hi in part.blocks[1:-1])
 
 
+def loop_blocks(n, m, shift):
+    """Shifted blocks by a scan over every block position from 0 until a
+    block starts past n: the reference for ``shifted_blocks``."""
+    blocks, js, j = [], [], 0
+    while shift + (j - 1) * m + 1 <= n:
+        lo, hi = max(shift + (j - 1) * m + 1, 1), min(shift + j * m, n)
+        if lo <= hi:
+            blocks.append((lo, hi))
+            js.append(j)
+        j += 1
+    return tuple(blocks), tuple(js)
+
+
+def test_shifted_blocks_match_the_loop_reference():
+    for n in range(0, 41):
+        for m in range(1, 9):
+            for r in range(m):
+                part = shifted_blocks(n, m, r)
+                assert (part.blocks, part.block_js) == loop_blocks(n, m, r)
+
+
 class TestPairShiftCount:
     def test_examples(self):
         assert pair_shift_count(1, 2, 3) == 2   # gap 1, m=3

@@ -156,6 +156,26 @@ class TestVerifyDerivation:
             assert check.slack == pytest.approx(check.lhs - check.rhs, abs=1e-15)
 
 
+def shift_cover(report):
+    (check,) = (c for c in report.checks if c.name == "pair_shift_cover[exhaustive]")
+    return check
+
+
+@pytest.mark.parametrize("m, d", [(m, d) for m in range(2, 7) for d in range(1, m)])
+def test_shift_cover_catches_a_count_off_at_one_gap(monkeypatch, m, d):
+    """The check visits only i = 1..min(N, m), yet a shift count that is
+    wrong at a single gap still fails it."""
+    from mdepbounds import verify
+    model = consecutive_run_model(3 * m, m=m)
+    assert shift_cover(verify_derivation(model)) == (
+        "pair_shift_cover[exhaustive]", "eq", 0.0, 0.0, 0.0, 0.0, True)
+    count = verify.pair_shift_count
+    monkeypatch.setattr(verify, "pair_shift_count",
+                        lambda i, l, m: count(i, l, m) + (l - i == d))
+    check = shift_cover(verify_derivation(model))
+    assert not check.passed and check.lhs == 1.0
+
+
 class TestVerifyReportShape:
     def test_json_roundtrip(self):
         """A real report survives its JSON rows, whose keys are the record
@@ -195,6 +215,21 @@ class TestVerifyReportShape:
         assert violations[0] == rows[0].violation == -math.inf
         assert math.isnan(violations[1]) and math.isnan(rows[1].violation)
         assert worst == rows[2]
+
+
+    def test_equality_with_a_non_report_is_not_implemented(self):
+        from mdepbounds import VerificationReport
+        report = VerificationReport(())
+        assert report.__eq__(report.checks) is NotImplemented
+        assert report != () and report != "VerificationReport(checks=())"
+
+    def test_repr_lists_the_checks(self):
+        from mdepbounds import Check, CheckBlock, VerificationReport
+        report = VerificationReport((CheckBlock.of(
+            Check("x[1]", "le", 0.25, 0.5, 1e-9, -0.25, True)),))
+        assert repr(report) == (
+            "VerificationReport(checks=(Check(name='x[1]', kind='le', "
+            "lhs=0.25, rhs=0.5, tol=1e-09, slack=-0.25, passed=True),))")
 
 
 @pytest.mark.parametrize("n", range(61))

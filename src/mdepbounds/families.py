@@ -72,8 +72,9 @@ import numpy as np
 from .errors import CapExceededError
 
 #: Allowed deviation of total input mass from 1.  Inputs inside this band
-#: are renormalized to machine-exact unit mass so that complementary
-#: queries agree to ~1e-15 instead of only to the input tolerance.
+#: are renormalized to unit mass up to rounding so that complementary
+#: queries agree to ~1e-15 instead of only to the input tolerance
+#: (``_unit_divisor``).
 MASS_TOL = 1e-9
 
 #: Feasibility caps on one exact query, enforced by ``require_query_scale``:
@@ -112,7 +113,8 @@ class ExplicitEventFamily:
     Attributes:
       outcome_weights: probability of each atomic outcome, shape (M,).
         Validated nonnegative and summing to 1 within MASS_TOL, then
-        renormalized to machine-exact unit mass.
+        renormalized unless already unit mass up to rounding
+        (``_unit_divisor``).
       event_masks: boolean matrix of shape (N, M); row k-1 marks the
         outcomes belonging to event A_k.
       m: claimed dependence range (not verified at construction).
@@ -139,16 +141,15 @@ class ExplicitEventFamily:
             raise ValueError("outcome space must contain at least one outcome")
         if np.any(weights < 0) or not np.all(np.isfinite(weights)):
             raise ValueError("outcome_weights must be finite and nonnegative")
-        total = float(weights.sum())
-        if abs(total - 1.0) > MASS_TOL:
-            raise ValueError(f"outcome_weights must sum to 1 within {MASS_TOL:g} "
-                             f"(got {total!r})")
+        # numpy sums pairwise: a normalized law is off by a few ulps per level
+        divisor = _unit_divisor("outcome_weights", float(weights.sum()),
+                                (math.log2(weights.size) + 8) * 2.0 ** -52)
         if masks.ndim != 2 or masks.shape[1] != weights.size:
             raise ValueError("event_masks must have shape (n_events, n_outcomes)")
         m = operator.index(self.m)
         if m < 0:
             raise ValueError("m must be a nonnegative integer")
-        weights /= total
+        weights /= divisor
         weights.flags.writeable = False
         masks.flags.writeable = False
         object.__setattr__(self, "outcome_weights", weights)
@@ -292,6 +293,17 @@ class ExplicitEventFamily:
                 f"n_outcomes={self.n_outcomes}, m={self.m})")
 
 
+def _unit_divisor(name: str, total: float, band: float) -> float:
+    """What a law of total mass ``total`` is divided by: 1.0 when the total
+    lies within ``band`` of 1, the rounding band of a law that is already
+    normalized, else the total.  So normalizing is idempotent, and a
+    family rebuilt from its own fields is unchanged.  Raises ValueError
+    outside MASS_TOL."""
+    if abs(total - 1.0) > MASS_TOL:
+        raise ValueError(f"{name} must sum to 1 within {MASS_TOL:g} (got {total!r})")
+    return 1.0 if abs(total - 1.0) <= band else total
+
+
 def _outcome_indices(event: Iterable[int], row: int, n_outcomes: int) -> np.ndarray:
     """The outcome indices of event ``row + 1`` as one int64 array, each
     converted by ``int`` and checked to lie in [0, n_outcomes)."""
@@ -330,7 +342,8 @@ class WindowModel:
     least-significant digit.
 
     ``symbol_dist`` is validated to sum to 1 within MASS_TOL and stored
-    renormalized.
+    renormalized unless already unit mass up to rounding
+    (``_unit_divisor``).
     """
 
     alphabet_size: int
@@ -354,11 +367,9 @@ class WindowModel:
             raise ValueError(f"symbol_dist must have length {s} (got {len(dist)})")
         if any(p < 0 or not math.isfinite(p) for p in dist):
             raise ValueError("symbol_dist entries must be finite and nonnegative")
-        total = sum(dist)
-        if abs(total - 1.0) > MASS_TOL:
-            raise ValueError(f"symbol_dist must sum to 1 within {MASS_TOL:g} "
-                             f"(got {total!r})")
-        dist = tuple(p / total for p in dist)
+        # a sequential sum of s terms is off by under one ulp per term
+        divisor = _unit_divisor("symbol_dist", sum(dist), len(dist) * 2.0 ** -52)
+        dist = tuple(p / divisor for p in dist)
         table = tuple(bool(b) for b in self.predicate_table)
         # s >= 2: past the table's bit length no power matches; only name it
         expected = (f"{s}**{m + 1}" if m + 1 > len(table).bit_length()

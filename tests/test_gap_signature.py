@@ -91,6 +91,23 @@ def test_union_is_bit_identical(model, data):
     assert model.union(first, last) == raw
 
 
+@pytest.mark.parametrize("table", [(False,) * 3, (True, False, False),
+                                   (False, True, True), (True,) * 3])
+def test_every_law_is_clamped_when_the_stored_law_sums_above_one(table):
+    """The kernel clamps only the law it returns, so mass above 1 from a
+    stored law one rounding step over 1 must not reach a caller."""
+    model = WindowModel(3, (0.4189683938723038, 0.531802861202355,
+                            0.049228744925341406), 0, table, 40)
+    assert sum(model.symbol_dist) > 1.0
+    # a branching sweep has 2**(len(gaps) + 1) patterns: keep its rows short
+    rows = [((), True), ((1,), True), ((3, 1, 7), True), ((1,) * 6, True),
+            ((), False), ((1,) * 39, False), ((3, 1, 7), False)]
+    for gaps, branch in rows:
+        law = model._sweep(gaps, branch)
+        assert ((0.0 <= law) & (law <= 1.0)).all()
+    assert 0.0 <= model.union(1, 40) <= 1.0
+
+
 class TestMemoIsolation:
     def test_mutating_a_returned_law_leaves_the_memo_intact(self):
         model = consecutive_run_model(12, m=2)

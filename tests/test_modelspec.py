@@ -1,9 +1,12 @@
 """Model-spec JSON parsing, validation messages, and round trips."""
 
+import dataclasses
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mdepbounds import (
     ExplicitEventFamily,
@@ -180,3 +183,51 @@ class TestFromEvents:
         with pytest.raises(error) as info:
             ExplicitEventFamily.from_events([0.5, 0.5], [event], 0)
         assert str(info.value).startswith(message)
+
+
+@st.composite
+def unit_laws(draw, min_size=1, max_size=64):
+    """A law divided by its own total, as a caller normalizes it."""
+    weights = np.array(draw(st.lists(st.floats(1e-3, 1.0), min_size=min_size,
+                                     max_size=max_size)))
+    return weights / weights.sum()
+
+
+class TestUnitMassIsIdempotent:
+    """A law already normalized up to rounding is stored as given, so a
+    family rebuilt from its own fields, or dumped and loaded, is equal."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(law=unit_laws(min_size=2, max_size=6), data=st.data())
+    def test_window_models_round_trip(self, law, data):
+        s = len(law)
+        table = data.draw(st.lists(st.booleans(), min_size=s, max_size=s))
+        model = WindowModel(s, tuple(law.tolist()), 0, tuple(table), 5)
+        assert parse_model(model_to_dict(model)) == model
+        assert dataclasses.replace(model, horizon=model.horizon) == model
+
+    @settings(max_examples=300, deadline=None)
+    @given(law=unit_laws(), data=st.data())
+    def test_explicit_families_round_trip(self, law, data):
+        masks = np.array(data.draw(st.lists(st.booleans(), min_size=2 * law.size,
+                                            max_size=2 * law.size))).reshape(2, -1)
+        family = ExplicitEventFamily(law, masks, 1)
+        for rebuilt in (parse_model(model_to_dict(family)),
+                        ExplicitEventFamily(family.outcome_weights, masks, 1)):
+            assert rebuilt.outcome_weights.tobytes() == family.outcome_weights.tobytes()
+
+    @settings(max_examples=300, deadline=None)
+    @given(law=unit_laws())
+    def test_normalized_laws_are_stored_as_given(self, law):
+        model = WindowModel(law.size + 1, (*law.tolist(), 0.0), 0,
+                            (False,) * (law.size + 1), 1)
+        assert model.symbol_dist[:-1] == tuple(law.tolist())
+        family = ExplicitEventFamily(law, np.ones((1, law.size), dtype=bool), 0)
+        assert family.outcome_weights.tobytes() == law.tobytes()
+
+    def test_a_law_off_by_more_than_rounding_is_divided(self):
+        dist = (0.25, 0.25, 0.5 + 1e-12)
+        divided = tuple(p / sum(dist) for p in dist)
+        assert WindowModel(3, dist, 0, (True, False, False), 3).symbol_dist == divided
+        family = ExplicitEventFamily(dist, [[True, False, False]], 0)
+        assert tuple(family.outcome_weights.tolist()) == divided

@@ -216,7 +216,6 @@ class TestVerifyReportShape:
         assert math.isnan(violations[1]) and math.isnan(rows[1].violation)
         assert worst == rows[2]
 
-
     def test_equality_with_a_non_report_is_not_implemented(self):
         from mdepbounds import VerificationReport
         report = VerificationReport(())

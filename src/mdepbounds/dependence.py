@@ -56,6 +56,11 @@ MAX_SUBSETS = 200_000
 #: working memory does not grow with the number of groups.
 BATCH_CELLS = 1 << 16
 
+#: Widest pattern law, in events, that is built: a law of u events has
+#: 2**u cells per kernel state, so one law of this width fills a whole
+#: BATCH_CELLS chunk.
+MAX_PATTERN_WIDTH = 16
+
 #: At most this many failing (I, J) splits are itemized in the report
 #: (summary checks always cover everything).
 MAX_DETAILED_FAILURES = 50
@@ -67,7 +72,8 @@ def pattern_distribution(family: Family, indices: tuple[int, ...]) -> np.ndarray
     Entry p is the probability that exactly the events whose position t
     in `indices` has bit t set in p occur.  Length 2**len(indices), so
     the empty tuple gives [1.0].  Raises IndexError for an index outside
-    1..N and ValueError unless the indices are strictly increasing.
+    1..N, ValueError unless the indices are strictly increasing, and
+    CapExceededError for more than ``MAX_PATTERN_WIDTH`` indices.
     """
     indices = tuple(operator.index(k) for k in indices)
     if not indices:
@@ -75,7 +81,14 @@ def pattern_distribution(family: Family, indices: tuple[int, ...]) -> np.ndarray
     if any(a >= b for a, b in itertools.pairwise(indices)):
         raise ValueError(f"indices {indices} must be strictly increasing")
     _require_event_indices(family, indices)
+    _require_width(len(indices))
     return family.pattern_laws(np.array([indices]))[0]
+
+
+def _require_width(width: int) -> None:
+    if width > MAX_PATTERN_WIDTH:
+        raise CapExceededError(f"pattern laws of {width} events exceed the "
+                               f"width cap {MAX_PATTERN_WIDTH}")
 
 
 def _split(shape: int, size: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -139,7 +152,8 @@ def check_m_dependence(family: Family, m: int | None = None, *,
     measured in chunks, one batched pass per split shape (see the module
     docstring).
 
-    Raises CapExceededError when the number of groups (the candidate
+    Raises CapExceededError when min(max_subset, N) exceeds
+    ``MAX_PATTERN_WIDTH`` or when the number of groups (the candidate
     index subsets evaluated) would exceed `max_subsets`; lowering
     max_subset (pairwise only: 2) restores feasibility.
     """
@@ -150,6 +164,7 @@ def check_m_dependence(family: Family, m: int | None = None, *,
     if max_subset < 2:
         raise ValueError("max_subset must be >= 2")
     sizes = range(2, max_subset + 1)
+    _require_width(min(max_subset, family.n_events))
 
     total = sum(family.subset_group_count(size, m + 1) for size in sizes)
     if total > max_subsets:

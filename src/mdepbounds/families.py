@@ -13,20 +13,26 @@ Two representations are supported:
 * :class:`WindowModel` draws an i.i.d. symbol stream and fires event k
   exactly when a fixed predicate holds on the window of symbols
   k..k+m.  Events whose indices differ by more than m read disjoint
-  symbols, so the family is m-dependent by construction.  Its exact
-  queries all run through one transfer-operator kernel,
-  ``WindowModel._sweep``, which carries the joint law of the last m
-  symbols forward one window at a time.  The kernel's only input is a
-  row of gaps between marked windows: the symbols are i.i.d., so where
-  a query starts plays no part, and a gap wider than m+1 acts like one
-  of m+1.  ``WindowModel._laws`` clamps the gap rows of an index array
-  at m+1 once and ``WindowModel._law`` memoizes one answer per clamped
-  row.
+  symbols, so the family is m-dependent by construction.  Everything
+  its horizon N does not enter lives in one :class:`WindowKernel`
+  (``WindowModel.kernel``), whose transfer operator ``sweep`` carries
+  the joint law of the last m symbols forward one window at a time.
+  The kernel's only input is a row of gaps between marked windows: the
+  symbols are i.i.d., so where a query starts plays no part, and a gap
+  wider than m+1 acts like one of m+1.  ``WindowKernel.laws`` clamps
+  the gap rows of an index array at m+1 once and ``WindowKernel.law``
+  memoizes one answer per clamped row.  A contiguous union needs no
+  row: ``WindowKernel.survival`` reads P(no A_1..A_L) off a survival
+  curve that the clear step extends to the longest L asked so far.
+  ``WindowModel.with_horizon`` gives the same law at another horizon
+  with the same kernel, so a horizon sweep computes one curve.
 
 Both classes answer one protocol, which the module-level query functions
 and the audits read without checking the representation: ``event_probs``
 (P(A_k) for k = 1..N), ``prefix_probs`` (P(A_1)+..+P(A_u) for u = 0..N),
-``pair_probs(gap)`` (P(A_k and A_{k+gap}) for k = 1..N-gap),
+``pair_probs(gap)`` (P(A_k and A_{k+gap}) for k = 1..N-gap; callers
+must not write into it or into ``event_probs``, which a window model
+returns as read-only views of one stationary value),
 ``pair_mass(gap)`` (the correctly rounded sum of ``pair_probs(gap)``),
 ``union(first, last)``, ``survivals(rows)`` (for each row of a 2-D
 index array, the probability that no listed event fires; a window model
@@ -53,9 +59,10 @@ family is a *claim*: nothing here assumes it holds, and
 
 All types are immutable after construction and all operations are pure
 functions of their inputs, so concurrent readers need no locking: an
-explicit family's atom table and a window model's kernel constants
-and read-only answers per clamped gap row (``WindowModel._memo``) live
-as long as the object, and a race only recomputes.
+explicit family's atom table and a window kernel's constants, read-only
+answers per clamped gap row and survival curve live as long as the
+object, the curve is republished whole after each extension, and a race
+only recomputes.
 """
 
 from __future__ import annotations
@@ -63,7 +70,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Iterable, Iterator, NamedTuple, Sequence, Union
 
@@ -88,6 +95,11 @@ MAX_EXPLICIT_OUTCOMES = 1 << 20
 #: Atom cells (rows times atoms) per ``np.bincount`` of an explicit
 #: family's ``pattern_laws``, so a batch's ids stay a few hundred KiB.
 ATOM_BATCH_CELLS = 1 << 16
+
+#: State cells (clear steps times s**m states) per chunk of the buffer a
+#: window kernel extends its survival curve in, so that buffer stays
+#: 128 KiB.
+CURVE_CELLS = 1 << 14
 
 
 class SubsetGroup(NamedTuple):
@@ -328,6 +340,117 @@ def _outcome_indices(event: Iterable[int], row: int, n_outcomes: int) -> np.ndar
     return np.array(checked, dtype=np.int64)
 
 
+class WindowKernel:
+    """The part of a window model that its horizon does not enter: finite
+    Markov chain imbedding over the joint law of the last m symbols.
+
+    Holds the read-only ``dist_array`` and ``table_array``, the
+    ``start`` law of m consecutive symbols (the earliest symbol is the
+    least significant base-s digit of a state index), the ``carry``,
+    ``clear`` and ``fired`` step weights w[x, st] of the window whose
+    earliest m symbols encode st and whose newest symbol is x, the laws
+    answered so far per clamped gap row, and the contiguous survival
+    curve.  Models that differ only in their horizon share one
+    (:meth:`WindowModel.with_horizon`).
+    """
+
+    def __init__(self, dist: Sequence[float], m: int, table: Sequence[bool]) -> None:
+        self.m = m
+        self.dist_array = np.array(dist, dtype=float)
+        self.table_array = np.array(table, dtype=bool)
+        self.dist_array.flags.writeable = self.table_array.flags.writeable = False
+        law = np.ones(1)
+        for _ in range(m):
+            law = np.kron(self.dist_array, law)  # append the next (later) symbol
+        fires = self.table_array.reshape(len(dist), law.size)
+        self.start, self.carry = law, self.dist_array[:, None]
+        self.clear = np.where(fires, 0.0, self.carry)
+        self.fired = np.where(fires, self.carry, 0.0)
+        self._memo: dict = {}  # (clamped gaps, branch) -> law
+        # (state after the last clear step, survivals for lengths 0..L),
+        # published as one tuple so that a race only recomputes
+        self._curve = (law, np.ones(1))
+
+    def sweep(self, gaps: Sequence[int], branch: bool) -> np.ndarray:
+        """Transfer-operator kernel (finite Markov chain imbedding).
+
+        Steps a [pattern, 1, s**m] state, the joint law of the last m
+        symbols per pattern, from window 1: it marks window 1, then one
+        window per gap g (positive, clamped or not), with g - 1 pass steps
+        before it.  The symbols are i.i.d., so only the gaps matter.  Each
+        window appends one symbol x and takes one action: a pass step
+        carries the mass forward; at a marked window the mass where the
+        window fires is killed (``branch=False``) or split off into a
+        fired copy appended along the pattern axis (``branch=True``), so
+        pattern bit t stands for the t-th mark.  Returns the mass per
+        pattern, clamped into [0, 1] once: the state is never clamped, so
+        a stored law that sums a rounding step above 1 can carry mass
+        above 1 until the end.
+        """
+        s, states = self.dist_array.size, self.start.size
+        state = self.start.reshape(1, 1, -1)
+        for g in (1, *gaps):
+            for k in range(g):
+                if k < g - 1:
+                    mass = state * self.carry  # [pattern, x, st]
+                elif branch:
+                    mass = np.concatenate([state * self.clear, state * self.fired])
+                else:
+                    mass = state * self.clear
+                # st = rest*s + oldest, so x*s**m + st = (x*s**(m-1) + rest)*s
+                # + oldest: drop the oldest symbol, append x (m = 0 drops x).
+                state = mass.reshape(-1, states, s).sum(axis=2)[:, None, :]
+        return state[:, 0, :].sum(axis=1).clip(0.0, 1.0)
+
+    def law(self, gaps: tuple[int, ...], branch: bool) -> np.ndarray:
+        """``sweep`` answered once per tuple of gaps, each at most m+1,
+        read-only.  After m pass steps the state is the pattern mass times
+        the law of m symbols, so a gap wider than m+1 acts like one of
+        m+1: callers clamp (``laws``) and the memo key is the clamped
+        tuple itself."""
+        law = self._memo.get((gaps, branch))
+        if law is None:
+            law = self._memo[gaps, branch] = self.sweep(gaps, branch)
+            law.flags.writeable = False
+        return law
+
+    def laws(self, rows: np.ndarray, branch: bool) -> np.ndarray:
+        """``law`` of each row of a (K, L) index array, as a fresh (K, P)
+        array: one lookup per distinct row of gaps clamped at m+1, since
+        rows with the same clamped gaps have the same law wherever they
+        start."""
+        gaps = np.minimum(np.diff(rows, axis=1, prepend=rows[:, :1]), self.m + 1)
+        # One opaque item per row (the leading 0 keeps L = 1 rows
+        # nonempty), so a 1-D unique finds the distinct rows.
+        keys = gaps.view(np.dtype((np.void, gaps.itemsize * gaps.shape[1]))).ravel()
+        _, first, where = np.unique(keys, return_index=True, return_inverse=True)
+        laws = [self.law(tuple(row[1:]), branch) for row in gaps[first].tolist()]
+        width = 1 << rows.shape[1] if branch else 1
+        return np.array(laws).reshape(len(laws), width)[where]
+
+    def survival(self, length: int) -> float:
+        """P(no A_1..A_length) for length >= 1, bit for bit
+        ``sweep((1,) * (length - 1), False)[0]``: entry ``length`` of the
+        curve, which the clear step extends to the longest length asked
+        so far.  Each step reduces straight into one row of a buffer of
+        at most ``CURVE_CELLS`` cells, and one row sum per chunk gives the
+        chunk's survivals, each clamped into [0, 1] as ``sweep`` clamps."""
+        state, curve = self._curve
+        if length >= len(curve):
+            start, stop, states = len(curve), length + 1, state.size
+            rows = np.empty((min(stop - start, max(1, CURVE_CELLS // states)), states))
+            mass, curve = np.empty_like(self.clear), np.resize(curve, stop)
+            for lo in range(start, stop, len(rows)):
+                chunk = rows[:stop - lo]
+                for row in chunk:
+                    np.multiply(state, self.clear, out=mass)
+                    # the fold ``sweep`` sums over: drop the oldest symbol
+                    state = np.add.reduce(mass.reshape(states, -1), axis=1, out=row)
+                np.clip(chunk.sum(axis=1), 0.0, 1.0, out=curve[lo:lo + len(chunk)])
+            self._curve = (state.copy(), curve)
+        return float(curve[length])
+
+
 @dataclass(frozen=True)
 class WindowModel:
     """Windowed predicate events over an i.i.d. symbol stream.
@@ -343,7 +466,7 @@ class WindowModel:
 
     ``symbol_dist`` is validated to sum to 1 within MASS_TOL and stored
     renormalized unless already unit mass up to rounding
-    (``_unit_divisor``).
+    (``_unit_divisor``).  Every exact query reads :attr:`kernel`.
     """
 
     alphabet_size: int
@@ -382,82 +505,34 @@ class WindowModel:
         object.__setattr__(self, "horizon", horizon)
         object.__setattr__(self, "symbol_dist", dist)
         object.__setattr__(self, "predicate_table", table)
-        object.__setattr__(self, "_memo", {})  # (clamped gaps, branch) -> law
 
     @property
     def n_events(self) -> int:
         return self.horizon
 
     @cached_property
-    def dist_array(self) -> np.ndarray:
-        arr = np.array(self.symbol_dist, dtype=float)
-        arr.flags.writeable = False
-        return arr
+    def kernel(self) -> WindowKernel:
+        """The horizon-free kernel, built on first use."""
+        return WindowKernel(self.symbol_dist, self.m, self.predicate_table)
 
-    @cached_property
-    def table_array(self) -> np.ndarray:
-        arr = np.array(self.predicate_table, dtype=bool)
-        arr.flags.writeable = False
-        return arr
+    def with_horizon(self, horizon: int) -> "WindowModel":
+        """This model at another horizon, sharing its kernel.  A plain
+        ``dataclasses.replace`` builds a kernel of its own; this one may
+        share, because a stored law is a fixed point of construction, so
+        every other field comes back equal."""
+        model = replace(self, horizon=horizon)
+        object.__setattr__(model, "kernel", self.kernel)
+        return model
 
-    @cached_property
-    def _kernel(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """The kernel's constants, built once: the joint law of m
-        consecutive symbols as a [1, 1, s**m] state (the earliest symbol
-        is the least significant base-s digit of the state index), and
-        the carry, clear and fired step weights w[x, st] of the window
-        whose earliest m symbols encode st and whose newest symbol is x."""
-        s, m = self.alphabet_size, self.m
-        law = np.ones(1)
-        for _ in range(m):
-            law = np.kron(self.dist_array, law)  # append the next (later) symbol
-        fires = self.table_array.reshape(s, s ** m)
-        carry = self.dist_array[:, None]
-        return (law.reshape(1, 1, -1), carry, np.where(fires, 0.0, carry),
-                np.where(fires, carry, 0.0))
-
-    def _sweep(self, gaps: Sequence[int], branch: bool) -> np.ndarray:
-        """Transfer-operator kernel (finite Markov chain imbedding).
-
-        Steps a [pattern, 1, s**m] state, the joint law of the last m
-        symbols per pattern, from window 1: it marks window 1, then one
-        window per gap g (positive, clamped or not), with g - 1 pass steps
-        before it.  The symbols are i.i.d., so only the gaps matter.  Each
-        window appends one symbol x and takes one action: a pass step
-        carries the mass forward; at a marked window the mass where the
-        window fires is killed (``branch=False``) or split off into a
-        fired copy appended along the pattern axis (``branch=True``), so
-        pattern bit t stands for the t-th mark.  Returns the mass per
-        pattern, clamped into [0, 1] once: the state is never clamped, so
-        a stored law that sums a rounding step above 1 can carry mass
-        above 1 until the end.
-        """
-        s, m = self.alphabet_size, self.m
-        state, carry, clear, fired = self._kernel
-        for g in (1, *gaps):
-            for k in range(g):
-                if k < g - 1:
-                    mass = state * carry  # [pattern, x, st]
-                elif branch:
-                    mass = np.concatenate([state * clear, state * fired])
-                else:
-                    mass = state * clear
-                # st = rest*s + oldest, so x*s**m + st = (x*s**(m-1) + rest)*s
-                # + oldest: drop the oldest symbol, append x (m = 0 drops x).
-                state = mass.reshape(-1, s ** m, s).sum(axis=2)[:, None, :]
-        return state[:, 0, :].sum(axis=1).clip(0.0, 1.0)
-
-    @cached_property
+    @property
     def event_probs(self) -> np.ndarray:
         """P(A_k) for k = 1..N, as a read-only vector of length N."""
-        probs = self.pair_probs(0)
-        probs.flags.writeable = False
-        return probs
+        return self.pair_probs(0)
 
     @cached_property
     def prefix_probs(self) -> np.ndarray:
         """u * P(A_1) for u = 0..N, each rounded once (read-only)."""
-        prefix = np.arange(self.horizon + 1) * self._law((), branch=True)[1]
+        prefix = np.arange(self.horizon + 1) * self.kernel.law((), branch=True)[1]
         prefix.flags.writeable = False
         return prefix
 
@@ -466,49 +541,24 @@ class WindowModel:
         windows more than m apart share no symbol, so their pair mass is
         the exact product p**2."""
         if gap == 0:
-            return self._law((), branch=True)[1]
+            return self.kernel.law((), branch=True)[1]
         if gap > self.m:
-            return float(self._law((), branch=True)[1]) ** 2
-        return self._law((gap,), branch=True)[0b11]
+            return float(self.kernel.law((), branch=True)[1]) ** 2
+        return self.kernel.law((gap,), branch=True)[0b11]
 
     def pair_probs(self, gap: int) -> np.ndarray:
-        return np.full(self.horizon - gap, self._pair_each(gap))
+        """One stationary value viewed N - gap times: read-only, O(1)."""
+        return np.broadcast_to(self._pair_each(gap), (self.horizon - gap,))
 
     def pair_mass(self, gap: int) -> float:
         """(N - gap) * q rounded once: fsum of N - gap equal terms."""
         return float((self.horizon - gap) * self._pair_each(gap))
 
-    def _law(self, gaps: tuple[int, ...], branch: bool) -> np.ndarray:
-        """``_sweep`` answered once per tuple of gaps, each at most m+1,
-        read-only.  After m pass steps the state is the pattern mass times
-        the law of m symbols, so a gap wider than m+1 acts like one of
-        m+1: callers clamp (``_laws``) and the memo key is the clamped
-        tuple itself."""
-        law = self._memo.get((gaps, branch))
-        if law is None:
-            law = self._memo[gaps, branch] = self._sweep(gaps, branch)
-            law.flags.writeable = False
-        return law
-
-    def _laws(self, rows: np.ndarray, branch: bool) -> np.ndarray:
-        """``_law`` of each row of a (K, L) index array, as a fresh (K, P)
-        array: one lookup per distinct row of gaps clamped at m+1, since
-        rows with the same clamped gaps have the same law wherever they
-        start."""
-        gaps = np.minimum(np.diff(rows, axis=1, prepend=rows[:, :1]), self.m + 1)
-        # One opaque item per row (the leading 0 keeps L = 1 rows
-        # nonempty), so a 1-D unique finds the distinct rows.
-        keys = gaps.view(np.dtype((np.void, gaps.itemsize * gaps.shape[1]))).ravel()
-        _, first, where = np.unique(keys, return_index=True, return_inverse=True)
-        laws = [self._law(tuple(row[1:]), branch) for row in gaps[first].tolist()]
-        width = 1 << rows.shape[1] if branch else 1
-        return np.array(laws).reshape(len(laws), width)[where]
-
     def union(self, first: int, last: int) -> float:
-        return 1.0 - float(self._law((1,) * (last - first), branch=False)[0])
+        return 1.0 - self.kernel.survival(last - first + 1)
 
     def survivals(self, rows: np.ndarray) -> np.ndarray:
-        return self._laws(rows, branch=False)[:, 0]
+        return self.kernel.laws(rows, branch=False)[:, 0]
 
     @property
     def structural_range(self) -> int:
@@ -523,7 +573,7 @@ class WindowModel:
                 f"{MAX_WINDOW_TABLE}")
 
     def pattern_laws(self, rows: np.ndarray) -> np.ndarray:
-        return self._laws(rows, branch=True)
+        return self.kernel.laws(rows, branch=True)
 
     def _clamp(self, far: int) -> int:
         """Gaps of c or more are one class: the kernel reads gaps clamped at
@@ -654,9 +704,9 @@ def expand_window_model(model: WindowModel) -> ExplicitEventFamily:
     flat = np.arange(n_strings)
     weights = np.ones(n_strings)
     for t in range(length):
-        weights *= model.dist_array[(flat // s ** t) % s]
+        weights *= model.kernel.dist_array[(flat // s ** t) % s]
     masks = np.zeros((n, n_strings), dtype=bool)
     for k in range(1, n + 1):
         widx = (flat // s ** (k - 1)) % s ** (m + 1)
-        masks[k - 1] = model.table_array[widx]
+        masks[k - 1] = model.kernel.table_array[widx]
     return ExplicitEventFamily(weights, masks, model.m)

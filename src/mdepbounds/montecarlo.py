@@ -142,8 +142,8 @@ def estimate_union(model: WindowModel, first: int, last: int,
     # draw c uses the counter word key + (c+1)*GOLDEN, and trial t's draws
     # are c = t*length + j: a per-trial base plus a per-column step
     steps = np.arange(length, dtype=np.uint64) * _GOLDEN
-    thresholds = _thresholds(np.cumsum(model.dist_array))
-    table = model.table_array
+    thresholds = _thresholds(np.cumsum(model.kernel.dist_array))
+    table = model.kernel.table_array
     words = np.empty((rows, length), dtype=np.uint64)
     scratch = np.empty_like(words)
     symbols = np.empty((rows, length), dtype=np.min_scalar_type(s - 1))

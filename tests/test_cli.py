@@ -308,15 +308,15 @@ class TestSweep:
                        f"sweep cap {rows - 1}; narrow the range or raise the step\n")
 
     @pytest.mark.parametrize("model, spec, events", [
-        ("w1", "horizon=1..4", 10), ("w1", "horizon=3..9:3", 18),
+        ("w1", "horizon=1..4", 4), ("w1", "horizon=3..9:3", 9),
         ("w1", "p1=0.1..0.4:0.1", 4 * 24), ("e1", "m=1..2", 2 * 2),
     ], ids=["int", "int-step", "float", "m"])
     def test_exact_sweep_event_cap(self, capsys, monkeypatch, w1_path, e1_path,
                                    model, spec, events):
-        """The events of a sweep's --exact rows are summed before any row:
-        a horizon sweep's from its range, any other's as rows times the
-        first row's N.  At the cap it runs; one event less and it is
-        refused, with or without rows."""
+        """The events of a sweep's --exact rows are counted before any row:
+        a horizon sweep's rows share one survival curve, so its last N;
+        any other's as rows times the first row's N.  At the cap it runs;
+        one event less and it is refused, with or without rows."""
         path = {"w1": w1_path, "e1": e1_path}[model]
         monkeypatch.setattr(cli, "MAX_SWEEP_EXACT_EVENTS", events)
         code, out, _ = run_cli(capsys, "sweep", path, spec, "--exact")
@@ -331,23 +331,36 @@ class TestSweep:
         code, out, _ = run_cli(capsys, "sweep", path, spec)
         assert (code, len(out.splitlines()) - 1) == (0, rows)
 
-    @pytest.mark.parametrize("spec, exact, err", [
-        ("horizon=100000..109999", True,
-         "error: the sweep's exact rows would cover 1049995000 events, above "
+    @pytest.mark.parametrize("model, spec, exact, err", [
+        ("w1", "horizon=50000000..50009999", True,
+         "error: the sweep's exact rows would cover 50009999 events, above "
          "the exact sweep cap 50005000; narrow the range or drop --exact\n"),
-        ("horizon=100000..109999", False, "error: a row was computed\n"),
-        ("horizon=1..10000", True, "error: a row was computed\n"),
-    ], ids=["exact", "plain", "documented-exact"])
+        ("long", "p1=0.1..0.6:0.001", True,
+         "error: the sweep's exact rows would cover 50100000 events, above "
+         "the exact sweep cap 50005000; narrow the range or drop --exact\n"),
+        ("w1", "horizon=100000..109999", True, "error: a row was computed\n"),
+        ("w1", "horizon=100000..109999", False, "error: a row was computed\n"),
+        ("w1", "horizon=1..10000", True, "error: a row was computed\n"),
+        ("long", "p1=0.1..0.5:0.001", True, "error: a row was computed\n"),
+    ], ids=["exact", "p-past-cap", "shared-curve", "plain",
+            "documented-exact", "p-at-cap"])
     def test_long_exact_sweep_is_refused_before_any_row(
-            self, capsys, monkeypatch, w1_path, spec, exact, err):
-        """10,000 exact rows at N >= 10**5 would run for hours; they are
-        refused before the first report.  Without --exact, and for the
-        documented horizon=1..10000 --exact, the first row is computed."""
+            self, capsys, monkeypatch, tmp_path, w1_path, model, spec, exact,
+            err):
+        """A horizon sweep's exact rows read one survival curve up to its
+        last N, so it is refused when that N passes the cap.
+        ``horizon=100000..109999 --exact``, 10,000 separate unions of
+        10**5 events or more (hours of work), is one curve of 109,999
+        events and reaches its first row.  A probability sweep's rows
+        each have their own law, so 501 rows at N = 10**5 are refused and
+        401 are admitted.  Without --exact the first row is computed."""
         def no_row(*args, **kwargs):
             raise ValueError("a row was computed")
 
+        path = {"w1": w1_path, "long": tmp_path / "long.json"}[model]
+        dump_model(consecutive_run_model(100_000), tmp_path / "long.json")
         monkeypatch.setattr(cli, "build_report", no_row)
-        code, out, got = run_cli(capsys, "sweep", w1_path, spec,
+        code, out, got = run_cli(capsys, "sweep", str(path), spec,
                                  *["--exact"][:exact])
         assert (code, out, got) == (2, "", err)
 

@@ -17,12 +17,12 @@ from hypothesis import strategies as st
 
 from mdepbounds import (
     ExplicitEventFamily,
-    WindowModel,
     consecutive_run_model,
     expand_window_model,
     random_window_model,
     verify_derivation,
 )
+from mdepbounds.families import WindowKernel
 
 from derivation_walk import derivation_walk
 
@@ -78,18 +78,23 @@ def test_failing_tolerance_equals_walk():
 
 def test_queries_do_not_grow_as_n_squared(monkeypatch):
     """Every exact index-set question a window model answers goes through
-    ``_law``.  One oracle call per check made 4,727 of them at N = 100
-    and 67,077 at N = 400; batched, the audit makes one per distinct
-    batch row and per block event (120 and 420), so the count grows
-    as N."""
+    ``WindowKernel.law`` or, for a contiguous union, ``WindowKernel.survival``.
+    One oracle call per check made 4,727 of them at N = 100 and 67,077
+    at N = 400; batched, the audit makes one per distinct batch row and
+    per block event (120 and 420), so the count grows as N."""
     calls = []
-    law = WindowModel._law
+    law, survival = WindowKernel.law, WindowKernel.survival
 
     def counted(self, gaps, branch):
         calls.append(len(gaps))
         return law(self, gaps, branch)
 
-    monkeypatch.setattr(WindowModel, "_law", counted)
+    def counted_survival(self, length):
+        calls.append(length - 1)
+        return survival(self, length)
+
+    monkeypatch.setattr(WindowKernel, "law", counted)
+    monkeypatch.setattr(WindowKernel, "survival", counted_survival)
     counts = {}
     for n in (100, 400):
         calls.clear()

@@ -2,10 +2,11 @@
 
 A window model answers ``survivals``, ``pattern_laws`` and ``union`` once
 per row of gaps clamped at m+1 and keeps the read-only answer for the
-life of the model object.  These tests hold the memoized answers against
-the raw kernel ``_sweep`` on unclamped gaps, check that a caller cannot
-corrupt the memo, and bound the number of kernel sweeps the two audits
-make.
+life of its kernel (``WindowModel.kernel``); a union reads the kernel's
+survival curve instead.  These tests hold the memoized answers and the
+curve against the raw ``WindowKernel.sweep`` on unclamped gaps, check that
+a caller cannot corrupt the memo, and bound the number of kernel sweeps
+the two audits make.
 """
 
 import tracemalloc
@@ -24,6 +25,7 @@ from mdepbounds import (
     union_prob,
     verify_derivation,
 )
+from mdepbounds.families import WindowKernel
 
 #: Worst |canonical - raw| seen over 3,000 random models (N <= 200) is
 #: about 2.4e-14: a raw sweep's long runs of pass steps add rounding that
@@ -56,9 +58,9 @@ def test_clamped_gaps_match_raw_sweep(model, data):
                                              max_size=min(n, 5)))))
     law = pattern_distribution(model, indices)
     gaps = np.diff(indices)
-    assert np.abs(law - model._sweep(gaps, branch=True)).max() <= CLAMP_TOL
+    assert np.abs(law - model.kernel.sweep(gaps, branch=True)).max() <= CLAMP_TOL
     assert abs(survival(model, indices)
-               - model._sweep(gaps, branch=False)[0]) <= CLAMP_TOL
+               - model.kernel.sweep(gaps, branch=False)[0]) <= CLAMP_TOL
 
 
 @settings(max_examples=60, deadline=None)
@@ -76,9 +78,9 @@ def test_translated_queries_are_bit_identical(model, data):
     pattern_distribution(model, tuple(k + shift for k in indices))
     survival(model, tuple(k + shift for k in indices))
     assert np.array_equal(pattern_distribution(model, indices),
-                          model._sweep(np.diff(indices), branch=True))
+                          model.kernel.sweep(np.diff(indices), branch=True))
     assert survival(model, indices) \
-        == model._sweep(np.diff(indices), branch=False)[0]
+        == model.kernel.sweep(np.diff(indices), branch=False)[0]
 
 
 @settings(max_examples=60, deadline=None)
@@ -87,7 +89,8 @@ def test_union_is_bit_identical(model, data):
     n = model.horizon
     first = data.draw(st.integers(1, n))
     last = data.draw(st.integers(first, n))
-    raw = 1.0 - model._sweep((1,) * (last - first), branch=False)[0]
+    # The union reads the survival curve, the reference one raw sweep.
+    raw = 1.0 - model.kernel.sweep((1,) * (last - first), branch=False)[0]
     assert model.union(first, last) == raw
 
 
@@ -103,7 +106,7 @@ def test_every_law_is_clamped_when_the_stored_law_sums_above_one(table):
     rows = [((), True), ((1,), True), ((3, 1, 7), True), ((1,) * 6, True),
             ((), False), ((1,) * 39, False), ((3, 1, 7), False)]
     for gaps, branch in rows:
-        law = model._sweep(gaps, branch)
+        law = model.kernel.sweep(gaps, branch)
         assert ((0.0 <= law) & (law <= 1.0)).all()
     assert 0.0 <= model.union(1, 40) <= 1.0
 
@@ -120,39 +123,44 @@ class TestMemoIsolation:
     def test_memoized_laws_are_read_only(self):
         model = consecutive_run_model(12, m=2)
         with pytest.raises(ValueError):
-            model._law((2,), branch=True)[0] = 0.0
+            model.kernel.law((2,), branch=True)[0] = 0.0
 
     def test_memo_belongs_to_one_model(self):
         a = consecutive_run_model(12, m=2)
         b = consecutive_run_model(12, m=2)
         pattern_distribution(a, (1, 3))
-        assert a._memo and not b._memo
+        assert a.kernel._memo and not b.kernel._memo
 
 
 @pytest.fixture
 def sweep_counter(monkeypatch):
-    """Counts WindowModel._sweep calls, split by the branch flag."""
+    """Counts WindowKernel.sweep calls, split by the branch flag."""
     counts = {False: 0, True: 0}
-    sweep = WindowModel._sweep
+    sweep = WindowKernel.sweep
 
     def counted(self, gaps, branch):
         counts[branch] += 1
         return sweep(self, gaps, branch)
 
-    monkeypatch.setattr(WindowModel, "_sweep", counted)
+    monkeypatch.setattr(WindowKernel, "sweep", counted)
     return counts
 
 
 @pytest.fixture
 def unmemoized(monkeypatch):
     """Call it to route every kernel query straight to the raw sweep: a
-    batch makes one ``_sweep`` per row on its unclamped gaps."""
+    batch makes one ``sweep`` per row on its unclamped gaps, and a union
+    one sweep over its whole range instead of a curve lookup."""
     def raw_laws(self, rows, branch):
-        return np.array([self._sweep(np.diff(row), branch) for row in rows])
+        return np.array([self.sweep(np.diff(row), branch) for row in rows])
+
+    def raw_survival(self, length):
+        return float(self.sweep((1,) * (length - 1), branch=False)[0])
 
     def route():
-        monkeypatch.setattr(WindowModel, "_law", WindowModel._sweep)
-        monkeypatch.setattr(WindowModel, "_laws", raw_laws)
+        monkeypatch.setattr(WindowKernel, "law", WindowKernel.sweep)
+        monkeypatch.setattr(WindowKernel, "laws", raw_laws)
+        monkeypatch.setattr(WindowKernel, "survival", raw_survival)
     return route
 
 
@@ -199,9 +207,10 @@ class TestWorkCounters:
 
 
 def test_long_union_memory_does_not_grow_with_the_span():
-    """A union walks one gap row of ones.  A set or a tuple of its 20,000
-    window indices, for the sweep or for the memo key, peaks at about
-    3.3 MiB; the gap row stays under 0.5 MiB."""
+    """A union reads one survival curve.  A set or a tuple of its 20,000
+    window indices, for the sweep or for a memo key, peaks at about
+    3.3 MiB; the 20,001-entry curve and its chunk buffer stay under
+    0.5 MiB."""
     model = consecutive_run_model(20_000, m=2)
     tracemalloc.start()
     try:

@@ -22,7 +22,6 @@ from hypothesis import strategies as st
 
 from mdepbounds import (
     ExplicitEventFamily,
-    WindowModel,
     check_m_dependence,
     consecutive_run_model,
     expand_window_model,
@@ -238,7 +237,7 @@ def work_counter(monkeypatch):
     """Counts kernel sweeps and per-split violation measurements: the
     rows the batched measure evaluates, one per (group, split)."""
     counts = {"sweeps": 0, "violations": 0}
-    sweep = WindowModel._sweep
+    sweep = families.WindowKernel.sweep
     violations = dependence._worst_violations
 
     def counted_sweep(self, gaps, branch):
@@ -249,7 +248,7 @@ def work_counter(monkeypatch):
         counts["violations"] += len(laws)
         return violations(laws, *args)
 
-    monkeypatch.setattr(WindowModel, "_sweep", counted_sweep)
+    monkeypatch.setattr(families.WindowKernel, "sweep", counted_sweep)
     monkeypatch.setattr(dependence, "_worst_violations", counted_violations)
     return counts
 

@@ -215,9 +215,9 @@ MAX_SWEEP_ROWS = 10_000
 MAX_SWEEP_EXACT_EVENTS = 50_005_000
 
 #: Refuse a sweep whose --mc rows sum to more trials times events than
-#: this before computing any.  A Monte Carlo row costs about 10 ns per
-#: trial per event (1.0 s for 10**5 trials at N = 1,000 on a 2-vCPU
-#: Xeon), so the cap runs for about 5 minutes, not hours.
+#: this before computing any.  A Monte Carlo row costs about 6 ns per
+#: trial per event (0.6 s for 10**5 trials at N = 1,000 on a 2-vCPU
+#: Xeon), so the cap runs for about 3 minutes, not hours.
 MAX_SWEEP_MC_WORK = 30_000_000_000
 
 

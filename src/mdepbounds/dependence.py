@@ -190,7 +190,9 @@ def check_m_dependence(family: Family, m: int | None = None, *,
         # set.  Bit t-1 of turns[s] marks a change of side between
         # positions t-1 and t, which only a gap wider than m allows.  A
         # subset's splits in increasing s are its splits in chain order.
-        low = (1 << (size - 1)) - 1
+        # A size above N has no subset, so its table stays empty and its
+        # row passes vacuously with no split.
+        low = (1 << (size - 1)) - 1 if size <= family.n_events else 0
         sides = np.arange(low) << 1 | 1
         turns = (sides ^ sides >> 1) & low
         splits = [_split(s, size) for s in range(low)]

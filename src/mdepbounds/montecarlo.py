@@ -20,6 +20,9 @@ cells is mixed, mapped to symbols and folded into window indices (Horner's
 rule over m+1 shifted slices) in buffers allocated once per call, so
 working memory does not grow with the trial count, nor with the horizon
 while one trial fits the budget; past that a chunk is a single trial.
+The budget is small enough for the buffers to stay in a core's L2 cache
+across the passes over a chunk, and a chunk's draws are consecutive
+counters, so its words are one precomputed ramp plus the chunk's first.
 """
 
 from __future__ import annotations
@@ -41,9 +44,11 @@ _MIX2 = np.uint64(0x94D049BB133111EB)
 _U64 = np.uint64(0xFFFFFFFFFFFFFFFF)
 
 #: Trial-symbol cells per chunk.  The buffers take under 30 bytes a cell,
-#: so working memory stays near 7 MiB while one trial fits the budget
-#: (N + m <= 2**18); a longer trial takes a chunk of its own.
-_CELL_BUDGET = 1 << 18
+#: so working memory stays near 1 MiB while one trial fits the budget
+#: (N + m <= 2**15); a longer trial takes a chunk of its own.  On the
+#: benchmark's Monte Carlo models 2**14 to 2**16 ran fastest, and 2**18,
+#: whose buffers overflow a 2 MiB L2 cache, about 1.5x slower.
+_CELL_BUDGET = 1 << 15
 
 
 def _mix64(x: np.ndarray, scratch: np.ndarray) -> np.ndarray:
@@ -137,11 +142,11 @@ def estimate_union(model: WindowModel, first: int, last: int,
     n_windows = last - first + 1
     length = n_windows + m  # symbols per trial
     rows = min(trials, chunk_size, max(1, _CELL_BUDGET // length))
-    key = _mix64(np.array([operator.index(seed) & int(_U64)], dtype=np.uint64),
-                 np.empty(1, dtype=np.uint64))[0]
-    # draw c uses the counter word key + (c+1)*GOLDEN, and trial t's draws
-    # are c = t*length + j: a per-trial base plus a per-column step
-    steps = np.arange(length, dtype=np.uint64) * _GOLDEN
+    key = int(_mix64(np.array([operator.index(seed) & int(_U64)], dtype=np.uint64),
+                     np.empty(1, dtype=np.uint64))[0])
+    # draw c uses the counter word key + (c+1)*GOLDEN, and a chunk's draws
+    # are consecutive: one ramp of steps plus the chunk's first word
+    ramp = np.arange(rows * length, dtype=np.uint64) * _GOLDEN
     thresholds = _thresholds(np.cumsum(model.kernel.dist_array))
     table = model.kernel.table_array
     words = np.empty((rows, length), dtype=np.uint64)
@@ -155,10 +160,11 @@ def estimate_union(model: WindowModel, first: int, last: int,
     hits = 0
     for start in range(0, trials, rows):
         r = min(rows, trials - start)
-        base = (np.arange(start, start + r, dtype=np.uint64) * np.uint64(length)
-                + np.uint64(1)) * _GOLDEN + key
+        cells = r * length
+        # the first word in Python ints, so no numpy scalar overflows
+        offset = (key + (start * length + 1) * int(_GOLDEN)) & int(_U64)
+        np.add(ramp[:cells], np.uint64(offset), out=words.reshape(-1)[:cells])
         bits = words[:r]
-        np.add(base[:, None], steps, out=bits)
         _mix64(bits, scratch[:r])
         bits >>= np.uint64(11)
         sym = _symbols(bits, thresholds, symbols[:r], flag[:r])
@@ -168,7 +174,8 @@ def estimate_union(model: WindowModel, first: int, last: int,
         for k in range(m - 1, -1, -1):
             idx *= s
             idx += sym[:, k:k + n_windows]
-        np.take(table, idx, out=fired[:r])
+        # every index is in range, and "clip" lets take write `out` unbuffered
+        np.take(table, idx, out=fired[:r], mode="clip")
         hits += int(np.count_nonzero(fired[:r].any(axis=1)))
 
     estimate = hits / trials

@@ -8,9 +8,11 @@ from mdepbounds import (
     WindowModel,
     check_m_dependence,
     consecutive_run_model,
+    expand_window_model,
     pattern_distribution,
     random_window_model,
 )
+from mdepbounds import dependence
 from mdepbounds.dependence import _worst_violations
 from mdepbounds.errors import CapExceededError
 
@@ -121,6 +123,33 @@ class TestCheckMDependence:
     def test_rejects_bad_max_subset(self):
         with pytest.raises(ValueError):
             check_m_dependence(consecutive_run_model(5), max_subset=1)
+
+    @pytest.mark.parametrize("claimed", [None, 0])
+    @pytest.mark.parametrize("explicit", [False, True], ids=["window", "explicit"])
+    def test_sizes_above_n_pass_without_a_split_table(self, monkeypatch,
+                                                      explicit, claimed):
+        """A size above N has no subset: its row passes with no split, and
+        its 2**(size-1) split table is never built, so max_subset = 26 on
+        six events returns at once.  The rows of sizes up to N, and the
+        failure details after all rows, are those of max_subset = N."""
+        family = consecutive_run_model(6, m=1)
+        if explicit:
+            family = expand_window_model(family)
+        split = dependence._split
+
+        def split_within_n(shape, size):
+            assert size <= 6, f"split table built for size {size} > N"
+            return split(shape, size)
+
+        monkeypatch.setattr(dependence, "_split", split_within_n)
+        rows = check_m_dependence(family, claimed, max_subset=6).to_dict()["checks"]
+        head = [r for r in rows if r["name"].startswith(("structural", "factorization"))]
+        vacuous = [{"name": f"factorization[subset_size={size},splits=0]",
+                    "kind": "eq", "lhs": 0.0, "rhs": 0.0, "tol": 1e-9,
+                    "slack": 0.0, "passed": True} for size in range(7, 27)]
+        report = check_m_dependence(family, claimed, max_subset=26).to_dict()
+        assert report["checks"] == head + vacuous + rows[len(head):]
+        assert report["passed"] is (claimed is None)
 
 
 def loop_worst_atom_violation(joint, pos_i, pos_j, u):

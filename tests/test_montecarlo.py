@@ -18,6 +18,7 @@ from mdepbounds import (
     union_prob,
     wilson_interval,
 )
+from mdepbounds import montecarlo
 from mdepbounds.montecarlo import _symbols, _thresholds
 
 
@@ -93,6 +94,19 @@ class TestEstimateUnion:
         finally:
             tracemalloc.stop()
         assert peak < 32 * 2 ** 20
+
+    def test_working_memory_fits_the_cache_budget(self):
+        """At the benchmark's largest Monte Carlo shape (s=3, m=2, N=200,
+        10**5 trials) the chunk buffers stay within a cache-sized budget."""
+        model = WindowModel(3, (0.5, 0.3, 0.2), 2,
+                            _pin_table(27, lambda i: i == 26), 200)
+        tracemalloc.start()
+        try:
+            estimate_union(model, 1, 200, 10 ** 5, 11)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2 ** 20
 
     def test_range_validation(self, run_model_24):
         with pytest.raises(IndexError):
@@ -271,3 +285,21 @@ def test_matches_scalar_reference(case):
     model, first, last, trials, seed, chunk = case
     assert (estimate_union(model, first, last, trials, seed, chunk_size=chunk)
             == _scalar_estimate(model, first, last, trials, seed))
+
+
+@pytest.mark.parametrize("case", [
+    (consecutive_run_model(12, m=2), 1, 12, 37, 2 ** 64 - 3),
+    (WindowModel(3, (0.5, 0.3, 0.2), 2,
+                 _pin_table(27, lambda i: i in (4, 13, 26)), 30), 5, 21, 29, -8),
+])
+def test_trials_longer_than_the_budget(monkeypatch, case):
+    """With the cell budget below one trial's length every chunk holds one
+    trial, so the counter ramp restarts at a new offset per trial."""
+    model, first, last, trials, seed = case
+    monkeypatch.setattr(montecarlo, "_CELL_BUDGET", 8)
+    assert last - first + 1 + model.m > 8
+    expected = _scalar_estimate(model, first, last, trials, seed)
+    assert 0.0 < expected.estimate < 1.0
+    for chunk in (1, 2, 5, 1 << 16):
+        assert estimate_union(model, first, last, trials, seed,
+                              chunk_size=chunk) == expected

@@ -11,6 +11,10 @@ Exit codes: 0 success / all checks pass, 1 verification failure,
 2 usage, model-spec, cap or out-of-memory error.  Numbers print with 12
 significant digits; JSON output is ``json.dumps(payload, indent=2)`` with
 every float first rounded to 12 significant digits.
+
+``main`` builds its argument parser once per process, so in-process
+callers pay for it on the first call only, and runs verb V's handler
+``_cmd_V``, looked up by name on each call.
 """
 
 from __future__ import annotations
@@ -18,6 +22,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import functools
 import io
 import json
 import math
@@ -367,7 +372,11 @@ def _cmd_mc(args: argparse.Namespace) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: it holds no handler, since
+    ``main`` looks up ``_cmd_<verb>`` when it runs, and parsing leaves it
+    unchanged."""
     parser = argparse.ArgumentParser(
         prog="mdepbounds",
         description="Union lower bounds and exact oracles for m-dependent "
@@ -385,7 +394,6 @@ def _build_parser() -> argparse.ArgumentParser:
                           help="include the exact union probability")
     p_report.add_argument("--mc", nargs=2, type=int, metavar=("TRIALS", "SEED"),
                           help="include a Monte Carlo estimate")
-    p_report.set_defaults(func=_cmd_report)
 
     p_verify = sub.add_parser("verify", help="audit the derivation and the "
                                              "claimed dependence range")
@@ -395,7 +403,6 @@ def _build_parser() -> argparse.ArgumentParser:
                                "(default 4)")
     p_verify.add_argument("--tol", type=float, default=1e-9, metavar="X",
                           help="comparison tolerance (default 1e-9)")
-    p_verify.set_defaults(func=_cmd_verify)
 
     p_sweep = sub.add_parser("sweep", help="CSV report over a parameter sweep")
     add_common(p_sweep)
@@ -405,13 +412,11 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="include the exact union probability per row")
     p_sweep.add_argument("--mc", nargs=2, type=int, metavar=("TRIALS", "SEED"),
                          help="include a Monte Carlo estimate per row")
-    p_sweep.set_defaults(func=_cmd_sweep)
 
     p_window = sub.add_parser("window", help="windowed rate bound")
     add_common(p_window)
     p_window.add_argument("i", type=int, help="number of leading events to skip")
     p_window.add_argument("window_n", type=int, help="window mass target")
-    p_window.set_defaults(func=_cmd_window)
 
     p_mc = sub.add_parser("mc", help="Monte Carlo union estimate")
     add_common(p_mc)
@@ -421,15 +426,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p_mc.add_argument("seed", type=int)
     p_mc.add_argument("--exact", action="store_true",
                       help="include the exact union probability")
-    p_mc.set_defaults(func=_cmd_mc)
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return globals()[f"_cmd_{args.command}"](args)
     except BoundViolationError as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return 1

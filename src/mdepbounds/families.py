@@ -30,6 +30,8 @@ Two representations are supported:
 Both classes answer one protocol, which the module-level query functions
 and the audits read without checking the representation: ``event_probs``
 (P(A_k) for k = 1..N), ``prefix_probs`` (P(A_1)+..+P(A_u) for u = 0..N),
+``prefix_mass(upto)`` (its entry ``upto`` as a float, which a window
+model computes without the vector),
 ``pair_probs(gap)`` (P(A_k and A_{k+gap}) for k = 1..N-gap; callers
 must not write into it or into ``event_probs``, which a window model
 returns as read-only views of one stationary value),
@@ -61,8 +63,8 @@ All types are immutable after construction and all operations are pure
 functions of their inputs, so concurrent readers need no locking: an
 explicit family's atom table and a window kernel's constants, read-only
 answers per clamped gap row and survival curve live as long as the
-object, the curve is republished whole after each extension, and a race
-only recomputes.
+object, each extension of the curve is published as one tuple, and a
+race only recomputes.
 """
 
 from __future__ import annotations
@@ -240,6 +242,9 @@ class ExplicitEventFamily:
         prefix.flags.writeable = False
         return prefix
 
+    def prefix_mass(self, upto: int) -> float:
+        return float(self.prefix_probs[upto])
+
     def pair_probs(self, gap: int) -> np.ndarray:
         masks, weights = self.atoms
         return (masks[:self.n_events - gap] & masks[gap:]) @ weights
@@ -367,9 +372,10 @@ class WindowKernel:
         self.clear = np.where(fires, 0.0, self.carry)
         self.fired = np.where(fires, self.carry, 0.0)
         self._memo: dict = {}  # (clamped gaps, branch) -> law
-        # (state after the last clear step, survivals for lengths 0..L),
-        # published as one tuple so that a race only recomputes
-        self._curve = (law, np.ones(1))
+        # (state after the last clear step, survivals for lengths 0..L,
+        # the buffer those survivals are a prefix of), published as one
+        # tuple so that a race only recomputes
+        self._curve = (law, np.ones(1), np.ones(1))
 
     def sweep(self, gaps: Sequence[int], branch: bool) -> np.ndarray:
         """Transfer-operator kernel (finite Markov chain imbedding).
@@ -434,12 +440,23 @@ class WindowKernel:
         curve, which the clear step extends to the longest length asked
         so far.  Each step reduces straight into one row of a buffer of
         at most ``CURVE_CELLS`` cells, and one row sum per chunk gives the
-        chunk's survivals, each clamped into [0, 1] as ``sweep`` clamps."""
-        state, curve = self._curve
+        chunk's survivals, each clamped into [0, 1] as ``sweep`` clamps.
+
+        The curve is a prefix of a buffer that at least doubles when it
+        fills, so extending by one entry a call, as a horizon sweep
+        does, copies the curve O(log L) times in all.  An extension
+        writes only buffer entries past the curve it read, and every
+        extension writes the same bits there, so a racing one that
+        shares the buffer rewrites entries with their own value."""
+        state, curve, buffer = self._curve
         if length >= len(curve):
             start, stop, states = len(curve), length + 1, state.size
             rows = np.empty((min(stop - start, max(1, CURVE_CELLS // states)), states))
-            mass, curve = np.empty_like(self.clear), np.resize(curve, stop)
+            mass = np.empty_like(self.clear)
+            if stop > len(buffer):
+                buffer = np.empty(max(stop, 2 * len(buffer)))
+                buffer[:start] = curve
+            curve = buffer[:stop]
             for lo in range(start, stop, len(rows)):
                 chunk = rows[:stop - lo]
                 for row in chunk:
@@ -447,7 +464,7 @@ class WindowKernel:
                     # the fold ``sweep`` sums over: drop the oldest symbol
                     state = np.add.reduce(mass.reshape(states, -1), axis=1, out=row)
                 np.clip(chunk.sum(axis=1), 0.0, 1.0, out=curve[lo:lo + len(chunk)])
-            self._curve = (state.copy(), curve)
+            self._curve = (state.copy(), curve, buffer)
         return float(curve[length])
 
 
@@ -535,6 +552,12 @@ class WindowModel:
         prefix = np.arange(self.horizon + 1) * self.kernel.law((), branch=True)[1]
         prefix.flags.writeable = False
         return prefix
+
+    def prefix_mass(self, upto: int) -> float:
+        """Entry ``upto`` of ``prefix_probs`` in O(1): ``upto`` converts
+        to a float exactly below 2**53, so the one rounded product has
+        the same bits."""
+        return float(upto * self._pair_each(0))
 
     def _pair_each(self, gap: int) -> float:
         """P(A_k and A_{k+gap}), the same for every k by stationarity;
@@ -666,7 +689,7 @@ def partial_sum(family: Family, upto: int) -> float:
     upto = operator.index(upto)
     if not 0 <= upto <= family.n_events:
         raise ValueError(f"upto={upto} outside 0..{family.n_events}")
-    return float(family.prefix_probs[upto])
+    return family.prefix_mass(upto)
 
 
 def total_mass(family: Family) -> float:

@@ -1,5 +1,6 @@
 """CLI verbs, exit codes, and output schemas."""
 
+import argparse
 import csv
 import io
 import json
@@ -523,6 +524,61 @@ class TestUsage:
         assert code == 2
         assert "error" in err
         assert f"error: {path}: No such file or directory" in err
+
+
+class TestSharedParser:
+    def test_two_calls_build_one_parser(self, capsys, monkeypatch, w1_path):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+        cli._build_parser.cache_clear()
+        assert run_cli(capsys, "report", w1_path)[0] == 0
+        assert len(built) == 6  # the verb parser and one per verb
+        assert run_cli(capsys, "window", w1_path, "0", "1")[0] == 0
+        assert len(built) == 6
+
+    def test_report_flags_do_not_leak(self, capsys, w1_path):
+        _, plain, _ = run_cli(capsys, "report", w1_path)
+        code, exact, _ = run_cli(capsys, "report", w1_path, "--exact",
+                                 "--mc", "100", "3")
+        assert code == 0 and "exact_union" in json.loads(exact)
+        assert run_cli(capsys, "report", w1_path) == (0, plain, "")
+        assert not {"exact_union", "mc_union"} & set(json.loads(plain))
+
+    def test_sweep_flags_do_not_leak(self, capsys, w1_path):
+        code, out, _ = run_cli(capsys, "sweep", w1_path, "horizon=4..8:2",
+                               "--mc", "100", "3", "--exact")
+        rows = list(csv.DictReader(io.StringIO(out)))
+        assert code == 0 and all(row["mc_estimate"] for row in rows)
+        code, out, _ = run_cli(capsys, "sweep", w1_path, "horizon=4..8:2")
+        rows = list(csv.DictReader(io.StringIO(out)))
+        assert code == 0 and len(rows) == 3
+        assert all(row[col] == "" for row in rows
+                   for col in ("exact_union", "mc_estimate", "mc_ci_low",
+                               "mc_ci_high"))
+
+    @pytest.mark.parametrize("argv", [
+        [], ["--help"], ["frobnicate"], ["report"], ["report", "--help"],
+        ["verify", "--help"], ["sweep", "--help"], ["window", "--help"],
+        ["mc", "--help"], ["mc", "m.json", "1"],
+        ["verify", "m.json", "--max-subset", "k"], ["report", "m.json", "--mc", "1"],
+    ], ids=lambda argv: " ".join(argv) or "none")
+    def test_usage_and_help_match_a_fresh_parser(self, capsys, argv):
+        def exit_of(parse):
+            with pytest.raises(SystemExit) as exc:
+                parse(argv)
+            captured = capsys.readouterr()
+            return exc.value.code, captured.out, captured.err
+
+        fresh = exit_of(cli._build_parser.__wrapped__().parse_args)
+        assert fresh[0] == (0 if "--help" in argv else 2)
+        assert exit_of(main) == fresh
+        assert exit_of(main) == fresh
 
 
 MC_REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference" / "mc_reference.json"

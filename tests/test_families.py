@@ -120,6 +120,21 @@ class TestPartialSum:
         with pytest.raises(ValueError):
             partial_sum(run_model_24, -1)
 
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), horizon=st.integers(0, 3000),
+           big=st.integers(0, 2**53))
+    def test_window_prefix_mass_is_the_prefix_vector(self, seed, horizon, big):
+        """A window model's ``u * p``, read without the vector, has the
+        bits of ``np.arange(N + 1) * p`` at every u, and of the one
+        product at any u up to 2**53."""
+        model = random_window_model(seed, min_horizon=horizon,
+                                    max_horizon=horizon)
+        p = model.with_horizon(1).event_probs[0]
+        want = (np.arange(horizon + 1) * p).tolist()
+        assert [partial_sum(model, u) for u in range(horizon + 1)] == want
+        assert model.prefix_probs.tolist() == want
+        assert model.prefix_mass(big) == (np.arange(big, big + 1) * p)[0]
+
 
 class TestTLocal:
     def test_m1_is_exactly_zero(self):

@@ -202,6 +202,25 @@ def test_threads_extending_one_curve_agree():
         assert [kernel.survival(n) for n in range(1, 3001)] == want
 
 
+def test_curve_grown_one_entry_a_call_keeps_its_bits():
+    """Extending the curve by one entry a call, as a horizon sweep does,
+    gives the bits of one long extension, and the buffer it grows in is
+    replaced O(log L) times, not once a call."""
+    law = random_window_model(4, alphabet_sizes=(3,), dependence_ranges=(2,))
+    reference = law.kernel
+    reference.survival(3000)
+    kernel = WindowModel(law.alphabet_size, law.symbol_dist, law.m,
+                         law.predicate_table, 3000).kernel
+    got, buffers = [], [kernel._curve[2]]
+    for n in range(1, 3001):
+        got.append(kernel.survival(n))
+        if kernel._curve[2] is not buffers[-1]:
+            buffers.append(kernel._curve[2])
+    assert got == [reference.survival(n) for n in range(1, 3001)]
+    assert len(buffers) <= (3001).bit_length() + 1
+    assert len(kernel._curve[1]) == 3001
+
+
 def test_horizon_sweep_makes_one_curve(capsys, tmp_path, monkeypatch):
     """``sweep horizon=1..2000 --exact`` extends one curve by at most
     2,000 clear steps in all, and no union reaches the raw sweep."""

@@ -91,26 +91,46 @@ def _json_pieces(payload: Any) -> Iterator[str]:
 
     def check_rows(blocks: Sequence[CheckBlock], pad: str) -> Iterator[str]:
         inner = pad + "  "
-        # A row nested `inner` deep with one %s per field.  A block fills
-        # in its name format, kind and tol, and leaves %s for the values;
-        # its name is JSON-escaped before its index columns fill it in,
-        # which is exact since they format to digits.
+        sep = ",\n" + inner
+        # A row nested `inner` deep with one %s per field.  A slice fills
+        # in its block's name format, kind and tol and the text of each
+        # value column that is constant on the slice, and leaves %s for
+        # the others; the name is JSON-escaped before the index columns
+        # fill it in, which is exact since they format to digits.
         row = ("{\n" + ",\n".join(f"{inner}  {encode_basestring_ascii(key)}: %s"
                                   for key in Check._fields) + "\n" + inner + "}")
         head = "[\n" + inner
         for block in blocks:
-            template = row % (encode_basestring_ascii(block.fmt),
-                              encode_basestring_ascii(block.kind).replace("%", "%%"),
-                              "%s", "%s", number.of(block.tol), "%s", "%s")
+            name = encode_basestring_ascii(block.fmt)
+            kind = encode_basestring_ascii(block.kind).replace("%", "%%")
+            tol = number.of(block.tol)
             for lo in range(0, len(block.passed), _SLICE_ROWS):
                 rows = slice(lo, lo + _SLICE_ROWS)
-                fields = zip(*block.index[rows].T.tolist(),
-                             number.column(block.lhs[rows]),
-                             number.column(block.rhs[rows]),
-                             number.column(block.slack[rows]),
-                             map(_BOOL_TEXT.__getitem__, block.passed[rows].tolist()))
-                yield head + (",\n" + inner).join(map(template.__mod__, fields))
-                head = ",\n" + inner
+                columns = block.index[rows].T.tolist()
+                texts = []
+                for values in (block.lhs[rows], block.rhs[rows], block.slack[rows]):
+                    # Constant on its bits, so 0.0 and -0.0 stay apart.
+                    bits = values.view(np.int64)
+                    if (bits == bits[0]).all():
+                        texts.append(number[int(bits[0])])
+                    else:
+                        texts.append("%s")
+                        columns.append(number.column(values))
+                passed = block.passed[rows]
+                if passed.all() or not passed.any():
+                    texts.append(_BOOL_TEXT[bool(passed[0])])
+                else:
+                    texts.append("%s")
+                    columns.append(map(_BOOL_TEXT.__getitem__, passed.tolist()))
+                lhs, rhs, slack, ok = texts
+                template = row % (name, kind, lhs, rhs, tol, slack, ok)
+                # One flat argument list, row-major over the %-fields.
+                count, width = len(passed), len(columns)
+                fields = [None] * (count * width)
+                for at, column in enumerate(columns):
+                    fields[at::width] = column
+                yield head + sep.join([template] * count) % tuple(fields)
+                head = sep
         yield "[]" if head[0] == "[" else "\n" + pad + "]"
 
     def pieces(value: Any, pad: str) -> Iterator[str]:

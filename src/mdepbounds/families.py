@@ -72,7 +72,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields
 from functools import cached_property
 from typing import Iterable, Iterator, NamedTuple, Sequence, Union
 
@@ -366,7 +366,8 @@ class WindowKernel:
         self.dist_array.flags.writeable = self.table_array.flags.writeable = False
         law = np.ones(1)
         for _ in range(m):
-            law = np.kron(self.dist_array, law)  # append the next (later) symbol
+            # append the next (later) symbol: one product per entry, as np.kron
+            law = np.multiply.outer(self.dist_array, law).ravel()
         fires = self.table_array.reshape(len(dist), law.size)
         self.start, self.carry = law, self.dist_array[:, None]
         self.clear = np.where(fires, 0.0, self.carry)
@@ -533,12 +534,21 @@ class WindowModel:
         return WindowKernel(self.symbol_dist, self.m, self.predicate_table)
 
     def with_horizon(self, horizon: int) -> "WindowModel":
-        """This model at another horizon, sharing its kernel.  A plain
-        ``dataclasses.replace`` builds a kernel of its own; this one may
-        share, because a stored law is a fixed point of construction, so
-        every other field comes back equal."""
-        model = replace(self, horizon=horizon)
-        object.__setattr__(model, "kernel", self.kernel)
+        """This model at another horizon, sharing its kernel: equal field
+        by field to ``dataclasses.replace(self, horizon=horizon)``, which
+        would validate the predicate table again and build a kernel of
+        its own.  The other fields are this model's, already validated
+        and a fixed point of construction, so only the horizon is
+        checked, and no cached value that depends on it is carried over."""
+        horizon = operator.index(horizon)
+        if horizon < 0:
+            raise ValueError("horizon must be a nonnegative integer")
+        model = object.__new__(type(self))
+        # A frozen dataclass is written through its __dict__, as
+        # cached_property writes it.
+        model.__dict__.update({field.name: getattr(self, field.name)
+                               for field in fields(self)},
+                              horizon=horizon, kernel=self.kernel)
         return model
 
     @property

@@ -14,21 +14,26 @@ Cost.  The report holds one check per residue-class pair and per block
 pair at block distance >= 2, so it grows as N**2: about 0.75 N**2 checks
 at m = 1, the worst m (``derivation_check_count`` gives the exact
 number, and ``MAX_DERIVATION_CHECKS`` caps it).  The exact queries do
-not grow that way.  The pairs and the capped triples of each class, and
-the far block pairs of each shift with the same two block lengths, go to
-the family as one array of equal-size index sets
-(``complement_intersection_probs``), which asks one query per distinct
-set: on a window model one per row of gaps clamped at m+1, which is one
-per batch (every gap in a class is at least m+1, and so is the gap
-between far blocks).  Add one query per class, per block and for the
-whole range, and a window model's audit makes about N + 3(m+1) + 9m
-queries; an explicit family still makes one per check.  Each batch's
-answers stay one block of checks (``CheckBlock``): lhs, rhs, slack and
-passed arrays under one name format over the batch's index rows, so the
-N**2 pair checks run no Python per check.  The report's summary is
-array reductions, and ``verify`` writes each block's rows straight from
-its arrays; a ``Check`` record per row is built only when a caller asks
-for ``checks``.
+not grow that way.  The audit hands the family one array of equal-size
+index sets (``complement_intersection_probs``) per row width: one for
+the pairs of every residue class, one for their capped triples, one per
+class size for the class joints (a class holds floor or ceil of
+N/(m+1) events), and, across every shift, one per total width (2..2m)
+of the far block pairs; that is at most 2m + 3 arrays at any N, and the
+answers are split back per class and per shift.  The family asks one
+query per distinct set: on a window model one per row of gaps clamped
+at m+1, so every class's pairs are one query and its triples another
+(every gap in a class is at least m+1), and a width's block pairs at
+most one per pair of block lengths.  Add one query per block and for
+the whole range, and a window model's audit makes about N + 6m + 2
+queries (115 at N = 100, m = 2); an explicit family still makes one per
+check.  Each class's and each shift's answers stay one block of checks
+(``CheckBlock``): lhs, rhs, slack and passed arrays under one name
+format over integer index rows, so the N**2 pair checks run no Python
+per check.  The report's summary is array reductions, and ``verify``
+writes each block's rows straight from its arrays, one ``%`` format per
+slice of rows; a ``Check`` record per row is built only when a caller
+asks for ``checks``.
 """
 
 from __future__ import annotations
@@ -44,8 +49,8 @@ from .bounds import first_order_bound, second_order_bound
 from .errors import CapExceededError
 from .families import Family, partial_sum, t_local
 from .families import MAX_EXPLICIT_OUTCOMES, MAX_WINDOW_TABLE  # noqa: F401 (the verifier's caps)
-from .oracle import block_event_prob, complement_intersection_prob, \
-    complement_intersection_probs, union_prob
+from .oracle import block_event_prob, complement_intersection_probs, union_prob
+from .oracle import complement_intersection_prob  # noqa: F401 (tests/test_perfbench_names.py imports it from here)
 from .partitions import block_position, pair_shift_count, residue_classes, \
     shifted_blocks
 from .reports import CheckBlock, VerificationReport
@@ -96,6 +101,28 @@ def _pairs(values: np.ndarray) -> np.ndarray:
     return values[np.stack(np.triu_indices(len(values), 1), axis=1)]
 
 
+def _split(values: np.ndarray, counts: list[int]) -> list[np.ndarray]:
+    """`values` cut along its first axis into consecutive pieces of the
+    given lengths."""
+    return np.split(values, np.cumsum(counts[:-1]))
+
+
+def _ask_each(family: Family, batches: list[np.ndarray]) -> list[np.ndarray]:
+    """``complement_intersection_probs`` of each of several arrays of
+    rows of one width, asked as one array."""
+    answers = complement_intersection_probs(family, np.concatenate(batches))
+    return _split(answers, [len(rows) for rows in batches])
+
+
+def _joined(los: np.ndarray, lengths: np.ndarray, a: np.ndarray, b: np.ndarray,
+            width: int) -> np.ndarray:
+    """The rows of blocks a then b, for block pairs of `width` events in
+    all: entry t is los[a] + t while t < lengths[a], then los[b] + t -
+    lengths[a]."""
+    t, len_a = np.arange(width), lengths[a, None]
+    return np.where(t < len_a, los[a, None] + t, los[b, None] - len_a + t)
+
+
 def verify_derivation(family: Family, *, tol: float = 1e-9) -> VerificationReport:
     """Check every step of the bound derivation on one family.
 
@@ -121,22 +148,32 @@ def verify_derivation(family: Family, *, tol: float = 1e-9) -> VerificationRepor
     clear = 1 - family.event_probs  # clear[k - 1] = 1 - P(A_k)
 
     # Residue-class independence: complements of far-apart events factorize.
+    # The pairs of every class go to the family as one array, and so do
+    # the capped triples.
     classes = residue_classes(n, m).classes
-    for r, cls in enumerate(classes, start=1):
-        pairs = _pairs(np.array(cls, dtype=np.int64))
-        triples = np.fromiter(
-            itertools.chain.from_iterable(itertools.islice(
-                itertools.combinations(cls, 3), MAX_TRIPLES_PER_CLASS)),
-            dtype=np.int64).reshape(-1, 3)
-        for rows in (pairs, triples):
-            lhs = complement_intersection_probs(family, rows)
+    pairs = [_pairs(np.array(cls, dtype=np.int64)) for cls in classes]
+    triples = [np.fromiter(
+        itertools.chain.from_iterable(itertools.islice(
+            itertools.combinations(cls, 3), MAX_TRIPLES_PER_CLASS)),
+        dtype=np.int64).reshape(-1, 3) for cls in classes]
+    pair_lhs, triple_lhs = _ask_each(family, pairs), _ask_each(family, triples)
+    for r, checks in enumerate(zip(zip(pairs, pair_lhs), zip(triples, triple_lhs)),
+                               start=1):
+        for rows, lhs in checks:
             rhs = functools.reduce(operator.mul, (clear[col - 1] for col in rows.T))
             fmt = f"residue_independence[r={r},({','.join(['%d'] * rows.shape[1])})]"
             blocks.append(CheckBlock.eq(fmt, lhs, rhs, tol, rows))
 
-    # Product-to-exponential chain per residue class.
-    for r, cls in enumerate(classes, start=1):
-        joint = complement_intersection_prob(family, cls)
+    # Product-to-exponential chain per residue class.  A class holds
+    # floor(N/(m+1)) or ceil(N/(m+1)) events, and the classes of one
+    # size go to the family as one array; an empty class's joint is 1.
+    joints = [1.0] * len(classes)
+    for size in set(map(len, classes)) - {0}:
+        which = [r for r, cls in enumerate(classes) if len(cls) == size]
+        rows = np.array([classes[r] for r in which], dtype=np.int64)
+        for r, joint in zip(which, complement_intersection_probs(family, rows).tolist()):
+            joints[r] = joint
+    for r, (cls, joint) in enumerate(zip(classes, joints), start=1):
         product = math.prod(1 - probs[k] for k in cls)
         exponential = math.exp(-sum(probs[k] for k in cls))
         blocks.append(CheckBlock.le(
@@ -155,28 +192,33 @@ def verify_derivation(family: Family, *, tol: float = 1e-9) -> VerificationRepor
         ]
 
         # Block events at distance >= 2 are independent (1-dependence).
-        # A pair's index set is block a then block b, so pairs with the
-        # same two block lengths form one array of equal-length rows.
-        for part, bprobs in zip(partitions, block_probs):
-            los, his = np.array(part.blocks, dtype=np.int64).reshape(-1, 2).T
-            js = np.array(part.block_js, dtype=np.int64)
-            a, b = _pairs(np.arange(len(js))).T
-            far = js[b] - js[a] >= 2
-            a, b = a[far], b[far]
-            lengths = his - los + 1
-            # Block lengths lie in 1..m, so la * (m + 1) + lb names a pair.
-            kinds = lengths[a] * (m + 1) + lengths[b]
-            lhs = np.empty(len(a))
-            for kind in set(kinds.tolist()):
-                len_a, len_b = divmod(kind, m + 1)
-                same = kinds == kind
-                rows = np.concatenate([los[a[same], None] + np.arange(len_a),
-                                       los[b[same], None] + np.arange(len_b)], axis=1)
-                lhs[same] = complement_intersection_probs(family, rows)
-            bclear = 1 - np.array(bprobs)
+        # The blocks of every shift form one table, and a far pair (a, b)
+        # of one shift asks for block a then block b, so the far pairs
+        # whose two blocks hold as many events in all form one array of
+        # equal-length rows, whatever their shifts.
+        los, his = np.array([block for part in partitions for block in part.blocks],
+                            dtype=np.int64).reshape(-1, 2).T
+        lengths = his - los + 1
+        js = np.array([j for part in partitions for j in part.block_js], dtype=np.int64)
+        ends = np.cumsum([len(part.blocks) for part in partitions])
+        a, b = np.concatenate([_pairs(np.arange(end - len(part.blocks), end))
+                               for part, end in zip(partitions, ends)]).T
+        far = js[b] - js[a] >= 2
+        a, b = a[far], b[far]
+        counts = np.bincount(np.searchsorted(ends, a, side="right"), minlength=m)  # per shift
+        widths = lengths[a] + lengths[b]
+        lhs = np.empty(len(widths))
+        for width in set(widths.tolist()):
+            same = widths == width
+            lhs[same] = complement_intersection_probs(
+                family, _joined(los, lengths, a[same], b[same], width))
+        bclear = 1 - np.array([p for bprobs in block_probs for p in bprobs])
+        for part, part_lhs, rhs, index in zip(
+                partitions, _split(lhs, counts), _split(bclear[a] * bclear[b], counts),
+                _split(np.stack([js[a], js[b]], axis=1), counts)):
             blocks.append(CheckBlock.eq(
-                f"block_independence[r={part.shift},j=(%d,%d)]", lhs,
-                bclear[a] * bclear[b], tol, np.stack([js[a], js[b]], axis=1)))
+                f"block_independence[r={part.shift},j=(%d,%d)]", part_lhs, rhs, tol,
+                index))
 
         # Second-order Bonferroni inside every block:
         # P(B) >= sum P(A_i) - sum_{pairs in B} P(A_i & A_l).  A block

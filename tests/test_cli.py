@@ -4,6 +4,7 @@ import argparse
 import csv
 import io
 import json
+import struct
 import subprocess
 import sys
 import textwrap
@@ -704,7 +705,7 @@ class TestJsonOutput:
 #: then an int, which no row template may take.
 ROW_VALUES = (st.sampled_from(EDGE_FLOATS) | st.floats(allow_nan=True, allow_infinity=True)
               | st.floats(-1e-300, 1e-300) | st.integers(-3, 3))
-ROW_TEXT = st.text(st.sampled_from('ab"\\\n\t/é√ \x00[],: ') | st.characters(),
+ROW_TEXT = st.text(st.sampled_from('ab"\\\n\t/é√ \x00[],:% ') | st.characters(),
                    max_size=12)
 
 
@@ -740,32 +741,53 @@ def test_verification_payloads_match_reference(derivation, dependence, passed):
     assert stdout.getvalue() == written == reference_json(payload)
 
 
+#: A NaN with another payload than ``float("nan")``'s.
+NAN_PAYLOAD = struct.unpack("<d", struct.pack("<q", 0x7FF8_0000_0000_0001))[0]
+ROW_FLOATS = st.sampled_from(EDGE_FLOATS + [NAN_PAYLOAD]) | st.floats()
+
+
+def float_columns(rows):
+    """`rows` floats that are one value, drawn from a small pool (0.0
+    and -0.0, or up to three values), or distinct bit patterns."""
+    pool = st.just([0.0, -0.0]) | st.lists(ROW_FLOATS, min_size=1, max_size=3)
+    return (ROW_FLOATS.map(lambda value: [value] * rows)
+            | pool.flatmap(lambda values: st.lists(
+                st.sampled_from(values), min_size=rows, max_size=rows))
+            | st.lists(ROW_FLOATS, min_size=rows, max_size=rows,
+                       unique_by=lambda value: struct.pack("<d", value)))
+
+
 @st.composite
 def check_blocks(draw):
-    """A block with any name text around %d fields, any kind, edge and
-    random floats, and up to a few slices of rows."""
+    """A block with any name text around %d fields, any kind, and value
+    columns that are each constant, pooled or distinct, over up to a few
+    slices of rows; slack and passed are measured from lhs and rhs or
+    drawn the same way.  A block with no index columns has one row."""
     from mdepbounds import CheckBlock
     columns = draw(st.integers(0, 3))
     parts = draw(st.lists(ROW_TEXT, min_size=columns + 1, max_size=columns + 1))
     fmt = "%d".join(part.replace("%", "%%") for part in parts)
-    rows = 1 if columns == 0 else draw(st.integers(0, 9))
+    rows = 1 if columns == 0 else draw(st.integers(0, 10))
     index = np.array(draw(st.lists(
         st.lists(st.integers(-10 ** 6, 10 ** 6), min_size=columns, max_size=columns),
         min_size=rows, max_size=rows)), dtype=np.int64).reshape(rows, columns)
-    values = st.lists(st.sampled_from(EDGE_FLOATS) | st.floats(), min_size=rows,
-                      max_size=rows)
     make = draw(st.sampled_from([CheckBlock.eq, CheckBlock.le]))
-    block = make(fmt, draw(values), draw(values), draw(st.sampled_from(EDGE_FLOATS)),
-                 index)
+    block = make(fmt, draw(float_columns(rows)), draw(float_columns(rows)),
+                 draw(ROW_FLOATS), index)
+    slack, passed = block.slack, block.passed
+    if draw(st.booleans()):
+        slack = np.array(draw(float_columns(rows)), dtype=np.float64)
+        passed = np.array(draw(st.booleans().map(lambda ok: [ok] * rows)
+                               | st.lists(st.booleans(), min_size=rows, max_size=rows)),
+                          dtype=bool)
     kind = draw(st.sampled_from(["le", "eq"]) | ROW_TEXT)
-    return CheckBlock(fmt, index, kind, block.lhs, block.rhs, block.tol,
-                      block.slack, block.passed)
+    return CheckBlock(fmt, index, kind, block.lhs, block.rhs, block.tol, slack, passed)
 
 
 #: Edge values overflow numpy's subtraction, which warns where float
 #: arithmetic is silent; the text is what this test is about.
 @pytest.mark.filterwarnings("ignore:.*encountered in subtract:RuntimeWarning")
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=300, deadline=None)
 @given(blocks=st.lists(check_blocks(), max_size=5))
 def test_block_rows_match_reference(blocks):
     """Rows written from block columns, in slices of three rows here, are

@@ -103,3 +103,26 @@ def test_queries_do_not_grow_as_n_squared(monkeypatch):
         counts[n] = len(calls)
     assert counts[400] <= 4 * counts[100] + 20
     assert counts[400] < 0.01 * 400 ** 2
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_queries_are_one_array_per_row_width(monkeypatch, m):
+    """A window model's audit hands the family one array for every
+    class's pairs, one for every class's capped triples, one per class
+    size (at most two) and one per width of the far block pair rows
+    (2..2m), so its ``complement_intersection_probs`` calls are at most
+    2m + 3 at any N."""
+    from mdepbounds import verify
+    widths = []
+    ask = verify.complement_intersection_probs
+
+    def counted(family, rows):
+        widths.append(rows.shape[1])
+        return ask(family, rows)
+
+    monkeypatch.setattr(verify, "complement_intersection_probs", counted)
+    for n in (40, 97, 400):
+        widths.clear()
+        verify_derivation(consecutive_run_model(n, m=m))
+        assert widths[:2] == [2, 3]
+        assert len(widths) <= 2 * m + 3

@@ -13,6 +13,7 @@ cover the pattern-law width cap and the O(1) pair and event vectors.
 import csv
 import dataclasses
 import io
+import re
 import sys
 import threading
 import tracemalloc
@@ -79,6 +80,21 @@ def test_curve_equals_the_raw_sweep_bit_for_bit(law, lengths):
                 assert union_prob(model, 301 - n, 300) == expected[n]
 
 
+@settings(max_examples=200, deadline=None)
+@given(weights=st.lists(st.floats(0.0, 1.0) | st.floats(1e-300, 1e-3),
+                        min_size=2, max_size=4).filter(lambda w: sum(w) > 0),
+       m=st.integers(0, 6))
+def test_start_law_is_the_kron_product_bit_for_bit(weights, m):
+    """The law of m symbols, one product per entry, equals repeated
+    ``np.kron`` bit for bit."""
+    dist = [w / sum(weights) for w in weights]
+    kernel = WindowKernel(dist, m, [False] * len(dist) ** (m + 1))
+    expected = np.ones(1)
+    for _ in range(m):
+        expected = np.kron(kernel.dist_array, expected)
+    assert kernel.start.tobytes() == expected.tobytes()
+
+
 def test_curve_clamps_a_law_that_sums_above_one():
     model = WindowModel(3, ABOVE_ONE, 0, (False,) * 3, 500)
     assert sum(model.symbol_dist) > 1.0
@@ -101,6 +117,37 @@ class TestSharing:
         assert repr(moved) == repr(fresh)
         assert model_to_dict(moved) == model_to_dict(fresh)
         assert build_report(moved, exact=True) == build_report(fresh, exact=True)
+
+    @pytest.mark.parametrize("horizon", [0, 1, 17, 400, np.int64(33)])
+    def test_with_horizon_builds_no_field_again(self, monkeypatch, horizon):
+        """With construction made to fail, ``with_horizon`` still gives
+        the model ``dataclasses.replace`` gives, field by field, and
+        carries no cached value over from a model at another horizon."""
+        model = consecutive_run_model(60, m=3)
+        model.prefix_probs  # cached at horizon 60
+        expected = dataclasses.replace(model, horizon=horizon)
+
+        def convert_again(self):
+            raise AssertionError("the predicate table was converted again")
+
+        monkeypatch.setattr(WindowModel, "__post_init__", convert_again)
+        moved = model.with_horizon(horizon)
+        monkeypatch.undo()
+        assert type(moved) is WindowModel and moved == expected
+        for field in dataclasses.fields(WindowModel):
+            value = getattr(moved, field.name)
+            assert type(value) is type(getattr(expected, field.name))
+            assert value == getattr(expected, field.name)
+        assert "prefix_probs" not in vars(moved)
+        assert moved.prefix_probs.tobytes() == expected.prefix_probs.tobytes()
+
+    @pytest.mark.parametrize("horizon", [-1, 2.0, "3", None])
+    def test_with_horizon_refuses_what_replace_refuses(self, horizon):
+        model = consecutive_run_model(10)
+        with pytest.raises((TypeError, ValueError)) as refused:
+            dataclasses.replace(model, horizon=horizon)
+        with pytest.raises(refused.type, match=f"^{re.escape(str(refused.value))}$"):
+            model.with_horizon(horizon)
 
     def test_replace_builds_its_own_kernel(self):
         model = self.model()

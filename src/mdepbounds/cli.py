@@ -234,9 +234,9 @@ MAX_SWEEP_ROWS = 10_000
 #: Refuse a sweep whose --exact rows would cover more events than this
 #: before computing any.  The rows of a horizon sweep share one survival
 #: curve, so they cover its last N; the rows of any other sweep each
-#: cover their own N.  An event costs one clear step of the curve, 4-5 us
-#: at up to 27 kernel states on a 2-vCPU Xeon, so the cap runs for
-#: minutes, not hours.
+#: cover their own N.  An event costs one clear step of the curve,
+#: 1.5-2.5 us at up to 27 kernel states on a 2-vCPU Xeon, so the cap runs
+#: for minutes, not hours.
 MAX_SWEEP_EXACT_EVENTS = 50_005_000
 
 #: Refuse a sweep whose --mc rows sum to more trials times events than

@@ -21,9 +21,11 @@ Two representations are supported:
   symbols are i.i.d., so where a query starts plays no part, and a gap
   wider than m+1 acts like one of m+1.  ``WindowKernel.laws`` clamps
   the gap rows of an index array at m+1 once and ``WindowKernel.law``
-  memoizes one answer per clamped row.  A contiguous union needs no
-  row: ``WindowKernel.survival`` reads P(no A_1..A_L) off a survival
-  curve that the clear step extends to the longest L asked so far.
+  memoizes one answer per clamped row; the sweep behind it resumes from
+  the stored state after the longest gap prefix already swept.  A
+  contiguous union needs no row: ``WindowKernel.survival`` reads
+  P(no A_1..A_L) off a survival curve that the clear step extends to
+  the longest L asked so far.
   ``WindowModel.with_horizon`` gives the same law at another horizon
   with the same kernel, so a horizon sweep computes one curve.
 
@@ -62,9 +64,12 @@ family is a *claim*: nothing here assumes it holds, and
 All types are immutable after construction and all operations are pure
 functions of their inputs, so concurrent readers need no locking: an
 explicit family's atom table and a window kernel's constants, read-only
-answers per clamped gap row and survival curve live as long as the
-object, each extension of the curve is published as one tuple, and a
-race only recomputes.
+answers per clamped gap row, read-only states after each mark swept and
+survival curve live as long as the object.  A stored state is written
+once, before it is published under its gap prefix, and never again;
+each extension of the curve is published as one tuple; and a race only
+recomputes, or lets the stored states run a little past their cell
+budget.
 """
 
 from __future__ import annotations
@@ -74,7 +79,7 @@ import math
 import operator
 from dataclasses import dataclass, fields
 from functools import cached_property
-from typing import Iterable, Iterator, NamedTuple, Sequence, Union
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, Union
 
 import numpy as np
 
@@ -102,6 +107,17 @@ ATOM_BATCH_CELLS = 1 << 16
 #: window kernel extends its survival curve in, so that buffer stays
 #: 128 KiB.
 CURVE_CELLS = 1 << 14
+
+#: State cells (patterns times s**m states) that a window kernel keeps
+#: of the states after each mark it swept, so a sweep can resume from
+#: its longest stored gap prefix: 16 MiB.  Past it, new states are not
+#: kept, which costs steps but no bits.
+MARK_CELLS = 1 << 21
+
+#: ``np.add.reduce`` adds fewer terms than this one at a time, in order,
+#: and more pairwise in blocks; so does the kernel's fold
+#: (``WindowKernel._fold``).
+PAIRWISE_TERMS = 8
 
 
 class SubsetGroup(NamedTuple):
@@ -354,8 +370,9 @@ class WindowKernel:
     least significant base-s digit of a state index), the ``carry``,
     ``clear`` and ``fired`` step weights w[x, st] of the window whose
     earliest m symbols encode st and whose newest symbol is x, the laws
-    answered so far per clamped gap row, and the contiguous survival
-    curve.  Models that differ only in their horizon share one
+    answered so far per clamped gap row, the states after each mark
+    swept so far per gap prefix, and the contiguous survival curve.
+    Models that differ only in their horizon share one
     (:meth:`WindowModel.with_horizon`).
     """
 
@@ -370,9 +387,15 @@ class WindowKernel:
             law = np.multiply.outer(self.dist_array, law).ravel()
         fires = self.table_array.reshape(len(dist), law.size)
         self.start, self.carry = law, self.dist_array[:, None]
-        self.clear = np.where(fires, 0.0, self.carry)
-        self.fired = np.where(fires, self.carry, 0.0)
+        marked = np.where(np.array([~fires, fires]), self.carry, 0.0)
+        self.clear, self.fired = marked
+        # [kept, 1, x, st]: both actions of a branching mark, for one product
+        self._branch = marked[:, None]
         self._memo: dict = {}  # (clamped gaps, branch) -> law
+        # (gaps swept, branch) -> read-only state after their last mark,
+        # and the cells of those states (see ``sweep``)
+        self._marks: dict = {}
+        self._mark_cells = 0
         # (state after the last clear step, survivals for lengths 0..L,
         # the buffer those survivals are a prefix of), published as one
         # tuple so that a race only recomputes
@@ -381,7 +404,7 @@ class WindowKernel:
     def sweep(self, gaps: Sequence[int], branch: bool) -> np.ndarray:
         """Transfer-operator kernel (finite Markov chain imbedding).
 
-        Steps a [pattern, 1, s**m] state, the joint law of the last m
+        Steps a [pattern, s**m] state, the joint law of the last m
         symbols per pattern, from window 1: it marks window 1, then one
         window per gap g (positive, clamped or not), with g - 1 pass steps
         before it.  The symbols are i.i.d., so only the gaps matter.  Each
@@ -393,21 +416,75 @@ class WindowKernel:
         pattern, clamped into [0, 1] once: the state is never clamped, so
         a stored law that sums a rounding step above 1 can carry mass
         above 1 until the end.
+
+        The state after each mark is stored read-only, keyed by the gaps
+        swept up to it, while the stored states fit ``MARK_CELLS``.  A
+        sweep resumes from the state of its longest stored prefix, so a
+        gap tuple that shares leading gaps with one swept before pays
+        only for the gaps after them, and gets the same bits: the same
+        steps run from the same state.
         """
-        s, states = self.dist_array.size, self.start.size
-        state = self.start.reshape(1, 1, -1)
-        for g in (1, *gaps):
-            for k in range(g):
-                if k < g - 1:
-                    mass = state * self.carry  # [pattern, x, st]
-                elif branch:
-                    mass = np.concatenate([state * self.clear, state * self.fired])
-                else:
-                    mass = state * self.clear
-                # st = rest*s + oldest, so x*s**m + st = (x*s**(m-1) + rest)*s
-                # + oldest: drop the oldest symbol, append x (m = 0 drops x).
-                state = mass.reshape(-1, states, s).sum(axis=2)[:, None, :]
-        return state[:, 0, :].sum(axis=1).clip(0.0, 1.0)
+        gaps = tuple(gaps)
+        for done in range(len(gaps), -1, -1):
+            state = self._marks.get((gaps[:done], branch))
+            if state is not None:
+                break
+        else:
+            done, state = -1, self.start
+        for t in range(done + 1, len(gaps) + 1):
+            state = self._mark(state, gaps[t - 1] if t else 1, branch)
+            if self._mark_cells + state.size <= MARK_CELLS:
+                self._mark_cells += state.size
+                self._marks[gaps[:t], branch] = state
+        return state.reshape(-1, self.start.size).sum(axis=1).clip(0.0, 1.0)
+
+    def _mark(self, state: np.ndarray, gap: int, branch: bool) -> np.ndarray:
+        """The state ``gap - 1`` pass steps and one marked step after
+        ``state`` (see ``sweep``; both flat, pattern-major), as a fresh
+        read-only array.  The pass steps share one mass buffer and its
+        fold."""
+        rows = state.reshape(-1, 1, self.start.size)  # [pattern, 1, st]
+        if gap > 1:
+            mass = np.empty((len(rows), *self.clear.shape))
+            fold = self._fold(mass)
+            passed = np.empty(state.size)
+            folded = passed.reshape(rows.shape)
+            for _ in range(gap - 1):
+                np.multiply(rows, self.carry, out=mass)  # [pattern, x, st]
+                fold(passed)
+                rows = folded
+        # a branching mark is [kept, pattern, x, st]: clear copy, fired copy
+        state = self._fold(rows * (self._branch if branch else self.clear))()
+        state.flags.writeable = False
+        return state
+
+    def _fold(self, mass: np.ndarray) -> Callable[..., np.ndarray]:
+        """The fold of one step over the buffer ``mass`` ([..., x, st],
+        shape [..., s, s**m]): a function that returns the sum over the
+        oldest symbol, flat ([... * s**m]), written into its argument if
+        one is given.  Since st = rest*s + oldest, x*s**m + st =
+        (x*s**(m-1) + rest)*s + oldest, so the sum drops the oldest
+        symbol and appends x (m = 0 drops x).
+
+        The sum is bit for bit ``np.add.reduce`` over a trailing axis of
+        length s, which adds fewer than ``PAIRWISE_TERMS`` terms one at a
+        time, in order: below that the fold makes s - 1 in-place adds over
+        one-dimensional strided views of ``mass``, taken once here, and
+        from there on it keeps the reduce.  The function reads ``mass``
+        each time it is called, so a caller can refill the buffer and
+        fold again."""
+        s = self.dist_array.size
+        terms = mass.reshape(-1, s)  # [..., x, rest] by the oldest symbol
+        if s >= PAIRWISE_TERMS:
+            return lambda out=None: np.add.reduce(terms, axis=1, out=out)
+        first, second, *rest = terms.T
+
+        def fold(out: np.ndarray | None = None) -> np.ndarray:
+            out = np.add(first, second, out=out)
+            for term in rest:
+                np.add(out, term, out=out)
+            return out
+        return fold
 
     def law(self, gaps: tuple[int, ...], branch: bool) -> np.ndarray:
         """``sweep`` answered once per tuple of gaps, each at most m+1,
@@ -439,9 +516,11 @@ class WindowKernel:
         """P(no A_1..A_length) for length >= 1, bit for bit
         ``sweep((1,) * (length - 1), False)[0]``: entry ``length`` of the
         curve, which the clear step extends to the longest length asked
-        so far.  Each step reduces straight into one row of a buffer of
-        at most ``CURVE_CELLS`` cells, and one row sum per chunk gives the
-        chunk's survivals, each clamped into [0, 1] as ``sweep`` clamps.
+        so far.  Each step folds (``_fold``, over one mass buffer whose
+        views are taken once per extension) straight into one row of a
+        buffer of at most ``CURVE_CELLS`` cells, and one row sum per chunk
+        gives the chunk's survivals, each clamped into [0, 1] as ``sweep``
+        clamps.
 
         The curve is a prefix of a buffer that at least doubles when it
         fills, so extending by one entry a call, as a horizon sweep
@@ -454,6 +533,7 @@ class WindowKernel:
             start, stop, states = len(curve), length + 1, state.size
             rows = np.empty((min(stop - start, max(1, CURVE_CELLS // states)), states))
             mass = np.empty_like(self.clear)
+            fold = self._fold(mass)
             if stop > len(buffer):
                 buffer = np.empty(max(stop, 2 * len(buffer)))
                 buffer[:start] = curve
@@ -462,8 +542,7 @@ class WindowKernel:
                 chunk = rows[:stop - lo]
                 for row in chunk:
                     np.multiply(state, self.clear, out=mass)
-                    # the fold ``sweep`` sums over: drop the oldest symbol
-                    state = np.add.reduce(mass.reshape(states, -1), axis=1, out=row)
+                    state = fold(row)
                 np.clip(chunk.sum(axis=1), 0.0, 1.0, out=curve[lo:lo + len(chunk)])
             self._curve = (state.copy(), curve, buffer)
         return float(curve[length])

@@ -50,7 +50,6 @@ from .errors import CapExceededError
 from .families import Family, partial_sum, t_local
 from .families import MAX_EXPLICIT_OUTCOMES, MAX_WINDOW_TABLE  # noqa: F401 (the verifier's caps)
 from .oracle import block_event_prob, complement_intersection_probs, union_prob
-from .oracle import complement_intersection_prob  # noqa: F401 (tests/test_perfbench_names.py imports it from here)
 from .partitions import block_position, pair_shift_count, residue_classes, \
     shifted_blocks
 from .reports import CheckBlock, VerificationReport

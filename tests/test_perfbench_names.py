@@ -38,7 +38,7 @@ def test_traced_functions_are_callable():
 def test_read_report_names_exist():
     traced_table()
     from mdepbounds.reports import VerificationReport
-    from mdepbounds.verify import complement_intersection_prob
+    from mdepbounds.oracle import complement_intersection_prob
     assert callable(VerificationReport.to_dict)
     assert isinstance(VerificationReport.n_checks, property)
     assert callable(complement_intersection_prob)

@@ -17,10 +17,9 @@ top symbol.
 
 The chunk loop is fused and in place: a fixed budget of trial-symbol
 cells is mixed, mapped to symbols and folded into window indices (Horner's
-rule over m+1 shifted slices) in page-aligned buffers allocated once per
-call, so working memory does not grow with the trial count, nor with the
-horizon while one trial fits the budget; past that a chunk is a single
-trial.
+rule over m+1 shifted slices) in buffers allocated once per call, so
+working memory does not grow with the trial count, nor with the horizon
+while one trial fits the budget; past that a chunk is a single trial.
 The budget is small enough for the buffers to stay in a core's L2 cache
 across the passes over a chunk, and a chunk's draws are consecutive
 counters, so its words are one precomputed ramp plus the chunk's first.
@@ -50,23 +49,6 @@ _U64 = np.uint64(0xFFFFFFFFFFFFFFFF)
 #: benchmark's Monte Carlo models 2**14 to 2**16 ran fastest, and 2**18,
 #: whose buffers overflow a 2 MiB L2 cache, about 1.5x slower.
 _CELL_BUDGET = 1 << 15
-
-#: Bytes per memory page, the alignment of the chunk buffers.
-_PAGE = 4096
-
-
-def _page_aligned(shape: tuple[int, ...], dtype) -> np.ndarray:
-    """An uninitialized C-contiguous array that starts on a page boundary,
-    carved from a byte buffer one page longer.  The chunk buffers are
-    allocated this way so that their speed does not depend on where the
-    heap happens to place them: with plain ``np.empty``, unrelated
-    allocations elsewhere in the package moved the benchmark's Monte
-    Carlo workload by 4-15% on a 2-vCPU Xeon."""
-    dtype = np.dtype(dtype)
-    nbytes = math.prod(shape) * dtype.itemsize
-    raw = np.empty(nbytes + _PAGE, dtype=np.uint8)
-    skip = -raw.ctypes.data % _PAGE
-    return raw[skip:skip + nbytes].view(dtype).reshape(shape)
 
 
 def _mix64(x: np.ndarray, scratch: np.ndarray) -> np.ndarray:
@@ -167,13 +149,13 @@ def estimate_union(model: WindowModel, first: int, last: int,
     ramp = np.arange(rows * length, dtype=np.uint64) * _GOLDEN
     thresholds = _thresholds(np.cumsum(model.kernel.dist_array))
     table = model.kernel.table_array
-    words = _page_aligned((rows, length), np.uint64)
-    scratch = _page_aligned((rows, length), np.uint64)
-    symbols = _page_aligned((rows, length), np.min_scalar_type(s - 1))
-    flag = _page_aligned((rows, length), bool)
+    words = np.empty((rows, length), dtype=np.uint64)
+    scratch = np.empty_like(words)
+    symbols = np.empty((rows, length), dtype=np.min_scalar_type(s - 1))
+    flag = np.empty((rows, length), dtype=bool)
     # the narrowest type that holds a table index keeps the Horner passes short
-    index = _page_aligned((rows, n_windows), np.min_scalar_type(len(table) - 1))
-    fired = _page_aligned((rows, n_windows), bool)
+    index = np.empty((rows, n_windows), dtype=np.min_scalar_type(len(table) - 1))
+    fired = np.empty((rows, n_windows), dtype=bool)
 
     hits = 0
     for start in range(0, trials, rows):

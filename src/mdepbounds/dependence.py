@@ -130,8 +130,7 @@ def _worst_violations(laws: np.ndarray, pos_i: tuple[int, ...],
 
 
 def check_m_dependence(family: Family, m: int | None = None, *,
-                       max_subset: int = 4, tol: float = 1e-9,
-                       max_subsets: int = MAX_SUBSETS) -> VerificationReport:
+                       max_subset: int = 4, tol: float = 1e-9) -> VerificationReport:
     """Test whether a family satisfies the claimed dependence range m.
 
     Covers every index set U of size 2..max_subset, splits it into all
@@ -154,7 +153,7 @@ def check_m_dependence(family: Family, m: int | None = None, *,
 
     Raises CapExceededError when min(max_subset, N) exceeds
     ``MAX_PATTERN_WIDTH`` or when the number of groups (the candidate
-    index subsets evaluated) would exceed `max_subsets`; lowering
+    index subsets evaluated) would exceed ``MAX_SUBSETS``; lowering
     max_subset (pairwise only: 2) restores feasibility.
     """
     m = family.m if m is None else operator.index(m)
@@ -167,10 +166,10 @@ def check_m_dependence(family: Family, m: int | None = None, *,
     _require_width(min(max_subset, family.n_events))
 
     total = sum(family.subset_group_count(size, m + 1) for size in sizes)
-    if total > max_subsets:
+    if total > MAX_SUBSETS:
         raise CapExceededError(
-            f"{total} candidate index subsets exceed the cap {max_subsets}; "
-            f"lower max_subset (currently {max_subset}) or raise max_subsets")
+            f"{total} candidate index subsets exceed the cap {MAX_SUBSETS}; "
+            f"lower max_subset (currently {max_subset})")
 
     blocks: list[CheckBlock] = []
     if family.structural_range is not None and m >= family.structural_range:

@@ -20,12 +20,13 @@ Two representations are supported:
   The kernel's only input is a row of gaps between marked windows: the
   symbols are i.i.d., so where a query starts plays no part, and a gap
   wider than m+1 acts like one of m+1.  ``WindowKernel.laws`` clamps
-  the gap rows of an index array at m+1 once and ``WindowKernel.law``
-  memoizes one answer per clamped row; the sweep behind it resumes from
-  the stored state after the longest gap prefix already swept.  A
-  contiguous union needs no row: ``WindowKernel.survival`` reads
-  P(no A_1..A_L) off a survival curve that the clear step extends to
-  the longest L asked so far.
+  the gap rows of an index array at m+1 once and sweeps each distinct
+  clamped row.  The kernel keeps one store: the state after each mark
+  swept, per gap prefix, within ``MARK_CELLS``.  A sweep resumes from
+  its longest stored prefix, so a row swept before is one stored
+  state's reduce.  A contiguous union needs no row:
+  ``WindowKernel.survival`` reads P(no A_1..A_L) off a survival curve
+  that the clear step extends to the longest L asked so far.
   ``WindowModel.with_horizon`` gives the same law at another horizon
   with the same kernel, so a horizon sweep computes one curve.
 
@@ -64,12 +65,11 @@ family is a *claim*: nothing here assumes it holds, and
 All types are immutable after construction and all operations are pure
 functions of their inputs, so concurrent readers need no locking: an
 explicit family's atom table and a window kernel's constants, read-only
-answers per clamped gap row, read-only states after each mark swept and
-survival curve live as long as the object.  A stored state is written
-once, before it is published under its gap prefix, and never again;
-each extension of the curve is published as one tuple; and a race only
-recomputes, or lets the stored states run a little past their cell
-budget.
+states after each mark swept and survival curve live as long as the
+object.  A stored state is written once, before it is published under
+its gap prefix, and never again; each extension of the curve is
+published as one tuple; and a race only recomputes, or lets the stored
+states run a little past their cell budget.
 """
 
 from __future__ import annotations
@@ -369,9 +369,9 @@ class WindowKernel:
     ``start`` law of m consecutive symbols (the earliest symbol is the
     least significant base-s digit of a state index), the ``carry``,
     ``clear`` and ``fired`` step weights w[x, st] of the window whose
-    earliest m symbols encode st and whose newest symbol is x, the laws
-    answered so far per clamped gap row, the states after each mark
-    swept so far per gap prefix, and the contiguous survival curve.
+    earliest m symbols encode st and whose newest symbol is x, and its
+    one store: the states after each mark swept so far per gap prefix
+    (``sweep``), and the contiguous survival curve.
     Models that differ only in their horizon share one
     (:meth:`WindowModel.with_horizon`).
     """
@@ -391,7 +391,6 @@ class WindowKernel:
         self.clear, self.fired = marked
         # [kept, 1, x, st]: both actions of a branching mark, for one product
         self._branch = marked[:, None]
-        self._memo: dict = {}  # (clamped gaps, branch) -> law
         # (gaps swept, branch) -> read-only state after their last mark,
         # and the cells of those states (see ``sweep``)
         self._marks: dict = {}
@@ -421,7 +420,8 @@ class WindowKernel:
         swept up to it, while the stored states fit ``MARK_CELLS``.  A
         sweep resumes from the state of its longest stored prefix, so a
         gap tuple that shares leading gaps with one swept before pays
-        only for the gaps after them, and gets the same bits: the same
+        only for the gaps after them, and one swept before whole pays
+        only for the reduce.  Either way it gets the same bits: the same
         steps run from the same state.
         """
         gaps = tuple(gaps)
@@ -486,29 +486,19 @@ class WindowKernel:
             return out
         return fold
 
-    def law(self, gaps: tuple[int, ...], branch: bool) -> np.ndarray:
-        """``sweep`` answered once per tuple of gaps, each at most m+1,
-        read-only.  After m pass steps the state is the pattern mass times
-        the law of m symbols, so a gap wider than m+1 acts like one of
-        m+1: callers clamp (``laws``) and the memo key is the clamped
-        tuple itself."""
-        law = self._memo.get((gaps, branch))
-        if law is None:
-            law = self._memo[gaps, branch] = self.sweep(gaps, branch)
-            law.flags.writeable = False
-        return law
-
     def laws(self, rows: np.ndarray, branch: bool) -> np.ndarray:
-        """``law`` of each row of a (K, L) index array, as a fresh (K, P)
-        array: one lookup per distinct row of gaps clamped at m+1, since
+        """``sweep`` of each row of a (K, L) index array, as a fresh (K, P)
+        array: one sweep per distinct row of gaps clamped at m+1, since
         rows with the same clamped gaps have the same law wherever they
-        start."""
+        start.  After m pass steps the state is the pattern mass times
+        the law of m symbols, so a gap wider than m+1 acts like one of
+        m+1, and a row swept before is one stored state's reduce."""
         gaps = np.minimum(np.diff(rows, axis=1, prepend=rows[:, :1]), self.m + 1)
         # One opaque item per row (the leading 0 keeps L = 1 rows
         # nonempty), so a 1-D unique finds the distinct rows.
         keys = gaps.view(np.dtype((np.void, gaps.itemsize * gaps.shape[1]))).ravel()
         _, first, where = np.unique(keys, return_index=True, return_inverse=True)
-        laws = [self.law(tuple(row[1:]), branch) for row in gaps[first].tolist()]
+        laws = [self.sweep(row[1:], branch) for row in gaps[first].tolist()]
         width = 1 << rows.shape[1] if branch else 1
         return np.array(laws).reshape(len(laws), width)[where]
 
@@ -638,7 +628,7 @@ class WindowModel:
     @cached_property
     def prefix_probs(self) -> np.ndarray:
         """u * P(A_1) for u = 0..N, each rounded once (read-only)."""
-        prefix = np.arange(self.horizon + 1) * self.kernel.law((), branch=True)[1]
+        prefix = np.arange(self.horizon + 1) * self.kernel.sweep((), branch=True)[1]
         prefix.flags.writeable = False
         return prefix
 
@@ -653,10 +643,10 @@ class WindowModel:
         windows more than m apart share no symbol, so their pair mass is
         the exact product p**2."""
         if gap == 0:
-            return self.kernel.law((), branch=True)[1]
+            return self.kernel.sweep((), branch=True)[1]
         if gap > self.m:
-            return float(self.kernel.law((), branch=True)[1]) ** 2
-        return self.kernel.law((gap,), branch=True)[0b11]
+            return float(self.kernel.sweep((), branch=True)[1]) ** 2
+        return self.kernel.sweep((gap,), branch=True)[0b11]
 
     def pair_probs(self, gap: int) -> np.ndarray:
         """One stationary value viewed N - gap times: read-only, O(1)."""

@@ -7,14 +7,15 @@ Window models use the transfer-operator kernel ``WindowKernel.sweep`` in
 :mod:`mdepbounds.families`: a forward dynamic program over the joint law
 of the last m symbols that consumes one symbol per step and zeroes the
 mass wherever a tracked window fires.  Its input is a row of gaps
-between tracked windows, clamped at m+1, and the kernel memoizes one
-answer per clamped row: a new row costs O(L * s**(m+1)) for its clamped
-span L = 1 + the sum of its gaps, a repeat a dict lookup on the row.  A
-batch of K index rows of length u costs one clamp and one ``np.unique``
-over the (K, u) gap array before the lookups.  A contiguous range a..b
-reads entry b - a + 1 of the kernel's survival curve: O(1) once the
-curve is that long, else O(s**(m+1)) per step it is extended by, and
-models that differ only in horizon share the curve.
+between tracked windows, clamped at m+1.  The kernel stores the state
+after each mark it sweeps, per gap prefix: a new row costs
+O(L * s**(m+1)) for its clamped span L = 1 + the sum of its gaps, less
+the span of its longest stored prefix, and a repeat one reduce of its
+stored state.  A batch of K index rows of length u costs one clamp and
+one ``np.unique`` over the (K, u) gap array before the sweeps.  A
+contiguous range a..b reads entry b - a + 1 of the kernel's survival
+curve: O(1) once the curve is that long, else O(s**(m+1)) per step it
+is extended by, and models that differ only in horizon share the curve.
 ``complement_intersection_probs`` answers many index sets of one size at
 once and asks the family once per distinct query: once per row of gaps
 clamped at m+1 on a window model, once per row on an explicit family.

@@ -48,7 +48,6 @@ import numpy as np
 from .bounds import first_order_bound, second_order_bound
 from .errors import CapExceededError
 from .families import Family, partial_sum, t_local
-from .families import MAX_EXPLICIT_OUTCOMES, MAX_WINDOW_TABLE  # noqa: F401 (the verifier's caps)
 from .oracle import block_event_prob, complement_intersection_probs, union_prob
 from .oracle import complement_intersection_prob  # noqa: F401 (perfbench/tests/test_perfbench_harness.py reads it here)
 from .partitions import block_position, pair_shift_count, residue_classes, \

@@ -101,18 +101,22 @@ class TestCheckMDependence:
             report = check_m_dependence(model, max_subset=4)
             assert report.passed  # no false negatives at tol 1e-9
 
-    def test_subset_cap(self):
+    def test_subset_cap(self, monkeypatch):
         """The cap counts the subsets evaluated: all C(N, k) on an explicit
         family, one per clamped gap tuple on a window model."""
         explicit = ExplicitEventFamily.from_events([0.5, 0.5], [[0]] * 20, 1)
+        monkeypatch.setattr(dependence, "MAX_SUBSETS", 1000)
         with pytest.raises(CapExceededError,
-                           match=r"^6175 candidate .* max_subset"):
-            check_m_dependence(explicit, max_subset=4, max_subsets=1000)
+                           match=r"^6175 candidate index subsets exceed the cap "
+                                 r"1000; lower max_subset \(currently 4\)$"):
+            check_m_dependence(explicit, max_subset=4)
         # m = 2, so 3 + 9 + 27 gap tuples over {1, 2, 3} at any horizon.
         model = consecutive_run_model(600)
+        monkeypatch.setattr(dependence, "MAX_SUBSETS", 38)
         with pytest.raises(CapExceededError, match=r"^39 candidate .* max_subset"):
-            check_m_dependence(model, max_subset=4, max_subsets=38)
-        assert check_m_dependence(model, max_subset=4, max_subsets=39).passed
+            check_m_dependence(model, max_subset=4)
+        monkeypatch.setattr(dependence, "MAX_SUBSETS", 39)
+        assert check_m_dependence(model, max_subset=4).passed
         assert check_m_dependence(model).passed
 
     def test_pairwise_only_mode(self):

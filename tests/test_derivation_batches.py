@@ -78,22 +78,22 @@ def test_failing_tolerance_equals_walk():
 
 def test_queries_do_not_grow_as_n_squared(monkeypatch):
     """Every exact index-set question a window model answers goes through
-    ``WindowKernel.law`` or, for a contiguous union, ``WindowKernel.survival``.
+    ``WindowKernel.sweep`` or, for a contiguous union, ``WindowKernel.survival``.
     One oracle call per check made 4,727 of them at N = 100 and 67,077
     at N = 400; batched, the audit makes one per distinct batch row and
-    per block event (120 and 420), so the count grows as N."""
+    per block event (115 and 415), so the count grows as N."""
     calls = []
-    law, survival = WindowKernel.law, WindowKernel.survival
+    sweep, survival = WindowKernel.sweep, WindowKernel.survival
 
     def counted(self, gaps, branch):
         calls.append(len(gaps))
-        return law(self, gaps, branch)
+        return sweep(self, gaps, branch)
 
     def counted_survival(self, length):
         calls.append(length - 1)
         return survival(self, length)
 
-    monkeypatch.setattr(WindowKernel, "law", counted)
+    monkeypatch.setattr(WindowKernel, "sweep", counted)
     monkeypatch.setattr(WindowKernel, "survival", counted_survival)
     counts = {}
     for n in (100, 400):

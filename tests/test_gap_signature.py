@@ -1,11 +1,12 @@
-"""Window-model kernel answers memoized per clamped gap row.
+"""Window-model kernel answers per clamped gap row, from one store.
 
-A window model answers ``survivals``, ``pattern_laws`` and ``union`` once
-per row of gaps clamped at m+1 and keeps the read-only answer for the
-life of its kernel (``WindowModel.kernel``); a union reads the kernel's
-survival curve instead.  These tests hold the memoized answers and the
+A window model answers ``survivals`` and ``pattern_laws`` with one sweep
+per row of gaps clamped at m+1, and its kernel (``WindowModel.kernel``)
+keeps the read-only state after each mark swept for its life, so a row
+asked again is one reduce of a stored state; a union reads the kernel's
+survival curve instead.  These tests hold the clamped answers and the
 curve against the raw ``WindowKernel.sweep`` on unclamped gaps, check that
-a caller cannot corrupt the memo, and bound the number of kernel sweeps
+a caller cannot corrupt the store, and bound the number of kernel sweeps
 the two audits make.
 """
 
@@ -25,6 +26,7 @@ from mdepbounds import (
     union_prob,
     verify_derivation,
 )
+from mdepbounds import families
 from mdepbounds.families import WindowKernel
 
 #: Worst |canonical - raw| seen over 3,000 random models (N <= 200) is
@@ -73,7 +75,7 @@ def test_translated_queries_are_bit_identical(model, data):
         gaps, span = [], 0
     start = data.draw(st.integers(1, n - span))
     indices = tuple(int(k) for k in np.cumsum([start] + gaps))
-    # A translated copy fills the memo first, so the second query is a hit.
+    # A translated copy fills the store first, so the second query is a hit.
     shift = 1 - start + data.draw(st.integers(0, n - span - 1))
     pattern_distribution(model, tuple(k + shift for k in indices))
     survival(model, tuple(k + shift for k in indices))
@@ -120,16 +122,11 @@ class TestMemoIsolation:
         assert np.array_equal(pattern_distribution(model, (2, 5, 6)), before)
         assert np.array_equal(pattern_distribution(model, (4, 7, 8)), before)
 
-    def test_memoized_laws_are_read_only(self):
-        model = consecutive_run_model(12, m=2)
-        with pytest.raises(ValueError):
-            model.kernel.law((2,), branch=True)[0] = 0.0
-
     def test_memo_belongs_to_one_model(self):
         a = consecutive_run_model(12, m=2)
         b = consecutive_run_model(12, m=2)
         pattern_distribution(a, (1, 3))
-        assert a.kernel._memo and not b.kernel._memo
+        assert a.kernel._marks and not b.kernel._marks
 
 
 @pytest.fixture
@@ -148,6 +145,13 @@ def sweep_counter(monkeypatch):
 
 @pytest.fixture
 def unmemoized(monkeypatch):
+    """Call it to make kernels built from then on store no mark state, so
+    every law is swept from the start law."""
+    return lambda: monkeypatch.setattr(families, "MARK_CELLS", 0)
+
+
+@pytest.fixture
+def raw_sweeps(monkeypatch):
     """Call it to route every kernel query straight to the raw sweep: a
     batch makes one ``sweep`` per row on its unclamped gaps, and a union
     one sweep over its whole range instead of a curve lookup."""
@@ -158,7 +162,6 @@ def unmemoized(monkeypatch):
         return float(self.sweep((1,) * (length - 1), branch=False)[0])
 
     def route():
-        monkeypatch.setattr(WindowKernel, "law", WindowKernel.sweep)
         monkeypatch.setattr(WindowKernel, "laws", raw_laws)
         monkeypatch.setattr(WindowKernel, "survival", raw_survival)
     return route
@@ -176,7 +179,7 @@ class TestWorkCounters:
     def test_verify_derivation_sweeps_per_signature(self, sweep_counter):
         model = consecutive_run_model(200, m=3, alphabet_size=3)
         assert verify_derivation(model).passed
-        assert sum(sweep_counter.values()) <= 40  # 12,412 without the memo
+        assert sum(sweep_counter.values()) <= 40  # 12,412 before rows were shared
 
     @pytest.mark.parametrize("n", [12, 16])
     def test_check_m_dependence_sweeps_per_signature(self, sweep_counter, n):
@@ -187,28 +190,38 @@ class TestWorkCounters:
         assert sweep_counter[True] <= sum((m + 1) ** (u - 1)
                                           for u in range(2, k + 1))
 
-    def test_verify_report_matches_unmemoized(self, unmemoized):
-        model = random_window_model(5, alphabet_sizes=(3,),
-                                    dependence_ranges=(3,),
-                                    min_horizon=40, max_horizon=40)
-        memoized = verify_derivation(model)
+    def test_verify_report_matches_unmemoized(self, unmemoized, raw_sweeps):
+        """The stored states change no bit; raw sweeps stay within the
+        clamp rounding.  Each report reads a model of its own, so that no
+        state stored before carries over."""
+        def model():
+            return random_window_model(5, alphabet_sizes=(3,),
+                                       dependence_ranges=(3,),
+                                       min_horizon=40, max_horizon=40)
+        stored = verify_derivation(model())
         unmemoized()
-        assert_same_outcome(verify_derivation(model), memoized)
+        assert verify_derivation(model()) == stored
+        raw_sweeps()
+        assert_same_outcome(verify_derivation(model()), stored)
 
     @pytest.mark.parametrize("claimed", [1, 2, 3])
-    def test_dependence_report_matches_unmemoized(self, unmemoized, claimed):
-        model = random_window_model(11, alphabet_sizes=(2,),
-                                    dependence_ranges=(2,),
-                                    min_horizon=12, max_horizon=12)
-        memoized = check_m_dependence(model, claimed, max_subset=4)
+    def test_dependence_report_matches_unmemoized(self, unmemoized, raw_sweeps,
+                                                  claimed):
+        def model():
+            return random_window_model(11, alphabet_sizes=(2,),
+                                       dependence_ranges=(2,),
+                                       min_horizon=12, max_horizon=12)
+        stored = check_m_dependence(model(), claimed, max_subset=4)
         unmemoized()
-        assert_same_outcome(check_m_dependence(model, claimed, max_subset=4),
-                            memoized)
+        assert check_m_dependence(model(), claimed, max_subset=4) == stored
+        raw_sweeps()
+        assert_same_outcome(check_m_dependence(model(), claimed, max_subset=4),
+                            stored)
 
 
 def test_long_union_memory_does_not_grow_with_the_span():
     """A union reads one survival curve.  A set or a tuple of its 20,000
-    window indices, for the sweep or for a memo key, peaks at about
+    window indices, for the sweep or for a store key, peaks at about
     3.3 MiB; the 20,001-entry curve and its chunk buffer stay under
     0.5 MiB."""
     model = consecutive_run_model(20_000, m=2)

@@ -13,8 +13,8 @@ from mdepbounds import (
     verify_derivation,
 )
 from mdepbounds.errors import CapExceededError
-from mdepbounds.verify import (MAX_DERIVATION_CHECKS, MAX_EXPLICIT_OUTCOMES,
-                               MAX_TRIPLES_PER_CLASS, MAX_WINDOW_TABLE,
+from mdepbounds.families import MAX_EXPLICIT_OUTCOMES, MAX_WINDOW_TABLE
+from mdepbounds.verify import (MAX_DERIVATION_CHECKS, MAX_TRIPLES_PER_CLASS,
                                derivation_check_count)
 
 

@@ -6,8 +6,8 @@ and both fold each step's mass over the oldest symbol with
 on both sides of numpy's 8-term switch to pairwise sums, hold ``sweep``
 and ``survival`` to the plain ``reshape(...).sum`` formula, and check
 that a sweep resumed from a stored gap prefix gives the bits of a fresh
-one, runs only the steps of its new gaps, and cannot write into the
-states it resumes from.
+one, runs only the steps of its new gaps (none for a law asked before),
+and cannot write into the states it resumes from.
 """
 
 import sys
@@ -141,6 +141,22 @@ def test_a_resumed_sweep_runs_only_its_new_gaps(monkeypatch):
     steps.clear()
     k.sweep((2, 3, 1), False)
     assert len(steps) == 7  # the other branch stores states of its own
+
+
+@pytest.mark.parametrize("s, m", SIZES)
+@pytest.mark.parametrize("branch", [False, True])
+def test_a_repeated_law_is_a_store_hit(monkeypatch, s, m, branch):
+    """A ``laws`` row asked again, here translated, finds its whole gap
+    tuple stored: the same bytes, and not one step run."""
+    k = kernel(s, m)
+    rows = np.array([[3, 4, 6 + m, 8 + m]])
+    first = k.laws(rows, branch)
+    steps = counted(monkeypatch, k)
+    again = k.laws(rows + 5, branch)
+    assert steps == []
+    assert again.tobytes() == first.tobytes()
+    clamped = np.minimum(np.diff(rows[0]), m + 1)
+    assert again.tobytes() == kernel(s, m).sweep(clamped, branch).tobytes()
 
 
 def test_stored_states_are_read_only():

@@ -1,11 +1,16 @@
 """Command-line front end.
 
-Verbs:
-  report  MODEL [--exact] [--mc TRIALS SEED]     bound report as JSON
-  verify  MODEL [--max-subset K] [--tol X]       derivation + dependence audit
-  sweep   MODEL PARAM=LO..HI[:STEP]              CSV over a parameter sweep
-  window  MODEL I WINDOW_N                       windowed bound as JSON
-  mc      MODEL FIRST LAST TRIALS SEED [--exact] Monte Carlo union estimate
+Verbs (``--out PATH`` writes to PATH instead of stdout):
+  report  MODEL [--exact] [--mc TRIALS SEED] [--out PATH]
+          bound report as JSON
+  verify  MODEL [--max-subset K] [--tol X] [--out PATH]
+          derivation + dependence audit
+  sweep   MODEL PARAM=LO..HI[:STEP] [--exact] [--mc TRIALS SEED] [--out PATH]
+          CSV over a parameter sweep
+  window  MODEL I WINDOW_N [--out PATH]
+          windowed bound as JSON
+  mc      MODEL FIRST LAST TRIALS SEED [--exact] [--out PATH]
+          Monte Carlo union estimate
 
 Exit codes: 0 success / all checks pass, 1 verification failure,
 2 usage, model-spec, cap or out-of-memory error.  Numbers print with 12
@@ -27,6 +32,7 @@ import io
 import json
 import math
 import re
+import secrets
 import struct
 import sys
 from json.encoder import encode_basestring_ascii
@@ -48,9 +54,14 @@ CSV_COLUMNS = ["param", "n", "m", "s_n", "t_local", "thm1_bound", "thm2_bound",
                "mc_ci_high"]
 
 
+def _round12(value: float) -> float:
+    """``value`` rounded to the 12 significant digits the output prints."""
+    return float(f"{value:.12g}")
+
+
 def _float_text(value: float) -> str:
-    """JSON text of ``float(f"{value:.12g}")``, as ``json.dumps`` writes it."""
-    rounded = float(f"{value:.12g}")
+    """JSON text of ``_round12(value)``, as ``json.dumps`` writes it."""
+    rounded = _round12(value)
     return repr(rounded) if math.isfinite(rounded) else json.dumps(rounded)
 
 
@@ -86,7 +97,12 @@ def _json_pieces(payload: Any) -> Iterator[str]:
     """``json.dumps(payload, indent=2) + "\n"`` with every float rounded
     to 12 significant digits, as a stream of text pieces.  A
     ``VerificationReport`` in the payload is written as its
-    ``to_dict()``, with the check rows taken from its blocks' columns."""
+    ``to_dict()``.  ``json.dumps`` writes the grammar, once, of a plain
+    copy of the payload in which each report is its ``totals()`` with a
+    marker string for "checks"; only the check rows, the audits' O(N^2)
+    part, are written here from the blocks' columns, one piece per slice
+    of rows, in place of each marker.  The marker is a random token per
+    call, so no text in the payload can forge one."""
     number = _FloatText()
 
     def check_rows(blocks: Sequence[CheckBlock], pad: str) -> Iterator[str]:
@@ -133,40 +149,30 @@ def _json_pieces(payload: Any) -> Iterator[str]:
                 head = sep
         yield "[]" if head[0] == "[" else "\n" + pad + "]"
 
-    def pieces(value: Any, pad: str) -> Iterator[str]:
-        if isinstance(value, float):
-            yield number.of(value)
-        elif isinstance(value, str):
-            yield encode_basestring_ascii(value)
-        elif isinstance(value, bool):
-            yield "true" if value else "false"
-        elif isinstance(value, VerificationReport):
-            # The totals object, reopened before its closing "\n}" for
-            # the "checks" key that ends ``to_dict()``.
-            totals = "".join(pieces(value.totals(), pad))
-            yield totals[:-len(pad) - 2] + ",\n" + pad + '  "checks": '
-            yield from check_rows(value.blocks, pad + "  ")
-            yield "\n" + pad + "}"
-        elif isinstance(value, dict) and value:
-            inner = pad + "  "
-            head = "{\n" + inner
-            for key, item in value.items():
-                yield head + encode_basestring_ascii(key) + ": "
-                yield from pieces(item, inner)
-                head = ",\n" + inner
-            yield "\n" + pad + "}"
-        elif isinstance(value, (list, tuple)) and value:
-            inner = pad + "  "
-            head = "[\n" + inner
-            for item in value:
-                yield head
-                yield from pieces(item, inner)
-                head = ",\n" + inner
-            yield "\n" + pad + "]"
-        else:
-            yield json.dumps(value)  # int, None, {} and []; TypeError otherwise
+    marker = secrets.token_hex(16)
 
-    yield from pieces(payload, "")
+    # `reports` is passed down, not closed over: this recursive closure
+    # is a reference cycle, which would keep every report's arrays alive
+    # until the cycle collector runs, and a long run's memory growing.
+    def plain(value: Any, pad: str, reports: list) -> Any:
+        if isinstance(value, float):
+            return _round12(value)
+        if isinstance(value, VerificationReport):
+            reports.append((value.blocks, pad + "  "))
+            return {**value.totals(), "checks": marker}
+        if isinstance(value, dict):
+            return {key: plain(item, pad + "  ", reports)
+                    for key, item in value.items()}
+        if isinstance(value, (list, tuple)):
+            return [plain(item, pad + "  ", reports) for item in value]
+        return value
+
+    reports: list[tuple[Sequence[CheckBlock], str]] = []
+    text = json.dumps(plain(payload, "", reports), indent=2).split(f'"{marker}"')
+    yield text[0]
+    for (blocks, pad), tail in zip(reports, text[1:]):
+        yield from check_rows(blocks, pad)
+        yield tail
     yield "\n"
 
 
@@ -180,23 +186,10 @@ def _cell(value: Any) -> str:
     return str(value)
 
 
-#: Output is written in slices of about this many characters, so a large
-#: report never sits in memory as one string.
-_SLICE_CHARS = 1 << 16
-
-
 def _emit(pieces: Iterable[str], out_path: str | None) -> None:
     with (open(out_path, "w") if out_path
           else contextlib.nullcontext(sys.stdout)) as fh:
-        batch: list[str] = []
-        size = 0
-        for piece in pieces:
-            batch.append(piece)
-            size += len(piece)
-            if size >= _SLICE_CHARS:
-                fh.write("".join(batch))
-                batch, size = [], 0
-        fh.write("".join(batch))
+        fh.writelines(pieces)
 
 
 def _emit_json(payload: dict, out_path: str | None) -> None:
@@ -254,7 +247,7 @@ def _parse_sweep(spec: str) -> tuple[str, Sequence[Any]]:
         raise ModelSpecError(
             f"invalid sweep spec {spec!r}; expected PARAM=LO..HI[:STEP]")
     name = match["name"]
-    prob = re.fullmatch(r"p\(?(\d+)\)?", name)
+    prob = re.fullmatch(r"p(\d+)|p\((\d+)\)", name)
     if name in ("horizon", "m"):
         lo, hi = int(match["lo"]), int(match["hi"])
         step = int(match["step"]) if match["step"] else 1
@@ -275,7 +268,7 @@ def _parse_sweep(spec: str) -> tuple[str, Sequence[Any]]:
                  else int(round(steps)) + 1)
         _require_sweep_rows(count)
         values = (lo + k * step for k in range(count))
-        return f"p{prob[1]}", [v for v in values if v <= hi + 1e-12]
+        return f"p{prob[1] or prob[2]}", [v for v in values if v <= hi + 1e-12]
     raise ModelSpecError(f"unknown sweep parameter {name!r}; supported: "
                          f"horizon, m, p<digit> (symbol probability)")
 

@@ -243,6 +243,31 @@ class TestSweep:
         assert run_cli(capsys, "sweep", w1_path, spec) \
             == (2, "", f"error: {message}\n")
 
+    #: ``sweep w1.json p1=0.2..0.4:0.1 --exact`` as it has always read.
+    P1_CSV = (
+        "param,n,m,s_n,t_local,thm1_bound,thm2_bound,thm2_sharper,"
+        "exact_union,mc_estimate,mc_ci_low,mc_ci_high\n"
+        "0.2,24,2,0.192,0.0368,0.0619950004693,0.0746655136788,true,"
+        "0.14661398902,,,\n"
+        "0.3,24,2,0.648,0.1863,0.194264698127,0.206141464115,true,"
+        "0.389334806138,,,\n"
+        "0.4,24,2,1.536,0.5888,0.400704212154,0.377243694724,false,"
+        "0.665808394687,,,\n")
+
+    @pytest.mark.parametrize("name, out", [
+        ("p1", P1_CSV), ("p(1)", P1_CSV), ("p(1", None), ("p1)", None),
+    ])
+    def test_probability_sweep_names(self, capsys, w1_path, name, out):
+        """Only ``p<digits>`` and ``p(<digits>)`` name a symbol; a name
+        with one parenthesis is unknown."""
+        got = run_cli(capsys, "sweep", w1_path, f"{name}=0.2..0.4:0.1", "--exact")
+        if out is not None:
+            assert got == (0, out, "")
+        else:
+            assert got == (2, "", f"error: unknown sweep parameter {name!r}; "
+                                  f"supported: horizon, m, p<digit> (symbol "
+                                  f"probability)\n")
+
     @pytest.mark.parametrize("template, spec, message", [
         ("explicit", "horizon=1..2",
          "horizon sweeps need a window model template"),
@@ -817,6 +842,72 @@ def test_records_are_written_as_their_blocks():
     text = "".join(cli._json_pieces({"r": report}))
     assert text == reference_json({"r": report.to_dict()})
     assert '"lhs": 3.0,' in text and '"tol": 0.0,' in text
+
+
+#: Text a splice at the check rows' markers could trip on: a NUL, quotes,
+#: a "checks" key of its own, %-fields and 32 hex digits in quotes.
+SPLICE_TEXT = 'nul \x00 say "hi" "checks": [] 100% %s %%d "' + "0f" * 16 + '"'
+
+
+def test_splice_keeps_any_text():
+    """A string value, a key and a check name, hence also ``worst``,
+    holding any of the splice's own characters come out as json.dumps
+    writes them."""
+    from mdepbounds import Check, CheckBlock
+    report = VerificationReport((
+        CheckBlock.le("row %d", [0.0, 0.5], [1.0, 1.0], 0.0, np.array([[1], [2]])),
+        CheckBlock.of(Check.le(SPLICE_TEXT, 2.0, 1.0, 0.0))))
+    assert report.worst().name == SPLICE_TEXT
+    payload = {"text": SPLICE_TEXT, SPLICE_TEXT: [SPLICE_TEXT, 0.1],
+               "report": report, "after": SPLICE_TEXT}
+    text = "".join(cli._json_pieces(payload))
+    assert text == reference_json(payload)
+    assert text.count(json.dumps(SPLICE_TEXT)) == 6  # 4 values, worst, name
+
+
+def test_splice_places_each_report(tmp_path, monkeypatch):
+    """Two different reports in one payload, one in a list inside a dict
+    inside the payload, each get their own rows at their own indent."""
+    from mdepbounds import check_m_dependence, verify_derivation
+    model = consecutive_run_model(8)
+    derivation = verify_derivation(model)
+    dependence = check_m_dependence(model, 1)
+    assert not dependence.passed and derivation.passed
+    monkeypatch.setattr(cli, "_SLICE_ROWS", 4)
+    payload = {"derivation": derivation, "tol": 1 / 3,
+               "outer": {"inner": [2 / 3, dependence, "tail"]}}
+    path = tmp_path / "out.json"
+    cli._emit_json(payload, str(path))
+    assert path.read_text() == reference_json(payload)
+
+
+@pytest.mark.parametrize("wrap", [
+    lambda report: report, lambda report: {"r": report},
+    lambda report: [{"r": [report, report]}, report],
+], ids=["alone", "in-dict", "nested"])
+def test_splice_of_a_report_without_blocks(wrap):
+    payload = wrap(VerificationReport(()))
+    assert "".join(cli._json_pieces(payload)) == reference_json(payload)
+
+
+def test_written_reports_are_freed_without_the_cycle_collector():
+    """Once written, a report's blocks are freed by reference counting: a
+    long run of `verify` calls must not hold every call's arrays until
+    the next full collection."""
+    import gc
+    import weakref
+    from mdepbounds import CheckBlock
+    report = VerificationReport((CheckBlock.le("row %d", [0.0, 2.0], [1.0, 1.0],
+                                               0.0, np.array([[1], [2]])),))
+    block = weakref.ref(report.blocks[0])
+    gc.disable()
+    try:
+        text = "".join(cli._json_pieces({"r": [report]}))
+        del report
+        assert block() is None
+    finally:
+        gc.enable()
+    assert '"worst": "row 2"' in text
 
 
 def test_report_refuses_records():

@@ -35,9 +35,10 @@ MAX_STRINGS = 1 << 12
 
 #: The family protocol: every member the query functions and the audits
 #: read without checking the representation.
-PROTOCOL = ("event_probs", "prefix_probs", "pair_probs", "pair_mass", "union",
-            "survivals", "pattern_laws", "require_query_scale",
-            "structural_range", "subset_groups", "subset_group_count")
+PROTOCOL = ("event_probs", "prefix_probs", "prefix_mass", "pair_probs",
+            "pair_mass", "union", "survivals", "pattern_laws",
+            "require_query_scale", "structural_range", "subset_groups",
+            "subset_group_count")
 
 
 @pytest.mark.parametrize("cls", [WindowModel, ExplicitEventFamily])

@@ -44,7 +44,7 @@ from .bounds import SLACK_TOL, build_report, build_threshold, windowed_bound
 from .dependence import check_m_dependence
 from .errors import BoundViolationError, CapExceededError, ModelSpecError
 from .modelspec import _number_list, _read_json, load_model, parse_model
-from .montecarlo import estimate_union
+from .montecarlo import MAX_MC_WORK, estimate_union
 from .oracle import union_prob
 from .reports import Check, CheckBlock, VerificationReport
 from .verify import verify_derivation
@@ -232,12 +232,6 @@ MAX_SWEEP_ROWS = 10_000
 #: for minutes, not hours.
 MAX_SWEEP_EXACT_EVENTS = 50_005_000
 
-#: Refuse a sweep whose --mc rows sum to more trials times events than
-#: this before computing any.  A Monte Carlo row costs about 6 ns per
-#: trial per event (0.6 s for 10**5 trials at N = 1,000 on a 2-vCPU
-#: Xeon), so the cap runs for about 3 minutes, not hours.
-MAX_SWEEP_MC_WORK = 30_000_000_000
-
 
 def _parse_sweep(spec: str) -> tuple[str, Sequence[Any]]:
     """The swept parameter and its values in order, a range or a list,
@@ -336,11 +330,13 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                     f"the sweep's exact rows would cover {exact} events, above "
                     f"the exact sweep cap {MAX_SWEEP_EXACT_EVENTS}; narrow the "
                     f"range or drop --exact")
-            if mc and mc[0] * events > MAX_SWEEP_MC_WORK:
+            # Monte Carlo rows share nothing: their summed work meets the
+            # cap of one estimate
+            if mc and mc[0] * events > MAX_MC_WORK:
                 raise CapExceededError(
                     f"the sweep's Monte Carlo rows would cover {mc[0] * events} "
                     f"trial-events, above the Monte Carlo sweep cap "
-                    f"{MAX_SWEEP_MC_WORK}; narrow the range or lower TRIALS")
+                    f"{MAX_MC_WORK}; narrow the range or lower TRIALS")
         report = build_report(family, exact=args.exact, mc=mc)
         # Column mc_<field> is that field of the Monte Carlo record; every
         # other column after param is the report field of its name.

@@ -6,7 +6,7 @@ class ModelSpecError(ValueError):
 
 
 class CapExceededError(RuntimeError):
-    """An exact computation would exceed its documented size cap."""
+    """A computation would exceed its documented size cap."""
 
 
 class BoundViolationError(RuntimeError):

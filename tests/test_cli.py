@@ -25,7 +25,7 @@ from mdepbounds import (
     expand_window_model,
     model_to_dict,
 )
-from mdepbounds import cli
+from mdepbounds import cli, montecarlo
 from mdepbounds.cli import main
 
 
@@ -401,13 +401,13 @@ class TestSweep:
         any row.  At the cap it runs; one trial-event less and it is
         refused, before any row."""
         path = {"w1": w1_path, "e1": e1_path}[model]
-        monkeypatch.setattr(cli, "MAX_SWEEP_MC_WORK", work)
+        monkeypatch.setattr(cli, "MAX_MC_WORK", work)
         code, out, err = run_cli(capsys, "sweep", path, spec, "--mc", "200", "1")
         if model == "w1":
             assert (code, len(out.splitlines()) > 1) == (0, True)
         else:  # the estimator refuses explicit families after the cap
             assert (code, out) == (2, "") and "window model" in err
-        monkeypatch.setattr(cli, "MAX_SWEEP_MC_WORK", work - 1)
+        monkeypatch.setattr(cli, "MAX_MC_WORK", work - 1)
         code, out, err = run_cli(capsys, "sweep", path, spec, "--mc", "200", "1")
         assert (code, out) == (2, "")
         assert err == (f"error: the sweep's Monte Carlo rows would cover {work} "
@@ -425,9 +425,9 @@ class TestSweep:
     ], ids=["refused", "admitted", "admitted-exact"])
     def test_long_mc_sweep_is_refused_before_any_row(
             self, capsys, monkeypatch, w1_path, args, err):
-        """10**5 trials on each of horizon=1..10000 would run for about 14
+        """10**5 trials on each of horizon=1..10000 would run for about 8
         hours; it is refused before the first report.  500 trials, about
-        4 minutes of work, reach the first row."""
+        3 minutes of work, reach the first row."""
         def no_row(*args, **kwargs):
             raise ValueError("a row was computed")
 
@@ -521,6 +521,27 @@ class TestMC:
         code, out, err = run_cli(capsys, "mc", e1_path, "1", "2", "100", "0")
         assert (code, out) == (2, "")
         assert "window models" in err
+
+    @pytest.mark.parametrize("argv", [
+        ("mc", "{path}", "1", "100000", "1000000", "1"),
+        ("mc", "{path}", "1", "100000", "1000000", "1", "--exact"),
+        ("report", "{path}", "--mc", "1000000", "1"),
+    ], ids=["mc", "mc-exact", "report"])
+    def test_one_estimate_above_the_work_cap_is_refused(
+            self, capsys, monkeypatch, tmp_path, argv):
+        """10**6 trials on 10**5 windows, 10**11 trial-events (hours of
+        work), are refused with exit 2 before any draw."""
+        def no_draw(*args):
+            raise ValueError("a draw was made")
+
+        path = tmp_path / "long.json"
+        dump_model(consecutive_run_model(100_000), path)
+        monkeypatch.setattr(montecarlo, "_mix64", no_draw)
+        code, out, err = run_cli(capsys, *(a.format(path=path) for a in argv))
+        assert (code, out) == (2, "")
+        assert err == ("error: the Monte Carlo estimate would cover "
+                       "100000000000 trial-events, above the Monte Carlo cap "
+                       "30000000000; narrow the range or lower TRIALS\n")
 
 
 class TestUsage:

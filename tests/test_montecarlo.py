@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mdepbounds import (
+    CapExceededError,
     MonteCarloEstimate,
     WindowModel,
     consecutive_run_model,
@@ -108,6 +109,25 @@ class TestEstimateUnion:
             tracemalloc.stop()
         assert peak < 2 * 2 ** 20
 
+    def test_work_cap(self, monkeypatch, run_model_24):
+        """Trials times windows above MAX_MC_WORK is refused before any
+        draw; at the cap the estimate runs."""
+        def no_draw(*args):
+            raise ValueError("a draw was made")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(montecarlo, "_mix64", no_draw)
+            with pytest.raises(CapExceededError, match="would cover "
+                               "30000000024 trial-events, above the Monte "
+                               "Carlo cap 30000000000"):
+                estimate_union(run_model_24, 1, 24, 1_250_000_001, 0)
+            patch.setattr(montecarlo, "MAX_MC_WORK", 24 * 100 - 1)
+            with pytest.raises(CapExceededError):
+                estimate_union(run_model_24, 1, 24, 100, 0)
+        monkeypatch.setattr(montecarlo, "MAX_MC_WORK", 24 * 100)
+        assert (estimate_union(run_model_24, 1, 24, 100, 0)
+                == _scalar_estimate(run_model_24, 1, 24, 100, 0))
+
     def test_range_validation(self, run_model_24):
         with pytest.raises(IndexError):
             estimate_union(run_model_24, 1, 25, 10, 0)
@@ -152,6 +172,10 @@ def _pin_table(size, fires):
     return tuple(fires(i) for i in range(size))
 
 
+#: Eight scattered entries of an s = 3, m = 2 table.
+_K8 = (1, 3, 5, 9, 11, 15, 19, 21)
+
+
 #: (model, first, last, trials, seed, chunk_size) -> repr of
 #: (estimate, ci_low, ci_high), recorded from the float-uniform
 #: searchsorted implementation.  Any change to the SplitMix64 stream, the
@@ -187,7 +211,41 @@ PINNED = [
     ((WindowModel(10, (0.1,) * 10, 0, _pin_table(10, lambda i: i == 9), 20),
       1, 20, 2000, 2 ** 40, 333),
      "(0.874, 0.8587356201177461, 0.8878304285158767)"),
+    # The fire test compares window indices with the smaller of the fired
+    # and clear entry sets when it has at most _COMPARE_MAX = 8 entries,
+    # and gathers from the table otherwise.  These strings come from
+    # _scalar_estimate.
+    # no fired entry, and every entry fired
+    ((WindowModel(3, (0.3, 0.3, 0.4), 1, _pin_table(9, lambda i: False), 15),
+      2, 15, 400, 7, 50),
+     "(0.0, 0.0, 0.009512294334296508)"),
+    ((WindowModel(2, (0.9, 0.1), 2, _pin_table(8, lambda i: True), 10),
+      1, 10, 300, -3, 1 << 16),
+     "(1.0, 0.9873570287754538, 1.0)"),
+    # 8 fired entries: compared
+    ((WindowModel(3, (0.8, 0.15, 0.05), 2, _pin_table(27, lambda i: i in _K8), 6),
+      1, 6, 700, 2 ** 50, 123),
+     "(0.7157142857142857, 0.6811920897605184, 0.747881810640304)"),
+    # 9 fired entries: gathered
+    ((WindowModel(3, (0.8, 0.15, 0.05), 2,
+                  _pin_table(27, lambda i: i in _K8 + (2,)), 6),
+      1, 6, 700, 2 ** 50, 123),
+     "(0.7971428571428572, 0.765768830808538, 0.8252733631210716)"),
+    # 8 clear entries: compared, a trial missing when all its windows match
+    ((WindowModel(3, (0.9, 0.05, 0.05), 2,
+                  _pin_table(27, lambda i: i not in (0, 1, 2, 3, 6, 9, 10, 18)), 4),
+      1, 4, 600, 424242, 99),
+     "(0.06333333333333334, 0.04648712753383062, 0.08573542468480135)"),
 ]
+
+
+def test_pins_straddle_the_compare_cutover():
+    """The pinned tables' smaller entry sets include none, exactly
+    _COMPARE_MAX and one more, so both fire tests and the empty set run."""
+    sizes = {min(sum(case[0].predicate_table), sum(not v for v in case[0].predicate_table))
+             for case, _ in PINNED}
+    k = montecarlo._COMPARE_MAX
+    assert {0, k, k + 1} <= sizes
 
 
 @pytest.mark.parametrize("case, expected", PINNED)
@@ -222,6 +280,8 @@ _CUMS = [
     np.cumsum(np.full(50, 0.02)),
     np.cumsum(np.full(200, 0.005)),
     np.cumsum(np.r_[np.zeros(60), np.full(40, 0.025), np.zeros(20)]),
+    np.cumsum([1.0, 0.0]),                        # no threshold left
+    np.cumsum([0.5, 0.5, 0.0, 0.0]),              # one threshold left, s = 4
 ]
 
 
@@ -230,9 +290,15 @@ def test_integer_thresholds_match_float_lookup(cum):
     spread = np.random.default_rng(len(cum)).integers(0, 2 ** 53, size=2000,
                                                        dtype=np.uint64)
     bits = np.concatenate([_boundary_bits(cum), spread])
-    out = np.empty(bits.shape, dtype=np.min_scalar_type(len(cum) - 1))
-    got = _symbols(bits, _thresholds(cum), out, np.empty(bits.shape, dtype=bool))
-    np.testing.assert_array_equal(got, _searchsorted_symbols(cum, bits))
+    # the lookup reads the mixed 64-bit word, whose top 53 bits are the
+    # draw: each draw with its low 11 bits all clear, all set and random
+    lows = [np.uint64(0), np.uint64(2 ** 11 - 1),
+            np.random.default_rng(len(cum) + 1).integers(0, 2 ** 11, size=bits.size,
+                                                         dtype=np.uint64)]
+    words = np.concatenate([(bits << np.uint64(11)) | low for low in lows])
+    out = np.empty(words.shape, dtype=np.min_scalar_type(len(cum) - 1))
+    got = _symbols(words, _thresholds(cum), out, np.empty(words.shape, dtype=bool))
+    np.testing.assert_array_equal(got, _searchsorted_symbols(cum, np.tile(bits, 3)))
 
 
 _M64 = (1 << 64) - 1

@@ -44,7 +44,8 @@ from .bounds import SLACK_TOL, build_report, build_threshold, windowed_bound
 from .dependence import check_m_dependence
 from .errors import BoundViolationError, CapExceededError, ModelSpecError
 from .modelspec import _number_list, _read_json, load_model, parse_model
-from .montecarlo import MAX_MC_WORK, estimate_union
+from . import montecarlo
+from .montecarlo import estimate_union
 from .oracle import union_prob
 from .reports import Check, CheckBlock, VerificationReport
 from .verify import verify_derivation
@@ -332,11 +333,11 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                     f"range or drop --exact")
             # Monte Carlo rows share nothing: their summed work meets the
             # cap of one estimate
-            if mc and mc[0] * events > MAX_MC_WORK:
+            if mc and mc[0] * events > montecarlo.MAX_MC_WORK:
                 raise CapExceededError(
                     f"the sweep's Monte Carlo rows would cover {mc[0] * events} "
                     f"trial-events, above the Monte Carlo sweep cap "
-                    f"{MAX_MC_WORK}; narrow the range or lower TRIALS")
+                    f"{montecarlo.MAX_MC_WORK}; narrow the range or lower TRIALS")
         report = build_report(family, exact=args.exact, mc=mc)
         # Column mc_<field> is that field of the Monte Carlo record; every
         # other column after param is the report field of its name.

@@ -27,14 +27,13 @@ while one trial fits the budget; past that a chunk is a single trial.
 The budget is small enough for the buffers to stay in a core's L2 cache
 across the passes over a chunk, and a chunk's draws are consecutive
 counters, so its words are one precomputed ramp plus the chunk's first.
-A window fires when its index is one of the table's few fired entries,
-or none of its few clear ones: up to ``_COMPARE_MAX`` entries, one
-compare pass each beats a gather from the table, which the loop makes
-otherwise.  On the benchmark's four generated Monte Carlo models (1-3
-fired entries of 8-27) the loop's time went 34-53% to the mix, 8-22% to
-the symbol lookup, 8-26% to the Horner fold, 2-8% to the fire test, 6-24%
-to the per-trial `any` and 6-9% to the counter ramp (2-vCPU Xeon, numpy
-2.4).
+A window fires when its index is one of the table's few fired entries:
+up to ``_COMPARE_MAX`` entries, one compare pass each beats a gather
+from the table, which the loop makes otherwise.  On the benchmark's four
+generated Monte Carlo models (1-3 fired entries of 8-27) the loop's time
+went 34-53% to the mix, 8-22% to the symbol lookup, 8-26% to the Horner
+fold, 2-8% to the fire test, 6-24% to the per-trial `any` and 6-9% to
+the counter ramp (2-vCPU Xeon, numpy 2.4).
 """
 
 from __future__ import annotations
@@ -63,8 +62,8 @@ _U64 = np.uint64(0xFFFFFFFFFFFFFFFF)
 #: whose buffers overflow a 2 MiB L2 cache, about 1.5x slower.
 _CELL_BUDGET = 1 << 15
 
-#: Largest count of fired (or of clear) table entries whose windows are
-#: told by comparing the index with each entry, not by gathering from the
+#: Largest count of fired table entries whose windows are told by
+#: comparing the index with each entry, not by gathering from the
 #: table.  On a 162 x 200 chunk of uint8 indices one gather took 27-44 us,
 #: the first compare 1.3-2.9 us and each further compare-and-or 2.4-5.0
 #: us, so the break-even is 8-14 entries (10-11 for uint16 indices) on a
@@ -161,7 +160,7 @@ def estimate_union(model: WindowModel, first: int, last: int,
     when a trial is longer than the budget; `chunk_size` (trials per chunk)
     can only lower it.  Any chunking yields byte-identical results because
     trial t consumes exactly the counters [t*L, (t+1)*L) of the seed's
-    stream; a table with no fired entry, or no clear one, draws nothing.
+    stream; a table with no fired entry draws nothing.
     Raises ValueError unless `model` is a window model, and
     CapExceededError, before any draw, when `trials` times the windows
     exceeds ``MAX_MC_WORK``.
@@ -187,14 +186,9 @@ def estimate_union(model: WindowModel, first: int, last: int,
             f"trial-events, above the Monte Carlo cap {MAX_MC_WORK}; narrow "
             f"the range or lower TRIALS")
     table = model.kernel.table_array
-    # a window fires iff its index is among the few fired entries, or not
-    # among the few clear ones; with none of either its verdict is fixed
-    fired_at, clear_at = np.flatnonzero(table), np.flatnonzero(~table)
-    negate = len(clear_at) < len(fired_at)
-    few = clear_at if negate else fired_at
-    if not len(few):
-        hits = trials if negate else 0
-        return MonteCarloEstimate(hits / trials, *wilson_interval(hits, trials))
+    fired = int(np.count_nonzero(table))
+    if not fired:  # no window can fire
+        return MonteCarloEstimate(0.0, *wilson_interval(0, trials))
 
     length = n_windows + m  # symbols per trial
     rows = min(trials, chunk_size, max(1, _CELL_BUDGET // length))
@@ -210,10 +204,10 @@ def estimate_union(model: WindowModel, first: int, last: int,
     flag = np.empty((rows, length), dtype=bool)
     # the narrowest type that holds a table index keeps the Horner passes short
     index = np.empty((rows, n_windows), dtype=np.min_scalar_type(len(table) - 1))
-    if len(few) > _COMPARE_MAX:  # gather from the table instead
-        few, negate = None, False
-    else:
-        few = few.astype(index.dtype)
+    # a window fires iff its index is one of the few fired entries; with
+    # more of them it is gathered from the table
+    few = (np.flatnonzero(table).astype(index.dtype)
+           if fired <= _COMPARE_MAX else None)
     marked = np.empty((rows, n_windows), dtype=bool)
     # the compare passes' scratch: `flag` is free once the indices are built
     equal = flag.reshape(-1)[:rows * n_windows].reshape(rows, n_windows)
@@ -233,7 +227,7 @@ def estimate_union(model: WindowModel, first: int, last: int,
         for k in range(m - 1, -1, -1):
             idx *= s
             idx += sym[:, k:k + n_windows]
-        # window k of trial i is marked if it fires, or is clear when `negate`
+        # window k of trial i is marked if it fires
         mark = marked[:r]
         if few is None:
             # every index is in range, and "clip" lets take write `out` unbuffered
@@ -243,9 +237,6 @@ def estimate_union(model: WindowModel, first: int, last: int,
             for v in few[1:]:
                 np.equal(idx, v, out=equal[:r])
                 mark |= equal[:r]
-        if negate:  # a trial misses iff all its windows are clear
-            hits += r - int(np.count_nonzero(mark.all(axis=1)))
-        else:
-            hits += int(np.count_nonzero(mark.any(axis=1)))
+        hits += int(np.count_nonzero(mark.any(axis=1)))
 
     return MonteCarloEstimate(hits / trials, *wilson_interval(hits, trials))

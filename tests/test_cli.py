@@ -401,13 +401,13 @@ class TestSweep:
         any row.  At the cap it runs; one trial-event less and it is
         refused, before any row."""
         path = {"w1": w1_path, "e1": e1_path}[model]
-        monkeypatch.setattr(cli, "MAX_MC_WORK", work)
+        monkeypatch.setattr(montecarlo, "MAX_MC_WORK", work)
         code, out, err = run_cli(capsys, "sweep", path, spec, "--mc", "200", "1")
         if model == "w1":
             assert (code, len(out.splitlines()) > 1) == (0, True)
         else:  # the estimator refuses explicit families after the cap
             assert (code, out) == (2, "") and "window model" in err
-        monkeypatch.setattr(cli, "MAX_MC_WORK", work - 1)
+        monkeypatch.setattr(montecarlo, "MAX_MC_WORK", work - 1)
         code, out, err = run_cli(capsys, "sweep", path, spec, "--mc", "200", "1")
         assert (code, out) == (2, "")
         assert err == (f"error: the sweep's Monte Carlo rows would cover {work} "

@@ -211,11 +211,10 @@ PINNED = [
     ((WindowModel(10, (0.1,) * 10, 0, _pin_table(10, lambda i: i == 9), 20),
       1, 20, 2000, 2 ** 40, 333),
      "(0.874, 0.8587356201177461, 0.8878304285158767)"),
-    # The fire test compares window indices with the smaller of the fired
-    # and clear entry sets when it has at most _COMPARE_MAX = 8 entries,
-    # and gathers from the table otherwise.  These strings come from
-    # _scalar_estimate.
-    # no fired entry, and every entry fired
+    # The fire test compares window indices with the fired entries when
+    # there are at most _COMPARE_MAX = 8 of them, and gathers from the
+    # table otherwise.  These strings come from _scalar_estimate.
+    # no fired entry, and every one of 8 entries fired: compared
     ((WindowModel(3, (0.3, 0.3, 0.4), 1, _pin_table(9, lambda i: False), 15),
       2, 15, 400, 7, 50),
      "(0.0, 0.0, 0.009512294334296508)"),
@@ -231,7 +230,7 @@ PINNED = [
                   _pin_table(27, lambda i: i in _K8 + (2,)), 6),
       1, 6, 700, 2 ** 50, 123),
      "(0.7971428571428572, 0.765768830808538, 0.8252733631210716)"),
-    # 8 clear entries: compared, a trial missing when all its windows match
+    # 19 fired entries of 27: gathered
     ((WindowModel(3, (0.9, 0.05, 0.05), 2,
                   _pin_table(27, lambda i: i not in (0, 1, 2, 3, 6, 9, 10, 18)), 4),
       1, 4, 600, 424242, 99),
@@ -240,10 +239,9 @@ PINNED = [
 
 
 def test_pins_straddle_the_compare_cutover():
-    """The pinned tables' smaller entry sets include none, exactly
-    _COMPARE_MAX and one more, so both fire tests and the empty set run."""
-    sizes = {min(sum(case[0].predicate_table), sum(not v for v in case[0].predicate_table))
-             for case, _ in PINNED}
+    """The pinned tables' fired entries number none, exactly _COMPARE_MAX
+    and one more, so both fire tests and the empty table run."""
+    sizes = {sum(case[0].predicate_table) for case, _ in PINNED}
     k = montecarlo._COMPARE_MAX
     assert {0, k, k + 1} <= sizes
 

@@ -111,11 +111,11 @@ def build_threshold(family: Family) -> ThresholdFunction:
     threshold(n) is the least t with P(A_1)+..+P(A_t) >= n; minimality
     makes it nondecreasing and gives the tightest windows.  Defined for
     every integer n up to the total event mass; explicitly empty when
-    that mass is below 1.  It searches the same prefix masses that
+    that mass is below 1.  It searches ``prefix_mass`` of 0..N, which
     :func:`partial_sum` reads, so partial_sum(threshold(n)) >= n and
     partial_sum(threshold(n) - 1) < n hold exactly.
     """
-    prefix = family.prefix_probs
+    prefix = family.prefix_mass(np.arange(family.n_events + 1))
     total = float(prefix[-1])
     # defined exactly for the integers n with prefix mass >= n
     targets = np.arange(1, math.floor(total) + 1)

@@ -41,14 +41,14 @@ from typing import Any, Iterable, Iterator, Sequence
 import numpy as np
 
 from .bounds import SLACK_TOL, build_report, build_threshold, windowed_bound
-from .dependence import check_m_dependence
+from .dependence import _require_audit_scale, check_m_dependence
 from .errors import BoundViolationError, CapExceededError, ModelSpecError
 from .modelspec import _number_list, _read_json, load_model, parse_model
 from . import montecarlo
 from .montecarlo import estimate_union
 from .oracle import union_prob
 from .reports import Check, CheckBlock, VerificationReport
-from .verify import verify_derivation
+from .verify import _require_desk_scale, verify_derivation
 
 CSV_COLUMNS = ["param", "n", "m", "s_n", "t_local", "thm1_bound", "thm2_bound",
                "thm2_sharper", "exact_union", "mc_estimate", "mc_ci_low",
@@ -206,6 +206,9 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     family = load_model(args.model)
+    # Both audits' refusals, in this order, before either audit's work.
+    _require_desk_scale(family, args.tol)
+    _require_audit_scale(family, None, args.max_subset, args.tol)
     derivation = verify_derivation(family, tol=args.tol)
     dependence = check_m_dependence(family, max_subset=args.max_subset,
                                     tol=args.tol)

@@ -44,7 +44,7 @@ import numpy as np
 
 from .errors import CapExceededError
 from .families import Family, _require_event_indices
-from .reports import CheckBlock, VerificationReport
+from .reports import CheckBlock, VerificationReport, require_tol
 
 #: Evaluating more candidate index subsets (one per subset group) than
 #: this raises instead of silently running for hours; lower max_subset
@@ -129,6 +129,28 @@ def _worst_violations(laws: np.ndarray, pos_i: tuple[int, ...],
     return diff[np.arange(k), np.abs(diff).argmax(axis=1)]
 
 
+def _require_audit_scale(family: Family, m: int | None, max_subset: int,
+                         tol: float) -> tuple[int, int]:
+    """Every refusal of ``check_m_dependence``, in order, before any of
+    its work; returns m and max_subset as integers."""
+    require_tol(tol)
+    m = family.m if m is None else operator.index(m)
+    if m < 0:
+        raise ValueError("m must be nonnegative")
+    max_subset = operator.index(max_subset)
+    if max_subset < 2:
+        raise ValueError("max_subset must be >= 2")
+    lower = f"exceed the cap {MAX_SUBSETS}; lower max_subset (currently {max_subset})"
+    if max_subset - 1 > MAX_SUBSETS:  # one summary row per size
+        raise CapExceededError(f"{max_subset - 1} subset sizes {lower}")
+    _require_width(min(max_subset, family.n_events))
+    total = sum(family.subset_group_count(size, m + 1)
+                for size in range(2, max_subset + 1))
+    if total > MAX_SUBSETS:
+        raise CapExceededError(f"{total} candidate index subsets {lower}")
+    return m, max_subset
+
+
 def check_m_dependence(family: Family, m: int | None = None, *,
                        max_subset: int = 4, tol: float = 1e-9) -> VerificationReport:
     """Test whether a family satisfies the claimed dependence range m.
@@ -151,25 +173,12 @@ def check_m_dependence(family: Family, m: int | None = None, *,
     measured in chunks, one batched pass per split shape (see the module
     docstring).
 
-    Raises CapExceededError when min(max_subset, N) exceeds
-    ``MAX_PATTERN_WIDTH`` or when the number of groups (the candidate
-    index subsets evaluated) would exceed ``MAX_SUBSETS``; lowering
-    max_subset (pairwise only: 2) restores feasibility.
+    Raises, before any work, ValueError for a negative or non-finite tol,
+    and CapExceededError when min(max_subset, N) exceeds
+    ``MAX_PATTERN_WIDTH`` or the summary rows (max_subset - 1) or groups
+    (subsets evaluated) exceed ``MAX_SUBSETS``: lower max_subset then.
     """
-    m = family.m if m is None else operator.index(m)
-    if m < 0:
-        raise ValueError("m must be nonnegative")
-    max_subset = operator.index(max_subset)
-    if max_subset < 2:
-        raise ValueError("max_subset must be >= 2")
-    sizes = range(2, max_subset + 1)
-    _require_width(min(max_subset, family.n_events))
-
-    total = sum(family.subset_group_count(size, m + 1) for size in sizes)
-    if total > MAX_SUBSETS:
-        raise CapExceededError(
-            f"{total} candidate index subsets exceed the cap {MAX_SUBSETS}; "
-            f"lower max_subset (currently {max_subset})")
+    m, max_subset = _require_audit_scale(family, m, max_subset, tol)
 
     blocks: list[CheckBlock] = []
     if family.structural_range is not None and m >= family.structural_range:
@@ -178,7 +187,7 @@ def check_m_dependence(family: Family, m: int | None = None, *,
             f"structural_window_independence[m={m}]", 0.0, 0.0, tol))
 
     failures: list[CheckBlock] = []
-    for size in sizes:
+    for size in range(2, max_subset + 1):
         worst = 0.0
         n_splits = 0
         # Every member of a failing group fails, its first member first,

@@ -30,14 +30,13 @@ Two representations are supported:
   ``WindowModel.with_horizon`` gives the same law at another horizon
   with the same kernel, so a horizon sweep computes one curve.
 
-Both classes answer one protocol, which the module-level query functions
-and the audits read without checking the representation: ``event_probs``
-(P(A_k) for k = 1..N), ``prefix_probs`` (P(A_1)+..+P(A_u) for u = 0..N),
-``prefix_mass(upto)`` (its entry ``upto`` as a float, which a window
-model computes without the vector),
-``pair_probs(gap)`` (P(A_k and A_{k+gap}) for k = 1..N-gap; callers
-must not write into it or into ``event_probs``, which a window model
-returns as read-only views of one stationary value),
+Both classes answer one protocol of ten members, which the module-level
+query functions and the audits read without checking the representation:
+``prefix_mass(upto)`` (P(A_1)+..+P(A_u) as float64, for one index u in
+0..N or each entry of an integer index array; a window model keeps no
+vector), ``pair_probs(gap)`` (P(A_k and A_{k+gap}) for k = 1..N-gap, so
+gap 0 gives P(A_k); callers must not write into it, which a window
+model returns as a read-only view of one stationary value),
 ``pair_mass(gap)`` (the correctly rounded sum of ``pair_probs(gap)``),
 ``union(first, last)``, ``survivals(rows)`` (for each row of a 2-D
 index array, the probability that no listed event fires; a window model
@@ -244,22 +243,12 @@ class ExplicitEventFamily:
         return atom_masks, masses
 
     @cached_property
-    def event_probs(self) -> np.ndarray:
-        """P(A_k) for k = 1..N, as a read-only vector of length N."""
-        masks, weights = self.atoms
-        probs = masks @ weights
-        probs.flags.writeable = False
-        return probs
+    def _prefix(self) -> np.ndarray:
+        """P(A_1)+..+P(A_u) for u = 0..N, cumulated once."""
+        return np.concatenate(([0.0], np.cumsum(self.pair_probs(0))))
 
-    @cached_property
-    def prefix_probs(self) -> np.ndarray:
-        """P(A_1)+..+P(A_u) for u = 0..N, as a read-only vector."""
-        prefix = np.concatenate(([0.0], np.cumsum(self.event_probs)))
-        prefix.flags.writeable = False
-        return prefix
-
-    def prefix_mass(self, upto: int) -> float:
-        return float(self.prefix_probs[upto])
+    def prefix_mass(self, upto: int | np.ndarray) -> np.float64 | np.ndarray:
+        return self._prefix[upto]
 
     def pair_probs(self, gap: int) -> np.ndarray:
         masks, weights = self.atoms
@@ -608,7 +597,7 @@ class WindowModel:
         would validate the predicate table again and build a kernel of
         its own.  The other fields are this model's, already validated
         and a fixed point of construction, so only the horizon is
-        checked, and no cached value that depends on it is carried over."""
+        checked."""
         horizon = operator.index(horizon)
         if horizon < 0:
             raise ValueError("horizon must be a nonnegative integer")
@@ -620,23 +609,9 @@ class WindowModel:
                               horizon=horizon, kernel=self.kernel)
         return model
 
-    @property
-    def event_probs(self) -> np.ndarray:
-        """P(A_k) for k = 1..N, as a read-only vector of length N."""
-        return self.pair_probs(0)
-
-    @cached_property
-    def prefix_probs(self) -> np.ndarray:
-        """u * P(A_1) for u = 0..N, each rounded once (read-only)."""
-        prefix = np.arange(self.horizon + 1) * self.kernel.sweep((), branch=True)[1]
-        prefix.flags.writeable = False
-        return prefix
-
-    def prefix_mass(self, upto: int) -> float:
-        """Entry ``upto`` of ``prefix_probs`` in O(1): ``upto`` converts
-        to a float exactly below 2**53, so the one rounded product has
-        the same bits."""
-        return float(upto * self._pair_each(0))
+    def prefix_mass(self, upto: int | np.ndarray) -> np.float64 | np.ndarray:
+        """upto * P(A_1), each entry rounded once."""
+        return upto * self._pair_each(0)
 
     def _pair_each(self, gap: int) -> float:
         """P(A_k and A_{k+gap}), the same for every k by stationarity;
@@ -684,11 +659,12 @@ class WindowModel:
 
     def subset_group_count(self, size: int, far: int) -> int:
         """Gap tuples in {1..c}**(size-1) whose sum fits in N-1: positive
-        tuples with sum <= N-1, by inclusion-exclusion on gaps above c."""
+        tuples with sum <= N-1, by inclusion-exclusion on gaps above c
+        over its nonzero terms only (none for a size above N)."""
         c, length, budget = self._clamp(far), size - 1, self.horizon - 1
         return sum((-1) ** i * math.comb(length, i)
                    * math.comb(budget - i * c, length)
-                   for i in range(length + 1) if budget - i * c >= length)
+                   for i in range(min(length, (budget - length) // c) + 1))
 
     def subset_groups(self, size: int, far: int) -> Iterator[SubsetGroup]:
         """One group per gap tuple clamped at c, in lexicographic order,
@@ -753,7 +729,7 @@ def _nonempty_interval(family: Family, first: int, last: int) -> bool:
 def event_prob(family: Family, k: int) -> float:
     """Exact P(A_k) for 1 <= k <= N."""
     k = _require_event_index(family, k)
-    return float(family.event_probs[k - 1])
+    return float(family.pair_probs(0)[k - 1])
 
 
 def pair_prob(family: Family, i: int, j: int) -> float:
@@ -768,7 +744,7 @@ def partial_sum(family: Family, upto: int) -> float:
     upto = operator.index(upto)
     if not 0 <= upto <= family.n_events:
         raise ValueError(f"upto={upto} outside 0..{family.n_events}")
-    return family.prefix_mass(upto)
+    return float(family.prefix_mass(upto))
 
 
 def total_mass(family: Family) -> float:

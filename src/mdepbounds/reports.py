@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple
 
@@ -65,6 +66,12 @@ class Check(NamedTuple):
         return cls(str(d["name"]), str(d["kind"]), float(d["lhs"]),
                    float(d["rhs"]), float(d["tol"]), float(d["slack"]),
                    bool(d["passed"]))
+
+
+def require_tol(tol: float) -> None:
+    # at inf every check passes, at nan or below 0 checks fail wholesale
+    if not (math.isfinite(tol) and tol >= 0):
+        raise ValueError(f"tol must be finite and nonnegative (got {tol!r})")
 
 
 _NO_INDEX = np.empty((1, 0), dtype=np.int64)

@@ -52,7 +52,7 @@ from .oracle import block_event_prob, complement_intersection_probs, union_prob
 from .oracle import complement_intersection_prob  # noqa: F401 (perfbench/tests/test_perfbench_harness.py reads it here)
 from .partitions import block_position, pair_shift_count, residue_classes, \
     shifted_blocks
-from .reports import CheckBlock, VerificationReport
+from .reports import CheckBlock, VerificationReport, require_tol
 
 #: Refuse a family whose audit would emit more checks than this.  The
 #: count grows as N**2 (about 0.75 N**2 at m = 1, its worst m), so the
@@ -86,7 +86,9 @@ def derivation_check_count(n: int, m: int) -> int:
     return count + 1 + (m >= 1)
 
 
-def _require_desk_scale(family: Family) -> None:
+def _require_desk_scale(family: Family, tol: float) -> None:
+    """Every refusal of ``verify_derivation``, before any of its work."""
+    require_tol(tol)
     checks = derivation_check_count(family.n_events, family.m)
     if checks > MAX_DERIVATION_CHECKS:
         raise CapExceededError(
@@ -138,13 +140,15 @@ def verify_derivation(family: Family, *, tol: float = 1e-9) -> VerificationRepor
     Factorization checks compare joint complement probabilities against
     products of marginals (pairs plus capped triples), not full
     sigma-algebra independence, which would cost exponential work.
+    A negative or non-finite tol raises ValueError before any work.
     """
-    _require_desk_scale(family)
+    _require_desk_scale(family, tol)
     n, m = family.n_events, family.m
     blocks: list[CheckBlock] = []
 
-    probs = dict(enumerate(family.event_probs.tolist(), start=1))
-    clear = 1 - family.event_probs  # clear[k - 1] = 1 - P(A_k)
+    events = family.pair_probs(0)  # P(A_k and A_k) = P(A_k)
+    probs = dict(enumerate(events.tolist(), start=1))
+    clear = 1 - events  # clear[k - 1] = 1 - P(A_k)
 
     # Residue-class independence: complements of far-apart events factorize.
     # The pairs of every class go to the family as one array, and so do

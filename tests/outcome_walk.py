@@ -12,7 +12,6 @@ same dump bytes.
 from __future__ import annotations
 
 import math
-from functools import cached_property
 
 import numpy as np
 
@@ -32,17 +31,9 @@ class OutcomeWalkFamily(ExplicitEventFamily):
     def of(cls, family: ExplicitEventFamily) -> "OutcomeWalkFamily":
         return cls(family.outcome_weights, family.event_masks, family.m)
 
-    @cached_property
-    def event_probs(self) -> np.ndarray:
+    def prefix_mass(self, upto):
         probs = self.event_masks @ self.outcome_weights
-        probs.flags.writeable = False
-        return probs
-
-    @cached_property
-    def prefix_probs(self) -> np.ndarray:
-        prefix = np.concatenate(([0.0], np.cumsum(self.event_probs)))
-        prefix.flags.writeable = False
-        return prefix
+        return np.concatenate(([0.0], np.cumsum(probs)))[upto]
 
     def pair_probs(self, gap: int) -> np.ndarray:
         masks = self.event_masks

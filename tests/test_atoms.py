@@ -71,8 +71,10 @@ def test_every_query_matches_the_outcome_sweeps(family):
     assert 1 <= weights.size <= min(family.n_outcomes, 2 ** n)
     assert math.fsum(weights) == pytest.approx(1.0, rel=0, abs=1e-15)
     assert len({col.tobytes() for col in masks.T}) == weights.size
-    np.testing.assert_allclose(family.event_probs, ref.event_probs, rtol=0, atol=1e-13)
-    np.testing.assert_allclose(family.prefix_probs, ref.prefix_probs, rtol=0, atol=1e-13)
+    np.testing.assert_allclose(family.pair_probs(0), ref.pair_probs(0), rtol=0, atol=1e-13)
+    upto = np.arange(n + 1)
+    np.testing.assert_allclose(family.prefix_mass(upto), ref.prefix_mass(upto),
+                               rtol=0, atol=1e-13)
     for gap in range(n):
         np.testing.assert_allclose(family.pair_probs(gap), ref.pair_probs(gap),
                                    rtol=0, atol=1e-13)
@@ -109,7 +111,7 @@ def test_columns_differing_in_one_event_are_apart_at_word_edges(n):
     family = ExplicitEventFamily(weights / weights.sum(), masks, 2)
     ref = OutcomeWalkFamily.of(family)
     assert family.atoms[1].size == len({c.tobytes() for c in columns.T})
-    np.testing.assert_allclose(family.event_probs, ref.event_probs, rtol=0, atol=1e-13)
+    np.testing.assert_allclose(family.pair_probs(0), ref.pair_probs(0), rtol=0, atol=1e-13)
     for gap in (g for g in (1, 63, 64) if g < n):
         np.testing.assert_allclose(family.pair_probs(gap), ref.pair_probs(gap),
                                    rtol=0, atol=1e-13)
@@ -126,8 +128,8 @@ def test_columns_differing_in_one_event_are_apart_at_word_edges(n):
 
 
 #: The protocol members an explicit family answers from its atoms.
-ATOM_QUERIES = ("event_probs", "prefix_probs", "pair_probs", "pair_mass",
-                "union", "survivals", "pattern_laws")
+ATOM_QUERIES = ("prefix_mass", "pair_probs", "pair_mass", "union", "survivals",
+                "pattern_laws")
 
 
 def test_outcome_walk_overrides_every_atom_query():
@@ -181,7 +183,7 @@ def test_pattern_law_sweeps_atoms_not_outcomes(monkeypatch):
     at most 2**12 atoms, and a pattern law bins only those."""
     family = expand_window_model(consecutive_run_model(12, m=2))
     assert family.n_outcomes == 2 ** 14
-    assert family.event_probs.size == 12  # lumps the outcomes before counting
+    assert family.pair_probs(0).size == 12  # lumps the outcomes before counting
     subsets = [(1,), (1, 2), (3, 7, 12), (1, 4, 8, 12)]
     binned = []
     bincount = np.bincount

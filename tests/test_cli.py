@@ -175,6 +175,44 @@ class TestVerify:
                  if c["name"].startswith("factorization")]
         assert all("subset_size=2" in name for name in sizes)
 
+    @pytest.mark.parametrize("argv, message", [
+        (["--max-subset", "1"], "max_subset must be >= 2"),
+        (["--max-subset", "2"], "11628 candidate index subsets exceed the cap "
+                                "1000; lower max_subset (currently 2)"),
+        (["--max-subset", "1000000"], "999999 subset sizes exceed the cap "
+                                      "1000; lower max_subset (currently 1000000)"),
+    ])
+    def test_refusals_come_before_any_audit_work(self, capsys, tmp_path,
+                                                 monkeypatch, argv, message):
+        """Both audits' argument checks and caps run before either audit
+        queries the family: the derivation's first, then the
+        dependence audit's."""
+        from mdepbounds import dependence
+        family = ExplicitEventFamily.from_events(
+            [0.5, 0.5], [[0], [0], [1]] + [[1]] * 150, 152)
+        path = tmp_path / "wide.json"
+        dump_model(family, path)
+        monkeypatch.setattr(dependence, "MAX_SUBSETS", 1000)
+
+        def no_work(*args):
+            raise AssertionError("an audit ran")
+
+        for name in ("survivals", "pattern_laws", "subset_groups"):
+            monkeypatch.setattr(ExplicitEventFamily, name, no_work)
+        assert run_cli(capsys, "verify", str(path), *argv) \
+            == (2, "", f"error: {message}\n")
+
+    def test_derivation_refusal_comes_first(self, capsys, w1_path, monkeypatch):
+        from mdepbounds import verify
+        monkeypatch.setattr(verify, "MAX_DERIVATION_CHECKS", 10)
+        code, out, err = run_cli(capsys, "verify", w1_path, "--max-subset", "1",
+                                 "--tol", "nan")
+        assert (code, out) == (2, "")
+        assert err == "error: tol must be finite and nonnegative (got nan)\n"
+        code, out, err = run_cli(capsys, "verify", w1_path, "--max-subset", "1")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: the audit would emit ")
+
 
 class TestSweep:
     def test_horizon_sweep_rows_and_monotonicity(self, capsys, w1_path):
@@ -960,17 +998,22 @@ def record_dict(checks):
             "checks": [c.to_dict() for c in checks]}
 
 
-@pytest.mark.parametrize("tol", ["1e-9", "0", "-1", "inf", "nan"])
+@pytest.mark.parametrize("tol", ["1e-9", "0", "1e300", "-1", "inf", "nan"])
 @pytest.mark.parametrize("model", ["w1", "e1", "misdeclared"])
 def test_verify_tolerance_edges_match_record_walks(capsys, w1_path, e1_path,
                                                   misdeclared_path, model, tol):
     """`verify` writes its rows, counts and worst check from the blocks'
-    arrays; at every tolerance edge (all fail, all pass, NaN) they are
-    the per-check walk's, byte for byte."""
+    arrays; at every tolerance edge (none, all pass) they are the
+    per-check walk's, byte for byte.  A tolerance that is negative or not
+    finite is refused with exit 2."""
     from derivation_walk import derivation_walk
     from mdepbounds import check_m_dependence, load_model
     from mdepbounds.dependence import MAX_DETAILED_FAILURES
     path = {"w1": w1_path, "e1": e1_path, "misdeclared": misdeclared_path}[model]
+    if not 0 <= float(tol) < float("inf"):
+        assert run_cli(capsys, "verify", path, f"--tol={tol}") == (
+            2, "", f"error: tol must be finite and nonnegative (got {float(tol)!r})\n")
+        return
     family = load_model(path)
     derivation = derivation_walk(family, tol=float(tol)).checks
     dependence = check_m_dependence(family, max_subset=3, tol=float(tol)).checks

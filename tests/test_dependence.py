@@ -1,5 +1,7 @@
 """The m-dependence checker on valid and broken claims."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,10 @@ from mdepbounds import (
 from mdepbounds import dependence
 from mdepbounds.dependence import _worst_violations
 from mdepbounds.errors import CapExceededError
+
+
+def no_work(*args):
+    raise AssertionError("the audit ran")
 
 
 def identical_event_family(m=1):
@@ -118,6 +124,34 @@ class TestCheckMDependence:
         monkeypatch.setattr(dependence, "MAX_SUBSETS", 39)
         assert check_m_dependence(model, max_subset=4).passed
         assert check_m_dependence(model).passed
+
+    @pytest.mark.parametrize("tol", [-1.0, math.inf, math.nan])
+    def test_tolerance_must_be_finite_and_nonnegative(self, monkeypatch, tol):
+        family = ExplicitEventFamily.from_events([0.5, 0.5], [[0], [0], [1]], 0)
+        assert not check_m_dependence(family, tol=0.0).passed
+        monkeypatch.setattr(ExplicitEventFamily, "pattern_laws", no_work)
+        with pytest.raises(ValueError, match=r"^tol must be finite and "
+                                             r"nonnegative \(got "):
+            check_m_dependence(family, tol=tol)
+
+    def test_summary_rows_are_capped_before_any_work(self, monkeypatch):
+        """One summary row per size 2..max_subset, also past N: more rows
+        than MAX_SUBSETS are refused before the groups are counted or
+        listed, so a huge max_subset costs nothing."""
+        family = ExplicitEventFamily.from_events([0.5, 0.5], [[0], [1]], 1)
+        monkeypatch.setattr(dependence, "MAX_SUBSETS", 10)
+        monkeypatch.setattr(ExplicitEventFamily, "subset_groups", no_work)
+        monkeypatch.setattr(ExplicitEventFamily, "subset_group_count", no_work)
+        for max_subset in (12, 10 ** 18):
+            with pytest.raises(CapExceededError,
+                               match=rf"^{max_subset - 1} subset sizes exceed the "
+                                     rf"cap 10; lower max_subset \(currently "
+                                     rf"{max_subset}\)$"):
+                check_m_dependence(family, max_subset=max_subset)
+        monkeypatch.undo()
+        monkeypatch.setattr(dependence, "MAX_SUBSETS", 10)
+        report = check_m_dependence(family, max_subset=11)
+        assert report.passed and len(report.checks) == 10
 
     def test_pairwise_only_mode(self):
         model = consecutive_run_model(40)

@@ -108,6 +108,26 @@ class TestPartialSum:
             [0.25, 0.25, 0.25, 0.25], [[0, 1], [0]], 1)
         assert partial_sum(family, 2) == pytest.approx(0.75, abs=1e-12)
 
+    @pytest.mark.parametrize("family", [
+        random_window_model(31, min_horizon=60, max_horizon=60),
+        ExplicitEventFamily(np.full(16, 1 / 16),
+                            np.random.default_rng(31).random((30, 16)) < 0.3, 2)],
+        ids=["window", "explicit"])
+    def test_prefix_mass_of_an_index_array_is_each_partial_sum(self, family):
+        """An index array gives, entry by entry, the bits that
+        ``partial_sum`` gives for each index, in any order and with
+        repeats; one index gives a float64 scalar."""
+        n = family.n_events
+        upto = np.arange(n + 1)
+        masses = family.prefix_mass(upto)
+        assert masses.dtype == np.float64 and masses.shape == (n + 1,)
+        assert masses.tobytes() == np.array(
+            [partial_sum(family, u) for u in range(n + 1)]).tobytes()
+        picks = upto[::-1].repeat(2)
+        assert family.prefix_mass(picks).tobytes() == masses[picks].tobytes()
+        assert type(family.prefix_mass(n)) is np.float64
+        assert family.prefix_mass(n) == partial_sum(family, n)
+
     def test_nondecreasing(self):
         rng = np.random.default_rng(23)
         model = random_window_model(rng, max_horizon=40)
@@ -129,10 +149,10 @@ class TestPartialSum:
         product at any u up to 2**53."""
         model = random_window_model(seed, min_horizon=horizon,
                                     max_horizon=horizon)
-        p = model.with_horizon(1).event_probs[0]
+        p = model.with_horizon(1).pair_probs(0)[0]
         want = (np.arange(horizon + 1) * p).tolist()
         assert [partial_sum(model, u) for u in range(horizon + 1)] == want
-        assert model.prefix_probs.tolist() == want
+        assert model.prefix_mass(np.arange(horizon + 1)).tolist() == want
         assert model.prefix_mass(big) == (np.arange(big, big + 1) * p)[0]
 
 

@@ -35,10 +35,9 @@ MAX_STRINGS = 1 << 12
 
 #: The family protocol: every member the query functions and the audits
 #: read without checking the representation.
-PROTOCOL = ("event_probs", "prefix_probs", "prefix_mass", "pair_probs",
-            "pair_mass", "union", "survivals", "pattern_laws",
-            "require_query_scale", "structural_range", "subset_groups",
-            "subset_group_count")
+PROTOCOL = ("prefix_mass", "pair_probs", "pair_mass", "union", "survivals",
+            "pattern_laws", "require_query_scale", "structural_range",
+            "subset_groups", "subset_group_count")
 
 
 @pytest.mark.parametrize("cls", [WindowModel, ExplicitEventFamily])
@@ -46,6 +45,8 @@ def test_both_representations_define_the_protocol(cls):
     assert [name for name in PROTOCOL if name not in vars(cls)] == []
     assert not hasattr(cls, "survival")  # one index-set query: survivals
     assert not hasattr(cls, "pattern_law")  # one law query: pattern_laws
+    # P(A_k) is pair_probs(0), and prefix masses come one index array at a time
+    assert not hasattr(cls, "event_probs") and not hasattr(cls, "prefix_probs")
 
 
 def test_families_docstring_names_the_protocol():
@@ -118,8 +119,9 @@ def test_kernel_actions_match_enumeration(model, data):
         pairs = model.pair_probs(gap)
         assert pairs.shape == (n - gap,)
         assert np.abs(pairs - explicit.pair_probs(gap)).max() < 1e-12
-    assert model.prefix_probs.shape == (n + 1,)
-    assert np.abs(model.prefix_probs - explicit.prefix_probs).max() < 1e-12
+    upto = np.arange(n + 1)
+    assert model.prefix_mass(upto).shape == (n + 1,)
+    assert np.abs(model.prefix_mass(upto) - explicit.prefix_mass(upto)).max() < 1e-12
     if model.m >= 1:
         assert t_local(model) == pytest.approx(t_local(explicit), abs=1e-12)
 

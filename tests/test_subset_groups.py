@@ -224,6 +224,24 @@ def test_window_groups_partition_the_subsets(n, m, far):
         assert sorted(seen) == list(itertools.combinations(range(1, n + 1), size))
 
 
+@pytest.mark.parametrize("n", [0, 1, 8])
+def test_window_group_count_past_the_horizon_is_zero(monkeypatch, n):
+    """A size above N has no subset; the count says so without its
+    inclusion-exclusion sum, so max_subset far above N costs O(1) a
+    size."""
+    model = consecutive_run_model(n, m=2)
+    for size in (max(2, n + 1), n + 2):
+        assert list(model.subset_groups(size, 3)) == []
+
+    def no_terms(*args):
+        assert not range(*args), "walked inclusion-exclusion terms"
+        return range(*args)
+
+    monkeypatch.setattr(families, "range", no_terms, raising=False)
+    assert [model.subset_group_count(size, far) for size in (n + 1, n + 2, 10 ** 18)
+            for far in (1, 3, 10 ** 6)] == [0] * 9
+
+
 def test_explicit_groups_are_single_subsets():
     family = ExplicitEventFamily.from_events([0.5, 0.5], [[0], [1], [0], []], 1)
     groups = list(family.subset_groups(2, 2))

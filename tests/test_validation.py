@@ -100,4 +100,4 @@ def test_empty_pattern_is_the_sure_event():
 def test_total_mass_is_the_full_prefix(family):
     assert families.total_mass(family) == partial_sum(family, family.n_events)
     assert families.total_mass(family) == pytest.approx(
-        float(np.sum(family.event_probs)), abs=1e-15)
+        float(np.sum(family.pair_probs(0))), abs=1e-15)

@@ -87,6 +87,24 @@ class TestVerifyDerivation:
         report = verify_derivation(family)
         assert report.passed
 
+    @pytest.mark.parametrize("tol", [-1.0, -5e-324, math.inf, -math.inf, math.nan])
+    def test_tolerance_must_be_finite_and_nonnegative(self, monkeypatch, tol):
+        """A 3-event family claiming m = 0 with A_1 = A_2 fails at tol 0
+        and at the default; an infinite tol would pass it, a NaN or
+        negative one fail every check.  Each is refused before any
+        query."""
+        family = ExplicitEventFamily.from_events([0.5, 0.5], [[0], [0], [1]], 0)
+        assert not verify_derivation(family, tol=0.0).passed
+        assert not verify_derivation(family).passed
+
+        def no_work(*args):
+            raise AssertionError("the audit ran")
+
+        monkeypatch.setattr(ExplicitEventFamily, "survivals", no_work)
+        with pytest.raises(ValueError, match=r"^tol must be finite and "
+                                             r"nonnegative \(got "):
+            verify_derivation(family, tol=tol)
+
     def test_horizon_cap(self):
         with pytest.raises(CapExceededError):
             verify_derivation(consecutive_run_model(20_000))

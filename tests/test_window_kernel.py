@@ -27,6 +27,7 @@ from mdepbounds import (
     CapExceededError,
     WindowModel,
     build_report,
+    build_threshold,
     check_m_dependence,
     consecutive_run_model,
     dump_model,
@@ -124,7 +125,7 @@ class TestSharing:
         the model ``dataclasses.replace`` gives, field by field, and
         carries no cached value over from a model at another horizon."""
         model = consecutive_run_model(60, m=3)
-        model.prefix_probs  # cached at horizon 60
+        model.prefix_mass(np.arange(61))  # asked at horizon 60
         expected = dataclasses.replace(model, horizon=horizon)
 
         def convert_again(self):
@@ -138,8 +139,10 @@ class TestSharing:
             value = getattr(moved, field.name)
             assert type(value) is type(getattr(expected, field.name))
             assert value == getattr(expected, field.name)
-        assert "prefix_probs" not in vars(moved)
-        assert moved.prefix_probs.tobytes() == expected.prefix_probs.tobytes()
+        assert set(vars(moved)) == {field.name for field in
+                                    dataclasses.fields(WindowModel)} | {"kernel"}
+        upto = np.arange(horizon + 1)
+        assert moved.prefix_mass(upto).tobytes() == expected.prefix_mass(upto).tobytes()
 
     @pytest.mark.parametrize("horizon", [-1, 2.0, "3", None])
     def test_with_horizon_refuses_what_replace_refuses(self, horizon):
@@ -358,6 +361,31 @@ class TestPatternWidthCap:
             rtol=0, atol=1e-14)
 
 
+def _arrays(value):
+    """The numpy arrays in ``value``, looking into dicts, tuples and lists."""
+    if isinstance(value, np.ndarray):
+        yield value
+    elif isinstance(value, dict):
+        for item in value.values():
+            yield from _arrays(item)
+    elif isinstance(value, (tuple, list)):
+        for item in value:
+            yield from _arrays(item)
+
+
+def test_threshold_leaves_no_prefix_vector():
+    """``build_threshold`` searches the prefix masses of every index
+    0..N, which a window model computes as they are asked: afterwards
+    neither the model nor its kernel holds an array of N + 1 entries."""
+    n = 10 ** 5
+    model = consecutive_run_model(n, m=2)
+    threshold = build_threshold(model)
+    assert threshold.max_n == 12_500 and threshold(12_500) == n
+    held = [array.size for array in (*_arrays(vars(model)),
+                                     *_arrays(vars(model.kernel)))]
+    assert held and max(held) < n + 1
+
+
 def test_pair_and_event_vectors_hold_no_n_floats():
     """One stationary value viewed N - gap times: at N = 10**7 a full
     vector would take 76 MiB."""
@@ -366,12 +394,12 @@ def test_pair_and_event_vectors_hold_no_n_floats():
     tracemalloc.start()
     try:
         assert pair_prob(model, 5, 6) == model.pair_probs(1)[0]
-        assert event_prob(model, 10 ** 7) == model.event_probs[-1]
+        assert event_prob(model, 10 ** 7) == model.pair_probs(0)[-1]
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 2 ** 20
-    for vector in (model.pair_probs(1), model.event_probs):
+    for vector in (model.pair_probs(1), model.pair_probs(0)):
         assert not vector.flags.writeable
         with pytest.raises(ValueError):
             vector[0] = 0.0

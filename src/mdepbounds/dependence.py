@@ -144,8 +144,8 @@ def _require_audit_scale(family: Family, m: int | None, max_subset: int,
     if max_subset - 1 > MAX_SUBSETS:  # one summary row per size
         raise CapExceededError(f"{max_subset - 1} subset sizes {lower}")
     _require_width(min(max_subset, family.n_events))
-    total = sum(family.subset_group_count(size, m + 1)
-                for size in range(2, max_subset + 1))
+    total = sum(family.subset_group_count(size, m + 1)  # none above N
+                for size in range(2, min(max_subset, family.n_events) + 1))
     if total > MAX_SUBSETS:
         raise CapExceededError(f"{total} candidate index subsets {lower}")
     return m, max_subset
@@ -161,7 +161,8 @@ def check_m_dependence(family: Family, m: int | None = None, *,
     subset size (the worst signed violation, first in subset order among
     ties, and the number of splits) plus detail checks for the first
     MAX_DETAILED_FAILURES failing splits in subset order.  A family with
-    no qualifying splits passes vacuously.
+    no qualifying splits passes vacuously, and so, unwalked, does each
+    size above N: those rows are one block, before the failure details.
 
     The family groups the subsets (``subset_groups``): members of a
     group share the pattern law and every gap below m+1, so they give
@@ -187,7 +188,7 @@ def check_m_dependence(family: Family, m: int | None = None, *,
             f"structural_window_independence[m={m}]", 0.0, 0.0, tol))
 
     failures: list[CheckBlock] = []
-    for size in range(2, max_subset + 1):
+    for size in range(2, min(max_subset, family.n_events) + 1):
         worst = 0.0
         n_splits = 0
         # Every member of a failing group fails, its first member first,
@@ -198,9 +199,7 @@ def check_m_dependence(family: Family, m: int | None = None, *,
         # set.  Bit t-1 of turns[s] marks a change of side between
         # positions t-1 and t, which only a gap wider than m allows.  A
         # subset's splits in increasing s are its splits in chain order.
-        # A size above N has no subset, so its table stays empty and its
-        # row passes vacuously with no split.
-        low = (1 << (size - 1)) - 1 if size <= family.n_events else 0
+        low = (1 << (size - 1)) - 1
         sides = np.arange(low) << 1 | 1
         turns = (sides ^ sides >> 1) & low
         splits = [_split(s, size) for s in range(low)]
@@ -246,4 +245,9 @@ def check_m_dependence(family: Family, m: int | None = None, *,
         failures.extend(itertools.islice(
             details, MAX_DETAILED_FAILURES - len(failures)))
 
+    above = np.arange(max(family.n_events + 1, 2), max_subset + 1)
+    if len(above):  # sizes above N have no subset: vacuous rows with no split
+        zeros = np.zeros(len(above))
+        blocks.append(CheckBlock.eq("factorization[subset_size=%d,splits=0]",
+                                    zeros, zeros, tol, above[:, None]))
     return VerificationReport(tuple(blocks + failures))

@@ -19,21 +19,23 @@ index sets (``complement_intersection_probs``) per row width: one for
 the pairs of every residue class, one for their capped triples, one per
 class size for the class joints (a class holds floor or ceil of
 N/(m+1) events), and, across every shift, one per total width (2..2m)
-of the far block pairs; that is at most 2m + 3 arrays at any N, and the
-answers are split back per class and per shift.  The family asks one
-query per distinct set: on a window model one per row of gaps clamped
-at m+1, so every class's pairs are one query and its triples another
-(every gap in a class is at least m+1), and a width's block pairs at
-most one per pair of block lengths.  Add one query per block and for
-the whole range, and a window model's audit makes about N + 6m + 2
-queries (115 at N = 100, m = 2); an explicit family still makes one per
-check.  Each class's and each shift's answers stay one block of checks
+of the far block pairs; that is at most 2m + 3 arrays at any N.  The
+family asks one query per distinct set: on a window model one per row
+of gaps clamped at m+1, so every class's pairs are one query and its
+triples another (every gap in a class is at least m+1), and a width's
+block pairs at most one per pair of block lengths.  The blocks of every
+shift form one table whose distinct intervals are measured once each
+(every shift r >= N holds the one block 1..N).  So a window model's
+audit makes about N + 6m + 2 queries (115 at N = 100, m = 2); an
+explicit family still makes one per check.  Checks are kept as blocks
 (``CheckBlock``): lhs, rhs, slack and passed arrays under one name
 format over integer index rows, so the N**2 pair checks run no Python
-per check.  The report's summary is array reductions, and ``verify``
-writes each block's rows straight from its arrays, one ``%`` format per
-slice of rows; a ``Check`` record per row is built only when a caller
-asks for ``checks``.
+per check.  Block pairs and block Bonferroni checks are one block each
+over all shifts (r is an index column); the interleaved kinds stay one
+block per class or shift, and a class without pairs emits none.  The
+report's summary is array reductions, and ``verify`` writes each block's
+rows straight from its arrays, one ``%`` format per slice of rows; a
+``Check`` record per row is built only when a caller asks for ``checks``.
 """
 
 from __future__ import annotations
@@ -102,17 +104,13 @@ def _pairs(values: np.ndarray) -> np.ndarray:
     return values[np.stack(np.triu_indices(len(values), 1), axis=1)]
 
 
-def _split(values: np.ndarray, counts: list[int]) -> list[np.ndarray]:
-    """`values` cut along its first axis into consecutive pieces of the
-    given lengths."""
-    return np.split(values, np.cumsum(counts[:-1]))
-
-
 def _ask_each(family: Family, batches: list[np.ndarray]) -> list[np.ndarray]:
     """``complement_intersection_probs`` of each of several arrays of
-    rows of one width, asked as one array."""
+    rows of one width, asked as one array (none for no arrays)."""
+    if not batches:
+        return []
     answers = complement_intersection_probs(family, np.concatenate(batches))
-    return _split(answers, [len(rows) for rows in batches])
+    return np.split(answers, np.cumsum([len(rows) for rows in batches])[:-1])
 
 
 def _joined(los: np.ndarray, lengths: np.ndarray, a: np.ndarray, b: np.ndarray,
@@ -152,17 +150,19 @@ def verify_derivation(family: Family, *, tol: float = 1e-9) -> VerificationRepor
 
     # Residue-class independence: complements of far-apart events factorize.
     # The pairs of every class go to the family as one array, and so do
-    # the capped triples.
+    # the capped triples; a class without pairs (every class past N) has none.
     classes = residue_classes(n, m).classes
-    pairs = [_pairs(np.array(cls, dtype=np.int64)) for cls in classes]
+    wide = [(r, cls) for r, cls in enumerate(classes, start=1) if len(cls) >= 2]
+    pairs = [_pairs(np.array(cls, dtype=np.int64)) for _, cls in wide]
     triples = [np.fromiter(
         itertools.chain.from_iterable(itertools.islice(
             itertools.combinations(cls, 3), MAX_TRIPLES_PER_CLASS)),
-        dtype=np.int64).reshape(-1, 3) for cls in classes]
+        dtype=np.int64).reshape(-1, 3) for _, cls in wide]
     pair_lhs, triple_lhs = _ask_each(family, pairs), _ask_each(family, triples)
-    for r, checks in enumerate(zip(zip(pairs, pair_lhs), zip(triples, triple_lhs)),
-                               start=1):
+    for (r, _), *checks in zip(wide, zip(pairs, pair_lhs), zip(triples, triple_lhs)):
         for rows, lhs in checks:
+            if not len(rows):  # a class of two has no triple
+                continue
             rhs = functools.reduce(operator.mul, (clear[col - 1] for col in rows.T))
             fmt = f"residue_independence[r={r},({','.join(['%d'] * rows.shape[1])})]"
             blocks.append(CheckBlock.eq(fmt, lhs, rhs, tol, rows))
@@ -188,57 +188,52 @@ def verify_derivation(family: Family, *, tol: float = 1e-9) -> VerificationRepor
     complement_all = 1.0 - union_all
 
     if m >= 1:
+        # The blocks of every shift form one table, shift-major: row t is
+        # block js[t], the interval los[t]..his[t], of shift rs[t].
+        # Every shift r >= N holds the one block 1..N, so each distinct
+        # interval is measured once and its answers are scattered back.
         partitions = [shifted_blocks(n, m, r) for r in range(m)]
-        block_probs = [
-            tuple(block_event_prob(family, lo, hi) for lo, hi in part.blocks)
-            for part in partitions
-        ]
+        table = np.array([(part.shift, j, lo, hi) for part in partitions
+                          for j, (lo, hi) in zip(part.block_js, part.blocks)],
+                         dtype=np.int64).reshape(-1, 4)
+        rs, js, los, his = table.T
+        lengths = his - los + 1
+        spans, where = np.unique(table[:, 2:], axis=0, return_inverse=True)
+        where = where.reshape(-1)
+        bprobs = np.array([block_event_prob(family, lo, hi)
+                           for lo, hi in spans.tolist()])[where]
 
         # Block events at distance >= 2 are independent (1-dependence).
-        # The blocks of every shift form one table, and a far pair (a, b)
-        # of one shift asks for block a then block b, so the far pairs
-        # whose two blocks hold as many events in all form one array of
-        # equal-length rows, whatever their shifts.
-        los, his = np.array([block for part in partitions for block in part.blocks],
-                            dtype=np.int64).reshape(-1, 2).T
-        lengths = his - los + 1
-        js = np.array([j for part in partitions for j in part.block_js], dtype=np.int64)
-        ends = np.cumsum([len(part.blocks) for part in partitions])
-        a, b = np.concatenate([_pairs(np.arange(end - len(part.blocks), end))
-                               for part, end in zip(partitions, ends)]).T
-        far = js[b] - js[a] >= 2
-        a, b = a[far], b[far]
-        counts = np.bincount(np.searchsorted(ends, a, side="right"), minlength=m)  # per shift
+        # Row t's far partners are rows t+2 up to the last of its shift,
+        # and a far pair (a, b) asks for block a then block b, so the far
+        # pairs whose two blocks hold as many events in all form one
+        # array of equal-length rows, whatever their shifts.
+        ends = np.searchsorted(rs, rs, side="right")  # one past each shift
+        reach = np.maximum(ends - np.arange(len(ends)) - 2, 0)
+        a = np.repeat(np.arange(len(ends)), reach)
+        b = a + 2 + np.arange(len(a)) - np.repeat(np.cumsum(reach) - reach, reach)
         widths = lengths[a] + lengths[b]
         lhs = np.empty(len(widths))
         for width in set(widths.tolist()):
             same = widths == width
             lhs[same] = complement_intersection_probs(
                 family, _joined(los, lengths, a[same], b[same], width))
-        bclear = 1 - np.array([p for bprobs in block_probs for p in bprobs])
-        for part, part_lhs, rhs, index in zip(
-                partitions, _split(lhs, counts), _split(bclear[a] * bclear[b], counts),
-                _split(np.stack([js[a], js[b]], axis=1), counts)):
-            blocks.append(CheckBlock.eq(
-                f"block_independence[r={part.shift},j=(%d,%d)]", part_lhs, rhs, tol,
-                index))
+        blocks.append(CheckBlock.eq("block_independence[r=%d,j=(%d,%d)]", lhs,
+                                    (1 - bprobs[a]) * (1 - bprobs[b]), tol,
+                                    np.stack([rs[a], js[a], js[b]], axis=1)))
 
         # Second-order Bonferroni inside every block:
         # P(B) >= sum P(A_i) - sum_{pairs in B} P(A_i & A_l).  A block
         # spans at most m events, so its pairs sit at gaps 1..m-1.
         pair_masses = {d: family.pair_probs(d).tolist()
                        for d in range(1, min(m, n))}
-        for part, bprobs in zip(partitions, block_probs):
-            lower = []
-            for lo, hi in part.blocks:
-                members = range(lo, hi + 1)
-                single = sum(probs[k] for k in members)
-                pairsum = sum(pair_masses[l - i][i - 1]
-                              for i, l in itertools.combinations(members, 2))
-                lower.append(single - pairsum)
-            blocks.append(CheckBlock.le(
-                f"block_bonferroni[r={part.shift},j=%d]", lower, bprobs, tol,
-                np.array(part.block_js, dtype=np.int64).reshape(-1, 1)))
+        lower = np.array([
+            sum(probs[k] for k in range(lo, hi + 1))
+            - sum(pair_masses[l - i][i - 1]
+                  for i, l in itertools.combinations(range(lo, hi + 1), 2))
+            for lo, hi in spans.tolist()])
+        blocks.append(CheckBlock.le("block_bonferroni[r=%d,j=%d]", lower[where],
+                                    bprobs, tol, table[:, :2]))
 
         # The shift count for every local pair, against brute membership.
         # Block positions move by one when k moves by m, so membership
@@ -257,10 +252,11 @@ def verify_derivation(family: Family, *, tol: float = 1e-9) -> VerificationRepor
 
         # Parity split and averaging: complements bounded by parity
         # products, then by exponentials of half the block mass.
-        for part, bprobs in zip(partitions, block_probs):
-            r = part.shift
-            odd = [p for p, j in zip(bprobs, part.block_js) if j % 2 == 1]
-            even = [p for p, j in zip(bprobs, part.block_js) if j % 2 == 0]
+        table_probs = iter(bprobs.tolist())  # zip(js, ...) takes a shift's slice
+        for r, part in enumerate(partitions):
+            shift_blocks = list(zip(part.block_js, table_probs))
+            odd = [p for j, p in shift_blocks if j % 2 == 1]
+            even = [p for j, p in shift_blocks if j % 2 == 0]
             prod_odd = math.prod(1 - p for p in odd)
             prod_even = math.prod(1 - p for p in even)
             x, y = sum(odd), sum(even)

@@ -18,6 +18,8 @@ from mdepbounds import dependence
 from mdepbounds.dependence import _worst_violations
 from mdepbounds.errors import CapExceededError
 
+from subset_walk import subset_walk
+
 
 def no_work(*args):
     raise AssertionError("the audit ran")
@@ -188,6 +190,31 @@ class TestCheckMDependence:
         report = check_m_dependence(family, claimed, max_subset=26).to_dict()
         assert report["checks"] == head + vacuous + rows[len(head):]
         assert report["passed"] is (claimed is None)
+
+    @pytest.mark.parametrize("explicit", [False, True], ids=["window", "explicit"])
+    def test_sizes_above_n_ask_the_family_nothing(self, monkeypatch, explicit):
+        """No size above N lists subset groups or asks for pattern laws:
+        those sizes are one trailing run of vacuous summary rows, and the
+        report is still the plain walk's."""
+        family = consecutive_run_model(5, m=1)
+        if explicit:
+            family = expand_window_model(family)
+        kind = type(family)
+        groups, laws = kind.subset_groups, kind.pattern_laws
+
+        def groups_within_n(self, size, far):
+            assert size <= 5, f"subset groups listed for size {size} > N"
+            return groups(self, size, far)
+
+        def laws_within_n(self, rows):
+            assert rows.shape[1] <= 5, f"pattern laws of {rows.shape[1]} > N events"
+            return laws(self, rows)
+
+        monkeypatch.setattr(kind, "subset_groups", groups_within_n)
+        monkeypatch.setattr(kind, "pattern_laws", laws_within_n)
+        for claimed in (None, 0):
+            report = check_m_dependence(family, claimed, max_subset=12)
+            assert report == subset_walk(family, claimed, max_subset=12)
 
 
 def loop_worst_atom_violation(joint, pos_i, pos_j, u):

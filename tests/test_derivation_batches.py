@@ -38,7 +38,7 @@ def test_window_models_equal_walk(seed, s, m, n, density):
 
 @settings(max_examples=100, deadline=None)
 @given(data=st.data(), n=st.integers(0, 12), n_outcomes=st.integers(1, 12),
-       m=st.integers(0, 4))
+       m=st.integers(0, 40))
 def test_random_explicit_families_equal_walk(data, n, n_outcomes, m):
     """Random families claim any m, so independence checks fail often."""
     weights = data.draw(st.lists(st.floats(0.01, 1.0), min_size=n_outcomes,
@@ -126,3 +126,41 @@ def test_queries_are_one_array_per_row_width(monkeypatch, m):
         verify_derivation(consecutive_run_model(n, m=m))
         assert widths[:2] == [2, 3]
         assert len(widths) <= 2 * m + 3
+
+
+@pytest.mark.parametrize("m", [2, 5, 20])
+def test_shift_steps_are_one_block_each(m):
+    """The block pairs and the block Bonferroni checks of every shift are
+    one block each, with the shift as an index column, and no class or
+    shift leaves a block without rows: at m = 20 on 30 events, classes
+    of one member have no pair and classes of two no triple."""
+    families = [ExplicitEventFamily.from_events([0.5, 0.5], [[0], [0], [1]] * 10, m)]
+    if m <= 5:  # a window table holds 2**(m+1) entries
+        families.append(random_window_model(
+            3, alphabet_sizes=(2,), dependence_ranges=(m,), min_horizon=30,
+            max_horizon=30))
+    for family in families:
+        report = verify_derivation(family)
+        kinds = [block.fmt.split("[")[0] for block in report.blocks]
+        assert kinds.count("block_independence") == 1
+        assert kinds.count("block_bonferroni") == 1
+        assert all(len(block.passed) for block in report.blocks)
+        assert report == derivation_walk(family)
+
+
+def test_each_distinct_block_interval_is_measured_once(monkeypatch):
+    """Every shift r >= N holds the one block 1..N: far past N the audit
+    asks for each distinct interval once, and its report is the walk's."""
+    from mdepbounds import verify
+    asked = []
+    measure = verify.block_event_prob
+
+    def counted(family, lo, hi):
+        asked.append((lo, hi))
+        return measure(family, lo, hi)
+
+    monkeypatch.setattr(verify, "block_event_prob", counted)
+    family = ExplicitEventFamily.from_events([0.3, 0.7], [[0], [1], [0], [1]], 60)
+    report = verify_derivation(family)
+    assert len(asked) == len(set(asked)) < 10
+    assert report == derivation_walk(family)

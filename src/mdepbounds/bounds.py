@@ -228,21 +228,6 @@ class BoundReport:
             out["mc_union"] = dict(self.mc_union._asdict())
         return out
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "BoundReport":
-        mc = d.get("mc_union")
-        return cls(
-            n=int(d["n"]), m=int(d["m"]), s_n=float(d["s_n"]),
-            t_local=d.get("t_local"),
-            thm1_exponent=float(d["thm1_exponent"]),
-            thm1_bound=float(d["thm1_bound"]),
-            thm2_exponent=d.get("thm2_exponent"),
-            thm2_bound=d.get("thm2_bound"),
-            thm2_sharper=d.get("thm2_sharper"),
-            exact_union=d.get("exact_union"),
-            mc_union=MonteCarloRecord(**mc) if mc is not None else None,
-        )
-
 
 def build_report(family: Family, *, exact: bool = False,
                  mc: tuple[int, int] | None = None) -> BoundReport:

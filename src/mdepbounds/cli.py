@@ -113,7 +113,8 @@ def _json_pieces(payload: Any) -> Iterator[str]:
         # in its block's name format, kind and tol and the text of each
         # value column that is constant on the slice, and leaves %s for
         # the others; the name is JSON-escaped before the index columns
-        # fill it in, which is exact since they format to digits.
+        # fill it in, which is exact since they format to digits or to
+        # labels that JSON writes as is.
         row = ("{\n" + ",\n".join(f"{inner}  {encode_basestring_ascii(key)}: %s"
                                   for key in Check._fields) + "\n" + inner + "}")
         head = "[\n" + inner

@@ -3,9 +3,12 @@ random window models for property testing and sweeps."""
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 
-from .families import WindowModel
+from .errors import CapExceededError
+from .families import MAX_WINDOW_TABLE, WindowModel
 
 
 def consecutive_run_model(n: int, m: int = 2, alphabet_size: int = 2,
@@ -15,9 +18,19 @@ def consecutive_run_model(n: int, m: int = 2, alphabet_size: int = 2,
     top symbol s-1 (a run of length m+1).
 
     With the default fair coin and m = 2 this is the standard worked
-    example: every event has probability 2**-(m+1) = 0.125.
+    example: every event has probability 2**-(m+1) = 0.125.  A table
+    above MAX_WINDOW_TABLE entries is refused before it is built.
     """
-    s = alphabet_size
+    s, m = operator.index(alphabet_size), operator.index(m)
+    if s < 2:
+        raise ValueError("alphabet_size must be an integer >= 2")
+    if m < 0:
+        raise ValueError("m must be a nonnegative integer")
+    # s >= 2: past the cap's bit length every power is above it
+    if m + 1 > MAX_WINDOW_TABLE.bit_length() or s ** (m + 1) > MAX_WINDOW_TABLE:
+        raise CapExceededError(
+            f"predicate table of size {s}**{m + 1} exceeds the verifier cap "
+            f"{MAX_WINDOW_TABLE}")
     if symbol_dist is None:
         symbol_dist = tuple(1.0 / s for _ in range(s))
     table = [False] * s ** (m + 1)

@@ -6,10 +6,10 @@ instead of as bare booleans.  The audits emit their checks as
 :class:`CheckBlock` columns, one block per batch of checks that share a
 kind, a tolerance and a name pattern: lhs, rhs, slack and passed are
 float64 and bool arrays, and the names are a %-format over integer
-index columns.  A :class:`VerificationReport` is a run of blocks and
-nothing else; its summary (passed, counts, the worst check) is array
-reductions, and a :class:`Check` record per row is built only when
-``checks``, ``failures`` or ``to_dict`` asks for one.
+and label index columns.  A :class:`VerificationReport` is a run of
+blocks and nothing else; its summary (passed, counts, the worst check)
+is array reductions, and a :class:`Check` record per row is built only
+when ``checks``, ``failures`` or ``to_dict`` asks for one.
 """
 
 from __future__ import annotations
@@ -61,12 +61,6 @@ class Check(NamedTuple):
     def to_dict(self) -> dict:
         return self._asdict()
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "Check":
-        return cls(str(d["name"]), str(d["kind"]), float(d["lhs"]),
-                   float(d["rhs"]), float(d["tol"]), float(d["slack"]),
-                   bool(d["passed"]))
-
 
 def require_tol(tol: float) -> None:
     # at inf every check passes, at nan or below 0 checks fail wholesale
@@ -84,9 +78,10 @@ class CheckBlock:
 
     Row i is the check named ``fmt % tuple(index[i])`` with values
     lhs[i], rhs[i], slack[i] and passed[i].  ``index`` is a (rows,
-    columns) integer array; a one-row block with no columns has the
-    fixed name ``fmt % ()``.  ``le`` and ``eq`` compute slack and passed
-    with the same IEEE operations as ``Check.le`` and ``Check.eq``.
+    columns) array, of object dtype when some are label columns (ASCII
+    ``str`` that JSON writes as is, with no ``%``); a one-row block with
+    no columns has the fixed name ``fmt % ()``.  ``le`` and ``eq``
+    compute slack and passed with the same IEEE operations as ``Check``.
     """
 
     fmt: str
@@ -209,7 +204,3 @@ class VerificationReport:
 
     def to_dict(self) -> dict:
         return {**self.totals(), "checks": [c.to_dict() for c in self.checks]}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "VerificationReport":
-        return cls(tuple(CheckBlock.of(Check.from_dict(c)) for c in d["checks"]))

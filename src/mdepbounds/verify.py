@@ -29,10 +29,12 @@ shift form one table whose distinct intervals are measured once each
 audit makes about N + 6m + 2 queries (115 at N = 100, m = 2); an
 explicit family still makes one per check.  Checks are kept as blocks
 (``CheckBlock``): lhs, rhs, slack and passed arrays under one name
-format over integer index rows, so the N**2 pair checks run no Python
-per check.  Block pairs and block Bonferroni checks are one block each
-over all shifts (r is an index column); the interleaved kinds stay one
-block per class or shift, and a class without pairs emits none.  The
+format over index rows, so the N**2 pair checks run no Python per
+check.  The product chain over all classes is one block, and so is each
+shift step over all shifts: r is an index column, and the steps that
+interleave within a class or shift are a label column.  Only residue
+pairs and triples (widths differ) stay one block per class with pairs,
+so a report holds at most N + 7 blocks at any m.  The
 report's summary is array reductions, and ``verify`` writes each block's
 rows straight from its arrays, one ``%`` format per slice of rows; a
 ``Check`` record per row is built only when a caller asks for ``checks``.
@@ -167,7 +169,7 @@ def verify_derivation(family: Family, *, tol: float = 1e-9) -> VerificationRepor
             fmt = f"residue_independence[r={r},({','.join(['%d'] * rows.shape[1])})]"
             blocks.append(CheckBlock.eq(fmt, lhs, rhs, tol, rows))
 
-    # Product-to-exponential chain per residue class.  A class holds
+    # Product-to-exponential chain, two rows per class.  A class holds
     # floor(N/(m+1)) or ceil(N/(m+1)) events, and the classes of one
     # size go to the family as one array; an empty class's joint is 1.
     joints = [1.0] * len(classes)
@@ -176,13 +178,13 @@ def verify_derivation(family: Family, *, tol: float = 1e-9) -> VerificationRepor
         rows = np.array([classes[r] for r in which], dtype=np.int64)
         for r, joint in zip(which, complement_intersection_probs(family, rows).tolist()):
             joints[r] = joint
-    for r, (cls, joint) in enumerate(zip(classes, joints), start=1):
-        product = math.prod(1 - probs[k] for k in cls)
-        exponential = math.exp(-sum(probs[k] for k in cls))
-        blocks.append(CheckBlock.le(
-            f"product_chain[r={r},joint<=product]", joint, product, tol))
-        blocks.append(CheckBlock.le(
-            f"product_chain[r={r},product<=exp]", product, exponential, tol))
+    products = [math.prod(1 - probs[k] for k in cls) for cls in classes]
+    exponentials = [math.exp(-sum(probs[k] for k in cls)) for cls in classes]
+    blocks.append(CheckBlock.le(
+        "product_chain[r=%d,%s]", np.column_stack([joints, products]).ravel(),
+        np.column_stack([products, exponentials]).ravel(), tol,
+        np.array([(r, step) for r in range(1, len(classes) + 1)
+                  for step in ("joint<=product", "product<=exp")], dtype=object)))
 
     union_all = union_prob(family, 1, n)
     complement_all = 1.0 - union_all
@@ -250,26 +252,27 @@ def verify_derivation(family: Family, *, tol: float = 1e-9) -> VerificationRepor
         blocks.append(CheckBlock.eq("pair_shift_cover[exhaustive]",
                                     float(worst_gap), 0.0, 0.0))
 
-        # Parity split and averaging: complements bounded by parity
-        # products, then by exponentials of half the block mass.
+        # Parity split and averaging, four rows per shift: complements
+        # bounded by parity products, then by exponentials of half the
+        # block mass.
         table_probs = iter(bprobs.tolist())  # zip(js, ...) takes a shift's slice
-        for r, part in enumerate(partitions):
+        lhs, rhs = [], []
+        for part in partitions:
             shift_blocks = list(zip(part.block_js, table_probs))
             odd = [p for j, p in shift_blocks if j % 2 == 1]
             even = [p for j, p in shift_blocks if j % 2 == 0]
-            prod_odd = math.prod(1 - p for p in odd)
-            prod_even = math.prod(1 - p for p in even)
             x, y = sum(odd), sum(even)
-            blocks.append(CheckBlock.le(
-                f"parity_product[r={r},odd]", complement_all, prod_odd, tol))
-            blocks.append(CheckBlock.le(
-                f"parity_product[r={r},even]", complement_all, prod_even, tol))
-            blocks.append(CheckBlock.le(
-                f"parity_average[r={r}]",
-                min(math.exp(-x), math.exp(-y)), math.exp(-(x + y) / 2), tol))
-            blocks.append(CheckBlock.le(
-                f"block_mass_exponential[r={r}]",
-                complement_all, math.exp(-(x + y) / 2), tol))
+            half = math.exp(-(x + y) / 2)
+            lhs += (complement_all, complement_all,
+                    min(math.exp(-x), math.exp(-y)), complement_all)
+            rhs += (math.prod(1 - p for p in odd), math.prod(1 - p for p in even),
+                    half, half)
+        blocks.append(CheckBlock.le(
+            "%s[r=%d%s]", lhs, rhs, tol,
+            np.array([row for r in range(m) for row in (
+                ("parity_product", r, ",odd"), ("parity_product", r, ",even"),
+                ("parity_average", r, ""), ("block_mass_exponential", r, ""))],
+                dtype=object)))
 
     # Final bounds against the exact union probability.
     s_n = partial_sum(family, n)

@@ -1,5 +1,6 @@
 """Closed-form bounds, threshold function, windowed bound, reports."""
 
+import json
 import math
 
 import numpy as np
@@ -217,9 +218,19 @@ class TestBoundReport:
         assert (report.s_n, report.thm1_bound, report.exact_union) == (0, 0, 0)
 
     def test_dict_roundtrip(self, run_model_24):
+        """The dict holds every field under its schema key, in schema
+        order, with the Monte Carlo record as a plain dict, and comes back
+        from JSON text unchanged."""
         report = build_report(run_model_24, exact=True, mc=(2000, 4))
-        clone = BoundReport.from_dict(report.to_dict())
-        assert clone == report
+        d = report.to_dict()
+        assert list(d) == ["n", "m", "s_n", "thm1_exponent", "thm1_bound",
+                           "t_local", "thm2_exponent", "thm2_bound",
+                           "thm2_sharper", "exact_union", "mc_union"]
+        assert {key: getattr(report, key) for key in d if key != "mc_union"} \
+            == {key: value for key, value in d.items() if key != "mc_union"}
+        assert type(d["mc_union"]) is dict
+        assert d["mc_union"] == report.mc_union._asdict()
+        assert json.loads(json.dumps(d)) == d
 
     def test_wrong_m_claim_raises(self):
         """Three identical coin-flip events claimed independent (m=0)."""

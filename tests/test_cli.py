@@ -16,7 +16,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mdepbounds import (
-    BoundReport,
     ExplicitEventFamily,
     VerificationReport,
     WindowModel,
@@ -104,9 +103,15 @@ class TestReport:
         code, out, _ = run_cli(capsys, "report", w1_path,
                                "--exact", "--mc", "5000", "11")
         assert code == 0
-        report = BoundReport.from_dict(json.loads(out))
-        assert report.mc_union.trials == 5000
-        assert report.mc_union.seed == 11
+        payload = json.loads(out)
+        assert list(payload) == ["n", "m", "s_n", "thm1_exponent",
+                                 "thm1_bound", "t_local", "thm2_exponent",
+                                 "thm2_bound", "thm2_sharper", "exact_union",
+                                 "mc_union"]
+        assert list(payload["mc_union"]) == ["estimate", "ci_low", "ci_high",
+                                             "trials", "seed"]
+        assert payload["mc_union"]["trials"] == 5000
+        assert payload["mc_union"]["seed"] == 11
 
     def test_mc_on_explicit_rejected(self, capsys, e1_path):
         code, _, err = run_cli(capsys, "report", e1_path, "--mc", "100", "0")
@@ -979,12 +984,15 @@ def test_report_refuses_records():
 @pytest.mark.parametrize("model", ["w1", "e1", "misdeclared"])
 def test_audit_reports_roundtrip_through_dict(w1_path, e1_path, misdeclared_path,
                                              model):
-    from mdepbounds import check_m_dependence, load_model, verify_derivation
+    """Each audit's dict is its summary and then its records, row for row."""
+    from mdepbounds import Check, check_m_dependence, load_model, verify_derivation
     path = {"w1": w1_path, "e1": e1_path, "misdeclared": misdeclared_path}[model]
     family = load_model(path)
     for report in (verify_derivation(family),
                    check_m_dependence(family, max_subset=3)):
-        assert VerificationReport.from_dict(report.to_dict()) == report
+        d = report.to_dict()
+        assert {key: d[key] for key in report.totals()} == report.totals()
+        assert [Check(**row) for row in d["checks"]] == list(report.checks)
 
 
 def record_dict(checks):

@@ -23,6 +23,7 @@ from mdepbounds import (
     verify_derivation,
 )
 from mdepbounds.families import WindowKernel
+from mdepbounds.verify import derivation_check_count
 
 from derivation_walk import derivation_walk
 
@@ -128,24 +129,44 @@ def test_queries_are_one_array_per_row_width(monkeypatch, m):
         assert len(widths) <= 2 * m + 3
 
 
-@pytest.mark.parametrize("m", [2, 5, 20])
+@pytest.mark.parametrize("m", [2, 5, 20, 2000])
 def test_shift_steps_are_one_block_each(m):
-    """The block pairs and the block Bonferroni checks of every shift are
-    one block each, with the shift as an index column, and no class or
-    shift leaves a block without rows: at m = 20 on 30 events, classes
-    of one member have no pair and classes of two no triple."""
+    """The product chain of every class, and the block pairs, the block
+    Bonferroni checks and the parity split of every shift, are one block
+    each, with r as an index column, so a report holds at most N + 7
+    blocks.  No class or shift leaves a block without rows: at m = 20 on
+    30 events, classes of one member have no pair and classes of two no
+    triple.  Only the block pairs can be empty, when no shift has blocks
+    two apart (N < m + 2)."""
     families = [ExplicitEventFamily.from_events([0.5, 0.5], [[0], [0], [1]] * 10, m)]
     if m <= 5:  # a window table holds 2**(m+1) entries
         families.append(random_window_model(
             3, alphabet_sizes=(2,), dependence_ranges=(m,), min_horizon=30,
             max_horizon=30))
     for family in families:
+        n = family.n_events
         report = verify_derivation(family)
-        kinds = [block.fmt.split("[")[0] for block in report.blocks]
+        fmts = [block.fmt for block in report.blocks]
+        kinds = [fmt.split("[")[0] for fmt in fmts]
+        assert fmts.count("product_chain[r=%d,%s]") == 1
+        assert fmts.count("%s[r=%d%s]") == 1
         assert kinds.count("block_independence") == 1
         assert kinds.count("block_bonferroni") == 1
-        assert all(len(block.passed) for block in report.blocks)
+        assert len(report.blocks) <= n + 7
+        empty = [kind for kind, block in zip(kinds, report.blocks)
+                 if not len(block.passed)]
+        assert empty == (["block_independence"] if n < m + 2 else [])
         assert report == derivation_walk(family)
+
+
+def test_three_events_far_past_n_stay_seven_blocks():
+    """At m = 20,000 the 3-event family's 140,007 checks are seven
+    blocks, as many checks as ``derivation_check_count`` counts."""
+    family = ExplicitEventFamily.from_events([0.5, 0.5], [[0], [0], [1]], 20_000)
+    report = verify_derivation(family)
+    assert report.n_checks == derivation_check_count(3, 20_000) == 140_007
+    assert len(report.blocks) <= 7
+    assert report.passed
 
 
 def test_each_distinct_block_interval_is_measured_once(monkeypatch):

@@ -1,6 +1,7 @@
 """Elementary probability queries on both family representations."""
 
 import math
+import re
 import subprocess
 import sys
 import textwrap
@@ -290,8 +291,24 @@ class TestValidation:
             WindowModel(2, (0.6, 0.6), 0, (True, False), 5)
 
     def test_negative_m_rejected(self):
-        with pytest.raises(ValueError):
-            consecutive_run_model(5, m=-1)
+        """Every negative m alike: m = -2 made s**(m+1) a float, and the
+        run table's length then raised TypeError."""
+        for m in (-1, -2, -10):
+            with pytest.raises(ValueError, match="^m must be a nonnegative integer$"):
+                consecutive_run_model(5, m=m)
+
+    @pytest.mark.parametrize("m, s, size", [(16, 2, "2**17"), (40, 2, "2**41"),
+                                            (100, 2, "2**101"),
+                                            (1, 257, "257**2")])
+    def test_run_table_above_cap_refused_before_building(self, m, s, size):
+        """s**(m+1) entries above MAX_WINDOW_TABLE are refused on the
+        counts alone; m = 40 raised MemoryError while building the list."""
+        from mdepbounds.families import MAX_WINDOW_TABLE
+        with pytest.raises(CapExceededError,
+                           match=rf"^predicate table of size {re.escape(size)} "
+                                 rf"exceeds the verifier cap {MAX_WINDOW_TABLE}$"):
+            consecutive_run_model(5, m=m, alphabet_size=s)
+        assert len(consecutive_run_model(5, m=15).predicate_table) == MAX_WINDOW_TABLE
 
     def test_events_roundtrip(self):
         family = quarters_family()

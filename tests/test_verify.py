@@ -1,5 +1,6 @@
 """The derivation auditor: passing families pass, broken claims fail."""
 
+import json
 import math
 
 import numpy as np
@@ -196,19 +197,21 @@ def test_shift_cover_catches_a_count_off_at_one_gap(monkeypatch, m, d):
 
 class TestVerifyReportShape:
     def test_json_roundtrip(self):
-        """A real report survives its JSON rows, whose keys are the record
-        fields in order; records are immutable values."""
-        from mdepbounds import Check, VerificationReport
+        """A real report's JSON rows are its records, field for field, with
+        the record fields in order as keys, and come back from JSON text
+        unchanged; records are immutable values."""
+        from mdepbounds import Check
         report = verify_derivation(consecutive_run_model(9))
         payload = report.to_dict()
         assert all(type(row) is dict for row in payload["checks"])
-        clone = VerificationReport.from_dict(payload)
-        assert clone == report
+        assert json.loads(json.dumps(payload)) == payload
         assert Check._fields == ("name", "kind", "lhs", "rhs", "tol", "slack",
                                  "passed")
-        for check, copy in zip(report.checks, clone.checks):
-            assert tuple(check.to_dict()) == Check._fields
-            assert hash(copy) == hash(check)
+        assert len(payload["checks"]) == payload["total"] == report.n_checks
+        for check, row in zip(report.checks, payload["checks"]):
+            assert tuple(row) == Check._fields
+            assert tuple(row.values()) == check
+            assert hash(Check(**row)) == hash(check)
         with pytest.raises(AttributeError):
             report.checks[0].lhs = 0.0
 

@@ -40,13 +40,8 @@ from .modelspec import dump_model, load_model, model_to_dict, parse_model
 from .montecarlo import MonteCarloEstimate, estimate_union, wilson_interval
 from .oracle import (block_event_prob, complement_intersection_prob,
                      complement_intersection_probs, union_prob)
-from .partitions import (
-    ResidueClassPartition,
-    ShiftedBlockPartition,
-    pair_shift_count,
-    residue_classes,
-    shifted_blocks,
-)
+from .partitions import (block_table, pair_shift_count, residue_classes,
+                         shifted_blocks)
 from .reports import Check, CheckBlock, VerificationReport
 from .verify import verify_derivation
 
@@ -62,13 +57,12 @@ __all__ = [
     "ModelSpecError",
     "MonteCarloEstimate",
     "MonteCarloRecord",
-    "ResidueClassPartition",
-    "ShiftedBlockPartition",
     "ThresholdFunction",
     "VerificationReport",
     "WindowModel",
     "WindowedBound",
     "block_event_prob",
+    "block_table",
     "build_report",
     "build_threshold",
     "check_m_dependence",

@@ -6,75 +6,73 @@ Shifted block partitions cut 1..n into length-m intervals (the first and
 last may be shorter); the resulting block events form a 1-dependent
 sequence, which is what the second-order bound averages over.  One rule
 lays the blocks out: ``block_position`` puts index k of shift r in block
-j = (k - r - 1) // m + 1, which spans r+(j-1)m+1 .. r+jm.  The
-partitions, the audit's check count and its shift-cover check all read it.
+j = (k - r - 1) // m + 1, which spans r+(j-1)m+1 .. r+jm; the audit's
+check count and shift-cover check read it.  One writer clips it to rows
+(shift, j, lo, hi) of nonempty blocks: ``block_table`` gives every
+shift's rows as one array, and ``shifted_blocks`` one shift's rows.
 """
 
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
+
+import numpy as np
 
 
-@dataclass(frozen=True)
-class ResidueClassPartition:
-    """classes[r-1] holds the indices k in 1..n with k = r (mod m+1)."""
-
-    n: int
-    m: int
-    classes: tuple[tuple[int, ...], ...]
-
-
-@dataclass(frozen=True)
-class ShiftedBlockPartition:
-    """Length-m interval blocks of 1..n for one shift r in 0..m-1.
-
-    blocks[i] is the inclusive interval (lo, hi); block_js[i] is its
-    position j in the unclipped layout (``block_position``), which is
-    what parity splits are taken over.  Empty blocks are omitted.
-    """
-
-    n: int
-    m: int
-    shift: int
-    blocks: tuple[tuple[int, int], ...]
-    block_js: tuple[int, ...]
-
-
-def residue_classes(n: int, m: int) -> ResidueClassPartition:
-    """Partition 1..n into the m+1 residue classes mod (m+1)."""
+def residue_classes(n: int, m: int) -> tuple[tuple[int, ...], ...]:
+    """Partition 1..n into the m+1 residue classes mod (m+1): entry r-1
+    holds the indices k in 1..n with k = r (mod m+1)."""
     n = operator.index(n)
     m = operator.index(m)
     if n < 0 or m < 0:
         raise ValueError("n and m must be nonnegative")
     mod = m + 1
-    classes = tuple(tuple(range(r, n + 1, mod)) for r in range(1, mod + 1))
-    return ResidueClassPartition(n, m, classes)
+    return tuple(tuple(range(r, n + 1, mod)) for r in range(1, mod + 1))
 
 
-def block_position(k, m: int, shift: int):
-    """Position j of the block holding index k (an int or an integer
-    array) in the length-m layout offset by `shift`, where block j spans
-    shift+(j-1)m+1 .. shift+jm."""
+def block_position(k, m: int, shift):
+    """Position j of the block holding index k in the length-m layout
+    offset by `shift`, where block j spans shift+(j-1)m+1 .. shift+jm
+    (k and shift are ints or integer arrays)."""
     return (k - shift - 1) // m + 1
 
 
-def shifted_blocks(n: int, m: int, shift: int) -> ShiftedBlockPartition:
-    """Partition 1..n into length-m blocks offset by `shift` in 0..m-1."""
+def _block_rows(n: int, m: int, shifts: np.ndarray) -> np.ndarray:
+    """Read-only int64 rows (shift, j, lo, hi) of the nonempty blocks of
+    1..n under each of `shifts` (ascending): the clipped layout's writer."""
     n = operator.index(n)
     m = operator.index(m)
-    shift = operator.index(shift)
     if n < 0:
         raise ValueError("n must be nonnegative")
     if m < 1:
         raise ValueError("block partitions require m >= 1")
+    shifts = shifts[:, None]
+    # a shift holds at most n // m + 2 blocks, from the one holding index 1
+    js = block_position(1, m, shifts) + np.arange(n // m + 2)
+    keep = (js <= block_position(n, m, shifts)) & (n > 0)
+    rs, js = np.broadcast_to(shifts, js.shape)[keep], js[keep]
+    table = np.stack([rs, js, np.maximum(rs + (js - 1) * m + 1, 1),
+                      np.minimum(rs + js * m, n)], axis=1)
+    table.flags.writeable = False
+    return table
+
+
+def block_table(n: int, m: int) -> np.ndarray:
+    """Every shift's nonempty blocks of 1..n, shift-major: one read-only
+    int64 row (shift, j, lo, hi) per block, where j is the block's
+    position (``block_position``, which parity splits are taken over) and
+    lo..hi its interval clipped to 1..n."""
+    return _block_rows(n, m, np.arange(m))
+
+
+def shifted_blocks(n: int, m: int, shift: int) -> np.ndarray:
+    """The (j, lo, hi) rows of ``block_table(n, m)`` for one shift in
+    0..m-1, built for that shift alone (O(n/m + 1))."""
+    shift = operator.index(shift)
+    rows = _block_rows(n, m, np.array([shift]))
     if not 0 <= shift <= m - 1:
         raise ValueError(f"shift must lie in 0..{m - 1} (got {shift})")
-    first = block_position(1, m, shift)
-    js = range(first, block_position(n, m, shift) + 1 if n else first)
-    blocks = tuple((max(shift + (j - 1) * m + 1, 1), min(shift + j * m, n))
-                   for j in js)
-    return ShiftedBlockPartition(n, m, shift, blocks, tuple(js))
+    return rows[:, 1:]
 
 
 def pair_shift_count(i: int, l: int, m: int) -> int:

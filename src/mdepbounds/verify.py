@@ -24,10 +24,14 @@ family asks one query per distinct set: on a window model one per row
 of gaps clamped at m+1, so every class's pairs are one query and its
 triples another (every gap in a class is at least m+1), and a width's
 block pairs at most one per pair of block lengths.  The blocks of every
-shift form one table whose distinct intervals are measured once each
-(every shift r >= N holds the one block 1..N).  So a window model's
-audit makes about N + 6m + 2 queries (115 at N = 100, m = 2); an
-explicit family still makes one per check.  Checks are kept as blocks
+shift form one array (``block_table``) whose distinct intervals are
+measured once each (every shift r >= N holds the one block 1..N).  So a
+window model's audit makes about N + 6m + 2 queries (115 at N = 100,
+m = 2); an explicit family still makes one per check.  Every shift step
+reads the table's columns; a block's Bonferroni pair sum adds prefixes
+of per-index rows of pair masses (no Python per pair), and the shift
+cover sorts m block ends per i = 1..min(N, m): O(min(N, m) * m log m).
+Checks are kept as blocks
 (``CheckBlock``): lhs, rhs, slack and passed arrays under one name
 format over index rows, so the N**2 pair checks run no Python per
 check.  The product chain over all classes is one block, and so is each
@@ -54,8 +58,8 @@ from .errors import CapExceededError
 from .families import Family, partial_sum, t_local
 from .oracle import block_event_prob, complement_intersection_probs, union_prob
 from .oracle import complement_intersection_prob  # noqa: F401 (perfbench/tests/test_perfbench_harness.py reads it here)
-from .partitions import block_position, pair_shift_count, residue_classes, \
-    shifted_blocks
+from .partitions import block_position, block_table, pair_shift_count, \
+    residue_classes
 from .reports import CheckBlock, VerificationReport, require_tol
 
 #: Refuse a family whose audit would emit more checks than this.  The
@@ -153,7 +157,7 @@ def verify_derivation(family: Family, *, tol: float = 1e-9) -> VerificationRepor
     # Residue-class independence: complements of far-apart events factorize.
     # The pairs of every class go to the family as one array, and so do
     # the capped triples; a class without pairs (every class past N) has none.
-    classes = residue_classes(n, m).classes
+    classes = residue_classes(n, m)
     wide = [(r, cls) for r, cls in enumerate(classes, start=1) if len(cls) >= 2]
     pairs = [_pairs(np.array(cls, dtype=np.int64)) for _, cls in wide]
     triples = [np.fromiter(
@@ -191,14 +195,13 @@ def verify_derivation(family: Family, *, tol: float = 1e-9) -> VerificationRepor
 
     if m >= 1:
         # The blocks of every shift form one table, shift-major: row t is
-        # block js[t], the interval los[t]..his[t], of shift rs[t].
-        # Every shift r >= N holds the one block 1..N, so each distinct
-        # interval is measured once and its answers are scattered back.
-        partitions = [shifted_blocks(n, m, r) for r in range(m)]
-        table = np.array([(part.shift, j, lo, hi) for part in partitions
-                          for j, (lo, hi) in zip(part.block_js, part.blocks)],
-                         dtype=np.int64).reshape(-1, 4)
+        # block js[t], the interval los[t]..his[t], of shift rs[t], and
+        # shift r's rows are starts[r]..starts[r+1]-1.  Every shift r >= N
+        # holds the one block 1..N, so each distinct interval is measured
+        # once and its answers are scattered back.
+        table = block_table(n, m)
         rs, js, los, his = table.T
+        starts = np.searchsorted(rs, np.arange(m + 1))
         lengths = his - los + 1
         spans, where = np.unique(table[:, 2:], axis=0, return_inverse=True)
         where = where.reshape(-1)
@@ -210,9 +213,8 @@ def verify_derivation(family: Family, *, tol: float = 1e-9) -> VerificationRepor
         # and a far pair (a, b) asks for block a then block b, so the far
         # pairs whose two blocks hold as many events in all form one
         # array of equal-length rows, whatever their shifts.
-        ends = np.searchsorted(rs, rs, side="right")  # one past each shift
-        reach = np.maximum(ends - np.arange(len(ends)) - 2, 0)
-        a = np.repeat(np.arange(len(ends)), reach)
+        reach = np.maximum(starts[rs + 1] - np.arange(len(rs)) - 2, 0)
+        a = np.repeat(np.arange(len(rs)), reach)
         b = a + 2 + np.arange(len(a)) - np.repeat(np.cumsum(reach) - reach, reach)
         widths = lengths[a] + lengths[b]
         lhs = np.empty(len(widths))
@@ -226,27 +228,32 @@ def verify_derivation(family: Family, *, tol: float = 1e-9) -> VerificationRepor
 
         # Second-order Bonferroni inside every block:
         # P(B) >= sum P(A_i) - sum_{pairs in B} P(A_i & A_l).  A block
-        # spans at most m events, so its pairs sit at gaps 1..m-1.
-        pair_masses = {d: family.pair_probs(d).tolist()
-                       for d in range(1, min(m, n))}
+        # spans at most m events, so its pairs sit at gaps 1..m-1: row
+        # i-1 of `after` holds P(A_i & A_{i+d}) at column d-1, and a
+        # block's pairs in lexicographic order are its rows' prefixes.
+        after = np.zeros((n, max(min(m, n) - 1, 0)))
+        for d in range(1, min(m, n)):
+            after[:n - d, d - 1] = family.pair_probs(d)
+        after = [row[:n - i].tolist() for i, row in enumerate(after, start=1)]
         lower = np.array([
             sum(probs[k] for k in range(lo, hi + 1))
-            - sum(pair_masses[l - i][i - 1]
-                  for i, l in itertools.combinations(range(lo, hi + 1), 2))
+            - sum(itertools.chain.from_iterable(
+                after[i - 1][:hi - i] for i in range(lo, hi)))
             for lo, hi in spans.tolist()])
         blocks.append(CheckBlock.le("block_bonferroni[r=%d,j=%d]", lower[where],
                                     bprobs, tol, table[:, :2]))
 
-        # The shift count for every local pair, against brute membership.
-        # Block positions move by one when k moves by m, so membership
-        # depends on i only through i mod m: i = 1..min(N, m) covers every
-        # (i mod m, gap) case.
+        # The shift count for every local pair, against brute membership:
+        # l shares i's block under a shift when l is at most that block's
+        # end, so the sorted ends count every l's shifts at once.  Block
+        # positions move by one when k moves by m, so i = 1..min(N, m)
+        # covers every (i mod m, gap) case.
         worst_gap = 0
-        shifts = np.arange(m)[:, None]
+        shifts = np.arange(m)
         for i in range(1, min(n, m) + 1):
+            ends = np.sort(block_position(i, m, shifts) * m + shifts)
             ls = np.arange(i + 1, min(i + m, n + 1))
-            brute = (block_position(ls, m, shifts)
-                     == block_position(i, m, shifts)).sum(axis=0)
+            brute = m - np.searchsorted(ends, ls)
             claimed = [pair_shift_count(i, l, m) for l in ls.tolist()]
             worst_gap = max(worst_gap, int(np.abs(claimed - brute).max(initial=0)))
         blocks.append(CheckBlock.eq("pair_shift_cover[exhaustive]",
@@ -255,12 +262,11 @@ def verify_derivation(family: Family, *, tol: float = 1e-9) -> VerificationRepor
         # Parity split and averaging, four rows per shift: complements
         # bounded by parity products, then by exponentials of half the
         # block mass.
-        table_probs = iter(bprobs.tolist())  # zip(js, ...) takes a shift's slice
+        parities = list(zip((js % 2).tolist(), bprobs.tolist()))
         lhs, rhs = [], []
-        for part in partitions:
-            shift_blocks = list(zip(part.block_js, table_probs))
-            odd = [p for j, p in shift_blocks if j % 2 == 1]
-            even = [p for j, p in shift_blocks if j % 2 == 0]
+        for start, stop in itertools.pairwise(starts.tolist()):
+            odd = [p for parity, p in parities[start:stop] if parity]
+            even = [p for parity, p in parities[start:stop] if not parity]
             x, y = sum(odd), sum(even)
             half = math.exp(-(x + y) / 2)
             lhs += (complement_all, complement_all,

@@ -29,7 +29,7 @@ def derivation_walk(family, *, tol: float = 1e-9) -> VerificationReport:
 
     probs = {k: event_prob(family, k) for k in range(1, n + 1)}
 
-    classes = residue_classes(n, m).classes
+    classes = residue_classes(n, m)
     for r, cls in enumerate(classes, start=1):
         for i, j in itertools.combinations(cls, 2):
             lhs = complement_intersection_prob(family, (i, j))
@@ -57,39 +57,38 @@ def derivation_walk(family, *, tol: float = 1e-9) -> VerificationReport:
     complement_all = 1.0 - union_all
 
     if m >= 1:
-        partitions = [shifted_blocks(n, m, r) for r in range(m)]
+        partitions = [shifted_blocks(n, m, r).tolist() for r in range(m)]
         block_probs = [
-            tuple(block_event_prob(family, lo, hi) for lo, hi in part.blocks)
+            tuple(block_event_prob(family, lo, hi) for _, lo, hi in part)
             for part in partitions
         ]
 
-        for part, bprobs in zip(partitions, block_probs):
+        for r, (part, bprobs) in enumerate(zip(partitions, block_probs)):
             pairs = (
                 (a, b)
-                for a, b in itertools.combinations(range(len(part.blocks)), 2)
-                if part.block_js[b] - part.block_js[a] >= 2
+                for a, b in itertools.combinations(range(len(part)), 2)
+                if part[b][0] - part[a][0] >= 2
             )
             for a, b in pairs:
-                lo_a, hi_a = part.blocks[a]
-                lo_b, hi_b = part.blocks[b]
+                j_a, lo_a, hi_a = part[a]
+                j_b, lo_b, hi_b = part[b]
                 indices = list(range(lo_a, hi_a + 1)) + list(range(lo_b, hi_b + 1))
                 lhs = complement_intersection_prob(family, indices)
                 rhs = (1 - bprobs[a]) * (1 - bprobs[b])
                 checks.append(Check.eq(
-                    f"block_independence[r={part.shift},"
-                    f"j=({part.block_js[a]},{part.block_js[b]})]",
+                    f"block_independence[r={r},j=({j_a},{j_b})]",
                     lhs, rhs, tol))
 
         pair_masses = {d: family.pair_probs(d).tolist()
                        for d in range(1, min(m, n))}
-        for part, bprobs in zip(partitions, block_probs):
-            for (lo, hi), j, prob in zip(part.blocks, part.block_js, bprobs):
+        for r, (part, bprobs) in enumerate(zip(partitions, block_probs)):
+            for (j, lo, hi), prob in zip(part, bprobs):
                 members = range(lo, hi + 1)
                 single = sum(probs[k] for k in members)
                 pairsum = sum(pair_masses[l - i][i - 1]
                               for i, l in itertools.combinations(members, 2))
                 checks.append(Check.le(
-                    f"block_bonferroni[r={part.shift},j={j}]",
+                    f"block_bonferroni[r={r},j={j}]",
                     single - pairsum, prob, tol))
 
         worst_gap = 0
@@ -104,10 +103,9 @@ def derivation_walk(family, *, tol: float = 1e-9) -> VerificationReport:
         checks.append(Check.eq("pair_shift_cover[exhaustive]",
                                float(worst_gap), 0.0, 0.0))
 
-        for part, bprobs in zip(partitions, block_probs):
-            r = part.shift
-            odd = [p for p, j in zip(bprobs, part.block_js) if j % 2 == 1]
-            even = [p for p, j in zip(bprobs, part.block_js) if j % 2 == 0]
+        for r, (part, bprobs) in enumerate(zip(partitions, block_probs)):
+            odd = [p for p, (j, _, _) in zip(bprobs, part) if j % 2 == 1]
+            even = [p for p, (j, _, _) in zip(bprobs, part) if j % 2 == 0]
             prod_odd = math.prod(1 - p for p in odd)
             prod_even = math.prod(1 - p for p in even)
             x, y = sum(odd), sum(even)

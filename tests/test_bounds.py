@@ -106,7 +106,7 @@ class TestMassPigeonhole:
         rng = np.random.default_rng(71)
         for _ in range(20):
             model = random_window_model(rng, max_horizon=50)
-            classes = residue_classes(model.horizon, model.m).classes
+            classes = residue_classes(model.horizon, model.m)
             masses = [sum(event_prob(model, k) for k in cls) for cls in classes]
             total = partial_sum(model, model.horizon)
             assert max(masses) >= total / (model.m + 1) - 1e-12

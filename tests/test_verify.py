@@ -195,6 +195,20 @@ def test_shift_cover_catches_a_count_off_at_one_gap(monkeypatch, m, d):
     assert not check.passed and check.lhs == 1.0
 
 
+@pytest.mark.parametrize("m, s", [(m, s) for m in range(2, 7) for s in range(m)])
+def test_shift_cover_catches_a_layout_off_at_one_shift(monkeypatch, m, s):
+    """The brute side can fail too: a block layout whose boundaries sit
+    one index off at shift s alone fails the check against the true
+    shift count."""
+    from mdepbounds import verify
+    model = consecutive_run_model(3 * m, m=m)
+    position = verify.block_position
+    monkeypatch.setattr(verify, "block_position",
+                        lambda k, m, shift: position(k + (shift == s), m, shift))
+    check = shift_cover(verify_derivation(model))
+    assert not check.passed and check.lhs == 1.0
+
+
 class TestVerifyReportShape:
     def test_json_roundtrip(self):
         """A real report's JSON rows are its records, field for field, with

@@ -19,21 +19,30 @@ cum[s-1] maps a draw at or above a cumulative total that rounds below 1.0
 to the top symbol.  With one threshold left the compare's bool buffer is
 the symbol array.
 
-The chunk loop is fused and in place: a fixed budget of trial-symbol
-cells is mixed, mapped to symbols and folded into window indices (Horner's
-rule over m+1 shifted slices) in buffers allocated once per call, so
-working memory does not grow with the trial count, nor with the horizon
-while one trial fits the budget; past that a chunk is a single trial.
-The budget is small enough for the buffers to stay in a core's L2 cache
-across the passes over a chunk, and a chunk's draws are consecutive
-counters, so its words are one precomputed ramp plus the chunk's first.
+The chunk loop is fused and in place, and retires a trial at its first
+fired window.  A chunk of trials is drawn segment by segment: a segment
+mixes the symbols of its windows for every live trial, maps them to
+symbols and folds them into window indices (Horner's rule over m+1
+shifted row blocks), and the trials in which a window fired are counted
+and leave the chunk, so the next segment draws only for the live ones.
+The first segment is ``_SEGMENT`` windows wide; each next one at most
+doubles, within ``_WIDEST`` and the room the live trials leave in the
+buffers, so a trial that fires early costs about one segment, not N + m
+draws.  The buffers are position-major (symbol position x live trial) and
+allocated once per call: a segment's words are one broadcast add of each
+position's counter step to the live trials' base words, its Horner slices
+are contiguous row blocks, and a trial's verdict is one OR down a column.
+They hold a fixed budget of cells, so working memory grows with neither
+the trial count nor the horizon, and stays in a core's L2 cache across
+the passes over a segment.
 A window fires when its index is one of the table's few fired entries:
 up to ``_COMPARE_MAX`` entries, one compare pass each beats a gather
 from the table, which the loop makes otherwise.  On the benchmark's four
-generated Monte Carlo models (1-3 fired entries of 8-27) the loop's time
-went 34-53% to the mix, 8-22% to the symbol lookup, 8-26% to the Horner
-fold, 2-8% to the fire test, 6-24% to the per-trial `any` and 6-9% to
-the counter ramp (2-vCPU Xeon, numpy 2.4).
+generated Monte Carlo models (1-3 fired entries of 8-27, unions
+0.25-0.77) the loop's time went 49-61% to the mix, 7-23% to the symbol
+lookup, 4-8% to the Horner fold, 2-5% to the fire test, 2-3% to the
+per-trial verdict, 3-6% to retiring trials and 9-18% to the words
+(2-vCPU Xeon, numpy 2.4).
 """
 
 from __future__ import annotations
@@ -55,12 +64,23 @@ _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
 _U64 = np.uint64(0xFFFFFFFFFFFFFFFF)
 
-#: Trial-symbol cells per chunk.  The buffers take under 30 bytes a cell,
-#: so working memory stays near 1 MiB while one trial fits the budget
-#: (N + m <= 2**15); a longer trial takes a chunk of its own.  On the
-#: benchmark's Monte Carlo models 2**14 to 2**16 ran fastest, and 2**18,
-#: whose buffers overflow a 2 MiB L2 cache, about 1.5x slower.
-_CELL_BUDGET = 1 << 15
+#: Trial-symbol cells of one segment.  The buffers take about 20 bytes a
+#: cell, so working memory stays near 1.3 MiB whatever N is.  On the
+#: benchmark's Monte Carlo models 2**16 ran 12-23% faster than 2**15,
+#: whose segments leave numpy's per-call overhead less work to amortize,
+#: and 7-17% faster than 2**17 (2-vCPU Xeon, numpy 2.4).
+_CELL_BUDGET = 1 << 16
+
+#: Windows in a chunk's first segment: a trial is drawn segment by segment
+#: and leaves its chunk at the first segment in which a window fires.
+#: On the benchmark's models 8 ran within 3% of 16, and 32 10-12% slower.
+_SEGMENT = 16
+
+#: Most windows in one segment.  A segment widens while the live trials
+#: leave room in the buffers, so a chunk of a few trials over a long
+#: horizon makes a pass per up to 4096 windows, not one per ``_SEGMENT``
+#: (one trial at N = 10**5: 1.9 ms, against 4.6 ms with 1024).
+_WIDEST = 1 << 12
 
 #: Largest count of fired table entries whose windows are told by
 #: comparing the index with each entry, not by gathering from the
@@ -72,10 +92,11 @@ _COMPARE_MAX = 8
 
 #: Refuse an estimate of more trials times windows than this before any
 #: draw, counting a window once per trial; ``sweep --mc`` sums its rows'
-#: work against the same cap.  On a small alphabet an estimate costs about
-#: 5-9 ns per trial per window (5.5-6 ns for 10**5 trials of
-#: ``consecutive_run_model(1000)`` on a 2-vCPU Xeon), so the cap runs for
-#: 3 to 5 minutes, not hours.
+#: work against the same cap.  The cap counts every window although a
+#: trial retires at its first fired one: that is the cost when no trial
+#: fires.  On a small alphabet it is about 4-9 ns per trial per window
+#: (4.0-4.4 ns for 10**5 trials at N = 1000 on a 2-vCPU Xeon), so the cap
+#: runs for 2 to 5 minutes, not hours.
 MAX_MC_WORK = 30_000_000_000
 
 
@@ -156,11 +177,11 @@ def estimate_union(model: WindowModel, first: int, last: int,
     Simulates `trials` independent symbol strings covering the requested
     windows and counts the strings on which any window fires.  An empty
     interval (first > last) returns (0, 0, 0).  Working memory is a fixed
-    budget of trial-symbol cells whatever `trials`, or one trial's symbols
-    when a trial is longer than the budget; `chunk_size` (trials per chunk)
-    can only lower it.  Any chunking yields byte-identical results because
-    trial t consumes exactly the counters [t*L, (t+1)*L) of the seed's
-    stream; a table with no fired entry draws nothing.
+    budget of trial-symbol cells whatever `trials` and N; `chunk_size`
+    (trials per chunk) can only lower it.  Any chunking yields
+    byte-identical results because symbol j of trial t is drawn from
+    counter t*L + j of the seed's stream, L = N + m, whether or not the
+    trial is drawn to its end; a table with no fired entry draws nothing.
     Raises ValueError unless `model` is a window model, and
     CapExceededError, before any draw, when `trials` times the windows
     exceeds ``MAX_MC_WORK``.
@@ -191,52 +212,77 @@ def estimate_union(model: WindowModel, first: int, last: int,
         return MonteCarloEstimate(0.0, *wilson_interval(0, trials))
 
     length = n_windows + m  # symbols per trial
-    rows = min(trials, chunk_size, max(1, _CELL_BUDGET // length))
-    key = int(_mix64(np.array([operator.index(seed) & int(_U64)], dtype=np.uint64),
+    narrow = min(_SEGMENT, n_windows)  # windows in a chunk's first segment
+    rows = min(trials, chunk_size, max(1, _CELL_BUDGET // (narrow + m)))
+    cells = max(_CELL_BUDGET, narrow + m)
+    mask = int(_U64)
+    golden = int(_GOLDEN)
+    key = int(_mix64(np.array([operator.index(seed) & mask], dtype=np.uint64),
                      np.empty(1, dtype=np.uint64))[0])
-    # draw c uses the counter word key + (c+1)*GOLDEN, and a chunk's draws
-    # are consecutive: one ramp of steps plus the chunk's first word
-    ramp = np.arange(rows * length, dtype=np.uint64) * _GOLDEN
+    # symbol j of trial t uses the counter word key + (t*L + j + 1)*GOLDEN:
+    # a trial's base word plus its position's step, in position-major rows
+    steps = np.arange(min(n_windows, _WIDEST) + m, dtype=np.uint64) * _GOLDEN
+    trial_ramp = np.arange(rows, dtype=np.uint64) * np.uint64(length * golden & mask)
     thresholds = _thresholds(np.cumsum(model.kernel.dist_array))
-    words = np.empty((rows, length), dtype=np.uint64)
+    words = np.empty(cells, dtype=np.uint64)
     scratch = np.empty_like(words)
-    symbols = np.empty((rows, length), dtype=np.min_scalar_type(s - 1))
-    flag = np.empty((rows, length), dtype=bool)
+    symbols = np.empty(cells, dtype=np.min_scalar_type(s - 1))
+    flag = np.empty(cells, dtype=bool)
     # the narrowest type that holds a table index keeps the Horner passes short
-    index = np.empty((rows, n_windows), dtype=np.min_scalar_type(len(table) - 1))
+    index = np.empty(cells, dtype=np.min_scalar_type(len(table) - 1))
     # a window fires iff its index is one of the few fired entries; with
     # more of them it is gathered from the table
     few = (np.flatnonzero(table).astype(index.dtype)
            if fired <= _COMPARE_MAX else None)
-    marked = np.empty((rows, n_windows), dtype=bool)
-    # the compare passes' scratch: `flag` is free once the indices are built
-    equal = flag.reshape(-1)[:rows * n_windows].reshape(rows, n_windows)
+    marked = np.empty(cells, dtype=bool)
 
     hits = 0
     for start in range(0, trials, rows):
-        r = min(rows, trials - start)
-        cells = r * length
-        # the first word in Python ints, so no numpy scalar overflows
-        offset = (key + (start * length + 1) * int(_GOLDEN)) & int(_U64)
-        np.add(ramp[:cells], np.uint64(offset), out=words.reshape(-1)[:cells])
-        _mix64(words[:r], scratch[:r])
-        sym = _symbols(words[:r], thresholds, symbols[:r], flag[:r])
-        # window k reads symbols k..k+m, the earliest the least significant
-        idx = index[:r]
-        np.copyto(idx, sym[:, m:m + n_windows])
-        for k in range(m - 1, -1, -1):
-            idx *= s
-            idx += sym[:, k:k + n_windows]
-        # window k of trial i is marked if it fires
-        mark = marked[:r]
-        if few is None:
-            # every index is in range, and "clip" lets take write `out` unbuffered
-            np.take(table, idx, out=mark, mode="clip")
-        else:
-            np.equal(idx, few[0], out=mark)
-            for v in few[1:]:
-                np.equal(idx, v, out=equal[:r])
-                mark |= equal[:r]
-        hits += int(np.count_nonzero(mark.any(axis=1)))
+        # the offsets in Python ints, so no numpy scalar overflows
+        base = np.add(trial_ramp[:min(rows, trials - start)],
+                      np.uint64((key + (start * length + 1) * golden) & mask))
+        k, width = 0, narrow
+        while k < n_windows:
+            r = len(base)
+            width = min(width, n_windows - k)
+            span = width + m
+            # symbol k + p of live trial i sits at row p, column i
+            offset = np.add(steps[:span], np.uint64(k * golden & mask))
+            word = words[:span * r].reshape(span, r)
+            np.add(offset[:, None], base, out=word)
+            _mix64(word, scratch[:span * r].reshape(span, r))
+            sym = _symbols(word, thresholds, symbols[:span * r].reshape(span, r),
+                           flag[:span * r].reshape(span, r))
+            # window k + p reads symbols k+p..k+p+m, the earliest the least
+            # significant
+            idx = index[:width * r].reshape(width, r)
+            np.copyto(idx, sym[m:])
+            for j in range(m - 1, -1, -1):
+                idx *= s
+                idx += sym[j:j + width]
+            # window k + p of live trial i is marked if it fires
+            mark = marked[:width * r].reshape(width, r)
+            if few is None:
+                # every index is in range, and "clip" lets take write `out` unbuffered
+                np.take(table, idx, out=mark, mode="clip")
+            else:
+                # the compare passes' scratch: `flag` is free once the indices are built
+                equal = flag[:width * r].reshape(width, r)
+                np.equal(idx, few[0], out=mark)
+                for v in few[1:]:
+                    np.equal(idx, v, out=equal)
+                    mark |= equal
+            hit = np.logical_or.reduce(mark, axis=0)
+            retired = int(np.count_nonzero(hit))
+            if retired:
+                # a trial is decided at its first fired window: only the
+                # live ones draw the next segment
+                hits += retired
+                if retired == r:
+                    break
+                base = base[~hit]
+            # the next segment at most doubles, within the buffers and _WIDEST
+            k += width
+            width = min(2 * width, _WIDEST, cells // len(base) - m)
 
     return MonteCarloEstimate(hits / trials, *wilson_interval(hits, trials))

@@ -326,6 +326,10 @@ def _scalar_estimate(model, first, last, trials, seed):
     return MonteCarloEstimate(hits / trials, *wilson_interval(hits, trials))
 
 
+#: Windows in a chunk's first segment.
+_W = montecarlo._SEGMENT
+
+
 @st.composite
 def _mc_cases(draw):
     s = draw(st.integers(2, 4))
@@ -335,7 +339,8 @@ def _mc_cases(draw):
     dist = tuple(w / sum(weights) for w in weights)
     table = tuple(draw(st.lists(st.booleans(), min_size=s ** (m + 1),
                                 max_size=s ** (m + 1))))
-    n = draw(st.integers(1, 12))
+    # horizons past three segments, so a trial spans several of them
+    n = draw(st.integers(1, 3 * _W + 4))
     first = draw(st.integers(1, n))
     last = draw(st.integers(first, n))
     return (WindowModel(s, dist, m, table, n), first, last,
@@ -349,6 +354,85 @@ def test_matches_scalar_reference(case):
     model, first, last, trials, seed, chunk = case
     assert (estimate_union(model, first, last, trials, seed, chunk_size=chunk)
             == _scalar_estimate(model, first, last, trials, seed))
+
+
+#: (model, first, last, trials, seed) whose window counts sit at and
+#: around the segment width: one segment short of full, full, one window
+#: into a second segment, two full segments, one window past them, and
+#: one window past a first and a doubled second segment.
+_SEGMENT_EDGES = [
+    (consecutive_run_model(_W - 1, m=1), 1, _W - 1, 60, 5),
+    (WindowModel(3, (0.6, 0.25, 0.15), 1, _pin_table(9, lambda i: i == 8), _W + 5),
+     4, _W + 3, 60, -11),
+    (WindowModel(2, (0.8, 0.2), 2, _pin_table(8, lambda i: i in (3, 6)), _W + 1),
+     1, _W + 1, 60, 2 ** 64 - 9),
+    (WindowModel(2, (0.85, 0.15), 1, (False, False, False, True), 2 * _W + 7),
+     8, 2 * _W + 7, 60, 123),
+    (WindowModel(3, (0.7, 0.2, 0.1), 2,
+                 _pin_table(27, lambda i: i % 3 == 2 and i // 9 == 1), 2 * _W + 1),
+     1, 2 * _W + 1, 60, 77),
+    (WindowModel(3, (0.9, 0.08, 0.02), 0, (False, False, True), 2 * _W + 3),
+     3, 2 * _W + 3, 60, 2 ** 40),
+    (WindowModel(2, (0.9, 0.1), 1, (False, False, False, True), 3 * _W + 1),
+     1, 3 * _W + 1, 60, 31),
+]
+
+
+@pytest.mark.parametrize("case", _SEGMENT_EDGES,
+                         ids=lambda case: f"windows{case[2] - case[1] + 1}-m{case[0].m}")
+def test_segment_edges_match_scalar_reference(case):
+    """Trials fire in any of their segments, and a last segment may be
+    narrower than the first."""
+    model, first, last, trials, seed = case
+    expected = _scalar_estimate(model, first, last, trials, seed)
+    assert 0.0 < expected.estimate < 1.0
+    for chunk in (1, 7, 1 << 16):
+        assert estimate_union(model, first, last, trials, seed,
+                              chunk_size=chunk) == expected
+
+
+def _count_mixed_cells(monkeypatch):
+    """Make montecarlo._mix64 add the cells it mixes to the returned list."""
+    mixed = [0]
+    mix = montecarlo._mix64
+
+    def counting(x, scratch):
+        mixed[0] += x.size
+        return mix(x, scratch)
+
+    monkeypatch.setattr(montecarlo, "_mix64", counting)
+    return mixed
+
+
+def test_trials_retire_at_their_first_fired_window(monkeypatch):
+    """A table that always fires settles every trial in its first segment:
+    one segment's cells a trial (and one cell for the seed's key), not
+    the N + m a trial's whole string holds."""
+    mixed = _count_mixed_cells(monkeypatch)
+    model = WindowModel(2, (0.5, 0.5), 1, (True,) * 4, 10_000)
+    trials = 5000
+    assert estimate_union(model, 1, 10_000, trials, 3).estimate == 1.0
+    assert mixed[0] <= trials * (_W + model.m) + 1
+
+
+def test_a_table_that_never_fires_mixes_nothing(monkeypatch):
+    mixed = _count_mixed_cells(monkeypatch)
+    assert estimate_union(flat_model(10_000), 1, 10_000, 5000, 3).estimate == 0.0
+    assert mixed[0] == 0
+
+
+def test_working_memory_does_not_grow_with_the_horizon():
+    """A rarely firing model at N = 10**5 keeps the chunk buffers within the
+    cache budget; one trial's whole string takes about 3 MB."""
+    model = WindowModel(2, (0.999, 0.001), 1, (False, False, False, True), 10 ** 5)
+    tracemalloc.start()
+    try:
+        est = estimate_union(model, 1, 10 ** 5, 8, 21)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert est.estimate < 1.0
+    assert peak < 2 * 2 ** 20
 
 
 @pytest.mark.parametrize("case", [

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import BoundViolationError
 from .families import Family, partial_sum, t_local
-from .montecarlo import estimate_union
+from .montecarlo import _require_mc_scale, estimate_union
 from .oracle import union_prob
 
 #: Exponent differences inside this band count as ties; the sharpness
@@ -248,6 +248,8 @@ def build_report(family: Family, *, exact: bool = False,
         sharper = second_order_sharper(s_n, t, m)
     else:
         t = e2 = b2 = sharper = None
+    if mc is not None:  # the estimate's refusals before the exact union's
+        _require_mc_scale(family, 1, n, mc[0])
     exact_union = union_prob(family, 1, n) if exact else None
     mc_record = None
     if mc is not None:

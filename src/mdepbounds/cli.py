@@ -44,7 +44,7 @@ from .bounds import SLACK_TOL, build_report, build_threshold, windowed_bound
 from .dependence import _require_audit_scale, check_m_dependence
 from .errors import BoundViolationError, CapExceededError, ModelSpecError
 from .modelspec import _number_list, _read_json, load_model, parse_model
-from . import montecarlo
+from . import families, montecarlo
 from .montecarlo import estimate_union
 from .oracle import union_prob
 from .reports import Check, CheckBlock, VerificationReport
@@ -229,14 +229,6 @@ _SWEEP_RE = re.compile(
 #: model.
 MAX_SWEEP_ROWS = 10_000
 
-#: Refuse a sweep whose --exact rows would cover more events than this
-#: before computing any.  The rows of a horizon sweep share one survival
-#: curve, so they cover its last N; the rows of any other sweep each
-#: cover their own N.  An event costs one clear step of the curve,
-#: 1.5-2.5 us at up to 27 kernel states on a 2-vCPU Xeon, so the cap runs
-#: for minutes, not hours.
-MAX_SWEEP_EXACT_EVENTS = 50_005_000
-
 
 def _parse_sweep(spec: str) -> tuple[str, Sequence[Any]]:
     """The swept parameter and its values in order, a range or a list,
@@ -326,15 +318,16 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                   else parse_model(_apply_sweep(template, name, value, where), where))
         if (args.exact or mc) and not row:
             # Only a horizon sweep changes N, by a fixed step a row, and
-            # its exact rows read one curve up to the last N.
+            # its exact rows read one curve up to the last N; the rows of
+            # any other sweep each cover their own N.
             last = values[-1] if name == "horizon" else family.n_events
             events = len(values) * (family.n_events + last) // 2
             exact = last if name == "horizon" else events
-            if args.exact and exact > MAX_SWEEP_EXACT_EVENTS:
+            if args.exact and exact > families.MAX_UNION_EVENTS:
                 raise CapExceededError(
                     f"the sweep's exact rows would cover {exact} events, above "
-                    f"the exact sweep cap {MAX_SWEEP_EXACT_EVENTS}; narrow the "
-                    f"range or drop --exact")
+                    f"the exact sweep cap {families.MAX_UNION_EVENTS}; narrow "
+                    f"the range or drop --exact")
             # Monte Carlo rows share nothing: their summed work meets the
             # cap of one estimate
             if mc and mc[0] * events > montecarlo.MAX_MC_WORK:
@@ -374,6 +367,9 @@ def _cmd_window(args: argparse.Namespace) -> int:
 
 def _cmd_mc(args: argparse.Namespace) -> int:
     family = load_model(args.model)
+    if args.exact:  # the estimate's refusals, then the union's, before any work
+        montecarlo._require_mc_scale(family, args.first, args.last, args.trials)
+        exact = union_prob(family, args.first, args.last)
     est = estimate_union(family, args.first, args.last, args.trials, args.seed)
     payload = {
         "first": args.first, "last": args.last,
@@ -381,7 +377,7 @@ def _cmd_mc(args: argparse.Namespace) -> int:
         "estimate": est.estimate, "ci_low": est.ci_low, "ci_high": est.ci_high,
     }
     if args.exact:
-        payload["exact_union"] = union_prob(family, args.first, args.last)
+        payload["exact_union"] = exact
     _emit_json(payload, args.out)
     return 0
 

@@ -27,11 +27,8 @@ each split shape that some row of the chunk admits is measured on all
 those rows in one pass of array operations.  So the numpy calls per
 chunk grow with the admitted split shapes, at most 2**(k-1) - 1, not
 with the groups, and each number is the one a scalar walk over the
-same subset gives.
-
-A family whose representation fixes a dependence range
-(``structural_range``) gets a structural certificate as well, but the
-numerical check still runs.
+same subset gives.  Every row is measured from the family's queries:
+no range that a representation declares is taken on trust.
 """
 
 from __future__ import annotations
@@ -144,6 +141,7 @@ def _require_audit_scale(family: Family, m: int | None, max_subset: int,
     if max_subset - 1 > MAX_SUBSETS:  # one summary row per size
         raise CapExceededError(f"{max_subset - 1} subset sizes {lower}")
     _require_width(min(max_subset, family.n_events))
+    family.require_query_scale()
     total = sum(family.subset_group_count(size, m + 1)  # none above N
                 for size in range(2, min(max_subset, family.n_events) + 1))
     if total > MAX_SUBSETS:
@@ -175,18 +173,14 @@ def check_m_dependence(family: Family, m: int | None = None, *,
     docstring).
 
     Raises, before any work, ValueError for a negative or non-finite tol,
-    and CapExceededError when min(max_subset, N) exceeds
+    and CapExceededError for a family whose single exact query is too
+    large (``require_query_scale``), or when min(max_subset, N) exceeds
     ``MAX_PATTERN_WIDTH`` or the summary rows (max_subset - 1) or groups
     (subsets evaluated) exceed ``MAX_SUBSETS``: lower max_subset then.
     """
     m, max_subset = _require_audit_scale(family, m, max_subset, tol)
 
     blocks: list[CheckBlock] = []
-    if family.structural_range is not None and m >= family.structural_range:
-        # Events further apart than m >= structural_range are independent.
-        blocks.append(CheckBlock.eq(
-            f"structural_window_independence[m={m}]", 0.0, 0.0, tol))
-
     failures: list[CheckBlock] = []
     for size in range(2, min(max_subset, family.n_events) + 1):
         worst = 0.0

@@ -30,7 +30,7 @@ Two representations are supported:
   ``WindowModel.with_horizon`` gives the same law at another horizon
   with the same kernel, so a horizon sweep computes one curve.
 
-Both classes answer one protocol of ten members, which the module-level
+Both classes answer one protocol of nine members, which the module-level
 query functions and the audits read without checking the representation:
 ``prefix_mass(upto)`` (P(A_1)+..+P(A_u) as float64, for one index u in
 0..N or each entry of an integer index array; a window model keeps no
@@ -46,9 +46,7 @@ law of its indicators, as a fresh (K, 2**u) array: an explicit family
 bins the rows together, a window model looks up each distinct row of
 clamped gaps),
 ``require_query_scale()`` (refuses a family whose single exact query is
-too large for an audit that makes thousands of them),
-``structural_range`` (a range m' that the representation itself
-guarantees, so events more than m' apart are independent, or None), and
+too large for an audit that makes thousands of them), and
 ``subset_groups(size, far)`` with its ``subset_group_count(size, far)``
 (the index subsets of one size, grouped so that members of a group
 have the same pattern law and the same gaps below ``far``; see
@@ -97,6 +95,11 @@ MASS_TOL = 1e-9
 #: ``expand_window_model`` builds).
 MAX_WINDOW_TABLE = 1 << 16
 MAX_EXPLICIT_OUTCOMES = 1 << 20
+
+#: Longest union ``WindowKernel.survival`` steps its curve to, and the
+#: cap on the events of ``sweep --exact``: an event costs one clear step
+#: (1.5-3 us at 27 kernel states, 2-vCPU Xeon) and 8 bytes, so minutes.
+MAX_UNION_EVENTS = 50_005_000
 
 #: Atom cells (rows times atoms) per ``np.bincount`` of an explicit
 #: family's ``pattern_laws``, so a batch's ids stay a few hundred KiB.
@@ -157,9 +160,6 @@ class ExplicitEventFamily:
     outcome_weights: np.ndarray
     event_masks: np.ndarray
     m: int
-
-    #: Nothing in an outcome table bounds the dependence range.
-    structural_range = None
 
     def __post_init__(self) -> None:
         weights = np.array(self.outcome_weights, dtype=float)
@@ -506,7 +506,12 @@ class WindowKernel:
         does, copies the curve O(log L) times in all.  An extension
         writes only buffer entries past the curve it read, and every
         extension writes the same bits there, so a racing one that
-        shares the buffer rewrites entries with their own value."""
+        shares the buffer rewrites entries with their own value.
+        Raises CapExceededError, before any step, for a length above
+        ``MAX_UNION_EVENTS``."""
+        if length > MAX_UNION_EVENTS:
+            raise CapExceededError(f"the exact union would cover {length} events, "
+                                   f"above the exact union cap {MAX_UNION_EVENTS}")
         state, curve, buffer = self._curve
         if length >= len(curve):
             start, stop, states = len(curve), length + 1, state.size
@@ -636,11 +641,6 @@ class WindowModel:
 
     def survivals(self, rows: np.ndarray) -> np.ndarray:
         return self.kernel.laws(rows, branch=False)[:, 0]
-
-    @property
-    def structural_range(self) -> int:
-        """m: windows more than m apart read disjoint symbols."""
-        return self.m
 
     def require_query_scale(self) -> None:
         table = len(self.predicate_table)

@@ -168,6 +168,25 @@ def wilson_interval(successes: int, trials: int, z: float = Z95) -> tuple[float,
     return low, high
 
 
+def _require_mc_scale(model: WindowModel, first: int, last: int, trials: int,
+                      chunk_size: int = 1 << 16) -> tuple[int, int, int, int]:
+    """Every refusal of ``estimate_union``, in order; returns its ints."""
+    if not isinstance(model, WindowModel):
+        raise ValueError("Monte Carlo estimation applies to window models only")
+    first, last, trials = map(operator.index, (first, last, trials))
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    chunk_size = operator.index(chunk_size)
+    if chunk_size < 1:
+        raise ValueError("chunk_size must be >= 1")
+    work = trials * (last - first + 1)
+    if _nonempty_interval(model, first, last) and work > MAX_MC_WORK:
+        raise CapExceededError(f"the Monte Carlo estimate would cover {work} "
+                               f"trial-events, above the Monte Carlo cap "
+                               f"{MAX_MC_WORK}; narrow the range or lower TRIALS")
+    return first, last, trials, chunk_size
+
+
 def estimate_union(model: WindowModel, first: int, last: int,
                    trials: int, seed: int, *,
                    chunk_size: int = 1 << 16) -> MonteCarloEstimate:
@@ -186,26 +205,13 @@ def estimate_union(model: WindowModel, first: int, last: int,
     CapExceededError, before any draw, when `trials` times the windows
     exceeds ``MAX_MC_WORK``.
     """
-    if not isinstance(model, WindowModel):
-        raise ValueError("Monte Carlo estimation applies to window models only")
-    first = operator.index(first)
-    last = operator.index(last)
-    trials = operator.index(trials)
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    chunk_size = operator.index(chunk_size)
-    if chunk_size < 1:
-        raise ValueError("chunk_size must be >= 1")
-    if not _nonempty_interval(model, first, last):
+    first, last, trials, chunk_size = _require_mc_scale(
+        model, first, last, trials, chunk_size)
+    if first > last:
         return MonteCarloEstimate(0.0, 0.0, 0.0)
 
     s, m = model.alphabet_size, model.m
     n_windows = last - first + 1
-    if trials * n_windows > MAX_MC_WORK:
-        raise CapExceededError(
-            f"the Monte Carlo estimate would cover {trials * n_windows} "
-            f"trial-events, above the Monte Carlo cap {MAX_MC_WORK}; narrow "
-            f"the range or lower TRIALS")
     table = model.kernel.table_array
     fired = int(np.count_nonzero(table))
     if not fired:  # no window can fire

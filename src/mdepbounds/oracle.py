@@ -45,7 +45,8 @@ def union_prob(family: Family, first: int, last: int) -> float:
     """Exact P(A_first or ... or A_last); 0 for an empty interval.
 
     The interval is empty when first > last.  Nonempty intervals must
-    satisfy 1 <= first <= last <= N.
+    satisfy 1 <= first <= last <= N; a window model refuses one longer
+    than ``MAX_UNION_EVENTS`` with CapExceededError.
     """
     first = operator.index(first)
     last = operator.index(last)

@@ -15,7 +15,7 @@ import itertools
 
 import numpy as np
 
-from mdepbounds import (Check, CheckBlock, VerificationReport, WindowModel,
+from mdepbounds import (Check, CheckBlock, VerificationReport,
                         pattern_distribution)
 from mdepbounds.dependence import MAX_DETAILED_FAILURES
 
@@ -59,10 +59,6 @@ def subset_walk(family, m=None, *, max_subset=4, tol=1e-9) -> VerificationReport
     m = family.m if m is None else m
     n = family.n_events
     checks: list[Check] = []
-    if isinstance(family, WindowModel) and m >= family.m:
-        checks.append(Check.eq(
-            f"structural_window_independence[m={m}]", 0.0, 0.0, tol))
-
     worst_by_size: dict[int, float] = {}
     n_splits_by_size: dict[int, int] = {}
     failures: list[Check] = []

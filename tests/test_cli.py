@@ -24,7 +24,7 @@ from mdepbounds import (
     expand_window_model,
     model_to_dict,
 )
-from mdepbounds import cli, montecarlo
+from mdepbounds import cli, families, montecarlo
 from mdepbounds.cli import main
 
 
@@ -388,11 +388,11 @@ class TestSweep:
         any other's as rows times the first row's N.  At the cap it runs;
         one event less and it is refused, with or without rows."""
         path = {"w1": w1_path, "e1": e1_path}[model]
-        monkeypatch.setattr(cli, "MAX_SWEEP_EXACT_EVENTS", events)
+        monkeypatch.setattr(families, "MAX_UNION_EVENTS", events)
         code, out, _ = run_cli(capsys, "sweep", path, spec, "--exact")
         rows = len(out.splitlines()) - 1
         assert code == 0 and rows > 0
-        monkeypatch.setattr(cli, "MAX_SWEEP_EXACT_EVENTS", events - 1)
+        monkeypatch.setattr(families, "MAX_UNION_EVENTS", events - 1)
         code, out, err = run_cli(capsys, "sweep", path, spec, "--exact")
         assert (code, out) == (2, "")
         assert err == (f"error: the sweep's exact rows would cover {events} "
@@ -585,6 +585,65 @@ class TestMC:
         assert err == ("error: the Monte Carlo estimate would cover "
                        "100000000000 trial-events, above the Monte Carlo cap "
                        "30000000000; narrow the range or lower TRIALS\n")
+
+
+class TestUnionCap:
+    @pytest.fixture
+    def capped(self, monkeypatch, tmp_path):
+        """A 41-event model and a function that sets the exact union cap;
+        no Monte Carlo draw may be made."""
+        def no_draw(*args):
+            raise ValueError("a draw was made")
+
+        path = tmp_path / "w41.json"
+        dump_model(consecutive_run_model(41), path)
+        monkeypatch.setattr(montecarlo, "_mix64", no_draw)
+        return str(path), lambda cap: monkeypatch.setattr(
+            families, "MAX_UNION_EVENTS", cap)
+
+    @pytest.mark.parametrize("argv, events", [
+        (("report", "{path}", "--exact"), 41),
+        (("window", "{path}", "0", "5"), 40),
+        (("window", "{path}", "4", "1"), 36),
+    ], ids=["report", "window", "window-skip"])
+    def test_exact_union_past_the_cap_exits_2(self, capsys, capped, argv,
+                                              events):
+        """A union of as many events as the cap is answered; with the cap
+        one lower the call is refused with exit 2."""
+        path, cap = capped
+        argv = [a.format(path=path) for a in argv]
+        cap(events)
+        assert run_cli(capsys, *argv)[0] == 0
+        cap(events - 1)
+        assert run_cli(capsys, *argv) == (
+            2, "", f"error: the exact union would cover {events} events, above "
+                   f"the exact union cap {events - 1}\n")
+
+    @pytest.mark.parametrize("argv, err", [
+        (("mc", "{path}", "1", "41", "10", "1", "--exact"),
+         "the exact union would cover 41 events, above the exact union cap 40"),
+        (("report", "{path}", "--exact", "--mc", "10", "1"),
+         "the exact union would cover 41 events, above the exact union cap 40"),
+        (("mc", "{path}", "1", "41", "0", "1", "--exact"), "trials must be >= 1"),
+        (("report", "{path}", "--exact", "--mc", "0", "1"), "trials must be >= 1"),
+        (("mc", "{path}", "1", "41", "11", "1", "--exact"),
+         "the Monte Carlo estimate would cover 451 trial-events, above the "
+         "Monte Carlo cap 410; narrow the range or lower TRIALS"),
+        (("report", "{path}", "--exact", "--mc", "11", "1"),
+         "the Monte Carlo estimate would cover 451 trial-events, above the "
+         "Monte Carlo cap 410; narrow the range or lower TRIALS"),
+    ], ids=["mc", "report", "mc-trials", "report-trials", "mc-work",
+            "report-work"])
+    def test_estimate_refusals_then_the_union_cap(self, capsys, monkeypatch,
+                                                  capped, argv, err):
+        """With a Monte Carlo estimate asked for too, the estimate's
+        refusals come first, as before the union cap, then the union's,
+        and both before any draw."""
+        path, cap = capped
+        cap(40)
+        monkeypatch.setattr(montecarlo, "MAX_MC_WORK", 410)
+        argv = [a.format(path=path) for a in argv]
+        assert run_cli(capsys, *argv) == (2, "", f"error: {err}\n")
 
 
 class TestUsage:

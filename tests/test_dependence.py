@@ -14,7 +14,7 @@ from mdepbounds import (
     pattern_distribution,
     random_window_model,
 )
-from mdepbounds import dependence
+from mdepbounds import dependence, families
 from mdepbounds.dependence import _worst_violations
 from mdepbounds.errors import CapExceededError
 
@@ -60,13 +60,15 @@ class TestPatternDistribution:
 
 
 class TestCheckMDependence:
-    def test_window_models_pass_with_structural_certificate(self):
+    def test_window_models_pass_at_their_own_m(self):
+        """A window model passes its own m on numbers alone: the report
+        opens with the size-2 factorization row, not a certificate."""
         rng = np.random.default_rng(19)
         for _ in range(6):
             model = random_window_model(rng, min_horizon=4, max_horizon=10)
             report = check_m_dependence(model, max_subset=3)
             assert report.passed
-            assert report.checks[0].name.startswith("structural_window")
+            assert report.checks[0].name.startswith("factorization[subset_size=2,")
 
     def test_identical_events_fail_with_measured_violation(self):
         family = identical_event_family(m=1)
@@ -155,6 +157,27 @@ class TestCheckMDependence:
         report = check_m_dependence(family, max_subset=11)
         assert report.passed and len(report.checks) == 10
 
+    @pytest.mark.parametrize("explicit", [False, True], ids=["window", "explicit"])
+    def test_query_scale_is_capped_before_any_work(self, monkeypatch, explicit):
+        """A family whose single exact query is too large for the verifier
+        (a 2**18-entry predicate table, 2**20 + 1 outcomes) is refused
+        with the derivation audit's message before any subset group is
+        counted or listed, or any law asked for."""
+        if explicit:
+            n_outcomes = families.MAX_EXPLICIT_OUTCOMES + 1
+            family = ExplicitEventFamily(np.full(n_outcomes, 1 / n_outcomes),
+                                         np.zeros((2, n_outcomes), dtype=bool), 0)
+            message = (f"^{n_outcomes} outcomes exceed the verifier cap "
+                       f"{families.MAX_EXPLICIT_OUTCOMES}$")
+        else:
+            family = WindowModel(2, (0.5, 0.5), 17, (False,) * (1 << 18), 4)
+            message = (f"^predicate table of size {1 << 18} exceeds the "
+                       f"verifier cap {families.MAX_WINDOW_TABLE}$")
+        for name in ("pattern_laws", "subset_groups", "subset_group_count"):
+            monkeypatch.setattr(type(family), name, no_work)
+        with pytest.raises(CapExceededError, match=message):
+            check_m_dependence(family, max_subset=2)
+
     def test_pairwise_only_mode(self):
         model = consecutive_run_model(40)
         report = check_m_dependence(model, max_subset=2)
@@ -183,7 +206,7 @@ class TestCheckMDependence:
 
         monkeypatch.setattr(dependence, "_split", split_within_n)
         rows = check_m_dependence(family, claimed, max_subset=6).to_dict()["checks"]
-        head = [r for r in rows if r["name"].startswith(("structural", "factorization"))]
+        head = [r for r in rows if r["name"].startswith("factorization")]
         vacuous = [{"name": f"factorization[subset_size={size},splits=0]",
                     "kind": "eq", "lhs": 0.0, "rhs": 0.0, "tol": 1e-9,
                     "slack": 0.0, "passed": True} for size in range(7, 27)]

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 from mdepbounds import (
     ExplicitEventFamily,
     WindowModel,
+    check_m_dependence,
     complement_intersection_prob,
     consecutive_run_model,
     expand_window_model,
@@ -36,8 +37,8 @@ MAX_STRINGS = 1 << 12
 #: The family protocol: every member the query functions and the audits
 #: read without checking the representation.
 PROTOCOL = ("prefix_mass", "pair_probs", "pair_mass", "union", "survivals",
-            "pattern_laws", "require_query_scale", "structural_range",
-            "subset_groups", "subset_group_count")
+            "pattern_laws", "require_query_scale", "subset_groups",
+            "subset_group_count")
 
 
 @pytest.mark.parametrize("cls", [WindowModel, ExplicitEventFamily])
@@ -54,15 +55,21 @@ def test_families_docstring_names_the_protocol():
             if f"``{name}" not in families.__doc__] == []
 
 
-def test_structural_range_is_read_only():
-    """A window model guarantees its own m; an outcome table guarantees
-    nothing."""
-    model = consecutive_run_model(5, m=2)
-    explicit = expand_window_model(model)
-    assert (model.structural_range, explicit.structural_range) == (2, None)
-    for family in (model, explicit):
-        with pytest.raises(AttributeError):
-            family.structural_range = 0
+@pytest.mark.parametrize("claimed", [1, 2, 3], ids=["below", "at", "above"])
+def test_dependence_audit_holds_no_structural_row(claimed):
+    """No representation declares a range the audit takes on trust: no
+    row is a structural certificate, whatever m is claimed against the
+    window, and a claim below the window fails on its numbers."""
+    assert not hasattr(WindowModel, "structural_range")
+    assert not hasattr(ExplicitEventFamily, "structural_range")
+    model = consecutive_run_model(6, m=2)
+    for family in (model, expand_window_model(model)):
+        report = check_m_dependence(family, claimed, max_subset=3)
+        assert [c.name for c in report.checks
+                if c.name.startswith("structural")] == []
+        assert report.passed is (claimed >= 2)
+        if claimed < 2:
+            assert abs(report.worst().slack) > 1e-3
 
 
 @pytest.mark.parametrize("module", [cli, dependence], ids=lambda m: m.__name__)

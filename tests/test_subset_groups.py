@@ -288,5 +288,5 @@ def test_default_audit_admits_long_window_models():
     report = check_m_dependence(consecutive_run_model(600))
     assert report.passed
     # C(600, 2) pairs, all but the 599 + 598 at gaps 1 and 2 split once.
-    assert report.checks[1].name \
+    assert report.checks[0].name \
         == f"factorization[subset_size=2,splits={math.comb(600, 2) - 599 - 598}]"

@@ -301,6 +301,31 @@ def test_horizon_sweep_makes_one_curve(capsys, tmp_path, monkeypatch):
     assert False not in raw
 
 
+class TestUnionCap:
+    def test_survival_past_the_cap_takes_no_step(self, monkeypatch):
+        """A union of exactly ``MAX_UNION_EVENTS`` events is answered, with
+        the bits of an uncapped kernel; one event more is refused before
+        the curve is extended, on a kernel that has a curve and on one
+        that has none."""
+        want = consecutive_run_model(50).kernel.survival(40)
+        monkeypatch.setattr(families, "MAX_UNION_EVENTS", 40)
+        kernel = consecutive_run_model(50).kernel
+        fresh = consecutive_run_model(50).kernel
+        assert kernel.survival(40) == want
+        curve = kernel._curve
+        for k in (kernel, fresh):
+            with pytest.raises(CapExceededError, match=(
+                    r"^the exact union would cover 41 events, above the "
+                    r"exact union cap 40$")):
+                k.survival(41)
+        assert kernel._curve is curve and len(curve[1]) == 41
+        assert len(fresh._curve[1]) == 1
+        model = consecutive_run_model(50)
+        assert union_prob(model, 11, 50) == union_prob(model, 1, 40)
+        with pytest.raises(CapExceededError, match="cover 41 events"):
+            union_prob(model, 10, 50)
+
+
 class TestPatternWidthCap:
     @pytest.fixture
     def no_law(self, monkeypatch):

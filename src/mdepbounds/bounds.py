@@ -12,15 +12,14 @@ T < S * (m-1)/(m+1).  For m = 1 the two exponents coincide (T = 0).
 
 from __future__ import annotations
 
+import bisect
 import math
 import operator
 from dataclasses import dataclass
 from typing import NamedTuple
 
-import numpy as np
-
 from .errors import BoundViolationError
-from .families import Family, partial_sum, t_local
+from .families import Family, partial_sum, t_local, total_mass
 from .montecarlo import _require_mc_scale, estimate_union
 from .oracle import union_prob
 
@@ -76,24 +75,24 @@ def second_order_sharper(s_n: float, t: float, m: int) -> bool:
 class ThresholdFunction:
     """Minimal nondecreasing map n -> index with prefix mass >= n.
 
-    values[j] is the threshold for n = j + 1; the function is defined for
-    1 <= n <= len(values) and empty when the family's total event mass is
-    below 1.
+    Defined for 1 <= n <= max_n = floor(total_mass) and empty when the
+    family's total event mass is below 1.  Each call searches the
+    family's prefix masses, so no threshold is stored.
     """
 
-    values: tuple[int, ...]
+    family: Family
     total_mass: float
 
     @property
     def max_n(self) -> int:
-        return len(self.values)
+        return math.floor(self.total_mass)
 
     @property
     def is_empty(self) -> bool:
-        return not self.values
+        return self.max_n < 1
 
     def defined(self, n: int) -> bool:
-        return 1 <= n <= len(self.values)
+        return 1 <= n <= self.max_n
 
     def __call__(self, n: int) -> int:
         n = operator.index(n)
@@ -102,7 +101,8 @@ class ThresholdFunction:
                 f"threshold undefined at n={n}: needs prefix event mass >= {n} "
                 f"but the family's total event mass is {self.total_mass:.12g} "
                 f"(deficit {n - self.total_mass:.12g})")
-        return self.values[n - 1]
+        return bisect.bisect_left(range(self.family.n_events + 1), n,
+                                  key=self.family.prefix_mass)
 
 
 def build_threshold(family: Family) -> ThresholdFunction:
@@ -111,16 +111,12 @@ def build_threshold(family: Family) -> ThresholdFunction:
     threshold(n) is the least t with P(A_1)+..+P(A_t) >= n; minimality
     makes it nondecreasing and gives the tightest windows.  Defined for
     every integer n up to the total event mass; explicitly empty when
-    that mass is below 1.  It searches ``prefix_mass`` of 0..N, which
-    :func:`partial_sum` reads, so partial_sum(threshold(n)) >= n and
-    partial_sum(threshold(n) - 1) < n hold exactly.
+    that mass is below 1.  A call bisects ``prefix_mass`` over 0..N,
+    which :func:`partial_sum` reads, so partial_sum(threshold(n)) >= n
+    and partial_sum(threshold(n) - 1) < n hold exactly; it takes
+    O(log N) queries and builds no array of N entries.
     """
-    prefix = family.prefix_mass(np.arange(family.n_events + 1))
-    total = float(prefix[-1])
-    # defined exactly for the integers n with prefix mass >= n
-    targets = np.arange(1, math.floor(total) + 1)
-    values = np.searchsorted(prefix, targets, side="left")
-    return ThresholdFunction(tuple(values.tolist()), total)
+    return ThresholdFunction(family, total_mass(family))
 
 
 @dataclass(frozen=True)

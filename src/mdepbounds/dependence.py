@@ -45,7 +45,8 @@ from .reports import CheckBlock, VerificationReport, require_tol
 
 #: Evaluating more candidate index subsets (one per subset group) than
 #: this raises instead of silently running for hours; lower max_subset
-#: to stay under it.
+#: to stay under it.  Sizes above N have no subset and are not walked,
+#: so they count nothing.
 MAX_SUBSETS = 200_000
 
 #: Pattern-law cells per batch: the audit takes the subset groups of
@@ -129,7 +130,7 @@ def _worst_violations(laws: np.ndarray, pos_i: tuple[int, ...],
 def _require_audit_scale(family: Family, m: int | None, max_subset: int,
                          tol: float) -> tuple[int, int]:
     """Every refusal of ``check_m_dependence``, in order, before any of
-    its work; returns m and max_subset as integers."""
+    its work; returns m and the largest size walked, min(max_subset, N)."""
     require_tol(tol)
     m = family.m if m is None else operator.index(m)
     if m < 0:
@@ -137,30 +138,30 @@ def _require_audit_scale(family: Family, m: int | None, max_subset: int,
     max_subset = operator.index(max_subset)
     if max_subset < 2:
         raise ValueError("max_subset must be >= 2")
-    lower = f"exceed the cap {MAX_SUBSETS}; lower max_subset (currently {max_subset})"
-    if max_subset - 1 > MAX_SUBSETS:  # one summary row per size
-        raise CapExceededError(f"{max_subset - 1} subset sizes {lower}")
-    _require_width(min(max_subset, family.n_events))
+    top = min(max_subset, family.n_events)  # no size above N has a subset
+    _require_width(top)
     family.require_query_scale()
-    total = sum(family.subset_group_count(size, m + 1)  # none above N
-                for size in range(2, min(max_subset, family.n_events) + 1))
+    total = sum(family.subset_group_count(size, m + 1) for size in range(2, top + 1))
     if total > MAX_SUBSETS:
-        raise CapExceededError(f"{total} candidate index subsets {lower}")
-    return m, max_subset
+        raise CapExceededError(f"{total} candidate index subsets exceed the cap "
+                               f"{MAX_SUBSETS}; lower max_subset (currently {max_subset})")
+    return m, top
 
 
 def check_m_dependence(family: Family, m: int | None = None, *,
                        max_subset: int = 4, tol: float = 1e-9) -> VerificationReport:
     """Test whether a family satisfies the claimed dependence range m.
 
-    Covers every index set U of size 2..max_subset, splits it into all
-    (I, J) bipartitions with separation > m, and checks that every atom
-    probability factorizes within tol.  Reports one summary check per
-    subset size (the worst signed violation, first in subset order among
-    ties, and the number of splits) plus detail checks for the first
-    MAX_DETAILED_FAILURES failing splits in subset order.  A family with
-    no qualifying splits passes vacuously, and so, unwalked, does each
-    size above N: those rows are one block, before the failure details.
+    Covers every index set U of size 2..min(max_subset, N), splits it
+    into all (I, J) bipartitions with separation > m, and checks that
+    every atom probability factorizes within tol.  Reports one summary
+    check per subset size (the worst signed violation, first in subset
+    order among ties, and the number of splits) plus detail checks for
+    the first MAX_DETAILED_FAILURES failing splits in subset order.  A
+    family with no qualifying splits passes vacuously.  No size above N
+    has a subset, so none is walked or reported: any max_subset >= N
+    gives the report of max_subset = N, and a family of one event an
+    empty report.
 
     The family groups the subsets (``subset_groups``): members of a
     group share the pattern law and every gap below m+1, so they give
@@ -175,14 +176,14 @@ def check_m_dependence(family: Family, m: int | None = None, *,
     Raises, before any work, ValueError for a negative or non-finite tol,
     and CapExceededError for a family whose single exact query is too
     large (``require_query_scale``), or when min(max_subset, N) exceeds
-    ``MAX_PATTERN_WIDTH`` or the summary rows (max_subset - 1) or groups
-    (subsets evaluated) exceed ``MAX_SUBSETS``: lower max_subset then.
+    ``MAX_PATTERN_WIDTH`` or the groups (subsets evaluated) exceed
+    ``MAX_SUBSETS``: lower max_subset then.
     """
-    m, max_subset = _require_audit_scale(family, m, max_subset, tol)
+    m, top = _require_audit_scale(family, m, max_subset, tol)
 
     blocks: list[CheckBlock] = []
     failures: list[CheckBlock] = []
-    for size in range(2, min(max_subset, family.n_events) + 1):
+    for size in range(2, top + 1):
         worst = 0.0
         n_splits = 0
         # Every member of a failing group fails, its first member first,
@@ -238,10 +239,4 @@ def check_m_dependence(family: Family, m: int | None = None, *,
             for pos_i, pos_j, violation in bad_splits)
         failures.extend(itertools.islice(
             details, MAX_DETAILED_FAILURES - len(failures)))
-
-    above = np.arange(max(family.n_events + 1, 2), max_subset + 1)
-    if len(above):  # sizes above N have no subset: vacuous rows with no split
-        zeros = np.zeros(len(above))
-        blocks.append(CheckBlock.eq("factorization[subset_size=%d,splits=0]",
-                                    zeros, zeros, tol, above[:, None]))
     return VerificationReport(tuple(blocks + failures))

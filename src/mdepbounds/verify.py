@@ -34,14 +34,15 @@ cover sorts m block ends per i = 1..min(N, m): O(min(N, m) * m log m).
 Checks are kept as blocks
 (``CheckBlock``): lhs, rhs, slack and passed arrays under one name
 format over index rows, so the N**2 pair checks run no Python per
-check.  The product chain over all classes is one block, and so is each
-shift step over all shifts: r is an index column, and the steps that
-interleave within a class or shift are a label column.  Only residue
-pairs and triples (widths differ) stay one block per class with pairs,
-so a report holds at most N + 7 blocks at any m.  The
-report's summary is array reductions, and ``verify`` writes each block's
-rows straight from its arrays, one ``%`` format per slice of rows; a
-``Check`` record per row is built only when a caller asks for ``checks``.
+check.  The product chain over the nonempty classes r = 1..min(m+1, N)
+is one block, and so is each shift step over all shifts: r is an index
+column, and the steps that interleave within a class or shift are a
+label column.  Only residue pairs and triples (widths differ) stay one
+block per class with pairs, so a report holds at most N + 7 blocks at
+any m.  The report's summary is array reductions, and ``verify``
+writes each block's rows straight from its arrays, one ``%`` format
+per slice of rows; a ``Check`` record per row is built only when a
+caller asks for ``checks``.
 """
 
 from __future__ import annotations
@@ -75,13 +76,13 @@ MAX_TRIPLES_PER_CLASS = 200
 def derivation_check_count(n: int, m: int) -> int:
     """Number of checks ``verify_derivation`` emits for N = n events and
     range m, in closed form and in its order: residue-class pairs and
-    capped triples, two product-chain checks per class, then for m >= 1
-    per shift the block pairs at block distance >= 2 (block positions
-    are consecutive), one Bonferroni check per block and four parity
-    checks, plus the shift-cover check; and the final bound checks.
-    Classes and shifts past N are counted in bulk: O(min(m, N)) time."""
-    count = 2 * max(m + 1 - n, 0)  # classes past N are empty
-    for r in range(1, min(m + 1, n) + 1):
+    capped triples, two product-chain checks per nonempty class, then
+    for m >= 1 per shift the block pairs at block distance >= 2 (block
+    positions are consecutive), one Bonferroni check per block and four
+    parity checks, plus the shift-cover check; and the final bound
+    checks.  Shifts past N are counted in bulk: O(min(m, N)) time."""
+    count = 0
+    for r in range(1, min(m + 1, n) + 1):  # classes past N are empty
         size = len(range(r, n + 1, m + 1))
         count += (math.comb(size, 2)
                   + min(math.comb(size, 3), MAX_TRIPLES_PER_CLASS) + 2)
@@ -133,12 +134,13 @@ def verify_derivation(family: Family, *, tol: float = 1e-9) -> VerificationRepor
 
     Emits, in order: residue-class independence (pairs exhaustively,
     index triples up to MAX_TRIPLES_PER_CLASS per class); the
-    product-to-exponential chain per class; block-event independence at
-    block distance >= 2; the per-block second-order Bonferroni lower
-    bound; the exhaustive pair-shift count, checked against membership
-    by ``block_position`` for i = 1..min(N, m) (one residue of i mod m
-    each) and every later l within gap m-1; the parity-split averaging
-    chain; and finally the exact union against both closed-form bounds.
+    product-to-exponential chain per nonempty class; block-event
+    independence at block distance >= 2; the per-block second-order
+    Bonferroni lower bound; the exhaustive pair-shift count, checked
+    against membership by ``block_position`` for i = 1..min(N, m) (one
+    residue of i mod m each) and every later l within gap m-1; the
+    parity-split averaging chain; and finally the exact union against
+    both closed-form bounds.
     Block checks are skipped for m = 0, which has no block partition.
 
     Factorization checks compare joint complement probabilities against
@@ -156,8 +158,9 @@ def verify_derivation(family: Family, *, tol: float = 1e-9) -> VerificationRepor
 
     # Residue-class independence: complements of far-apart events factorize.
     # The pairs of every class go to the family as one array, and so do
-    # the capped triples; a class without pairs (every class past N) has none.
-    classes = residue_classes(n, m)
+    # the capped triples.  Only the classes r = 1..min(m+1, N) hold an
+    # event: a class past N is empty, and its factor in the proof is 1.
+    classes = residue_classes(n, m)[:n]
     wide = [(r, cls) for r, cls in enumerate(classes, start=1) if len(cls) >= 2]
     pairs = [_pairs(np.array(cls, dtype=np.int64)) for _, cls in wide]
     triples = [np.fromiter(
@@ -175,9 +178,9 @@ def verify_derivation(family: Family, *, tol: float = 1e-9) -> VerificationRepor
 
     # Product-to-exponential chain, two rows per class.  A class holds
     # floor(N/(m+1)) or ceil(N/(m+1)) events, and the classes of one
-    # size go to the family as one array; an empty class's joint is 1.
+    # size go to the family as one array.
     joints = [1.0] * len(classes)
-    for size in set(map(len, classes)) - {0}:
+    for size in set(map(len, classes)):
         which = [r for r, cls in enumerate(classes) if len(cls) == size]
         rows = np.array([classes[r] for r in which], dtype=np.int64)
         for r, joint in zip(which, complement_intersection_probs(family, rows).tolist()):

@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -112,19 +113,24 @@ class TestMassPigeonhole:
             assert max(masses) >= total / (model.m + 1) - 1e-12
 
 
+def thresholds(phi):
+    """Every value of a threshold function, n = 1..max_n."""
+    return [phi(n) for n in range(1, phi.max_n + 1)]
+
+
 class TestThresholdFunction:
     def test_half_probability_events(self):
         family = ExplicitEventFamily.from_events([0.5, 0.5], [[0]] * 10, 1)
         phi = build_threshold(family)
-        assert phi.values == (2, 4, 6, 8, 10)
+        assert thresholds(phi) == [2, 4, 6, 8, 10]
 
     def test_certain_events(self):
         phi = build_threshold(certain_family(5))
-        assert phi.values == (1, 2, 3, 4, 5)
+        assert thresholds(phi) == [1, 2, 3, 4, 5]
 
     def test_run_model(self, run_model_24):
         phi = build_threshold(run_model_24)
-        assert phi.values == (8, 16, 24)
+        assert thresholds(phi) == [8, 16, 24]
 
     def test_empty_when_mass_below_one(self):
         model = consecutive_run_model(4)  # total mass 0.5
@@ -146,11 +152,25 @@ class TestThresholdFunction:
                                                         [[0]] * 12, 1))
         for family in families:
             phi = build_threshold(family)
-            vals = phi.values
+            vals = thresholds(phi)
             assert all(a <= b for a, b in zip(vals, vals[1:]))
             for n, t in enumerate(vals, start=1):
                 assert partial_sum(family, t) >= n
                 assert partial_sum(family, t - 1) < n
+
+    def test_a_threshold_builds_no_array_of_n_entries(self):
+        """A call bisects the prefix masses, so on the fair-coin run of
+        two at N = 10**7 it allocates under 1 MiB, where an array of
+        the N + 1 prefix masses would take 80 MB."""
+        model = consecutive_run_model(10 ** 7, m=1)
+        model.prefix_mass(1)  # the kernel's first sweep is not the threshold's
+        tracemalloc.start()
+        try:
+            assert build_threshold(model)(1) == 4
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 class TestWindowedBound:

@@ -184,8 +184,8 @@ class TestVerify:
         (["--max-subset", "1"], "max_subset must be >= 2"),
         (["--max-subset", "2"], "11628 candidate index subsets exceed the cap "
                                 "1000; lower max_subset (currently 2)"),
-        (["--max-subset", "1000000"], "999999 subset sizes exceed the cap "
-                                      "1000; lower max_subset (currently 1000000)"),
+        pytest.param(["--max-subset", "17"], "pattern laws of 17 events exceed "
+                     "the width cap 16", id="width"),
     ])
     def test_refusals_come_before_any_audit_work(self, capsys, tmp_path,
                                                  monkeypatch, argv, message):
@@ -206,6 +206,30 @@ class TestVerify:
             monkeypatch.setattr(ExplicitEventFamily, name, no_work)
         assert run_cli(capsys, "verify", str(path), *argv) \
             == (2, "", f"error: {message}\n")
+
+    def test_max_subset_past_n_runs_the_audit_of_n(self, capsys, tmp_path):
+        """Sizes above N have no subset and are not walked, so a huge
+        --max-subset is no refusal: it writes the --max-subset N report,
+        byte for byte."""
+        path = tmp_path / "w8.json"
+        dump_model(consecutive_run_model(8, m=1), path)
+        code, expected, err = run_cli(capsys, "verify", str(path), "--max-subset", "8")
+        assert (code, err) == (0, "")
+        assert '"factorization[subset_size=8,' in expected
+        assert run_cli(capsys, "verify", str(path), "--max-subset", "1000000") \
+            == (0, expected, "")
+
+    def test_one_event_has_an_empty_dependence_section(self, capsys, tmp_path):
+        """One event has no subset of two: the dependence audit reports no
+        row, and the writer emits the empty section as json.dumps does."""
+        path = tmp_path / "x1.json"
+        dump_model(ExplicitEventFamily.from_events([0.5, 0.5], [[0]], 0), path)
+        code, out, err = run_cli(capsys, "verify", str(path))
+        assert (code, err) == (0, "")
+        payload = json.loads(out)
+        assert payload["dependence"] == {"passed": True, "total": 0, "failed": 0,
+                                         "worst": None, "checks": []}
+        assert out == json.dumps(payload, indent=2) + "\n"
 
     def test_derivation_refusal_comes_first(self, capsys, w1_path, monkeypatch):
         from mdepbounds import verify

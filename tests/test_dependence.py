@@ -139,23 +139,24 @@ class TestCheckMDependence:
             check_m_dependence(family, tol=tol)
 
     def test_summary_rows_are_capped_before_any_work(self, monkeypatch):
-        """One summary row per size 2..max_subset, also past N: more rows
-        than MAX_SUBSETS are refused before the groups are counted or
-        listed, so a huge max_subset costs nothing."""
+        """One summary row per size 2..min(max_subset, N): sizes past N add
+        no row and nothing to the MAX_SUBSETS count, so a huge max_subset
+        is refused, or run, on the groups of sizes up to N alone, and a
+        refusal comes before the groups are listed."""
         family = ExplicitEventFamily.from_events([0.5, 0.5], [[0], [1]], 1)
-        monkeypatch.setattr(dependence, "MAX_SUBSETS", 10)
+        monkeypatch.setattr(dependence, "MAX_SUBSETS", 0)
         monkeypatch.setattr(ExplicitEventFamily, "subset_groups", no_work)
-        monkeypatch.setattr(ExplicitEventFamily, "subset_group_count", no_work)
         for max_subset in (12, 10 ** 18):
             with pytest.raises(CapExceededError,
-                               match=rf"^{max_subset - 1} subset sizes exceed the "
-                                     rf"cap 10; lower max_subset \(currently "
+                               match=rf"^1 candidate index subsets exceed the "
+                                     rf"cap 0; lower max_subset \(currently "
                                      rf"{max_subset}\)$"):
                 check_m_dependence(family, max_subset=max_subset)
         monkeypatch.undo()
-        monkeypatch.setattr(dependence, "MAX_SUBSETS", 10)
-        report = check_m_dependence(family, max_subset=11)
-        assert report.passed and len(report.checks) == 10
+        monkeypatch.setattr(dependence, "MAX_SUBSETS", 1)
+        for max_subset in (2, 12, 10 ** 18):
+            report = check_m_dependence(family, max_subset=max_subset)
+            assert report.passed and len(report.checks) == 1
 
     @pytest.mark.parametrize("explicit", [False, True], ids=["window", "explicit"])
     def test_query_scale_is_capped_before_any_work(self, monkeypatch, explicit):
@@ -191,10 +192,10 @@ class TestCheckMDependence:
     @pytest.mark.parametrize("explicit", [False, True], ids=["window", "explicit"])
     def test_sizes_above_n_pass_without_a_split_table(self, monkeypatch,
                                                       explicit, claimed):
-        """A size above N has no subset: its row passes with no split, and
-        its 2**(size-1) split table is never built, so max_subset = 26 on
-        six events returns at once.  The rows of sizes up to N, and the
-        failure details after all rows, are those of max_subset = N."""
+        """A size above N has no subset, so it is neither walked nor
+        reported, nor counted against MAX_SUBSETS: every max_subset >= N,
+        10**18 included, gives the max_subset = N report, and its
+        2**(size-1) split table is never built."""
         family = consecutive_run_model(6, m=1)
         if explicit:
             family = expand_window_model(family)
@@ -205,20 +206,22 @@ class TestCheckMDependence:
             return split(shape, size)
 
         monkeypatch.setattr(dependence, "_split", split_within_n)
-        rows = check_m_dependence(family, claimed, max_subset=6).to_dict()["checks"]
-        head = [r for r in rows if r["name"].startswith("factorization")]
-        vacuous = [{"name": f"factorization[subset_size={size},splits=0]",
-                    "kind": "eq", "lhs": 0.0, "rhs": 0.0, "tol": 1e-9,
-                    "slack": 0.0, "passed": True} for size in range(7, 27)]
-        report = check_m_dependence(family, claimed, max_subset=26).to_dict()
-        assert report["checks"] == head + vacuous + rows[len(head):]
-        assert report["passed"] is (claimed is None)
+        far = (family.m if claimed is None else claimed) + 1
+        monkeypatch.setattr(dependence, "MAX_SUBSETS", sum(
+            family.subset_group_count(size, far) for size in range(2, 7)))
+        expected = check_m_dependence(family, claimed, max_subset=6)
+        assert expected.passed is (claimed is None)
+        for max_subset in (6, 7, 26, 10 ** 18):
+            report = check_m_dependence(family, claimed, max_subset=max_subset)
+            assert report == expected
+            sizes = [int(c.name.split("=")[1].split(",")[0]) for c in report.checks
+                     if c.name.startswith("factorization[")]
+            assert sizes == [2, 3, 4, 5, 6]
 
     @pytest.mark.parametrize("explicit", [False, True], ids=["window", "explicit"])
     def test_sizes_above_n_ask_the_family_nothing(self, monkeypatch, explicit):
-        """No size above N lists subset groups or asks for pattern laws:
-        those sizes are one trailing run of vacuous summary rows, and the
-        report is still the plain walk's."""
+        """No size above N lists subset groups or asks for pattern laws,
+        and the report is still the plain walk's."""
         family = consecutive_run_model(5, m=1)
         if explicit:
             family = expand_window_model(family)

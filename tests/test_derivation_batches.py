@@ -160,13 +160,24 @@ def test_shift_steps_are_one_block_each(m):
 
 
 def test_three_events_far_past_n_stay_seven_blocks():
-    """At m = 20,000 the 3-event family's 140,007 checks are seven
+    """At m = 20,000 the 3-event family's 100,011 checks are seven
     blocks, as many checks as ``derivation_check_count`` counts."""
     family = ExplicitEventFamily.from_events([0.5, 0.5], [[0], [0], [1]], 20_000)
     report = verify_derivation(family)
-    assert report.n_checks == derivation_check_count(3, 20_000) == 140_007
+    assert report.n_checks == derivation_check_count(3, 20_000) == 100_011
     assert len(report.blocks) <= 7
     assert report.passed
+
+
+@pytest.mark.parametrize("m", [5, 600, 20_000])
+def test_no_product_chain_row_past_n(m):
+    """The classes past N are empty, so the product chain of the 3-event
+    family has exactly the rows r = 1..3, two each, at any m >= 2."""
+    family = ExplicitEventFamily.from_events([0.5, 0.5], [[0], [0], [1]], m)
+    chain = [c.name for c in verify_derivation(family).checks
+             if c.name.startswith("product_chain[")]
+    assert chain == [f"product_chain[r={r},{step}]" for r in (1, 2, 3)
+                     for step in ("joint<=product", "product<=exp")]
 
 
 def test_each_distinct_block_interval_is_measured_once(monkeypatch):

@@ -23,7 +23,7 @@ def loop_check_count(n, m):
     """``derivation_check_count`` by a loop over every residue class and
     every shift, O(m): the reference for the bulk count."""
     count = 0
-    for r in range(1, m + 2):
+    for r in range(1, min(m + 1, n) + 1):
         size = len(range(r, n + 1, m + 1))
         count += (math.comb(size, 2)
                   + min(math.comb(size, 3), MAX_TRIPLES_PER_CLASS) + 2)
@@ -139,15 +139,18 @@ class TestVerifyDerivation:
     def test_check_count_matches_the_loop(self):
         assert [(n, m) for n in range(60) for m in range(70)
                 if derivation_check_count(n, m) != loop_check_count(n, m)] == []
+        # the 3-event family: 2 product-chain rows per class r = 1..3 only
+        assert [derivation_check_count(3, m) for m in (5, 600, 20_000, 60_000)] \
+            == [36, 3_011, 100_011, 300_011]
 
     @pytest.mark.parametrize("n", [0, 1, 5, 40])
     def test_check_count_at_huge_m(self, n):
-        """Past m = N each unit of m adds one empty class (2 checks) and
-        one one-block shift (5, or 4 when N = 0), so m = 10**12 is
-        counted without a loop of that length."""
+        """Past m = N each unit of m adds one one-block shift (5 checks,
+        or 4 when N = 0) and no class row, since the classes past N are
+        empty, so m = 10**12 is counted without a loop of that length."""
         m = 10 ** 12
         assert derivation_check_count(n, m) \
-            == loop_check_count(n, n + 1) + (7 if n else 6) * (m - n - 1)
+            == loop_check_count(n, n + 1) + (5 if n else 4) * (m - n - 1)
 
     def test_check_count_is_exact(self):
         rng = np.random.default_rng(404)

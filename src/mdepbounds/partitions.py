@@ -8,8 +8,11 @@ sequence, which is what the second-order bound averages over.  One rule
 lays the blocks out: ``block_position`` puts index k of shift r in block
 j = (k - r - 1) // m + 1, which spans r+(j-1)m+1 .. r+jm; the audit's
 check count and shift-cover check read it.  One writer clips it to rows
-(shift, j, lo, hi) of nonempty blocks: ``block_table`` gives every
-shift's rows as one array, and ``shifted_blocks`` one shift's rows.
+(shift, j, lo, hi) of nonempty blocks: ``block_table`` gives the rows of
+every distinct layout as one array, and ``shifted_blocks`` one shift's
+rows.  Every shift r >= n lays 1..n out as the one block j = 0, so
+``block_table`` is the one place that knows those shifts repeat: it
+writes shift n, when m > n, for all of n..m-1.
 """
 
 from __future__ import annotations
@@ -58,16 +61,20 @@ def _block_rows(n: int, m: int, shifts: np.ndarray) -> np.ndarray:
 
 
 def block_table(n: int, m: int) -> np.ndarray:
-    """Every shift's nonempty blocks of 1..n, shift-major: one read-only
-    int64 row (shift, j, lo, hi) per block, where j is the block's
-    position (``block_position``, which parity splits are taken over) and
-    lo..hi its interval clipped to 1..n."""
-    return _block_rows(n, m, np.arange(m))
+    """The nonempty blocks of 1..n under each distinct layout,
+    shift-major: one read-only int64 row (shift, j, lo, hi) per block of
+    the shifts 0..min(m, n+1)-1, where j is the block's position
+    (``block_position``, which parity splits are taken over) and lo..hi
+    its interval clipped to 1..n.  Shift n, present when m > n, stands
+    for every shift in n..m-1: each holds the one block 1..n at j = 0
+    (none when n = 0).  So the table has O(n) rows at any m."""
+    return _block_rows(n, m, np.arange(min(m, n + 1)))
 
 
 def shifted_blocks(n: int, m: int, shift: int) -> np.ndarray:
-    """The (j, lo, hi) rows of ``block_table(n, m)`` for one shift in
-    0..m-1, built for that shift alone (O(n/m + 1))."""
+    """The (j, lo, hi) rows of one shift in 0..m-1, as ``block_table``
+    writes them (a shift past n has shift n's rows), built for that
+    shift alone (O(n/m + 1))."""
     shift = operator.index(shift)
     rows = _block_rows(n, m, np.array([shift]))
     if not 0 <= shift <= m - 1:

@@ -13,7 +13,12 @@ Checks run in a fixed order so reports are deterministic and diffable.
 Cost.  The report holds one check per residue-class pair and per block
 pair at block distance >= 2, so it grows as N**2: about 0.75 N**2 checks
 at m = 1, the worst m (``derivation_check_count`` gives the exact
-number, and ``MAX_DERIVATION_CHECKS`` caps it).  The exact queries do
+number, and ``MAX_DERIVATION_CHECKS`` caps it).  It does not grow with
+m past N: every shift r >= N lays 1..N out as one block, so
+``block_table`` writes those shifts once, as shift N, whose rows are
+named ``r=N..m-1`` when they stand for two or more shifts.  Every loop
+of the audit runs over O(min(m, N)) shifts, and the cap binds on N
+alone.  The exact queries do
 not grow that way.  The audit hands the family one array of equal-size
 index sets (``complement_intersection_probs``) per row width: one for
 the pairs of every residue class, one for their capped triples, one per
@@ -23,21 +28,21 @@ of the far block pairs; that is at most 2m + 3 arrays at any N.  The
 family asks one query per distinct set: on a window model one per row
 of gaps clamped at m+1, so every class's pairs are one query and its
 triples another (every gap in a class is at least m+1), and a width's
-block pairs at most one per pair of block lengths.  The blocks of every
-shift form one array (``block_table``) whose distinct intervals are
-measured once each (every shift r >= N holds the one block 1..N).  So a
-window model's audit makes about N + 6m + 2 queries (115 at N = 100,
-m = 2); an explicit family still makes one per check.  Every shift step
-reads the table's columns; a block's Bonferroni pair sum adds prefixes
-of per-index rows of pair masses (no Python per pair), and the shift
-cover sorts m block ends per i = 1..min(N, m): O(min(N, m) * m log m).
+block pairs at most one per pair of block lengths.  Each row of
+``block_table`` is measured once (only the interval 1..N is asked twice,
+by shift 0 and shift N, when m > N).  So a window model's audit makes
+about N + 6m + 2 queries (115 at N = 100, m = 2); an explicit family
+still makes one per check.  Every shift step reads the table's columns;
+a block's Bonferroni pair sum adds prefixes of per-index rows of pair
+masses (no Python per pair), and the shift cover sorts the block ends
+of the shifts below N per i = 1..min(N, m): O(min(N, m)**2 log N).
 Checks are kept as blocks
 (``CheckBlock``): lhs, rhs, slack and passed arrays under one name
 format over index rows, so the N**2 pair checks run no Python per
 check.  The product chain over the nonempty classes r = 1..min(m+1, N)
 is one block, and so is each shift step over all shifts: r is an index
-column, and the steps that interleave within a class or shift are a
-label column.  Only residue pairs and triples (widths differ) stay one
+column (a label column where shift N may be named by a range), and the
+steps that interleave within a class or shift are a label column.  Only residue pairs and triples (widths differ) stay one
 block per class with pairs, so a report holds at most N + 7 blocks at
 any m.  The report's summary is array reductions, and ``verify``
 writes each block's rows straight from its arrays, one ``%`` format
@@ -59,8 +64,7 @@ from .errors import CapExceededError
 from .families import Family, partial_sum, t_local
 from .oracle import block_event_prob, complement_intersection_probs, union_prob
 from .oracle import complement_intersection_prob  # noqa: F401 (perfbench/tests/test_perfbench_harness.py reads it here)
-from .partitions import block_position, block_table, pair_shift_count, \
-    residue_classes
+from .partitions import block_position, block_table, pair_shift_count
 from .reports import CheckBlock, VerificationReport, require_tol
 
 #: Refuse a family whose audit would emit more checks than this.  The
@@ -77,17 +81,18 @@ def derivation_check_count(n: int, m: int) -> int:
     """Number of checks ``verify_derivation`` emits for N = n events and
     range m, in closed form and in its order: residue-class pairs and
     capped triples, two product-chain checks per nonempty class, then
-    for m >= 1 per shift the block pairs at block distance >= 2 (block
-    positions are consecutive), one Bonferroni check per block and four
-    parity checks, plus the shift-cover check; and the final bound
-    checks.  Shifts past N are counted in bulk: O(min(m, N)) time."""
+    for m >= 1 per distinct shift of ``block_table`` the block pairs at
+    block distance >= 2 (block positions are consecutive), one
+    Bonferroni check per block and four parity checks, plus the
+    shift-cover check; and the final bound checks.  O(min(m, N)) time,
+    and constant in m once m >= N + 1."""
     count = 0
     for r in range(1, min(m + 1, n) + 1):  # classes past N are empty
         size = len(range(r, n + 1, m + 1))
         count += (math.comb(size, 2)
                   + min(math.comb(size, 3), MAX_TRIPLES_PER_CLASS) + 2)
     if m >= 1:
-        count += (5 if n else 4) * max(m - n, 0)  # shifts r >= N: one block
+        count += (5 if n else 4) * (m > n)  # shift N: at most the block 1..N
         for r in range(min(m, n)):
             blocks = block_position(n, m, r) - block_position(1, m, r) + 1
             count += math.comb(max(blocks - 1, 0), 2) + blocks + 4
@@ -142,6 +147,10 @@ def verify_derivation(family: Family, *, tol: float = 1e-9) -> VerificationRepor
     parity-split averaging chain; and finally the exact union against
     both closed-form bounds.
     Block checks are skipped for m = 0, which has no block partition.
+    The shift steps run over the layouts of ``block_table``, shifts
+    0..min(m, N+1)-1: every shift r >= N holds the one block 1..N, so
+    shift N, when m > N, stands for all of N..m-1, and from m = N + 2 on
+    its rows are named ``r=N..m-1``.
 
     Factorization checks compare joint complement probabilities against
     products of marginals (pairs plus capped triples), not full
@@ -160,7 +169,7 @@ def verify_derivation(family: Family, *, tol: float = 1e-9) -> VerificationRepor
     # The pairs of every class go to the family as one array, and so do
     # the capped triples.  Only the classes r = 1..min(m+1, N) hold an
     # event: a class past N is empty, and its factor in the proof is 1.
-    classes = residue_classes(n, m)[:n]
+    classes = [tuple(range(r, n + 1, m + 1)) for r in range(1, min(m + 1, n) + 1)]
     wide = [(r, cls) for r, cls in enumerate(classes, start=1) if len(cls) >= 2]
     pairs = [_pairs(np.array(cls, dtype=np.int64)) for _, cls in wide]
     triples = [np.fromiter(
@@ -197,19 +206,20 @@ def verify_derivation(family: Family, *, tol: float = 1e-9) -> VerificationRepor
     complement_all = 1.0 - union_all
 
     if m >= 1:
-        # The blocks of every shift form one table, shift-major: row t is
-        # block js[t], the interval los[t]..his[t], of shift rs[t], and
+        # The distinct block layouts form one table, shift-major: row t
+        # is block js[t], the interval los[t]..his[t], of shift rs[t], and
         # shift r's rows are starts[r]..starts[r+1]-1.  Every shift r >= N
-        # holds the one block 1..N, so each distinct interval is measured
-        # once and its answers are scattered back.
+        # holds the one block 1..N, so the table's shift N, when m > N,
+        # stands for all of N..m-1 and is named by that range.
         table = block_table(n, m)
         rs, js, los, his = table.T
-        starts = np.searchsorted(rs, np.arange(m + 1))
-        lengths = his - los + 1
-        spans, where = np.unique(table[:, 2:], axis=0, return_inverse=True)
-        where = where.reshape(-1)
-        bprobs = np.array([block_event_prob(family, lo, hi)
-                           for lo, hi in spans.tolist()])[where]
+        shifts = min(m, n + 1)
+        starts = np.searchsorted(rs, np.arange(shifts + 1))
+        labels = np.arange(shifts).astype(object)
+        if m >= n + 2:
+            labels[n] = f"{n}..{m - 1}"
+        lengths, spans = his - los + 1, table[:, 2:].tolist()
+        bprobs = np.array([block_event_prob(family, lo, hi) for lo, hi in spans])
 
         # Block events at distance >= 2 are independent (1-dependence).
         # Row t's far partners are rows t+2 up to the last of its shift,
@@ -242,19 +252,20 @@ def verify_derivation(family: Family, *, tol: float = 1e-9) -> VerificationRepor
             sum(probs[k] for k in range(lo, hi + 1))
             - sum(itertools.chain.from_iterable(
                 after[i - 1][:hi - i] for i in range(lo, hi)))
-            for lo, hi in spans.tolist()])
-        blocks.append(CheckBlock.le("block_bonferroni[r=%d,j=%d]", lower[where],
-                                    bprobs, tol, table[:, :2]))
+            for lo, hi in spans])
+        blocks.append(CheckBlock.le("block_bonferroni[r=%s,j=%d]", lower, bprobs,
+                                    tol, np.column_stack([labels[rs], js])))
 
         # The shift count for every local pair, against brute membership:
         # l shares i's block under a shift when l is at most that block's
         # end, so the sorted ends count every l's shifts at once.  Block
         # positions move by one when k moves by m, so i = 1..min(N, m)
-        # covers every (i mod m, gap) case.
+        # covers every (i mod m, gap) case.  A shift r >= N ends i's block
+        # at r >= N, past every l, so only the shifts below N are sorted.
         worst_gap = 0
-        shifts = np.arange(m)
+        below = np.arange(min(m, n))
         for i in range(1, min(n, m) + 1):
-            ends = np.sort(block_position(i, m, shifts) * m + shifts)
+            ends = np.sort(block_position(i, m, below) * m + below)
             ls = np.arange(i + 1, min(i + m, n + 1))
             brute = m - np.searchsorted(ends, ls)
             claimed = [pair_shift_count(i, l, m) for l in ls.tolist()]
@@ -262,7 +273,7 @@ def verify_derivation(family: Family, *, tol: float = 1e-9) -> VerificationRepor
         blocks.append(CheckBlock.eq("pair_shift_cover[exhaustive]",
                                     float(worst_gap), 0.0, 0.0))
 
-        # Parity split and averaging, four rows per shift: complements
+        # Parity split and averaging, four rows per table shift: complements
         # bounded by parity products, then by exponentials of half the
         # block mass.
         parities = list(zip((js % 2).tolist(), bprobs.tolist()))
@@ -277,8 +288,8 @@ def verify_derivation(family: Family, *, tol: float = 1e-9) -> VerificationRepor
             rhs += (math.prod(1 - p for p in odd), math.prod(1 - p for p in even),
                     half, half)
         blocks.append(CheckBlock.le(
-            "%s[r=%d%s]", lhs, rhs, tol,
-            np.array([row for r in range(m) for row in (
+            "%s[r=%s%s]", lhs, rhs, tol,
+            np.array([row for r in labels.tolist() for row in (
                 ("parity_product", r, ",odd"), ("parity_product", r, ",even"),
                 ("parity_average", r, ""), ("block_mass_exponential", r, ""))],
                 dtype=object)))

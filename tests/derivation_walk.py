@@ -7,6 +7,13 @@ residue-class pair and triple, per class and per far block pair, so
 tests can require the batched audit to give the same report.  It shares
 only the public oracles, partitions, bounds and report records with the
 package, and it applies no size caps.
+
+It walks every shift r = 0..m-1, laying out each one's blocks by a
+plain loop over block positions, not by the package's block writer.
+Every shift r >= N holds the one block 1..N, and the audit names their
+rows once, as ``r=N..m-1``; the walk folds those shifts' rows into that
+one row set only after asserting that they agree, so the fold loses no
+check.
 """
 
 from __future__ import annotations
@@ -17,9 +24,39 @@ import math
 from mdepbounds import (Check, CheckBlock, VerificationReport,
                         block_event_prob, complement_intersection_prob, event_prob,
                         first_order_bound, pair_shift_count, partial_sum,
-                        residue_classes, second_order_bound, shifted_blocks,
-                        t_local, union_prob)
+                        residue_classes, second_order_bound, t_local, union_prob)
 from mdepbounds.verify import MAX_TRIPLES_PER_CLASS
+
+
+def layout(n, m, shift):
+    """The [j, lo, hi] rows of the nonempty blocks of 1..n under `shift`,
+    where block j spans shift+(j-1)m+1 .. shift+jm, by a scan over every
+    block position j from 0 until a block starts past n: the reference
+    for ``block_table`` and ``shifted_blocks`` too."""
+    rows, j = [], 0
+    while shift + (j - 1) * m + 1 <= n:
+        lo, hi = max(shift + (j - 1) * m + 1, 1), min(shift + j * m, n)
+        if lo <= hi:
+            rows.append([j, lo, hi])
+        j += 1
+    return rows
+
+
+def fold(per_shift, n, m):
+    """The row sets of shifts 0..m-1, with those of shifts N..m-1 folded
+    into one named ``r=N..m-1`` once they agree in everything but r."""
+    if m < n + 2:
+        return list(itertools.chain.from_iterable(per_shift))
+    span = f"[r={n}..{m - 1}"
+
+    def named(checks, r):
+        return [check._replace(name=check.name.replace(f"[r={r}", span, 1))
+                for check in checks]
+
+    folded = named(per_shift[n], n)
+    for r in range(n + 1, m):
+        assert named(per_shift[r], r) == folded, f"shift {r} differs from shift {n}"
+    return list(itertools.chain.from_iterable(per_shift[:n])) + folded
 
 
 def derivation_walk(family, *, tol: float = 1e-9) -> VerificationReport:
@@ -57,7 +94,7 @@ def derivation_walk(family, *, tol: float = 1e-9) -> VerificationReport:
     complement_all = 1.0 - union_all
 
     if m >= 1:
-        partitions = [shifted_blocks(n, m, r).tolist() for r in range(m)]
+        partitions = [layout(n, m, r) for r in range(m)]
         block_probs = [
             tuple(block_event_prob(family, lo, hi) for _, lo, hi in part)
             for part in partitions
@@ -81,15 +118,18 @@ def derivation_walk(family, *, tol: float = 1e-9) -> VerificationReport:
 
         pair_masses = {d: family.pair_probs(d).tolist()
                        for d in range(1, min(m, n))}
+        bonferroni = []
         for r, (part, bprobs) in enumerate(zip(partitions, block_probs)):
+            bonferroni.append([])
             for (j, lo, hi), prob in zip(part, bprobs):
                 members = range(lo, hi + 1)
                 single = sum(probs[k] for k in members)
                 pairsum = sum(pair_masses[l - i][i - 1]
                               for i, l in itertools.combinations(members, 2))
-                checks.append(Check.le(
+                bonferroni[r].append(Check.le(
                     f"block_bonferroni[r={r},j={j}]",
                     single - pairsum, prob, tol))
+        checks += fold(bonferroni, n, m)
 
         worst_gap = 0
         for i in range(1, n + 1):
@@ -103,22 +143,21 @@ def derivation_walk(family, *, tol: float = 1e-9) -> VerificationReport:
         checks.append(Check.eq("pair_shift_cover[exhaustive]",
                                float(worst_gap), 0.0, 0.0))
 
+        parity = []
         for r, (part, bprobs) in enumerate(zip(partitions, block_probs)):
             odd = [p for p, (j, _, _) in zip(bprobs, part) if j % 2 == 1]
             even = [p for p, (j, _, _) in zip(bprobs, part) if j % 2 == 0]
             prod_odd = math.prod(1 - p for p in odd)
             prod_even = math.prod(1 - p for p in even)
             x, y = sum(odd), sum(even)
-            checks.append(Check.le(
-                f"parity_product[r={r},odd]", complement_all, prod_odd, tol))
-            checks.append(Check.le(
-                f"parity_product[r={r},even]", complement_all, prod_even, tol))
-            checks.append(Check.le(
-                f"parity_average[r={r}]",
-                min(math.exp(-x), math.exp(-y)), math.exp(-(x + y) / 2), tol))
-            checks.append(Check.le(
-                f"block_mass_exponential[r={r}]",
-                complement_all, math.exp(-(x + y) / 2), tol))
+            parity.append([
+                Check.le(f"parity_product[r={r},odd]", complement_all, prod_odd, tol),
+                Check.le(f"parity_product[r={r},even]", complement_all, prod_even, tol),
+                Check.le(f"parity_average[r={r}]",
+                         min(math.exp(-x), math.exp(-y)), math.exp(-(x + y) / 2), tol),
+                Check.le(f"block_mass_exponential[r={r}]",
+                         complement_all, math.exp(-(x + y) / 2), tol)])
+        checks += fold(parity, n, m)
 
     s_n = partial_sum(family, n)
     checks.append(Check.le("bound_vs_exact[first_order]",

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from mdepbounds import (
     ExplicitEventFamily,
+    block_table,
     consecutive_run_model,
     expand_window_model,
     random_window_model,
@@ -133,8 +134,8 @@ def test_queries_are_one_array_per_row_width(monkeypatch, m):
 def test_shift_steps_are_one_block_each(m):
     """The product chain of every class, and the block pairs, the block
     Bonferroni checks and the parity split of every shift, are one block
-    each, with r as an index column, so a report holds at most N + 7
-    blocks.  No class or shift leaves a block without rows: at m = 20 on
+    each, with r as an index or label column, so a report holds at most
+    N + 7 blocks.  No class or shift leaves a block without rows: at m = 20 on
     30 events, classes of one member have no pair and classes of two no
     triple.  Only the block pairs can be empty, when no shift has blocks
     two apart (N < m + 2)."""
@@ -149,9 +150,9 @@ def test_shift_steps_are_one_block_each(m):
         fmts = [block.fmt for block in report.blocks]
         kinds = [fmt.split("[")[0] for fmt in fmts]
         assert fmts.count("product_chain[r=%d,%s]") == 1
-        assert fmts.count("%s[r=%d%s]") == 1
+        assert fmts.count("%s[r=%s%s]") == 1
+        assert fmts.count("block_bonferroni[r=%s,j=%d]") == 1
         assert kinds.count("block_independence") == 1
-        assert kinds.count("block_bonferroni") == 1
         assert len(report.blocks) <= n + 7
         empty = [kind for kind, block in zip(kinds, report.blocks)
                  if not len(block.passed)]
@@ -160,13 +161,68 @@ def test_shift_steps_are_one_block_each(m):
 
 
 def test_three_events_far_past_n_stay_seven_blocks():
-    """At m = 20,000 the 3-event family's 100,011 checks are seven
-    blocks, as many checks as ``derivation_check_count`` counts."""
+    """At m = 20,000 the 3-event family's 31 checks are seven blocks, as
+    many checks as ``derivation_check_count`` counts."""
     family = ExplicitEventFamily.from_events([0.5, 0.5], [[0], [0], [1]], 20_000)
     report = verify_derivation(family)
-    assert report.n_checks == derivation_check_count(3, 20_000) == 100_011
+    assert report.n_checks == derivation_check_count(3, 20_000) == 31
     assert len(report.blocks) <= 7
     assert report.passed
+
+
+def test_three_events_at_m_1e12_are_31_checks():
+    """The shifts 3..m-1 are one row set, so the audit at m = 10**12 is
+    the 31 checks it is at m = 5, with distinct names, and holds no
+    array that grows with m."""
+    import tracemalloc
+    family = ExplicitEventFamily.from_events([0.5, 0.5], [[0], [0], [1]], 10 ** 12)
+    tracemalloc.start()
+    try:
+        report = verify_derivation(family)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    names = [c.name for c in report.checks]
+    assert len(names) == len(set(names)) == 31
+    assert f"parity_product[r=3..{10 ** 12 - 1},odd]" in names
+    assert report.passed
+    assert peak < 1 << 20
+
+
+def test_shifts_past_n_are_one_named_row_set():
+    """From m = N + 2 on, the shifts N..m-1 are one block_bonferroni row
+    and four parity rows, named r=N..m-1, and no row names a single
+    shift r >= N.  At m = N + 1 the one shift N keeps its plain name."""
+    events = [[0], [1], [0], [1]]
+    for m, label in [(5, "4"), (6, "4..5"), (60, "4..59")]:
+        family = ExplicitEventFamily.from_events([0.3, 0.7], events, m)
+        names = [c.name for c in verify_derivation(family).checks]
+        past = [name for name in names
+                if "[r=4" in name and not name.startswith("product_chain")]
+        assert past == [f"block_bonferroni[r={label},j=0]",
+                        f"parity_product[r={label},odd]",
+                        f"parity_product[r={label},even]",
+                        f"parity_average[r={label}]",
+                        f"block_mass_exponential[r={label}]"]
+        assert not [name for name in names if "[r=5" in name]
+        assert (".." in "".join(names)) == (m >= 6)
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(0, 12),
+       m=st.integers(0, 40), window=st.booleans())
+def test_no_two_rows_share_a_name(seed, n, m, window):
+    """Window and explicit families, m >= N + 2 included: every row of
+    the report has its own name."""
+    if window:
+        family = random_window_model(seed, alphabet_sizes=(2,),
+                                     dependence_ranges=(min(m, 3),),
+                                     min_horizon=min(n, 4), max_horizon=min(n, 4))
+    else:
+        rng = np.random.default_rng(seed)
+        family = ExplicitEventFamily(np.full(4, 0.25), rng.random((n, 4)) < 0.4, m)
+    names = [c.name for c in verify_derivation(family).checks]
+    assert len(names) == len(set(names))
 
 
 @pytest.mark.parametrize("m", [5, 600, 20_000])
@@ -180,9 +236,11 @@ def test_no_product_chain_row_past_n(m):
                      for step in ("joint<=product", "product<=exp")]
 
 
-def test_each_distinct_block_interval_is_measured_once(monkeypatch):
-    """Every shift r >= N holds the one block 1..N: far past N the audit
-    asks for each distinct interval once, and its report is the walk's."""
+def test_each_block_table_row_is_measured_once(monkeypatch):
+    """The audit asks one block event per row of ``block_table``: the
+    shifts 0..N, the last standing for every shift r >= N, so far past
+    N it asks fewer than ten, and only the interval 1..N twice (shifts
+    0 and N).  Its report is the walk's."""
     from mdepbounds import verify
     asked = []
     measure = verify.block_event_prob
@@ -194,5 +252,6 @@ def test_each_distinct_block_interval_is_measured_once(monkeypatch):
     monkeypatch.setattr(verify, "block_event_prob", counted)
     family = ExplicitEventFamily.from_events([0.3, 0.7], [[0], [1], [0], [1]], 60)
     report = verify_derivation(family)
-    assert len(asked) == len(set(asked)) < 10
+    assert asked == [tuple(row) for row in block_table(4, 60)[:, 2:].tolist()]
+    assert len(asked) - 1 == len(set(asked)) < 10
     assert report == derivation_walk(family)

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from mdepbounds import block_table, pair_shift_count, residue_classes, shifted_blocks
 
+from derivation_walk import layout
 from exhaustive import brute_shift_membership_count
 
 
@@ -79,29 +80,22 @@ class TestShiftedBlocks:
                                for lo, hi in blocks[1:-1])
 
 
-def loop_blocks(n, m, shift):
-    """Shifted blocks by a scan over every block position from 0 until a
-    block starts past n, as (j, lo, hi) rows: the reference for
-    ``shifted_blocks`` and each shift's rows of ``block_table``."""
-    rows, j = [], 0
-    while shift + (j - 1) * m + 1 <= n:
-        lo, hi = max(shift + (j - 1) * m + 1, 1), min(shift + j * m, n)
-        if lo <= hi:
-            rows.append([j, lo, hi])
-        j += 1
-    return rows
-
-
 def test_shifted_blocks_match_the_loop_reference():
+    """The scan over block positions in ``tests/derivation_walk.py`` is
+    the reference.  ``block_table`` holds the shifts 0..min(m, n+1)-1:
+    every shift r >= n lays out as shift n does, so shift n stands for
+    them all."""
     for n in range(0, 41):
         for m in range(1, 9):
             table = block_table(n, m)  # (shift, j, lo, hi), shift-major
             assert table.dtype == np.int64 and table.shape == (len(table), 4)
             assert not table.flags.writeable
-            assert table.tolist() == [[r, *row] for r in range(m)
-                                      for row in loop_blocks(n, m, r)]
+            assert table.tolist() == [[r, *row] for r in range(min(m, n + 1))
+                                      for row in layout(n, m, r)]
             for r in range(m):
-                assert shifted_blocks(n, m, r).tolist() == loop_blocks(n, m, r)
+                assert shifted_blocks(n, m, r).tolist() == layout(n, m, r)
+            for r in range(n + 1, m):
+                assert layout(n, m, r) == layout(n, m, n)
 
 
 class TestPairShiftCount:

@@ -5,8 +5,10 @@ verify_derivation measures every link in the chain that proves the two
 union lower bounds: residue classes mod (m+1) really contain mutually
 independent events, products of complements sit below exponentials,
 shifted block events are 1-dependent, each block obeys the second-order
-Bonferroni lower bound, every local pair lands in a common block for
-exactly m-d shifts, and the parity-averaging step closes the argument.
+Bonferroni lower bound, and the parity-averaging step closes the
+argument.  The proof's counting lemma, that a local pair at gap d lands
+in a common block for exactly m-d shifts, reads no number of the family,
+so the audit has no row for it (tests pin pair_shift_count instead).
 
 A family whose claimed m is wrong fails loudly, with the offending check
 named and its violation measured.

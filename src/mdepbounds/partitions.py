@@ -7,12 +7,12 @@ last may be shorter); the resulting block events form a 1-dependent
 sequence, which is what the second-order bound averages over.  One rule
 lays the blocks out: ``block_position`` puts index k of shift r in block
 j = (k - r - 1) // m + 1, which spans r+(j-1)m+1 .. r+jm; the audit's
-check count and shift-cover check read it.  One writer clips it to rows
-(shift, j, lo, hi) of nonempty blocks: ``block_table`` gives the rows of
-every distinct layout as one array, and ``shifted_blocks`` one shift's
-rows.  Every shift r >= n lays 1..n out as the one block j = 0, so
-``block_table`` is the one place that knows those shifts repeat: it
-writes shift n, when m > n, for all of n..m-1.
+check count reads it.  One writer clips it to rows (shift, j, lo, hi) of
+nonempty blocks: ``block_table`` gives the rows of every distinct layout
+as one array, and ``shifted_blocks`` one shift's rows.  Every shift
+r >= n lays 1..n out as the one block j = 0, so ``block_table`` is the
+one place that knows those shifts repeat: it writes shift n, when
+m > n, for all of n..m-1.
 """
 
 from __future__ import annotations
@@ -86,10 +86,12 @@ def pair_shift_count(i: int, l: int, m: int) -> int:
     """Number of shifts r in 0..m-1 whose block partition puts i and l
     (i < l) into a common block: m - d for gap d = l - i <= m - 1, else 0.
 
-    The count is exact even for pairs near the clipped boundary blocks:
-    a pair is split exactly when some block boundary r + j*m lands in
-    {i, .., l-1}, and those d consecutive integers cover exactly d of the
-    m residues mod m.
+    This is the counting lemma of the second-order proof.  The count is
+    exact even for pairs near the clipped boundary blocks: a pair is
+    split exactly when some block boundary r + j*m lands in {i, .., l-1},
+    and those d consecutive integers cover exactly d of the m residues
+    mod m.  It reads no number of a family, so tests pin it against
+    ``block_table`` membership and no audit row checks it.
     """
     i = operator.index(i)
     l = operator.index(l)

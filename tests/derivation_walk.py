@@ -23,8 +23,8 @@ import math
 
 from mdepbounds import (Check, CheckBlock, VerificationReport,
                         block_event_prob, complement_intersection_prob, event_prob,
-                        first_order_bound, pair_shift_count, partial_sum,
-                        residue_classes, second_order_bound, t_local, union_prob)
+                        first_order_bound, partial_sum, residue_classes,
+                        second_order_bound, t_local, union_prob)
 from mdepbounds.verify import MAX_TRIPLES_PER_CLASS
 
 
@@ -130,18 +130,6 @@ def derivation_walk(family, *, tol: float = 1e-9) -> VerificationReport:
                     f"block_bonferroni[r={r},j={j}]",
                     single - pairsum, prob, tol))
         checks += fold(bonferroni, n, m)
-
-        worst_gap = 0
-        for i in range(1, n + 1):
-            for l in range(i + 1, min(i + m, n + 1)):
-                claimed = pair_shift_count(i, l, m)
-                brute = sum(
-                    1 for r in range(m)
-                    if (i - r - 1) // m == (l - r - 1) // m
-                )
-                worst_gap = max(worst_gap, abs(claimed - brute))
-        checks.append(Check.eq("pair_shift_cover[exhaustive]",
-                               float(worst_gap), 0.0, 0.0))
 
         parity = []
         for r, (part, bprobs) in enumerate(zip(partitions, block_probs)):

@@ -7,6 +7,7 @@ sweeps and dynamic programs, so the two routes stay independent.
 
 from __future__ import annotations
 
+import collections
 import itertools
 import math
 
@@ -72,3 +73,17 @@ def brute_shift_membership_count(i: int, l: int, m: int) -> int:
         if (i - r - 1) // m == (l - r - 1) // m:
             count += 1
     return count
+
+
+def shift_count_mismatches(n: int, m: int, table, count) -> list[tuple[int, int]]:
+    """The pairs 1 <= i < l <= n at which count(i, l, m) differs from the
+    number of shifts in 0..m-1 whose blocks put i and l together, read
+    from `table`'s rows (shift, j, lo, hi) as ``block_table`` writes
+    them: the rows of shift n, present when m > n, count for the m - n
+    shifts n..m-1."""
+    together = collections.Counter()
+    for r, _, lo, hi in table:
+        for i, l in itertools.combinations(range(lo, hi + 1), 2):
+            together[i, l] += m - n if r == n else 1
+    return [(i, l) for i, l in itertools.combinations(range(1, n + 1), 2)
+            if count(i, l, m) != together[i, l]]

@@ -279,18 +279,6 @@ class TestValidateMessages:
     def test_honest_hand_report_passes(self):
         hand_report().validate()
 
-    def test_first_order_mismatch(self):
-        with pytest.raises(BoundViolationError) as raised:
-            hand_report(thm1_bound=0.3).validate()
-        assert str(raised.value) == "first-order bound/exponent mismatch"
-
-    @pytest.mark.parametrize("exponent, bound", [(0.375, 0.3), (-0.5, 0.1)])
-    def test_second_order_mismatch(self, exponent, bound):
-        """A nonpositive exponent means the bound 0."""
-        with pytest.raises(BoundViolationError) as raised:
-            hand_report(thm2_exponent=exponent, thm2_bound=bound).validate()
-        assert str(raised.value) == "second-order bound/exponent mismatch"
-
     def test_exact_union_below_the_second_order_bound(self):
         """0.29 clears the first-order bound 0.2835 but not 0.3127."""
         with pytest.raises(BoundViolationError) as raised:

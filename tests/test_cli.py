@@ -1121,10 +1121,10 @@ def test_verify_tolerance_edges_match_record_walks(capsys, w1_path, e1_path,
 
 
 def test_verify_holds_no_record_per_check(tmp_path, monkeypatch):
-    """`verify` at N = 400, m = 1 emits 120,014 checks.  Written from the
+    """`verify` at N = 400, m = 1 emits 120,013 checks.  Written from the
     blocks' columns, its traced peak stays below 24 MiB (63 MiB with a
     record and a row dict per check), and it makes no more ``Check.eq``
-    or ``Check.le`` records than the audits have blocks (17 derivation
+    or ``Check.le`` records than the audits have blocks (10 derivation
     blocks at m = 1, at most 51 dependence blocks)."""
     import tracemalloc
     from mdepbounds import Check
@@ -1151,6 +1151,6 @@ def test_verify_holds_no_record_per_check(tmp_path, monkeypatch):
         tracemalloc.stop()
     assert code == 0
     assert json.loads((tmp_path / "out.json").read_text())["derivation"]["total"] \
-        == derivation_check_count(400, 1) == 120_012
+        == derivation_check_count(400, 1) == 120_011
     assert peak < 24 << 20
-    assert records <= 17 + 51
+    assert records <= 10 + 51

@@ -135,7 +135,7 @@ def test_shift_steps_are_one_block_each(m):
     """The product chain of every class, and the block pairs, the block
     Bonferroni checks and the parity split of every shift, are one block
     each, with r as an index or label column, so a report holds at most
-    N + 7 blocks.  No class or shift leaves a block without rows: at m = 20 on
+    N + 6 blocks.  No class or shift leaves a block without rows: at m = 20 on
     30 events, classes of one member have no pair and classes of two no
     triple.  Only the block pairs can be empty, when no shift has blocks
     two apart (N < m + 2)."""
@@ -153,26 +153,26 @@ def test_shift_steps_are_one_block_each(m):
         assert fmts.count("%s[r=%s%s]") == 1
         assert fmts.count("block_bonferroni[r=%s,j=%d]") == 1
         assert kinds.count("block_independence") == 1
-        assert len(report.blocks) <= n + 7
+        assert len(report.blocks) <= n + 6
         empty = [kind for kind, block in zip(kinds, report.blocks)
                  if not len(block.passed)]
         assert empty == (["block_independence"] if n < m + 2 else [])
         assert report == derivation_walk(family)
 
 
-def test_three_events_far_past_n_stay_seven_blocks():
-    """At m = 20,000 the 3-event family's 31 checks are seven blocks, as
+def test_three_events_far_past_n_stay_six_blocks():
+    """At m = 20,000 the 3-event family's 30 checks are six blocks, as
     many checks as ``derivation_check_count`` counts."""
     family = ExplicitEventFamily.from_events([0.5, 0.5], [[0], [0], [1]], 20_000)
     report = verify_derivation(family)
-    assert report.n_checks == derivation_check_count(3, 20_000) == 31
-    assert len(report.blocks) <= 7
+    assert report.n_checks == derivation_check_count(3, 20_000) == 30
+    assert len(report.blocks) <= 6
     assert report.passed
 
 
-def test_three_events_at_m_1e12_are_31_checks():
+def test_three_events_at_m_1e12_are_30_checks():
     """The shifts 3..m-1 are one row set, so the audit at m = 10**12 is
-    the 31 checks it is at m = 5, with distinct names, and holds no
+    the 30 checks it is at m = 5, with distinct names, and holds no
     array that grows with m."""
     import tracemalloc
     family = ExplicitEventFamily.from_events([0.5, 0.5], [[0], [0], [1]], 10 ** 12)
@@ -183,7 +183,7 @@ def test_three_events_at_m_1e12_are_31_checks():
     finally:
         tracemalloc.stop()
     names = [c.name for c in report.checks]
-    assert len(names) == len(set(names)) == 31
+    assert len(names) == len(set(names)) == 30
     assert f"parity_product[r=3..{10 ** 12 - 1},odd]" in names
     assert report.passed
     assert peak < 1 << 20

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from mdepbounds import block_table, pair_shift_count, residue_classes, shifted_blocks
 
 from derivation_walk import layout
-from exhaustive import brute_shift_membership_count
+from exhaustive import brute_shift_membership_count, shift_count_mismatches
 
 
 class TestResidueClasses:
@@ -116,14 +116,12 @@ class TestPairShiftCount:
         assert pair_shift_count(i, l, m) == brute_shift_membership_count(i, l, m)
 
     def test_membership_equals_count_via_blocks(self):
-        """Cross-check against actual block partitions, clipping included."""
-        n, m = 30, 4
-        parts = [shifted_blocks(n, m, r)[:, 1:].tolist() for r in range(m)]
-        for i in range(1, n):
-            for l in range(i + 1, n + 1):
-                together = 0
-                for part in parts:
-                    for lo, hi in part:
-                        if lo <= i <= hi and lo <= l <= hi:
-                            together += 1
-                assert together == pair_shift_count(i, l, m)
+        """Cross-check against actual block partitions: for every
+        1 <= i < l <= N <= 30 and 1 <= m <= 33, the count is the number
+        of shifts under which ``block_table`` puts i and l in one block,
+        the collapsed shift N counting for the m - N shifts N..m-1, so
+        clipped blocks and shifts past N are included."""
+        wrong = [(n, m, shift_count_mismatches(n, m, block_table(n, m).tolist(),
+                                               pair_shift_count))
+                 for n in range(1, 31) for m in range(1, 34)]
+        assert [case for case in wrong if case[2]] == []

@@ -9,7 +9,9 @@ import pytest
 from mdepbounds import (
     ExplicitEventFamily,
     WindowModel,
+    block_table,
     consecutive_run_model,
+    pair_shift_count,
     random_window_model,
     verify_derivation,
 )
@@ -17,6 +19,9 @@ from mdepbounds.errors import CapExceededError
 from mdepbounds.families import MAX_EXPLICIT_OUTCOMES, MAX_WINDOW_TABLE
 from mdepbounds.verify import (MAX_DERIVATION_CHECKS, MAX_TRIPLES_PER_CLASS,
                                derivation_check_count)
+
+from derivation_walk import layout
+from exhaustive import shift_count_mismatches
 
 
 def loop_check_count(n, m):
@@ -33,7 +38,6 @@ def loop_check_count(n, m):
         for r in range(min(m, n + 1)):
             blocks = (n - r - 1) // m - (-r) // m + 1 if n else 0
             count += math.comb(max(blocks - 1, 0), 2) + blocks + 4
-        count += 1
     return count + 1 + (m >= 1)
 
 
@@ -144,7 +148,7 @@ class TestVerifyDerivation:
         # the 3-event family: 2 product-chain rows per class r = 1..3 only,
         # and one row set for the shifts 3..m-1
         assert [derivation_check_count(3, m) for m in (5, 600, 20_000, 60_000)] \
-            == [31, 31, 31, 31]
+            == [30, 30, 30, 30]
 
     @pytest.mark.parametrize("n", [0, 1, 5, 40])
     def test_check_count_at_huge_m(self, n):
@@ -180,38 +184,46 @@ class TestVerifyDerivation:
             assert check.slack == pytest.approx(check.lhs - check.rhs, abs=1e-15)
 
 
-def shift_cover(report):
-    (check,) = (c for c in report.checks if c.name == "pair_shift_cover[exhaustive]")
-    return check
-
-
 @pytest.mark.parametrize("m, d", [(m, d) for m in range(2, 7) for d in range(1, m)])
-def test_shift_cover_catches_a_count_off_at_one_gap(monkeypatch, m, d):
-    """The check visits only i = 1..min(N, m), yet a shift count that is
-    wrong at a single gap still fails it."""
-    from mdepbounds import verify
-    model = consecutive_run_model(3 * m, m=m)
-    assert shift_cover(verify_derivation(model)) == (
-        "pair_shift_cover[exhaustive]", "eq", 0.0, 0.0, 0.0, 0.0, True)
-    count = verify.pair_shift_count
-    monkeypatch.setattr(verify, "pair_shift_count",
-                        lambda i, l, m: count(i, l, m) + (l - i == d))
-    check = shift_cover(verify_derivation(model))
-    assert not check.passed and check.lhs == 1.0
+def test_shift_cover_catches_a_count_off_at_one_gap(m, d):
+    """The shift count reads no number of the family, so no audit row
+    checks it; ``shift_count_mismatches``, which the partition tests
+    run on every N <= 30 and m <= 33, does.  A count that is wrong at a
+    single gap fails it."""
+    table = block_table(3 * m, m).tolist()
+    assert shift_count_mismatches(3 * m, m, table, pair_shift_count) == []
+    off = shift_count_mismatches(3 * m, m, table,
+                                 lambda i, l, m: pair_shift_count(i, l, m) + (l - i == d))
+    assert off and all(l - i == d for i, l in off)
 
 
 @pytest.mark.parametrize("m, s", [(m, s) for m in range(2, 7) for s in range(m)])
-def test_shift_cover_catches_a_layout_off_at_one_shift(monkeypatch, m, s):
-    """The brute side can fail too: a block layout whose boundaries sit
-    one index off at shift s alone fails the check against the true
-    shift count."""
-    from mdepbounds import verify
-    model = consecutive_run_model(3 * m, m=m)
-    position = verify.block_position
-    monkeypatch.setattr(verify, "block_position",
-                        lambda k, m, shift: position(k + (shift == s), m, shift))
-    check = shift_cover(verify_derivation(model))
-    assert not check.passed and check.lhs == 1.0
+def test_shift_cover_catches_a_layout_off_at_one_shift(m, s):
+    """The membership side can fail too: a table whose block boundaries
+    sit one index late at shift s alone fails against the true count."""
+    table = [[r, *row] for r in range(m) for row in layout(3 * m, m, r + (r == s))]
+    assert shift_count_mismatches(3 * m, m, table, pair_shift_count)
+
+
+@pytest.mark.parametrize("tol", [1e-9, 0.0, 1e300])
+def test_every_row_carries_the_audit_tol(tol):
+    """Every derivation row compares numbers of the family's queries
+    under the caller's tol, so the worst row of a passing report is a
+    check of the family, never a row that cannot fail."""
+    rng = np.random.default_rng(32)
+    families = [random_window_model(rng, min_horizon=2, max_horizon=40)
+                for _ in range(20)]
+    families += [ExplicitEventFamily(np.full(4, 0.25), rng.random((n, 4)) < 0.4, m)
+                 for n, m in zip(rng.integers(1, 14, 20), rng.integers(0, 20, 20))]
+    steps = {"residue_independence", "product_chain", "block_independence",
+             "block_bonferroni", "parity_product", "parity_average",
+             "block_mass_exponential", "bound_vs_exact"}
+    for family in families:
+        report = verify_derivation(family, tol=tol)
+        assert {c.tol for c in report.checks} == {tol}
+        assert {c.name.split("[")[0] for c in report.checks} <= steps
+        if report.passed and family.m >= 1:
+            assert report.worst().name.split("[")[0] in steps
 
 
 class TestVerifyReportShape:

@@ -240,8 +240,11 @@ def _parse_sweep(spec: str) -> tuple[str, Sequence[Any]]:
     name = match["name"]
     prob = re.fullmatch(r"p(\d+)|p\((\d+)\)", name)
     if name in ("horizon", "m"):
-        lo, hi = int(match["lo"]), int(match["hi"])
-        step = int(match["step"]) if match["step"] else 1
+        try:
+            lo, hi, step = (int(match[key] or 1) for key in ("lo", "hi", "step"))
+        except ValueError:
+            raise ModelSpecError(f"invalid sweep spec {spec!r}; {name} bounds "
+                                 f"and step must be integers") from None
         if step < 1:
             raise ModelSpecError("integer sweep step must be >= 1")
         values = range(lo, hi + 1, step)

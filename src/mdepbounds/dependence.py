@@ -219,9 +219,9 @@ def check_m_dependence(family: Family, m: int | None = None, *,
             n_splits += sum(map(operator.mul, counts, admits.sum(axis=1).tolist()))
             # The first largest magnitude in (group, split) order.
             magnitude = np.abs(violations)
-            top = violations.flat[magnitude.argmax()]
-            if abs(top) > abs(worst):
-                worst = float(top)
+            peak = violations.flat[magnitude.argmax()]
+            if abs(peak) > abs(worst):
+                worst = float(peak)
             bad = (magnitude > tol) & admits
             room = MAX_DETAILED_FAILURES - len(failures) - len(failing)
             for r in np.flatnonzero(bad.any(axis=1))[:room].tolist():

@@ -10,9 +10,9 @@ j = (k - r - 1) // m + 1, which spans r+(j-1)m+1 .. r+jm; the audit's
 check count reads it.  One writer clips it to rows (shift, j, lo, hi) of
 nonempty blocks: ``block_table`` gives the rows of every distinct layout
 as one array, and ``shifted_blocks`` one shift's rows.  Every shift
-r >= n lays 1..n out as the one block j = 0, so ``block_table`` is the
-one place that knows those shifts repeat: it writes shift n, when
-m > n, for all of n..m-1.
+r >= n lays 1..n out as the one block j = 0, which shift 0 already
+holds as j = 1, so ``block_table`` writes the shifts 0..min(m, n)-1
+only: no two of its rows share an interval.
 """
 
 from __future__ import annotations
@@ -63,18 +63,18 @@ def _block_rows(n: int, m: int, shifts: np.ndarray) -> np.ndarray:
 def block_table(n: int, m: int) -> np.ndarray:
     """The nonempty blocks of 1..n under each distinct layout,
     shift-major: one read-only int64 row (shift, j, lo, hi) per block of
-    the shifts 0..min(m, n+1)-1, where j is the block's position
+    the shifts 0..min(m, n)-1, where j is the block's position
     (``block_position``, which parity splits are taken over) and lo..hi
-    its interval clipped to 1..n.  Shift n, present when m > n, stands
-    for every shift in n..m-1: each holds the one block 1..n at j = 0
-    (none when n = 0).  So the table has O(n) rows at any m."""
-    return _block_rows(n, m, np.arange(min(m, n + 1)))
+    its interval clipped to 1..n.  A shift r >= n adds no row: its one
+    block 1..n at j = 0 is shift 0's block j = 1.  So no two rows share
+    an interval, and the table is the same for every m >= n."""
+    return _block_rows(n, m, np.arange(min(m, n)))
 
 
 def shifted_blocks(n: int, m: int, shift: int) -> np.ndarray:
     """The (j, lo, hi) rows of one shift in 0..m-1, as ``block_table``
-    writes them (a shift past n has shift n's rows), built for that
-    shift alone (O(n/m + 1))."""
+    writes them (a shift r >= n, which it leaves out, has the one block
+    1..n at j = 0), built for that shift alone (O(n/m + 1))."""
     shift = operator.index(shift)
     rows = _block_rows(n, m, np.array([shift]))
     if not 0 <= shift <= m - 1:

@@ -16,23 +16,22 @@ Cost.  The report holds one check per residue-class pair and per block
 pair at block distance >= 2, so it grows as N**2: about 0.75 N**2 checks
 at m = 1, the worst m (``derivation_check_count`` gives the exact
 number, and ``MAX_DERIVATION_CHECKS`` caps it).  It does not grow with
-m past N: every shift r >= N lays 1..N out as one block, so
-``block_table`` writes those shifts once, as shift N, whose rows are
-named ``r=N..m-1`` when they stand for two or more shifts.  Every loop
-of the audit runs over O(min(m, N)) shifts, and the cap binds on N
-alone.  The exact queries do
-not grow that way.  The audit hands the family one array of equal-size
-index sets (``complement_intersection_probs``) per row width: one for
-the pairs of every residue class, one for their capped triples, one per
-class size for the class joints (a class holds floor or ceil of
-N/(m+1) events), and, across every shift, one per total width (2..2m)
-of the far block pairs; that is at most 2m + 3 arrays at any N.  The
-family asks one query per distinct set: on a window model one per row
-of gaps clamped at m+1, so every class's pairs are one query and its
-triples another (every gap in a class is at least m+1), and a width's
-block pairs at most one per pair of block lengths.  Each row of
-``block_table`` is measured once (only the interval 1..N is asked twice,
-by shift 0 and shift N, when m > N).  So a window model's audit makes
+m past N: every shift r >= N lays 1..N out as the one block j = 0,
+which is shift 0's layout with its parities swapped, so such a shift
+writes no row and ``block_table`` leaves it out.  Every loop of the
+audit runs over the shifts 0..min(m, N)-1, and the cap binds on N
+alone.  The exact queries do not grow that way.  The audit hands the
+family one array of equal-size index sets
+(``complement_intersection_probs``) per row width: one for the pairs of
+every residue class, one for their capped triples, one per class size
+for the class joints (a class holds floor or ceil of N/(m+1) events),
+and, across every shift, one per total width (2..2m) of the far block
+pairs; that is at most 2m + 3 arrays at any N.  The family asks one
+query per distinct set: on a window model one per row of gaps clamped at
+m+1, so every class's pairs are one query and its triples another (every
+gap in a class is at least m+1), and a width's block pairs at most one
+per pair of block lengths.  Each row of ``block_table`` is measured
+once: no two rows share an interval.  So a window model's audit makes
 about N + 6m + 2 queries (115 at N = 100, m = 2); an explicit family
 still makes one per check.  Every shift step reads the table's columns;
 a block's Bonferroni pair sum adds prefixes of per-index rows of pair
@@ -41,8 +40,8 @@ masses (no Python per pair).  Checks are kept as blocks
 format over index rows, so the N**2 pair checks run no Python per
 check.  The product chain over the nonempty classes r = 1..min(m+1, N)
 is one block, and so is each shift step over all shifts: r is an index
-column (a label column where shift N may be named by a range), and the
-steps that interleave within a class or shift are a label column.  Only residue pairs and triples (widths differ) stay one
+column, and the steps that interleave within a class or shift are a
+label column.  Only residue pairs and triples (widths differ) stay one
 block per class with pairs, so a report holds at most N + 6 blocks at
 any m.  The report's summary is array reductions, and ``verify``
 writes each block's rows straight from its arrays, one ``%`` format
@@ -81,18 +80,16 @@ def derivation_check_count(n: int, m: int) -> int:
     """Number of checks ``verify_derivation`` emits for N = n events and
     range m, in closed form and in its order: residue-class pairs and
     capped triples, two product-chain checks per nonempty class, then
-    for m >= 1 per distinct shift of ``block_table`` the block pairs at
-    block distance >= 2 (block positions are consecutive), one
+    for m >= 1 per shift 0..min(m, N)-1 of ``block_table`` the block
+    pairs at block distance >= 2 (block positions are consecutive), one
     Bonferroni check per block and four parity checks; and the final
-    bound checks.  O(min(m, N)) time, and constant in m once
-    m >= N + 1."""
+    bound checks.  O(min(m, N)) time, and constant in m once m >= N."""
     count = 0
     for r in range(1, min(m + 1, n) + 1):  # classes past N are empty
         size = len(range(r, n + 1, m + 1))
         count += (math.comb(size, 2)
                   + min(math.comb(size, 3), MAX_TRIPLES_PER_CLASS) + 2)
     if m >= 1:
-        count += (5 if n else 4) * (m > n)  # shift N: at most the block 1..N
         for r in range(min(m, n)):
             blocks = block_position(n, m, r) - block_position(1, m, r) + 1
             count += math.comb(max(blocks - 1, 0), 2) + blocks + 4
@@ -147,9 +144,8 @@ def verify_derivation(family: Family, *, tol: float = 1e-9) -> VerificationRepor
     the family, so no row checks it; tests pin it.
     Block checks are skipped for m = 0, which has no block partition.
     The shift steps run over the layouts of ``block_table``, shifts
-    0..min(m, N+1)-1: every shift r >= N holds the one block 1..N, so
-    shift N, when m > N, stands for all of N..m-1, and from m = N + 2 on
-    its rows are named ``r=N..m-1``.
+    0..min(m, N)-1: every shift r >= N holds the one block 1..N at
+    j = 0, shift 0's rows with odd and even swapped, so it adds no row.
 
     Factorization checks compare joint complement probabilities against
     products of marginals (pairs plus capped triples), not full
@@ -208,15 +204,12 @@ def verify_derivation(family: Family, *, tol: float = 1e-9) -> VerificationRepor
         # The distinct block layouts form one table, shift-major: row t
         # is block js[t], the interval los[t]..his[t], of shift rs[t], and
         # shift r's rows are starts[r]..starts[r+1]-1.  Every shift r >= N
-        # holds the one block 1..N, so the table's shift N, when m > N,
-        # stands for all of N..m-1 and is named by that range.
+        # repeats shift 0's rows with odd and even swapped, so the table
+        # stops at shift min(m, N)-1.
         table = block_table(n, m)
         rs, js, los, his = table.T
-        shifts = min(m, n + 1)
+        shifts = min(m, n)
         starts = np.searchsorted(rs, np.arange(shifts + 1))
-        labels = np.arange(shifts).astype(object)
-        if m >= n + 2:
-            labels[n] = f"{n}..{m - 1}"
         lengths, spans = his - los + 1, table[:, 2:].tolist()
         bprobs = np.array([block_event_prob(family, lo, hi) for lo, hi in spans])
 
@@ -252,10 +245,10 @@ def verify_derivation(family: Family, *, tol: float = 1e-9) -> VerificationRepor
             - sum(itertools.chain.from_iterable(
                 after[i - 1][:hi - i] for i in range(lo, hi)))
             for lo, hi in spans])
-        blocks.append(CheckBlock.le("block_bonferroni[r=%s,j=%d]", lower, bprobs,
-                                    tol, np.column_stack([labels[rs], js])))
+        blocks.append(CheckBlock.le("block_bonferroni[r=%d,j=%d]", lower, bprobs,
+                                    tol, table[:, :2]))
 
-        # Parity split and averaging, four rows per table shift: complements
+        # Parity split and averaging, four rows per shift: complements
         # bounded by parity products, then by exponentials of half the
         # block mass.
         parities = list(zip((js % 2).tolist(), bprobs.tolist()))
@@ -270,8 +263,8 @@ def verify_derivation(family: Family, *, tol: float = 1e-9) -> VerificationRepor
             rhs += (math.prod(1 - p for p in odd), math.prod(1 - p for p in even),
                     half, half)
         blocks.append(CheckBlock.le(
-            "%s[r=%s%s]", lhs, rhs, tol,
-            np.array([row for r in labels.tolist() for row in (
+            "%s[r=%d%s]", lhs, rhs, tol,
+            np.array([row for r in range(shifts) for row in (
                 ("parity_product", r, ",odd"), ("parity_product", r, ",even"),
                 ("parity_average", r, ""), ("block_mass_exponential", r, ""))],
                 dtype=object)))

@@ -10,10 +10,10 @@ package, and it applies no size caps.
 
 It walks every shift r = 0..m-1, laying out each one's blocks by a
 plain loop over block positions, not by the package's block writer.
-Every shift r >= N holds the one block 1..N, and the audit names their
-rows once, as ``r=N..m-1``; the walk folds those shifts' rows into that
-one row set only after asserting that they agree, so the fold loses no
-check.
+Every shift r >= N holds the one block 1..N at j = 0, which shift 0
+holds at j = 1, and the audit writes no row for it; the walk drops
+those shifts' rows only after asserting that each gives shift 0's rows
+with the parities swapped, so the drop loses no check.
 """
 
 from __future__ import annotations
@@ -43,20 +43,21 @@ def layout(n, m, shift):
 
 
 def fold(per_shift, n, m):
-    """The row sets of shifts 0..m-1, with those of shifts N..m-1 folded
-    into one named ``r=N..m-1`` once they agree in everything but r."""
-    if m < n + 2:
-        return list(itertools.chain.from_iterable(per_shift))
-    span = f"[r={n}..{m - 1}"
+    """The row sets of shifts 0..min(m, N)-1, once every shift r in
+    N..m-1 is asserted to give shift 0's rows with ``,odd`` and
+    ``,even`` and ``j=1`` and ``j=0`` swapped, as its one block 1..N
+    sits at j = 0 where shift 0 holds it at j = 1."""
+    swap = {",odd]": ",even]", ",even]": ",odd]",
+            ",j=1]": ",j=0]", ",j=0]": ",j=1]"}
 
-    def named(checks, r):
-        return [check._replace(name=check.name.replace(f"[r={r}", span, 1))
-                for check in checks]
+    def swapped(check, r):
+        head, tail = check.name.split(f"[r={r}", 1)
+        return check._replace(name=f"{head}[r=0{swap.get(tail, tail)}")
 
-    folded = named(per_shift[n], n)
-    for r in range(n + 1, m):
-        assert named(per_shift[r], r) == folded, f"shift {r} differs from shift {n}"
-    return list(itertools.chain.from_iterable(per_shift[:n])) + folded
+    for r in range(n, m):  # names are distinct, so sorting pairs the rows
+        assert sorted(swapped(check, r) for check in per_shift[r]) \
+            == sorted(per_shift[0]), f"shift {r} is not shift 0 swapped"
+    return list(itertools.chain.from_iterable(per_shift[:n]))
 
 
 def derivation_walk(family, *, tol: float = 1e-9) -> VerificationReport:

@@ -79,11 +79,13 @@ def shift_count_mismatches(n: int, m: int, table, count) -> list[tuple[int, int]
     """The pairs 1 <= i < l <= n at which count(i, l, m) differs from the
     number of shifts in 0..m-1 whose blocks put i and l together, read
     from `table`'s rows (shift, j, lo, hi) as ``block_table`` writes
-    them: the rows of shift n, present when m > n, count for the m - n
-    shifts n..m-1."""
+    them, plus, when m > n, the m - n shifts n..m-1 that the table
+    leaves out, each of which holds 1..n as one block."""
     together = collections.Counter()
     for r, _, lo, hi in table:
         for i, l in itertools.combinations(range(lo, hi + 1), 2):
-            together[i, l] += m - n if r == n else 1
+            together[i, l] += 1
+    for i, l in itertools.combinations(range(1, n + 1), 2):
+        together[i, l] += max(m - n, 0)
     return [(i, l) for i, l in itertools.combinations(range(1, n + 1), 2)
             if count(i, l, m) != together[i, l]]

@@ -305,7 +305,12 @@ class TestSweep:
         ("p1=0.1..0.9:-0.1", "probability sweep step must be positive"),
         ("foo=1..2", "unknown sweep parameter 'foo'; supported: horizon, m, "
                      "p<digit> (symbol probability)"),
-    ], ids=["zero-int-step", "negative-prob-step", "unknown-param"])
+        ("horizon=1.5..4", "invalid sweep spec 'horizon=1.5..4'; horizon bounds "
+                           "and step must be integers"),
+        ("horizon=4..8:0.5", "invalid sweep spec 'horizon=4..8:0.5'; horizon "
+                             "bounds and step must be integers"),
+    ], ids=["zero-int-step", "negative-prob-step", "unknown-param",
+            "fractional-int-bound", "fractional-int-step"])
     def test_sweep_spec_errors(self, capsys, w1_path, spec, message):
         assert run_cli(capsys, "sweep", w1_path, spec) \
             == (2, "", f"error: {message}\n")

@@ -10,6 +10,8 @@ included), and guard that the audit's queries on a window model do not
 grow as N**2.
 """
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -134,8 +136,8 @@ def test_queries_are_one_array_per_row_width(monkeypatch, m):
 def test_shift_steps_are_one_block_each(m):
     """The product chain of every class, and the block pairs, the block
     Bonferroni checks and the parity split of every shift, are one block
-    each, with r as an index or label column, so a report holds at most
-    N + 6 blocks.  No class or shift leaves a block without rows: at m = 20 on
+    each, with r as an index column, so a report holds at most N + 6
+    blocks.  No class or shift leaves a block without rows: at m = 20 on
     30 events, classes of one member have no pair and classes of two no
     triple.  Only the block pairs can be empty, when no shift has blocks
     two apart (N < m + 2)."""
@@ -150,8 +152,8 @@ def test_shift_steps_are_one_block_each(m):
         fmts = [block.fmt for block in report.blocks]
         kinds = [fmt.split("[")[0] for fmt in fmts]
         assert fmts.count("product_chain[r=%d,%s]") == 1
-        assert fmts.count("%s[r=%s%s]") == 1
-        assert fmts.count("block_bonferroni[r=%s,j=%d]") == 1
+        assert fmts.count("%s[r=%d%s]") == 1
+        assert fmts.count("block_bonferroni[r=%d,j=%d]") == 1
         assert kinds.count("block_independence") == 1
         assert len(report.blocks) <= n + 6
         empty = [kind for kind, block in zip(kinds, report.blocks)
@@ -161,18 +163,18 @@ def test_shift_steps_are_one_block_each(m):
 
 
 def test_three_events_far_past_n_stay_six_blocks():
-    """At m = 20,000 the 3-event family's 30 checks are six blocks, as
+    """At m = 20,000 the 3-event family's 25 checks are six blocks, as
     many checks as ``derivation_check_count`` counts."""
     family = ExplicitEventFamily.from_events([0.5, 0.5], [[0], [0], [1]], 20_000)
     report = verify_derivation(family)
-    assert report.n_checks == derivation_check_count(3, 20_000) == 30
+    assert report.n_checks == derivation_check_count(3, 20_000) == 25
     assert len(report.blocks) <= 6
     assert report.passed
 
 
-def test_three_events_at_m_1e12_are_30_checks():
-    """The shifts 3..m-1 are one row set, so the audit at m = 10**12 is
-    the 30 checks it is at m = 5, with distinct names, and holds no
+def test_three_events_at_m_1e12_are_25_checks():
+    """The shifts 3..m-1 write no row, so the audit at m = 10**12 is the
+    25 checks it is at m = 3, with the same distinct names, and holds no
     array that grows with m."""
     import tracemalloc
     family = ExplicitEventFamily.from_events([0.5, 0.5], [[0], [0], [1]], 10 ** 12)
@@ -183,29 +185,52 @@ def test_three_events_at_m_1e12_are_30_checks():
     finally:
         tracemalloc.stop()
     names = [c.name for c in report.checks]
-    assert len(names) == len(set(names)) == 30
-    assert f"parity_product[r=3..{10 ** 12 - 1},odd]" in names
+    assert len(names) == len(set(names)) == 25
+    assert names == [c.name for c in verify_derivation(
+        ExplicitEventFamily.from_events([0.5, 0.5], [[0], [0], [1]], 3)).checks]
     assert report.passed
     assert peak < 1 << 20
 
 
-def test_shifts_past_n_are_one_named_row_set():
-    """From m = N + 2 on, the shifts N..m-1 are one block_bonferroni row
-    and four parity rows, named r=N..m-1, and no row names a single
-    shift r >= N.  At m = N + 1 the one shift N keeps its plain name."""
-    events = [[0], [1], [0], [1]]
-    for m, label in [(5, "4"), (6, "4..5"), (60, "4..59")]:
-        family = ExplicitEventFamily.from_events([0.3, 0.7], events, m)
-        names = [c.name for c in verify_derivation(family).checks]
-        past = [name for name in names
-                if "[r=4" in name and not name.startswith("product_chain")]
-        assert past == [f"block_bonferroni[r={label},j=0]",
-                        f"parity_product[r={label},odd]",
-                        f"parity_product[r={label},even]",
-                        f"parity_average[r={label}]",
-                        f"block_mass_exponential[r={label}]"]
-        assert not [name for name in names if "[r=5" in name]
-        assert (".." in "".join(names)) == (m >= 6)
+#: The shift r of a block or parity row's name.
+SHIFT_ROW = re.compile(r"(?:block|parity)_\w+\[r=(\d+)")
+
+
+@pytest.mark.parametrize("window", [False, True])
+def test_shifts_past_n_write_no_row(window):
+    """Every shift r >= N holds 1..N as the one block j = 0, shift 0's
+    rows with odd and even swapped, so past m = N the report's row names
+    stay those at m = N: no name holds a range, and no block or parity
+    row names a shift r >= N."""
+    def family_at(m):
+        if window:  # a window table holds 2**(m+1) entries
+            return random_window_model(1, alphabet_sizes=(2,), dependence_ranges=(m,),
+                                       min_horizon=4, max_horizon=4)
+        return ExplicitEventFamily.from_events([0.3, 0.7], [[0], [1], [0], [1]], m)
+
+    ms = [4, 5, 6] if window else [4, 5, 6, 60, 10 ** 12]
+    at_n = [c.name for c in verify_derivation(family_at(4)).checks]
+    for m in ms:
+        names = [c.name for c in verify_derivation(family_at(m)).checks]
+        assert names == at_n
+        assert not [name for name in names if ".." in name]
+        shifts = [int(match[1]) for match in map(SHIFT_ROW.match, names) if match]
+        assert max(shifts) == 3
+
+
+@pytest.mark.parametrize("m", [1, 2, 60])
+def test_no_events_leave_only_the_bound_rows(m):
+    """At N = 0 every shift holds no block, so the derivation report
+    holds only the two bound rows."""
+    families = [ExplicitEventFamily(np.ones(1), np.zeros((0, 1), dtype=bool), m)]
+    if m <= 2:
+        families.append(random_window_model(m, dependence_ranges=(m,),
+                                            min_horizon=0, max_horizon=0))
+    for family in families:
+        report = verify_derivation(family)
+        assert [c.name for c in report.checks] == ["bound_vs_exact[first_order]",
+                                                   "bound_vs_exact[second_order]"]
+        assert report == derivation_walk(family)
 
 
 @settings(max_examples=100, deadline=None)
@@ -238,9 +263,9 @@ def test_no_product_chain_row_past_n(m):
 
 def test_each_block_table_row_is_measured_once(monkeypatch):
     """The audit asks one block event per row of ``block_table``: the
-    shifts 0..N, the last standing for every shift r >= N, so far past
-    N it asks fewer than ten, and only the interval 1..N twice (shifts
-    0 and N).  Its report is the walk's."""
+    shifts 0..N-1, as every shift r >= N repeats shift 0's block 1..N,
+    so far past N it asks fewer than ten, and every interval once.  Its
+    report is the walk's."""
     from mdepbounds import verify
     asked = []
     measure = verify.block_event_prob
@@ -253,5 +278,5 @@ def test_each_block_table_row_is_measured_once(monkeypatch):
     family = ExplicitEventFamily.from_events([0.3, 0.7], [[0], [1], [0], [1]], 60)
     report = verify_derivation(family)
     assert asked == [tuple(row) for row in block_table(4, 60)[:, 2:].tolist()]
-    assert len(asked) - 1 == len(set(asked)) < 10
+    assert len(asked) == len(set(asked)) < 10
     assert report == derivation_walk(family)

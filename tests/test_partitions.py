@@ -82,20 +82,33 @@ class TestShiftedBlocks:
 
 def test_shifted_blocks_match_the_loop_reference():
     """The scan over block positions in ``tests/derivation_walk.py`` is
-    the reference.  ``block_table`` holds the shifts 0..min(m, n+1)-1:
-    every shift r >= n lays out as shift n does, so shift n stands for
-    them all."""
+    the reference.  ``block_table`` holds the shifts 0..min(m, n)-1:
+    every shift r >= n lays 1..n out as the one block j = 0, which
+    shift 0 holds as j = 1."""
     for n in range(0, 41):
         for m in range(1, 9):
             table = block_table(n, m)  # (shift, j, lo, hi), shift-major
             assert table.dtype == np.int64 and table.shape == (len(table), 4)
             assert not table.flags.writeable
-            assert table.tolist() == [[r, *row] for r in range(min(m, n + 1))
+            assert table.tolist() == [[r, *row] for r in range(min(m, n))
                                       for row in layout(n, m, r)]
             for r in range(m):
                 assert shifted_blocks(n, m, r).tolist() == layout(n, m, r)
-            for r in range(n + 1, m):
-                assert layout(n, m, r) == layout(n, m, n)
+            for r in range(n, m):
+                assert layout(n, m, r) == ([[0, 1, n]] if n else [])
+                assert layout(n, m, 0) == ([[1, 1, n]] if n else [])
+
+
+def test_block_table_rows_are_distinct_and_stop_at_n():
+    """No two rows of ``block_table`` share an interval, and past m = n
+    the table no longer changes: it is the same array for every m >= n."""
+    for n in range(1, 31):
+        for m in range(1, 34):
+            table = block_table(n, m)
+            intervals = set(map(tuple, table[:, 2:].tolist()))
+            assert len(intervals) == len(table)
+            if m >= n:
+                assert np.array_equal(table, block_table(n, n))
 
 
 class TestPairShiftCount:
@@ -119,8 +132,8 @@ class TestPairShiftCount:
         """Cross-check against actual block partitions: for every
         1 <= i < l <= N <= 30 and 1 <= m <= 33, the count is the number
         of shifts under which ``block_table`` puts i and l in one block,
-        the collapsed shift N counting for the m - N shifts N..m-1, so
-        clipped blocks and shifts past N are included."""
+        plus, for m > N, the m - N shifts N..m-1 that each hold 1..N as
+        one block, so clipped blocks and shifts past N are included."""
         wrong = [(n, m, shift_count_mismatches(n, m, block_table(n, m).tolist(),
                                                pair_shift_count))
                  for n in range(1, 31) for m in range(1, 34)]

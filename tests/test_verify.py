@@ -26,7 +26,7 @@ from exhaustive import shift_count_mismatches
 
 def loop_check_count(n, m):
     """``derivation_check_count`` by a loop over every residue class and
-    every shift of ``block_table``, r = 0..min(m, N+1)-1, with each
+    every shift of ``block_table``, r = 0..min(m, N)-1, with each
     shift's blocks counted from the layout rule: the reference for the
     closed form."""
     count = 0
@@ -35,8 +35,8 @@ def loop_check_count(n, m):
         count += (math.comb(size, 2)
                   + min(math.comb(size, 3), MAX_TRIPLES_PER_CLASS) + 2)
     if m >= 1:
-        for r in range(min(m, n + 1)):
-            blocks = (n - r - 1) // m - (-r) // m + 1 if n else 0
+        for r in range(min(m, n)):
+            blocks = (n - r - 1) // m - (-r) // m + 1
             count += math.comb(max(blocks - 1, 0), 2) + blocks + 4
     return count + 1 + (m >= 1)
 
@@ -146,16 +146,18 @@ class TestVerifyDerivation:
         assert [(n, m) for n in range(60) for m in range(70)
                 if derivation_check_count(n, m) != loop_check_count(n, m)] == []
         # the 3-event family: 2 product-chain rows per class r = 1..3 only,
-        # and one row set for the shifts 3..m-1
-        assert [derivation_check_count(3, m) for m in (5, 600, 20_000, 60_000)] \
-            == [30, 30, 30, 30]
+        # and no row for the shifts 3..m-1
+        assert [derivation_check_count(3, m) for m in (3, 5, 600, 20_000, 60_000)] \
+            == [25, 25, 25, 25, 25]
 
     @pytest.mark.parametrize("n", [0, 1, 5, 40])
     def test_check_count_at_huge_m(self, n):
         """Past m = N no class and no shift adds a row: the classes past
-        N are empty and the shifts N..m-1 are one row set, so the count
-        is constant for m >= N + 1, and m = 10**12 is counted at once."""
-        counts = {derivation_check_count(n, m) for m in (n + 1, n + 2, 10 ** 12)}
+        N are empty and the shifts N..m-1 write no row, so the count is
+        constant for m >= N (m >= 1 at N = 0, where m = 0 drops the
+        second-order bound row), and m = 10**12 is counted at once."""
+        counts = {derivation_check_count(n, m)
+                  for m in (max(n, 1), n + 1, n + 2, 10 ** 12)}
         assert counts == {loop_check_count(n, n + 2)}
 
     def test_check_count_is_exact(self):

@@ -11,85 +11,46 @@ dependence claim against the exact oracles, with seeded Monte Carlo as an
 independent cross-check.
 """
 
-from .bounds import (
-    BoundReport,
-    MonteCarloRecord,
-    ThresholdFunction,
-    WindowedBound,
-    build_report,
-    build_threshold,
-    first_order_bound,
-    second_order_bound,
-    second_order_sharper,
-    windowed_bound,
-)
-from .dependence import check_m_dependence, pattern_distribution
-from .errors import BoundViolationError, CapExceededError, ModelSpecError
-from .families import (
-    ExplicitEventFamily,
-    WindowModel,
-    event_prob,
-    expand_window_model,
-    pair_prob,
-    partial_sum,
-    t_local,
-    total_mass,
-)
-from .generate import consecutive_run_model, random_window_model
-from .modelspec import dump_model, load_model, model_to_dict, parse_model
-from .montecarlo import MonteCarloEstimate, estimate_union, wilson_interval
-from .oracle import (block_event_prob, complement_intersection_prob,
-                     complement_intersection_probs, union_prob)
-from .partitions import (block_table, pair_shift_count, residue_classes,
-                         shifted_blocks)
-from .reports import Check, CheckBlock, VerificationReport
-from .verify import verify_derivation
+import importlib
+
+#: Each exported name's home module, listed by module.  A name is imported
+#: from it on first access (PEP 562), so importing the package, or one
+#: module of it, loads no module that its caller does not reach.
+_HOME = {name: module for module, names in {
+    "bounds": ("BoundReport", "MonteCarloRecord", "ThresholdFunction",
+               "WindowedBound", "build_report", "build_threshold",
+               "first_order_bound", "second_order_bound",
+               "second_order_sharper", "windowed_bound"),
+    "dependence": ("check_m_dependence", "pattern_distribution"),
+    "errors": ("BoundViolationError", "CapExceededError", "ModelSpecError"),
+    "families": ("ExplicitEventFamily", "WindowModel", "event_prob",
+                 "expand_window_model", "pair_prob", "partial_sum", "t_local",
+                 "total_mass"),
+    "generate": ("consecutive_run_model", "random_window_model"),
+    "modelspec": ("dump_model", "load_model", "model_to_dict", "parse_model"),
+    "montecarlo": ("MonteCarloEstimate", "estimate_union", "wilson_interval"),
+    "oracle": ("block_event_prob", "complement_intersection_prob",
+               "complement_intersection_probs", "union_prob"),
+    "partitions": ("block_table", "pair_shift_count", "residue_classes",
+                   "shifted_blocks"),
+    "reports": ("Check", "CheckBlock", "VerificationReport"),
+    "verify": ("verify_derivation",),
+}.items() for name in names}
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BoundReport",
-    "BoundViolationError",
-    "CapExceededError",
-    "Check",
-    "CheckBlock",
-    "ExplicitEventFamily",
-    "ModelSpecError",
-    "MonteCarloEstimate",
-    "MonteCarloRecord",
-    "ThresholdFunction",
-    "VerificationReport",
-    "WindowModel",
-    "WindowedBound",
-    "block_event_prob",
-    "block_table",
-    "build_report",
-    "build_threshold",
-    "check_m_dependence",
-    "complement_intersection_prob",
-    "complement_intersection_probs",
-    "consecutive_run_model",
-    "dump_model",
-    "estimate_union",
-    "event_prob",
-    "expand_window_model",
-    "first_order_bound",
-    "load_model",
-    "model_to_dict",
-    "pair_prob",
-    "pair_shift_count",
-    "parse_model",
-    "partial_sum",
-    "pattern_distribution",
-    "random_window_model",
-    "residue_classes",
-    "second_order_bound",
-    "second_order_sharper",
-    "shifted_blocks",
-    "t_local",
-    "total_mass",
-    "union_prob",
-    "verify_derivation",
-    "wilson_interval",
-    "windowed_bound",
-]
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name: str):
+    """Import ``name`` from its home module, once: the value is kept in
+    the package's globals, where later lookups find it."""
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(
+        importlib.import_module(f".{_HOME[name]}", __name__), name)
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

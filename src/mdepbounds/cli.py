@@ -19,7 +19,9 @@ every float first rounded to 12 significant digits.
 
 ``main`` builds its argument parser once per process, so in-process
 callers pay for it on the first call only, and runs verb V's handler
-``_cmd_V``, looked up by name on each call.
+``_cmd_V``, looked up by name on each call.  A handler imports the
+modules it runs when it runs, so a process loads only what its verbs use:
+``mc`` loads neither the bounds nor the audits.
 """
 
 from __future__ import annotations
@@ -31,24 +33,21 @@ import functools
 import io
 import json
 import math
+import os
 import re
-import secrets
 import struct
 import sys
 from json.encoder import encode_basestring_ascii
-from typing import Any, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Any, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .bounds import SLACK_TOL, build_report, build_threshold, windowed_bound
-from .dependence import _require_audit_scale, check_m_dependence
 from .errors import BoundViolationError, CapExceededError, ModelSpecError
 from .modelspec import _number_list, _read_json, load_model, parse_model
-from . import families, montecarlo
-from .montecarlo import estimate_union
-from .oracle import union_prob
-from .reports import Check, CheckBlock, VerificationReport
-from .verify import _require_desk_scale, verify_derivation
+from . import families
+
+if TYPE_CHECKING:
+    from .reports import CheckBlock
 
 CSV_COLUMNS = ["param", "n", "m", "s_n", "t_local", "thm1_bound", "thm2_bound",
                "thm2_sharper", "exact_union", "mc_estimate", "mc_ci_low",
@@ -107,6 +106,8 @@ def _json_pieces(payload: Any) -> Iterator[str]:
     number = _FloatText()
 
     def check_rows(blocks: Sequence[CheckBlock], pad: str) -> Iterator[str]:
+        from .reports import Check
+
         inner = pad + "  "
         sep = ",\n" + inner
         # A row nested `inner` deep with one %s per field.  A slice fills
@@ -151,7 +152,11 @@ def _json_pieces(payload: Any) -> Iterator[str]:
                 head = sep
         yield "[]" if head[0] == "[" else "\n" + pad + "]"
 
-    marker = secrets.token_hex(16)
+    marker = os.urandom(16).hex()
+    # A report exists only once its module is loaded, so a payload built
+    # before that holds none, and is written without loading it.
+    loaded = sys.modules.get(f"{__package__}.reports")
+    report_type = loaded.VerificationReport if loaded else ()
 
     # `reports` is passed down, not closed over: this recursive closure
     # is a reference cycle, which would keep every report's arrays alive
@@ -159,7 +164,7 @@ def _json_pieces(payload: Any) -> Iterator[str]:
     def plain(value: Any, pad: str, reports: list) -> Any:
         if isinstance(value, float):
             return _round12(value)
-        if isinstance(value, VerificationReport):
+        if isinstance(value, report_type):
             reports.append((value.blocks, pad + "  "))
             return {**value.totals(), "checks": marker}
         if isinstance(value, dict):
@@ -199,6 +204,8 @@ def _emit_json(payload: dict, out_path: str | None) -> None:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
+    from .bounds import build_report
+
     report = build_report(load_model(args.model), exact=args.exact,
                           mc=tuple(args.mc) if args.mc else None)
     _emit_json(report.to_dict(), args.out)
@@ -206,6 +213,9 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    from .dependence import _require_audit_scale, check_m_dependence
+    from .verify import _require_desk_scale, verify_derivation
+
     family = load_model(args.model)
     # Both audits' refusals, in this order, before either audit's work.
     _require_desk_scale(family, args.tol)
@@ -254,7 +264,11 @@ def _parse_sweep(spec: str) -> tuple[str, Sequence[Any]]:
         if not match["step"]:
             raise ModelSpecError(
                 "probability sweeps need an explicit step, e.g. p1=0.1..0.9:0.1")
-        lo, hi, step = float(match["lo"]), float(match["hi"]), float(match["step"])
+        try:
+            lo, hi, step = (float(match[key]) for key in ("lo", "hi", "step"))
+        except ValueError:
+            raise ModelSpecError(f"invalid sweep spec {spec!r}; {name} bounds "
+                                 f"and step must be numbers") from None
         if step <= 0:
             raise ModelSpecError("probability sweep step must be positive")
         steps = (hi - lo) / step  # inf for a subnormal step
@@ -307,6 +321,9 @@ def _apply_sweep(template: dict, name: str, value: Any, where: str) -> dict:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
+    from . import montecarlo
+    from .bounds import build_report
+
     template = _read_json(args.model)
     if not isinstance(template, dict):
         raise ModelSpecError(f"{args.model}: top level must be a JSON object")
@@ -350,6 +367,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_window(args: argparse.Namespace) -> int:
+    from .bounds import SLACK_TOL, build_threshold, windowed_bound
+    from .oracle import union_prob
+
     family = load_model(args.model)
     threshold = build_threshold(family)
     result = windowed_bound(family, threshold, args.i, args.window_n)
@@ -369,9 +389,13 @@ def _cmd_window(args: argparse.Namespace) -> int:
 
 
 def _cmd_mc(args: argparse.Namespace) -> int:
+    from .montecarlo import _require_mc_scale, estimate_union
+
     family = load_model(args.model)
     if args.exact:  # the estimate's refusals, then the union's, before any work
-        montecarlo._require_mc_scale(family, args.first, args.last, args.trials)
+        from .oracle import union_prob
+
+        _require_mc_scale(family, args.first, args.last, args.trials)
         exact = union_prob(family, args.first, args.last)
     est = estimate_union(family, args.first, args.last, args.trials, args.seed)
     payload = {

@@ -24,7 +24,7 @@ from mdepbounds import (
     expand_window_model,
     model_to_dict,
 )
-from mdepbounds import cli, families, montecarlo
+from mdepbounds import bounds, cli, families, montecarlo
 from mdepbounds.cli import main
 
 
@@ -309,8 +309,13 @@ class TestSweep:
                            "and step must be integers"),
         ("horizon=4..8:0.5", "invalid sweep spec 'horizon=4..8:0.5'; horizon "
                              "bounds and step must be integers"),
+        ("p1=0.1.2..0.5:0.1", "invalid sweep spec 'p1=0.1.2..0.5:0.1'; p1 "
+                              "bounds and step must be numbers"),
+        ("p1=0.1..0.5:0..1", "invalid sweep spec 'p1=0.1..0.5:0..1'; p1 "
+                             "bounds and step must be numbers"),
     ], ids=["zero-int-step", "negative-prob-step", "unknown-param",
-            "fractional-int-bound", "fractional-int-step"])
+            "fractional-int-bound", "fractional-int-step", "malformed-prob-bound",
+            "malformed-prob-step"])
     def test_sweep_spec_errors(self, capsys, w1_path, spec, message):
         assert run_cli(capsys, "sweep", w1_path, spec) \
             == (2, "", f"error: {message}\n")
@@ -458,7 +463,7 @@ class TestSweep:
 
         path = {"w1": w1_path, "long": tmp_path / "long.json"}[model]
         dump_model(consecutive_run_model(100_000), tmp_path / "long.json")
-        monkeypatch.setattr(cli, "build_report", no_row)
+        monkeypatch.setattr(bounds, "build_report", no_row)
         code, out, got = run_cli(capsys, "sweep", str(path), spec,
                                  *["--exact"][:exact])
         assert (code, out, got) == (2, "", err)
@@ -503,7 +508,7 @@ class TestSweep:
         def no_row(*args, **kwargs):
             raise ValueError("a row was computed")
 
-        monkeypatch.setattr(cli, "build_report", no_row)
+        monkeypatch.setattr(bounds, "build_report", no_row)
         assert run_cli(capsys, "sweep", w1_path, *args) == (2, "", err)
 
     @pytest.mark.parametrize("spec, rows", [
@@ -1159,3 +1164,43 @@ def test_verify_holds_no_record_per_check(tmp_path, monkeypatch):
         == derivation_check_count(400, 1) == 120_011
     assert peak < 24 << 20
     assert records <= 10 + 51
+
+
+#: The modules a verb that runs no audit must not load.
+AUDIT_MODULES = ("mdepbounds.verify", "mdepbounds.dependence",
+                 "mdepbounds.reports", "mdepbounds.partitions")
+
+
+@pytest.mark.parametrize("argv, unloaded", [
+    (["mc", "w1", "1", "24", "2000", "5"], ("mdepbounds.bounds",) + AUDIT_MODULES),
+    (["mc", "w1", "1", "24", "2000", "5", "--exact"],
+     ("mdepbounds.bounds",) + AUDIT_MODULES),
+    (["report", "w1", "--exact", "--mc", "100", "1"], AUDIT_MODULES),
+    (["window", "w1", "0", "2"], AUDIT_MODULES),
+    (["sweep", "w1", "horizon=4..8:2", "--exact", "--mc", "100", "1"], AUDIT_MODULES),
+    (["verify", "w1"], ()),
+    (["verify", "broken"], ()),
+], ids=["mc", "mc-exact", "report", "window", "sweep", "verify", "verify-fails"])
+def test_a_verb_loads_only_the_modules_it_runs(capsys, w1_path, broken_path,
+                                               argv, unloaded):
+    """In a fresh interpreter, ``mc`` loads neither the bounds nor the
+    audits, the other verbs but ``verify`` load no audit, and no verb
+    loads ``hashlib``.  Each writes the bytes that the same call writes in
+    this process, where every module is loaded."""
+    argv = [{"w1": w1_path, "broken": broken_path}.get(arg, arg) for arg in argv]
+    child = textwrap.dedent("""
+        import contextlib, io, json, sys
+        from mdepbounds.cli import main
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(sys.argv[1:])
+        print(json.dumps({"code": code, "out": out.getvalue(),
+                          "loaded": sorted(sys.modules)}))
+    """)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    result = subprocess.run([sys.executable, "-c", child, *argv], cwd=src,
+                            capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    fresh = json.loads(result.stdout)
+    assert set(fresh["loaded"]).isdisjoint(unloaded + ("hashlib",))
+    assert (fresh["code"], fresh["out"]) == run_cli(capsys, *argv)[:2]

@@ -2,13 +2,15 @@
 """Auditing the derivation behind the bounds, step by step.
 
 verify_derivation measures every link in the chain that proves the two
-union lower bounds: residue classes mod (m+1) really contain mutually
-independent events, products of complements sit below exponentials,
-shifted block events are 1-dependent, each block obeys the second-order
-Bonferroni lower bound, and the parity-averaging step closes the
-argument.  The proof's counting lemma, that a local pair at gap d lands
-in a common block for exactly m-d shifts, reads no number of the family,
-so the audit has no row for it (tests pin pair_shift_count instead).
+union lower bounds and that a false m can break: residue classes mod
+(m+1) really contain mutually independent events, shifted block events
+are 1-dependent, and the exact complement sits below the parity
+products and the exponential of half the block mass.  The other links
+hold for any events and any m, so the audit has no row for them: the
+product-to-exponential step 1 - x <= e^-x, the second-order Bonferroni
+bound inside each block, the parity average, and the counting lemma
+that a local pair at gap d lands in a common block for exactly m-d
+shifts (tests pin pair_shift_count instead).
 
 A family whose claimed m is wrong fails loudly, with the offending check
 named and its violation measured.

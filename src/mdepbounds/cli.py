@@ -28,9 +28,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import functools
-import io
 import json
 import math
 import os
@@ -321,6 +319,9 @@ def _apply_sweep(template: dict, name: str, value: Any, where: str) -> dict:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
+    import csv
+    import io
+
     from . import montecarlo
     from .bounds import build_report
 

@@ -1,14 +1,16 @@
 """Audits every inequality in the derivation of the union lower bounds.
 
 For a family claiming dependence range m, the first-order bound rests on
-residue-class independence plus the product-to-exponential inequality,
-and the second-order bound on shifted block partitions: 1-dependence of
-block events, a per-block second-order Bonferroni lower bound, the exact
-shift count for local pairs, and a parity-split averaging step.  Each
-link of that chain that reads the family is measured here against the
-exact oracle and reported with its signed slack.  The shift count is a
-counting lemma about the layout alone (``pair_shift_count``): it reads
-no number of the family, so tests pin it and no row of the report does.
+residue-class independence, and the second-order bound on shifted block
+partitions: 1-dependence of block events and the parity split of their
+complements.  These links use m-dependence, so a false m can break
+them, and each is measured here against the exact oracle and reported
+with its signed slack.  The other links hold for any events and any m:
+the product-to-exponential step 1 - x <= e**-x, the per-block
+second-order Bonferroni bound, the parity average min(e**-x, e**-y) <=
+e**(-(x+y)/2), and the shift count for local pairs, a counting lemma
+about the layout alone (``pair_shift_count``).  No row of the report
+checks them; tests pin the shift count.
 
 Checks run in a fixed order so reports are deterministic and diffable.
 
@@ -32,17 +34,15 @@ m+1, so every class's pairs are one query and its triples another (every
 gap in a class is at least m+1), and a width's block pairs at most one
 per pair of block lengths.  Each row of ``block_table`` is measured
 once: no two rows share an interval.  So a window model's audit makes
-about N + 6m + 2 queries (115 at N = 100, m = 2); an explicit family
-still makes one per check.  Every shift step reads the table's columns;
-a block's Bonferroni pair sum adds prefixes of per-index rows of pair
-masses (no Python per pair).  Checks are kept as blocks
-(``CheckBlock``): lhs, rhs, slack and passed arrays under one name
-format over index rows, so the N**2 pair checks run no Python per
-check.  The product chain over the nonempty classes r = 1..min(m+1, N)
+about N + 5m + 3 queries (113 at N = 100, m = 2); an explicit family
+still makes one per check.  Every shift step reads the table's columns.
+Checks are kept as blocks (``CheckBlock``): lhs, rhs, slack and passed
+arrays under one name format over index rows, so the N**2 pair checks
+run no Python per check.  The product chain over the nonempty classes r = 1..min(m+1, N)
 is one block, and so is each shift step over all shifts: r is an index
-column, and the steps that interleave within a class or shift are a
+column, and the parity steps that interleave within a shift are a
 label column.  Only residue pairs and triples (widths differ) stay one
-block per class with pairs, so a report holds at most N + 6 blocks at
+block per class with pairs, so a report holds at most N + 5 blocks at
 any m.  The report's summary is array reductions, and ``verify``
 writes each block's rows straight from its arrays, one ``%`` format
 per slice of rows; a ``Check`` record per row is built only when a
@@ -79,20 +79,20 @@ MAX_TRIPLES_PER_CLASS = 200
 def derivation_check_count(n: int, m: int) -> int:
     """Number of checks ``verify_derivation`` emits for N = n events and
     range m, in closed form and in its order: residue-class pairs and
-    capped triples, two product-chain checks per nonempty class, then
+    capped triples, one product-chain check per nonempty class, then
     for m >= 1 per shift 0..min(m, N)-1 of ``block_table`` the block
-    pairs at block distance >= 2 (block positions are consecutive), one
-    Bonferroni check per block and four parity checks; and the final
-    bound checks.  O(min(m, N)) time, and constant in m once m >= N."""
+    pairs at block distance >= 2 (block positions are consecutive) and
+    three parity checks; and the final bound checks.  O(min(m, N))
+    time, and constant in m once m >= N."""
     count = 0
     for r in range(1, min(m + 1, n) + 1):  # classes past N are empty
         size = len(range(r, n + 1, m + 1))
         count += (math.comb(size, 2)
-                  + min(math.comb(size, 3), MAX_TRIPLES_PER_CLASS) + 2)
+                  + min(math.comb(size, 3), MAX_TRIPLES_PER_CLASS) + 1)
     if m >= 1:
         for r in range(min(m, n)):
             blocks = block_position(n, m, r) - block_position(1, m, r) + 1
-            count += math.comb(max(blocks - 1, 0), 2) + blocks + 4
+            count += math.comb(max(blocks - 1, 0), 2) + 3
     return count + 1 + (m >= 1)
 
 
@@ -134,14 +134,16 @@ def verify_derivation(family: Family, *, tol: float = 1e-9) -> VerificationRepor
     """Check every step of the bound derivation on one family.
 
     Emits, in order: residue-class independence (pairs exhaustively,
-    index triples up to MAX_TRIPLES_PER_CLASS per class); the
-    product-to-exponential chain per nonempty class; block-event
-    independence at block distance >= 2; the per-block second-order
-    Bonferroni lower bound; the parity-split averaging chain; and
-    finally the exact union against both closed-form bounds.  Every row
-    compares numbers of the family's queries and carries `tol`: the
-    proof's pair-shift count (``pair_shift_count``) reads no number of
-    the family, so no row checks it; tests pin it.
+    index triples up to MAX_TRIPLES_PER_CLASS per class); each nonempty
+    class's joint complement against its product; block-event
+    independence at block distance >= 2; the parity split; and finally
+    the exact union against both closed-form bounds.  Every row
+    compares numbers of the family's queries and carries `tol`, and
+    every row kind fails on some family that misdeclares m.  No row
+    checks a link that holds for any events and any m: 1 - x <= e**-x,
+    the per-block second-order Bonferroni bound, the parity average
+    min(e**-x, e**-y) <= e**(-(x+y)/2), and the proof's pair-shift count
+    (``pair_shift_count``, which tests pin).
     Block checks are skipped for m = 0, which has no block partition.
     The shift steps run over the layouts of ``block_table``, shifts
     0..min(m, N)-1: every shift r >= N holds the one block 1..N at
@@ -156,9 +158,7 @@ def verify_derivation(family: Family, *, tol: float = 1e-9) -> VerificationRepor
     n, m = family.n_events, family.m
     blocks: list[CheckBlock] = []
 
-    events = family.pair_probs(0)  # P(A_k and A_k) = P(A_k)
-    probs = dict(enumerate(events.tolist(), start=1))
-    clear = 1 - events  # clear[k - 1] = 1 - P(A_k)
+    clear = 1 - family.pair_probs(0)  # clear[k - 1] = 1 - P(A_k)
 
     # Residue-class independence: complements of far-apart events factorize.
     # The pairs of every class go to the family as one array, and so do
@@ -180,22 +180,19 @@ def verify_derivation(family: Family, *, tol: float = 1e-9) -> VerificationRepor
             fmt = f"residue_independence[r={r},({','.join(['%d'] * rows.shape[1])})]"
             blocks.append(CheckBlock.eq(fmt, lhs, rhs, tol, rows))
 
-    # Product-to-exponential chain, two rows per class.  A class holds
-    # floor(N/(m+1)) or ceil(N/(m+1)) events, and the classes of one
-    # size go to the family as one array.
+    # Class joints against their products, one row per class.  A class
+    # holds floor(N/(m+1)) or ceil(N/(m+1)) events, and the classes of
+    # one size go to the family as one array.
     joints = [1.0] * len(classes)
     for size in set(map(len, classes)):
         which = [r for r, cls in enumerate(classes) if len(cls) == size]
         rows = np.array([classes[r] for r in which], dtype=np.int64)
         for r, joint in zip(which, complement_intersection_probs(family, rows).tolist()):
             joints[r] = joint
-    products = [math.prod(1 - probs[k] for k in cls) for cls in classes]
-    exponentials = [math.exp(-sum(probs[k] for k in cls)) for cls in classes]
     blocks.append(CheckBlock.le(
-        "product_chain[r=%d,%s]", np.column_stack([joints, products]).ravel(),
-        np.column_stack([products, exponentials]).ravel(), tol,
-        np.array([(r, step) for r in range(1, len(classes) + 1)
-                  for step in ("joint<=product", "product<=exp")], dtype=object)))
+        "product_chain[r=%d,joint<=product]", joints,
+        [math.prod(clear[r::m + 1]) for r in range(len(classes))], tol,
+        np.arange(1, len(classes) + 1)[:, None]))
 
     union_all = union_prob(family, 1, n)
     complement_all = 1.0 - union_all
@@ -231,43 +228,21 @@ def verify_derivation(family: Family, *, tol: float = 1e-9) -> VerificationRepor
                                     (1 - bprobs[a]) * (1 - bprobs[b]), tol,
                                     np.stack([rs[a], js[a], js[b]], axis=1)))
 
-        # Second-order Bonferroni inside every block:
-        # P(B) >= sum P(A_i) - sum_{pairs in B} P(A_i & A_l).  A block
-        # spans at most m events, so its pairs sit at gaps 1..m-1: row
-        # i-1 of `after` holds P(A_i & A_{i+d}) at column d-1, and a
-        # block's pairs in lexicographic order are its rows' prefixes.
-        after = np.zeros((n, max(min(m, n) - 1, 0)))
-        for d in range(1, min(m, n)):
-            after[:n - d, d - 1] = family.pair_probs(d)
-        after = [row[:n - i].tolist() for i, row in enumerate(after, start=1)]
-        lower = np.array([
-            sum(probs[k] for k in range(lo, hi + 1))
-            - sum(itertools.chain.from_iterable(
-                after[i - 1][:hi - i] for i in range(lo, hi)))
-            for lo, hi in spans])
-        blocks.append(CheckBlock.le("block_bonferroni[r=%d,j=%d]", lower, bprobs,
-                                    tol, table[:, :2]))
-
-        # Parity split and averaging, four rows per shift: complements
-        # bounded by parity products, then by exponentials of half the
-        # block mass.
+        # Parity split, three rows per shift: the complement is bounded
+        # by the product over the odd blocks, by that over the even
+        # blocks, and by the exponential of half the block mass.
         parities = list(zip((js % 2).tolist(), bprobs.tolist()))
-        lhs, rhs = [], []
+        rhs = []
         for start, stop in itertools.pairwise(starts.tolist()):
             odd = [p for parity, p in parities[start:stop] if parity]
             even = [p for parity, p in parities[start:stop] if not parity]
-            x, y = sum(odd), sum(even)
-            half = math.exp(-(x + y) / 2)
-            lhs += (complement_all, complement_all,
-                    min(math.exp(-x), math.exp(-y)), complement_all)
             rhs += (math.prod(1 - p for p in odd), math.prod(1 - p for p in even),
-                    half, half)
+                    math.exp(-(sum(odd) + sum(even)) / 2))
         blocks.append(CheckBlock.le(
-            "%s[r=%d%s]", lhs, rhs, tol,
+            "%s[r=%d%s]", [complement_all] * len(rhs), rhs, tol,
             np.array([row for r in range(shifts) for row in (
                 ("parity_product", r, ",odd"), ("parity_product", r, ",even"),
-                ("parity_average", r, ""), ("block_mass_exponential", r, ""))],
-                dtype=object)))
+                ("block_mass_exponential", r, ""))], dtype=object)))
 
     # Final bounds against the exact union probability.
     s_n = partial_sum(family, n)

@@ -1131,10 +1131,10 @@ def test_verify_tolerance_edges_match_record_walks(capsys, w1_path, e1_path,
 
 
 def test_verify_holds_no_record_per_check(tmp_path, monkeypatch):
-    """`verify` at N = 400, m = 1 emits 120,013 checks.  Written from the
+    """`verify` at N = 400, m = 1 emits 119,610 checks.  Written from the
     blocks' columns, its traced peak stays below 24 MiB (63 MiB with a
     record and a row dict per check), and it makes no more ``Check.eq``
-    or ``Check.le`` records than the audits have blocks (10 derivation
+    or ``Check.le`` records than the audits have blocks (9 derivation
     blocks at m = 1, at most 51 dependence blocks)."""
     import tracemalloc
     from mdepbounds import Check
@@ -1161,9 +1161,9 @@ def test_verify_holds_no_record_per_check(tmp_path, monkeypatch):
         tracemalloc.stop()
     assert code == 0
     assert json.loads((tmp_path / "out.json").read_text())["derivation"]["total"] \
-        == derivation_check_count(400, 1) == 120_011
+        == derivation_check_count(400, 1) == 119_608
     assert peak < 24 << 20
-    assert records <= 10 + 51
+    assert records <= 9 + 51
 
 
 #: The modules a verb that runs no audit must not load.
@@ -1172,21 +1172,23 @@ AUDIT_MODULES = ("mdepbounds.verify", "mdepbounds.dependence",
 
 
 @pytest.mark.parametrize("argv, unloaded", [
-    (["mc", "w1", "1", "24", "2000", "5"], ("mdepbounds.bounds",) + AUDIT_MODULES),
+    (["mc", "w1", "1", "24", "2000", "5"],
+     ("mdepbounds.bounds", "csv") + AUDIT_MODULES),
     (["mc", "w1", "1", "24", "2000", "5", "--exact"],
-     ("mdepbounds.bounds",) + AUDIT_MODULES),
-    (["report", "w1", "--exact", "--mc", "100", "1"], AUDIT_MODULES),
-    (["window", "w1", "0", "2"], AUDIT_MODULES),
+     ("mdepbounds.bounds", "csv") + AUDIT_MODULES),
+    (["report", "w1", "--exact", "--mc", "100", "1"], ("csv",) + AUDIT_MODULES),
+    (["window", "w1", "0", "2"], ("csv",) + AUDIT_MODULES),
     (["sweep", "w1", "horizon=4..8:2", "--exact", "--mc", "100", "1"], AUDIT_MODULES),
-    (["verify", "w1"], ()),
-    (["verify", "broken"], ()),
+    (["verify", "w1"], ("csv",)),
+    (["verify", "broken"], ("csv",)),
 ], ids=["mc", "mc-exact", "report", "window", "sweep", "verify", "verify-fails"])
 def test_a_verb_loads_only_the_modules_it_runs(capsys, w1_path, broken_path,
                                                argv, unloaded):
     """In a fresh interpreter, ``mc`` loads neither the bounds nor the
-    audits, the other verbs but ``verify`` load no audit, and no verb
-    loads ``hashlib``.  Each writes the bytes that the same call writes in
-    this process, where every module is loaded."""
+    audits, the other verbs but ``verify`` load no audit, no verb but
+    ``sweep`` loads ``csv``, and no verb loads ``hashlib``.  Each writes
+    the bytes that the same call writes in this process, where every
+    module is loaded."""
     argv = [{"w1": w1_path, "broken": broken_path}.get(arg, arg) for arg in argv]
     child = textwrap.dedent("""
         import contextlib, io, json, sys

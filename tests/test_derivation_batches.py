@@ -85,7 +85,7 @@ def test_queries_do_not_grow_as_n_squared(monkeypatch):
     ``WindowKernel.sweep`` or, for a contiguous union, ``WindowKernel.survival``.
     One oracle call per check made 4,727 of them at N = 100 and 67,077
     at N = 400; batched, the audit makes one per distinct batch row and
-    per block event (115 and 415), so the count grows as N."""
+    per block event (113 and 413), so the count grows as N."""
     calls = []
     sweep, survival = WindowKernel.sweep, WindowKernel.survival
 
@@ -134,10 +134,9 @@ def test_queries_are_one_array_per_row_width(monkeypatch, m):
 
 @pytest.mark.parametrize("m", [2, 5, 20, 2000])
 def test_shift_steps_are_one_block_each(m):
-    """The product chain of every class, and the block pairs, the block
-    Bonferroni checks and the parity split of every shift, are one block
-    each, with r as an index column, so a report holds at most N + 6
-    blocks.  No class or shift leaves a block without rows: at m = 20 on
+    """The product chain of every class, and the block pairs and the
+    parity split of every shift, are one block each, with r as an index
+    column, so a report holds at most N + 5 blocks.  No class or shift leaves a block without rows: at m = 20 on
     30 events, classes of one member have no pair and classes of two no
     triple.  Only the block pairs can be empty, when no shift has blocks
     two apart (N < m + 2)."""
@@ -151,30 +150,29 @@ def test_shift_steps_are_one_block_each(m):
         report = verify_derivation(family)
         fmts = [block.fmt for block in report.blocks]
         kinds = [fmt.split("[")[0] for fmt in fmts]
-        assert fmts.count("product_chain[r=%d,%s]") == 1
+        assert fmts.count("product_chain[r=%d,joint<=product]") == 1
         assert fmts.count("%s[r=%d%s]") == 1
-        assert fmts.count("block_bonferroni[r=%d,j=%d]") == 1
         assert kinds.count("block_independence") == 1
-        assert len(report.blocks) <= n + 6
+        assert len(report.blocks) <= n + 5
         empty = [kind for kind, block in zip(kinds, report.blocks)
                  if not len(block.passed)]
         assert empty == (["block_independence"] if n < m + 2 else [])
         assert report == derivation_walk(family)
 
 
-def test_three_events_far_past_n_stay_six_blocks():
-    """At m = 20,000 the 3-event family's 25 checks are six blocks, as
+def test_three_events_far_past_n_stay_five_blocks():
+    """At m = 20,000 the 3-event family's 14 checks are five blocks, as
     many checks as ``derivation_check_count`` counts."""
     family = ExplicitEventFamily.from_events([0.5, 0.5], [[0], [0], [1]], 20_000)
     report = verify_derivation(family)
-    assert report.n_checks == derivation_check_count(3, 20_000) == 25
-    assert len(report.blocks) <= 6
+    assert report.n_checks == derivation_check_count(3, 20_000) == 14
+    assert len(report.blocks) <= 5
     assert report.passed
 
 
-def test_three_events_at_m_1e12_are_25_checks():
+def test_three_events_at_m_1e12_are_14_checks():
     """The shifts 3..m-1 write no row, so the audit at m = 10**12 is the
-    25 checks it is at m = 3, with the same distinct names, and holds no
+    14 checks it is at m = 3, with the same distinct names, and holds no
     array that grows with m."""
     import tracemalloc
     family = ExplicitEventFamily.from_events([0.5, 0.5], [[0], [0], [1]], 10 ** 12)
@@ -185,7 +183,7 @@ def test_three_events_at_m_1e12_are_25_checks():
     finally:
         tracemalloc.stop()
     names = [c.name for c in report.checks]
-    assert len(names) == len(set(names)) == 25
+    assert len(names) == len(set(names)) == 14
     assert names == [c.name for c in verify_derivation(
         ExplicitEventFamily.from_events([0.5, 0.5], [[0], [0], [1]], 3)).checks]
     assert report.passed
@@ -253,12 +251,11 @@ def test_no_two_rows_share_a_name(seed, n, m, window):
 @pytest.mark.parametrize("m", [5, 600, 20_000])
 def test_no_product_chain_row_past_n(m):
     """The classes past N are empty, so the product chain of the 3-event
-    family has exactly the rows r = 1..3, two each, at any m >= 2."""
+    family has exactly the rows r = 1..3, one each, at any m >= 2."""
     family = ExplicitEventFamily.from_events([0.5, 0.5], [[0], [0], [1]], m)
     chain = [c.name for c in verify_derivation(family).checks
              if c.name.startswith("product_chain[")]
-    assert chain == [f"product_chain[r={r},{step}]" for r in (1, 2, 3)
-                     for step in ("joint<=product", "product<=exp")]
+    assert chain == [f"product_chain[r={r},joint<=product]" for r in (1, 2, 3)]
 
 
 def test_each_block_table_row_is_measured_once(monkeypatch):

@@ -85,10 +85,41 @@ class _FloatText(dict):
         return map(self.__getitem__, values.view(np.int64).tolist())
 
 
+class _IntText(dict):
+    """``"%d" % value`` memoized for one emission: an index column repeats
+    few values (class and shift numbers, event indices up to N)."""
+
+    def __missing__(self, value: int) -> str:
+        text = self[value] = "%d" % value
+        return text
+
+
 #: Check rows are written from a block's columns this many at a time.
 _SLICE_ROWS = 1 << 10
 
 _BOOL_TEXT = ("false", "true")
+
+#: A field of a check name format, or an escaped percent sign.
+_NAME_FIELD = re.compile(r"%([%ds])")
+
+
+def _name_parts(fmt: str) -> tuple[list[str], list[str]]:
+    """The literal texts of a check name format around its ``%d`` and
+    ``%s`` fields, each JSON-escaped without its quotes, and the fields'
+    letters: a name is texts[0], field 0's value, texts[1], ...,
+    texts[-1].  ``%%`` is a literal ``%``."""
+    if "%" not in fmt:
+        return [encode_basestring_ascii(fmt)[1:-1]], []
+    texts, fields = [""], []
+    pieces = _NAME_FIELD.split(fmt)
+    for literal, field in zip(pieces[::2], pieces[1::2] + [""]):
+        texts[-1] += literal
+        if field == "%":
+            texts[-1] += field
+        elif field:
+            fields.append(field)
+            texts.append("")
+    return [encode_basestring_ascii(text)[1:-1] for text in texts], fields
 
 
 def _json_pieces(payload: Any) -> Iterator[str]:
@@ -98,55 +129,80 @@ def _json_pieces(payload: Any) -> Iterator[str]:
     ``to_dict()``.  ``json.dumps`` writes the grammar, once, of a plain
     copy of the payload in which each report is its ``totals()`` with a
     marker string for "checks"; only the check rows, the audits' O(N^2)
-    part, are written here from the blocks' columns, one piece per slice
-    of rows, in place of each marker.  The marker is a random token per
-    call, so no text in the payload can forge one."""
-    number = _FloatText()
+    part, are written here from the blocks' columns, one ``"".join`` per
+    slice of rows, in place of each marker.  The marker is a random
+    token per call, so no text in the payload can forge one."""
+    number, integer = _FloatText(), _IntText()
 
     def check_rows(blocks: Sequence[CheckBlock], pad: str) -> Iterator[str]:
         from .reports import Check
 
         inner = pad + "  "
         sep = ",\n" + inner
-        # A row nested `inner` deep with one %s per field.  A slice fills
-        # in its block's name format, kind and tol and the text of each
-        # value column that is constant on the slice, and leaves %s for
-        # the others; the name is JSON-escaped before the index columns
-        # fill it in, which is exact since they format to digits or to
-        # labels that JSON writes as is.
-        row = ("{\n" + ",\n".join(f"{inner}  {encode_basestring_ascii(key)}: %s"
-                                  for key in Check._fields) + "\n" + inner + "}")
+        # The text of a row before each field's value, and after the last.
+        keys = [f"{inner}  {encode_basestring_ascii(key)}: " for key in Check._fields]
+        before = ["{\n" + keys[0]] + [",\n" + key for key in keys[1:]]
+        close = "\n" + inner + "}"
         head = "[\n" + inner
         for block in blocks:
-            name = encode_basestring_ascii(block.fmt)
-            kind = encode_basestring_ascii(block.kind).replace("%", "%%")
+            texts, fields = _name_parts(block.fmt)
+            labels = block.index.dtype == object
+            kind = encode_basestring_ascii(block.kind)
             tol = number.of(block.tol)
             for lo in range(0, len(block.passed), _SLICE_ROWS):
                 rows = slice(lo, lo + _SLICE_ROWS)
-                columns = block.index[rows].T.tolist()
-                texts = []
-                for values in (block.lhs[rows], block.rhs[rows], block.slack[rows]):
-                    # Constant on its bits, so 0.0 and -0.0 stay apart.
-                    bits = values.view(np.int64)
-                    if (bits == bits[0]).all():
-                        texts.append(number[int(bits[0])])
+                # A row is runs[0], columns[0]'s entry, runs[1], ...,
+                # then `run`: the literal text between the value columns,
+                # which the name's texts and every value that is constant
+                # on the slice join.
+                runs, columns = [], []
+                run = before[0] + '"' + texts[0]
+                for field, text, column in zip(fields, texts[1:],
+                                               block.index[rows].T.tolist()):
+                    runs.append(run)
+                    columns.append(column if field == "s" and labels
+                                   else map(integer.__getitem__, column))
+                    run = text
+                run += '"' + before[1] + kind + before[2]
+                for values, literal in ((block.lhs[rows], before[3]),
+                                        (block.rhs[rows], before[4] + tol + before[5]),
+                                        (block.slack[rows], before[6])):
+                    # Constant on its bits, so 0.0 and -0.0 stay apart:
+                    # every entry's 8 bytes equal the next entry's.
+                    raw = values.tobytes()
+                    if raw[8:] == raw[:-8]:
+                        run += number[int.from_bytes(raw[:8], sys.byteorder,
+                                                     signed=True)]
                     else:
-                        texts.append("%s")
+                        runs.append(run)
                         columns.append(number.column(values))
+                        run = ""
+                    run += literal
                 passed = block.passed[rows]
-                if passed.all() or not passed.any():
-                    texts.append(_BOOL_TEXT[bool(passed[0])])
+                raw = passed.tobytes()
+                if raw[1:] == raw[:-1]:
+                    run += _BOOL_TEXT[bool(raw[0])]
                 else:
-                    texts.append("%s")
+                    runs.append(run)
                     columns.append(map(_BOOL_TEXT.__getitem__, passed.tolist()))
-                lhs, rhs, slack, ok = texts
-                template = row % (name, kind, lhs, rhs, tol, slack, ok)
-                # One flat argument list, row-major over the %-fields.
-                count, width = len(passed), len(columns)
-                fields = [None] * (count * width)
-                for at, column in enumerate(columns):
-                    fields[at::width] = column
-                yield head + sep.join([template] * count) % tuple(fields)
+                    run = ""
+                run += close
+                count = len(passed)
+                if not columns:
+                    yield head + sep.join([run] * count)
+                else:
+                    # Row-major: run j of every row sits at 2j::step and
+                    # column j's entry right after it; one text between
+                    # rows joins a row's last run, the separator and the
+                    # next row's first.
+                    step = 2 * len(columns)
+                    pieces = [run + sep + runs[0]] * (count * step + 1)
+                    for at, (text, column) in enumerate(zip(runs, columns)):
+                        if at:
+                            pieces[2 * at::step] = [text] * count
+                        pieces[2 * at + 1::step] = column
+                    pieces[0], pieces[-1] = head + runs[0], run
+                    yield "".join(pieces)
                 head = sep
         yield "[]" if head[0] == "[" else "\n" + pad + "]"
 

@@ -481,8 +481,13 @@ class WindowKernel:
         rows with the same clamped gaps have the same law wherever they
         start.  After m pass steps the state is the pattern mass times
         the law of m symbols, so a gap wider than m+1 acts like one of
-        m+1, and a row swept before is one stored state's reduce."""
+        m+1, and a row swept before is one stored state's reduce.  A
+        batch whose clamped rows all equal its first, as a residue
+        class's pairs or triples do, is one sweep with no sort; any
+        other batch finds its distinct rows with one ``np.unique``."""
         gaps = np.minimum(np.diff(rows, axis=1, prepend=rows[:, :1]), self.m + 1)
+        if len(gaps) and (gaps == gaps[0]).all():
+            return np.tile(self.sweep(gaps[0, 1:].tolist(), branch), (len(gaps), 1))
         # One opaque item per row (the leading 0 keeps L = 1 rows
         # nonempty), so a 1-D unique finds the distinct rows.
         keys = gaps.view(np.dtype((np.void, gaps.itemsize * gaps.shape[1]))).ravel()

@@ -11,8 +11,11 @@ between tracked windows, clamped at m+1.  The kernel stores the state
 after each mark it sweeps, per gap prefix: a new row costs
 O(L * s**(m+1)) for its clamped span L = 1 + the sum of its gaps, less
 the span of its longest stored prefix, and a repeat one reduce of its
-stored state.  A batch of K index rows of length u costs one clamp and
-one ``np.unique`` over the (K, u) gap array before the sweeps.  A
+stored state.  A batch of K index rows of length u costs one clamp of
+its (K, u) gap array and one compare of it against its first row: a
+batch of one clamped row, as a residue class's pairs or triples are, is
+one sweep, and any other batch finds its distinct rows with one
+``np.unique`` over the gap array before the sweeps.  A
 contiguous range a..b reads entry b - a + 1 of the kernel's survival
 curve: O(1) once the curve is that long, else O(s**(m+1)) per step it
 is extended by, and models that differ only in horizon share the curve.

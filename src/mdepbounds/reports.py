@@ -147,7 +147,8 @@ def _column(values) -> np.ndarray:
 class VerificationReport:
     """Ordered, deterministic run of check blocks; a check record enters
     as its one-row block, ``CheckBlock.of(check)``.  Reports are equal
-    when their checks are."""
+    when their checks are.  The blocks are read-only, so ``passed`` and
+    ``checks`` are computed once, when first read."""
 
     blocks: tuple[CheckBlock, ...]
 
@@ -168,7 +169,7 @@ class VerificationReport:
     def __repr__(self) -> str:
         return f"VerificationReport(checks={self.checks!r})"
 
-    @property
+    @functools.cached_property
     def passed(self) -> bool:
         return all(block.passed.all() for block in self.blocks)
 

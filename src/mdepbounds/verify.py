@@ -44,9 +44,9 @@ column, and the parity steps that interleave within a shift are a
 label column.  Only residue pairs and triples (widths differ) stay one
 block per class with pairs, so a report holds at most N + 5 blocks at
 any m.  The report's summary is array reductions, and ``verify``
-writes each block's rows straight from its arrays, one ``%`` format
-per slice of rows; a ``Check`` record per row is built only when a
-caller asks for ``checks``.
+writes each block's rows straight from its arrays, one ``"".join`` of
+literal text and column texts per slice of rows; a ``Check`` record per
+row is built only when a caller asks for ``checks``.
 """
 
 from __future__ import annotations

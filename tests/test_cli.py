@@ -884,7 +884,7 @@ class TestJsonOutput:
 
 #: Values for the float fields of a check row: every edge value, any
 #: double (NaN, infinities, -0.0 and subnormals included), and now and
-#: then an int, which no row template may take.
+#: then an int, which a row must still write as a float.
 ROW_VALUES = (st.sampled_from(EDGE_FLOATS) | st.floats(allow_nan=True, allow_infinity=True)
               | st.floats(-1e-300, 1e-300) | st.integers(-3, 3))
 ROW_TEXT = st.text(st.sampled_from('ab"\\\n\t/é√ \x00[],:% ') | st.characters(),
@@ -939,20 +939,31 @@ def float_columns(rows):
                        unique_by=lambda value: struct.pack("<d", value)))
 
 
+#: Labels a %s field may hold: ASCII that JSON writes as is, with no %.
+LABELS = st.text(st.characters(min_codepoint=0x20, max_codepoint=0x7E,
+                               exclude_characters='"\\%'), max_size=6)
+
+
 @st.composite
 def check_blocks(draw):
-    """A block with any name text around %d fields, any kind, and value
-    columns that are each constant, pooled or distinct, over up to a few
-    slices of rows; slack and passed are measured from lhs and rhs or
-    drawn the same way.  A block with no index columns has one row."""
+    """A block with any name text around %d fields, and %s fields over
+    label columns mixed in (an object-dtype index, as the parity block's),
+    any kind, and value columns that are each constant, pooled or
+    distinct, over up to a few slices of rows; slack and passed are
+    measured from lhs and rhs or drawn the same way.  A block with no
+    index columns has one row."""
     from mdepbounds import CheckBlock
-    columns = draw(st.integers(0, 3))
+    fields = draw(st.lists(st.sampled_from("ds"), max_size=3))
+    columns = len(fields)
     parts = draw(st.lists(ROW_TEXT, min_size=columns + 1, max_size=columns + 1))
-    fmt = "%d".join(part.replace("%", "%%") for part in parts)
+    fmt = parts[0].replace("%", "%%") + "".join(
+        f"%{field}" + part.replace("%", "%%") for field, part in zip(fields, parts[1:]))
     rows = 1 if columns == 0 else draw(st.integers(0, 10))
-    index = np.array(draw(st.lists(
-        st.lists(st.integers(-10 ** 6, 10 ** 6), min_size=columns, max_size=columns),
-        min_size=rows, max_size=rows)), dtype=np.int64).reshape(rows, columns)
+    cell = {"d": st.integers(-10 ** 6, 10 ** 6), "s": LABELS}
+    index = draw(st.lists(st.tuples(*(cell[field] for field in fields)),
+                          min_size=rows, max_size=rows))
+    index = np.array(index, dtype=object if "s" in fields else np.int64
+                     ).reshape(rows, columns)
     make = draw(st.sampled_from([CheckBlock.eq, CheckBlock.le]))
     block = make(fmt, draw(float_columns(rows)), draw(float_columns(rows)),
                  draw(ROW_FLOATS), index)

@@ -13,10 +13,13 @@ cover the pattern-law width cap and the O(1) pair and event vectors.
 import csv
 import dataclasses
 import io
+import itertools
 import re
 import sys
 import threading
 import tracemalloc
+import types
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -94,6 +97,60 @@ def test_start_law_is_the_kron_product_bit_for_bit(weights, m):
     for _ in range(m):
         expected = np.kron(kernel.dist_array, expected)
     assert kernel.start.tobytes() == expected.tobytes()
+
+
+class _NumpyWith(types.ModuleType):
+    """numpy as ``families`` sees it, with ``unique`` replaced."""
+
+    def __init__(self, unique):
+        super().__init__("numpy")
+        self.unique = unique
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("np.unique over a batch of one clamped row")
+
+
+@settings(max_examples=60, deadline=None)
+@given(law=window_laws(), size=st.integers(1, 3), data=st.data())
+def test_a_batch_of_one_clamped_row_is_one_sweep(law, size, data):
+    """The pairs or triples of a residue class share one row of gaps
+    clamped at m+1, and their batch is answered with no ``np.unique``:
+    its laws are the per-row sweep's, bit for bit, for both actions.
+    The batch with one row of other gaps added still finds its distinct
+    rows with ``np.unique``, and matches too."""
+    s, dist, m, table = law
+    first = data.draw(st.integers(1, m + 1))
+    events = data.draw(st.integers(size, 8))
+    members = range(first, first + events * (m + 1), m + 1)
+    rows = np.array(list(itertools.combinations(members, size)), dtype=np.int64)
+    mixed = np.concatenate([rows, np.arange(1, size + 1)[None]])
+    reference = WindowKernel(dist, m, table)
+
+    def swept(rows, branch):
+        return np.array([reference.sweep(np.minimum(np.diff(row), m + 1).tolist(),
+                                         branch) for row in rows])
+
+    for branch in (False, True):
+        with mock.patch.object(families, "np", _NumpyWith(_refuse)):
+            laws = WindowKernel(dist, m, table).laws(rows, branch)
+        expected = swept(rows, branch)
+        assert laws.shape == expected.shape and laws.flags.writeable
+        assert laws.tobytes() == expected.tobytes()
+        if m and size > 1:  # gaps of 1 differ from the class's m+1
+            calls = []
+
+            def unique(*args, **kwargs):
+                calls.append(args)
+                return np.unique(*args, **kwargs)
+
+            with mock.patch.object(families, "np", _NumpyWith(unique)):
+                laws = WindowKernel(dist, m, table).laws(mixed, branch)
+            assert len(calls) == 1
+            assert laws.tobytes() == swept(mixed, branch).tobytes()
 
 
 def test_curve_clamps_a_law_that_sums_above_one():

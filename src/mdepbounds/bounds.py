@@ -20,7 +20,6 @@ from typing import NamedTuple
 
 from .errors import BoundViolationError
 from .families import Family, partial_sum, t_local, total_mass
-from .montecarlo import _require_mc_scale, estimate_union
 from .oracle import union_prob
 
 #: Exponent differences inside this band count as ties; the sharpness
@@ -239,6 +238,8 @@ def build_report(family: Family, *, exact: bool = False,
     else:
         t = e2 = b2 = sharper = None
     if mc is not None:  # the estimate's refusals before the exact union's
+        from .montecarlo import _require_mc_scale, estimate_union
+
         _require_mc_scale(family, 1, n, mc[0])
     exact_union = union_prob(family, 1, n) if exact else None
     mc_record = None

@@ -45,8 +45,8 @@ from .reports import CheckBlock, VerificationReport, require_tol
 
 #: Evaluating more candidate index subsets (one per subset group) than
 #: this raises instead of silently running for hours; lower max_subset
-#: to stay under it.  Sizes above N have no subset and are not walked,
-#: so they count nothing.
+#: to stay under it.  Sizes above N - m have no split and are not
+#: walked, so they count nothing.
 MAX_SUBSETS = 200_000
 
 #: Pattern-law cells per batch: the audit takes the subset groups of
@@ -130,7 +130,8 @@ def _worst_violations(laws: np.ndarray, pos_i: tuple[int, ...],
 def _require_audit_scale(family: Family, m: int | None, max_subset: int,
                          tol: float) -> tuple[int, int]:
     """Every refusal of ``check_m_dependence``, in order, before any of
-    its work; returns m and the largest size walked, min(max_subset, N)."""
+    its work; returns m and the largest size walked, min(max_subset,
+    N - m)."""
     require_tol(tol)
     m = family.m if m is None else operator.index(m)
     if m < 0:
@@ -138,7 +139,9 @@ def _require_audit_scale(family: Family, m: int | None, max_subset: int,
     max_subset = operator.index(max_subset)
     if max_subset < 2:
         raise ValueError("max_subset must be >= 2")
-    top = min(max_subset, family.n_events)  # no size above N has a subset
+    # A split needs a gap wider than m, so a k-subset with one spans
+    # k + m - 1 or more: no size above N - m has a split.
+    top = min(max_subset, family.n_events - m)
     _require_width(top)
     family.require_query_scale()
     total = sum(family.subset_group_count(size, m + 1) for size in range(2, top + 1))
@@ -152,16 +155,17 @@ def check_m_dependence(family: Family, m: int | None = None, *,
                        max_subset: int = 4, tol: float = 1e-9) -> VerificationReport:
     """Test whether a family satisfies the claimed dependence range m.
 
-    Covers every index set U of size 2..min(max_subset, N), splits it
-    into all (I, J) bipartitions with separation > m, and checks that
+    Covers every index set U of size 2..min(max_subset, N - m), splits
+    it into all (I, J) bipartitions with separation > m, and checks that
     every atom probability factorizes within tol.  Reports one summary
     check per subset size (the worst signed violation, first in subset
     order among ties, and the number of splits) plus detail checks for
     the first MAX_DETAILED_FAILURES failing splits in subset order.  A
-    family with no qualifying splits passes vacuously.  No size above N
-    has a subset, so none is walked or reported: any max_subset >= N
-    gives the report of max_subset = N, and a family of one event an
-    empty report.
+    split needs a gap wider than m, which a k-subset of 1..N holds only
+    when k + m - 1 <= N - 1, so every size walked has splits and no
+    size above N - m is walked or reported: every max_subset >= N - m
+    gives one report, and a claim m >= N - 1, which every family of N
+    events meets, an empty one.
 
     The family groups the subsets (``subset_groups``): members of a
     group share the pattern law and every gap below m+1, so they give
@@ -175,7 +179,7 @@ def check_m_dependence(family: Family, m: int | None = None, *,
 
     Raises, before any work, ValueError for a negative or non-finite tol,
     and CapExceededError for a family whose single exact query is too
-    large (``require_query_scale``), or when min(max_subset, N) exceeds
+    large (``require_query_scale``), or when min(max_subset, N - m) exceeds
     ``MAX_PATTERN_WIDTH`` or the groups (subsets evaluated) exceed
     ``MAX_SUBSETS``: lower max_subset then.
     """

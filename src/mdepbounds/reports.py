@@ -80,8 +80,10 @@ class CheckBlock:
     lhs[i], rhs[i], slack[i] and passed[i].  ``index`` is a (rows,
     columns) array, of object dtype when some are label columns (ASCII
     ``str`` that JSON writes as is, with no ``%``); a one-row block with
-    no columns has the fixed name ``fmt % ()``.  ``le`` and ``eq``
-    compute slack and passed with the same IEEE operations as ``Check``.
+    no columns has the fixed name ``fmt % ()``.  Every column has as
+    many rows as ``index``, or the block raises ValueError.  ``le`` and
+    ``eq`` compute slack and passed with the same IEEE operations as
+    ``Check``.
     """
 
     fmt: str
@@ -94,7 +96,11 @@ class CheckBlock:
     passed: np.ndarray
 
     def __post_init__(self) -> None:
-        for column in (self.index, self.lhs, self.rhs, self.slack, self.passed):
+        columns = (self.index, self.lhs, self.rhs, self.slack, self.passed)
+        if len(set(map(len, columns))) > 1:
+            raise ValueError(f"a check block's index and value columns must have "
+                             f"one row count (got {[len(c) for c in columns]})")
+        for column in columns:
             column.flags.writeable = False
 
     @classmethod

@@ -12,18 +12,24 @@ e**(-(x+y)/2), and the shift count for local pairs, a counting lemma
 about the layout alone (``pair_shift_count``).  No row of the report
 checks them; tests pin the shift count.
 
+A row is written only where some family with the same N and claimed m
+could fail it.  Every family of N events is (N-1)-dependent, so a claim
+m >= N - 1 gets an empty report.  Below that, a residue class of one
+event has no product-chain row (its joint is its own product), and a
+shift of at most two blocks has no row at all: it has no far block pair,
+and with at most one block per parity both parity rows follow from
+monotonicity for any events.  So the audit walks the classes r =
+1..min(m+1, N-m-1), which hold two events or more, and the shifts
+0..m-1 that hold three blocks or more.
+
 Checks run in a fixed order so reports are deterministic and diffable.
 
 Cost.  The report holds one check per residue-class pair and per block
 pair at block distance >= 2, so it grows as N**2: about 0.75 N**2 checks
 at m = 1, the worst m (``derivation_check_count`` gives the exact
-number, and ``MAX_DERIVATION_CHECKS`` caps it).  It does not grow with
-m past N: every shift r >= N lays 1..N out as the one block j = 0,
-which is shift 0's layout with its parities swapped, so such a shift
-writes no row and ``block_table`` leaves it out.  Every loop of the
-audit runs over the shifts 0..min(m, N)-1, and the cap binds on N
-alone.  The exact queries do not grow that way.  The audit hands the
-family one array of equal-size index sets
+number, and ``MAX_DERIVATION_CHECKS`` caps it).  As m < N - 1, the cap
+binds on N alone.  The exact queries do not grow that way.  The audit
+hands the family one array of equal-size index sets
 (``complement_intersection_probs``) per row width: one for the pairs of
 every residue class, one for their capped triples, one per class size
 for the class joints (a class holds floor or ceil of N/(m+1) events),
@@ -32,21 +38,22 @@ pairs; that is at most 2m + 3 arrays at any N.  The family asks one
 query per distinct set: on a window model one per row of gaps clamped at
 m+1, so every class's pairs are one query and its triples another (every
 gap in a class is at least m+1), and a width's block pairs at most one
-per pair of block lengths.  Each row of ``block_table`` is measured
-once: no two rows share an interval.  So a window model's audit makes
-about N + 5m + 3 queries (113 at N = 100, m = 2); an explicit family
-still makes one per check.  Every shift step reads the table's columns.
+per pair of block lengths.  Each block of a shift that writes rows is
+measured once: no two rows of ``block_table`` share an interval.  So a
+window model's audit makes about N + 5m + 3 queries (113 at N = 100,
+m = 2); an explicit family still makes one per check.  Every shift step
+reads the table's columns.
 Checks are kept as blocks (``CheckBlock``): lhs, rhs, slack and passed
 arrays under one name format over index rows, so the N**2 pair checks
-run no Python per check.  The product chain over the nonempty classes r = 1..min(m+1, N)
-is one block, and so is each shift step over all shifts: r is an index
-column, and the parity steps that interleave within a shift are a
-label column.  Only residue pairs and triples (widths differ) stay one
-block per class with pairs, so a report holds at most N + 5 blocks at
-any m.  The report's summary is array reductions, and ``verify``
-writes each block's rows straight from its arrays, one ``"".join`` of
-literal text and column texts per slice of rows; a ``Check`` record per
-row is built only when a caller asks for ``checks``.
+run no Python per check.  The product chain is one block, and so is
+each shift step over all shifts: r is an index column, and the parity
+steps that interleave within a shift are a label column.  Only residue
+pairs and triples (widths differ) stay one block per class with pairs,
+so a report holds at most N + 5 blocks at any m, and none is empty.
+The report's summary is array reductions, and ``verify`` writes each
+block's rows straight from its arrays, one ``"".join`` of literal text
+and column texts per slice of rows; a ``Check`` record per row is built
+only when a caller asks for ``checks``.
 """
 
 from __future__ import annotations
@@ -78,21 +85,23 @@ MAX_TRIPLES_PER_CLASS = 200
 
 def derivation_check_count(n: int, m: int) -> int:
     """Number of checks ``verify_derivation`` emits for N = n events and
-    range m, in closed form and in its order: residue-class pairs and
-    capped triples, one product-chain check per nonempty class, then
-    for m >= 1 per shift 0..min(m, N)-1 of ``block_table`` the block
-    pairs at block distance >= 2 (block positions are consecutive) and
-    three parity checks; and the final bound checks.  O(min(m, N))
-    time, and constant in m once m >= N."""
+    range m, in closed form and in its order: none for m >= N - 1;
+    else residue-class pairs and capped triples and one product-chain
+    check per class of two events or more, then for m >= 1 per shift
+    0..m-1 of three blocks or more (block positions are consecutive) the
+    block pairs at block distance >= 2, one parity check per parity of
+    two blocks or more and the block-mass check; and the final bound
+    checks.  O(m) time."""
+    if m >= n - 1:
+        return 0
     count = 0
-    for r in range(1, min(m + 1, n) + 1):  # classes past N are empty
+    for r in range(1, min(m + 1, n - m - 1) + 1):
         size = len(range(r, n + 1, m + 1))
         count += (math.comb(size, 2)
                   + min(math.comb(size, 3), MAX_TRIPLES_PER_CLASS) + 1)
-    if m >= 1:
-        for r in range(min(m, n)):
-            blocks = block_position(n, m, r) - block_position(1, m, r) + 1
-            count += math.comb(max(blocks - 1, 0), 2) + 3
+    for r in range(m):
+        blocks = block_position(n, m, r) - block_position(1, m, r) + 1
+        count += math.comb(blocks - 1, 2) + 2 * (blocks >= 3) + (blocks >= 4)
     return count + 1 + (m >= 1)
 
 
@@ -113,10 +122,8 @@ def _pairs(values: np.ndarray) -> np.ndarray:
 
 
 def _ask_each(family: Family, batches: list[np.ndarray]) -> list[np.ndarray]:
-    """``complement_intersection_probs`` of each of several arrays of
-    rows of one width, asked as one array (none for no arrays)."""
-    if not batches:
-        return []
+    """``complement_intersection_probs`` of each of one or more arrays
+    of rows of one width, asked as one array."""
     answers = complement_intersection_probs(family, np.concatenate(batches))
     return np.split(answers, np.cumsum([len(rows) for rows in batches])[:-1])
 
@@ -134,20 +141,21 @@ def verify_derivation(family: Family, *, tol: float = 1e-9) -> VerificationRepor
     """Check every step of the bound derivation on one family.
 
     Emits, in order: residue-class independence (pairs exhaustively,
-    index triples up to MAX_TRIPLES_PER_CLASS per class); each nonempty
-    class's joint complement against its product; block-event
-    independence at block distance >= 2; the parity split; and finally
-    the exact union against both closed-form bounds.  Every row
-    compares numbers of the family's queries and carries `tol`, and
-    every row kind fails on some family that misdeclares m.  No row
-    checks a link that holds for any events and any m: 1 - x <= e**-x,
-    the per-block second-order Bonferroni bound, the parity average
-    min(e**-x, e**-y) <= e**(-(x+y)/2), and the proof's pair-shift count
-    (``pair_shift_count``, which tests pin).
-    Block checks are skipped for m = 0, which has no block partition.
-    The shift steps run over the layouts of ``block_table``, shifts
-    0..min(m, N)-1: every shift r >= N holds the one block 1..N at
-    j = 0, shift 0's rows with odd and even swapped, so it adds no row.
+    index triples up to MAX_TRIPLES_PER_CLASS per class); each class's
+    joint complement against its product; block-event independence at
+    block distance >= 2; the parity split; and finally the exact union
+    against both closed-form bounds.  Every row compares numbers of the
+    family's queries and carries `tol`, and every row kind fails on some
+    family that misdeclares m.  No row checks a link that holds for any
+    events and any m: 1 - x <= e**-x, the per-block second-order
+    Bonferroni bound, the parity average min(e**-x, e**-y) <=
+    e**(-(x+y)/2), and the proof's pair-shift count
+    (``pair_shift_count``, which tests pin).  Nor is a row written that
+    every family with the family's N and m passes: a claim m >= N - 1
+    gets an empty report, a class of one event no product-chain row, a
+    shift of at most two blocks no row, and a parity of one block no
+    parity-product row.  Block checks are skipped for m = 0, which has
+    no block partition.
 
     Factorization checks compare joint complement probabilities against
     products of marginals (pairs plus capped triples), not full
@@ -156,23 +164,26 @@ def verify_derivation(family: Family, *, tol: float = 1e-9) -> VerificationRepor
     """
     _require_desk_scale(family, tol)
     n, m = family.n_events, family.m
+    if m >= n - 1:  # every family of N events is (N-1)-dependent
+        return VerificationReport(())
     blocks: list[CheckBlock] = []
 
     clear = 1 - family.pair_probs(0)  # clear[k - 1] = 1 - P(A_k)
 
     # Residue-class independence: complements of far-apart events factorize.
     # The pairs of every class go to the family as one array, and so do
-    # the capped triples.  Only the classes r = 1..min(m+1, N) hold an
-    # event: a class past N is empty, and its factor in the proof is 1.
-    classes = [tuple(range(r, n + 1, m + 1)) for r in range(1, min(m + 1, n) + 1)]
-    wide = [(r, cls) for r, cls in enumerate(classes, start=1) if len(cls) >= 2]
-    pairs = [_pairs(np.array(cls, dtype=np.int64)) for _, cls in wide]
+    # the capped triples.  Only the classes r = 1..min(m+1, N-m-1) hold
+    # two events or more; a class of one has nothing to factorize.
+    classes = [tuple(range(r, n + 1, m + 1))
+               for r in range(1, min(m + 1, n - m - 1) + 1)]
+    pairs = [_pairs(np.array(cls, dtype=np.int64)) for cls in classes]
     triples = [np.fromiter(
         itertools.chain.from_iterable(itertools.islice(
             itertools.combinations(cls, 3), MAX_TRIPLES_PER_CLASS)),
-        dtype=np.int64).reshape(-1, 3) for _, cls in wide]
+        dtype=np.int64).reshape(-1, 3) for cls in classes]
     pair_lhs, triple_lhs = _ask_each(family, pairs), _ask_each(family, triples)
-    for (r, _), *checks in zip(wide, zip(pairs, pair_lhs), zip(triples, triple_lhs)):
+    for r, checks in enumerate(zip(zip(pairs, pair_lhs), zip(triples, triple_lhs)),
+                               start=1):
         for rows, lhs in checks:
             if not len(rows):  # a class of two has no triple
                 continue
@@ -198,15 +209,15 @@ def verify_derivation(family: Family, *, tol: float = 1e-9) -> VerificationRepor
     complement_all = 1.0 - union_all
 
     if m >= 1:
-        # The distinct block layouts form one table, shift-major: row t
-        # is block js[t], the interval los[t]..his[t], of shift rs[t], and
-        # shift r's rows are starts[r]..starts[r+1]-1.  Every shift r >= N
-        # repeats shift 0's rows with odd and even swapped, so the table
-        # stops at shift min(m, N)-1.
+        # The blocks of the shifts that hold three or more, one table,
+        # shift-major: row t is block js[t], the interval los[t]..his[t],
+        # of shift rs[t], and its shift's rows end before stops[t].  A
+        # shift of two blocks or one has no far pair, and at most one
+        # block per parity, so it writes no row.
         table = block_table(n, m)
+        table = table[np.bincount(table[:, 0])[table[:, 0]] >= 3]
         rs, js, los, his = table.T
-        shifts = min(m, n)
-        starts = np.searchsorted(rs, np.arange(shifts + 1))
+        stops = np.searchsorted(rs, rs, side="right")
         lengths, spans = his - los + 1, table[:, 2:].tolist()
         bprobs = np.array([block_event_prob(family, lo, hi) for lo, hi in spans])
 
@@ -215,7 +226,7 @@ def verify_derivation(family: Family, *, tol: float = 1e-9) -> VerificationRepor
         # and a far pair (a, b) asks for block a then block b, so the far
         # pairs whose two blocks hold as many events in all form one
         # array of equal-length rows, whatever their shifts.
-        reach = np.maximum(starts[rs + 1] - np.arange(len(rs)) - 2, 0)
+        reach = np.maximum(stops - np.arange(len(rs)) - 2, 0)
         a = np.repeat(np.arange(len(rs)), reach)
         b = a + 2 + np.arange(len(a)) - np.repeat(np.cumsum(reach) - reach, reach)
         widths = lengths[a] + lengths[b]
@@ -228,21 +239,24 @@ def verify_derivation(family: Family, *, tol: float = 1e-9) -> VerificationRepor
                                     (1 - bprobs[a]) * (1 - bprobs[b]), tol,
                                     np.stack([rs[a], js[a], js[b]], axis=1)))
 
-        # Parity split, three rows per shift: the complement is bounded
-        # by the product over the odd blocks, by that over the even
-        # blocks, and by the exponential of half the block mass.
-        parities = list(zip((js % 2).tolist(), bprobs.tolist()))
-        rhs = []
-        for start, stop in itertools.pairwise(starts.tolist()):
-            odd = [p for parity, p in parities[start:stop] if parity]
-            even = [p for parity, p in parities[start:stop] if not parity]
-            rhs += (math.prod(1 - p for p in odd), math.prod(1 - p for p in even),
-                    math.exp(-(sum(odd) + sum(even)) / 2))
-        blocks.append(CheckBlock.le(
-            "%s[r=%d%s]", [complement_all] * len(rhs), rhs, tol,
-            np.array([row for r in range(shifts) for row in (
-                ("parity_product", r, ",odd"), ("parity_product", r, ",even"),
-                ("block_mass_exponential", r, ""))], dtype=object)))
+        # Parity split, per shift: the complement is bounded by the
+        # product over the odd blocks and by that over the even blocks,
+        # each for a parity of two blocks or more, and by the
+        # exponential of half the block mass.
+        names, rhs = [], []
+        rows = zip(rs.tolist(), (js % 2).tolist(), bprobs.tolist())
+        for r, shift in itertools.groupby(rows, key=operator.itemgetter(0)):
+            shift = list(shift)
+            odd = [p for _, parity, p in shift if parity]
+            even = [p for _, parity, p in shift if not parity]
+            for label, probs in ((",odd", odd), (",even", even)):
+                if len(probs) >= 2:
+                    names.append(("parity_product", r, label))
+                    rhs.append(math.prod(1 - p for p in probs))
+            names.append(("block_mass_exponential", r, ""))
+            rhs.append(math.exp(-(sum(odd) + sum(even)) / 2))
+        blocks.append(CheckBlock.le("%s[r=%d%s]", [complement_all] * len(rhs), rhs,
+                                    tol, np.array(names, dtype=object)))
 
     # Final bounds against the exact union probability.
     s_n = partial_sum(family, n)

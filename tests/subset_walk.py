@@ -62,7 +62,7 @@ def subset_walk(family, m=None, *, max_subset=4, tol=1e-9) -> VerificationReport
     worst_by_size: dict[int, float] = {}
     n_splits_by_size: dict[int, int] = {}
     failures: list[Check] = []
-    for size in range(2, min(max_subset, n) + 1):
+    for size in range(2, min(max_subset, n - m) + 1):  # no larger size has a split
         worst_by_size[size] = 0.0
         n_splits_by_size[size] = 0
         for subset in itertools.combinations(range(1, n + 1), size):

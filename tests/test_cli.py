@@ -194,7 +194,7 @@ class TestVerify:
         dependence audit's."""
         from mdepbounds import dependence
         family = ExplicitEventFamily.from_events(
-            [0.5, 0.5], [[0], [0], [1]] + [[1]] * 150, 152)
+            [0.5, 0.5], [[0], [0], [1]] + [[1]] * 150, 0)
         path = tmp_path / "wide.json"
         dump_model(family, path)
         monkeypatch.setattr(dependence, "MAX_SUBSETS", 1000)
@@ -208,14 +208,15 @@ class TestVerify:
             == (2, "", f"error: {message}\n")
 
     def test_max_subset_past_n_runs_the_audit_of_n(self, capsys, tmp_path):
-        """Sizes above N have no subset and are not walked, so a huge
+        """Sizes above N - m have no split and are not walked, so a huge
         --max-subset is no refusal: it writes the --max-subset N report,
-        byte for byte."""
+        byte for byte, whose largest size is N - m = 7."""
         path = tmp_path / "w8.json"
         dump_model(consecutive_run_model(8, m=1), path)
         code, expected, err = run_cli(capsys, "verify", str(path), "--max-subset", "8")
         assert (code, err) == (0, "")
-        assert '"factorization[subset_size=8,' in expected
+        assert '"factorization[subset_size=7,' in expected
+        assert '"factorization[subset_size=8,' not in expected
         assert run_cli(capsys, "verify", str(path), "--max-subset", "1000000") \
             == (0, expected, "")
 
@@ -951,7 +952,10 @@ def check_blocks(draw):
     any kind, and value columns that are each constant, pooled or
     distinct, over up to a few slices of rows; slack and passed are
     measured from lhs and rhs or drawn the same way.  A block with no
-    index columns has one row."""
+    index columns has one row.  Up to ten rows over the writer's slices
+    of three (``test_block_rows_match_reference``) put label-named rows
+    across slice boundaries, as a parity block of more than 1,024 rows
+    crosses the writer's 1,024-row slices."""
     from mdepbounds import CheckBlock
     fields = draw(st.lists(st.sampled_from("ds"), max_size=3))
     columns = len(fields)

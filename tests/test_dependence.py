@@ -139,11 +139,11 @@ class TestCheckMDependence:
             check_m_dependence(family, tol=tol)
 
     def test_summary_rows_are_capped_before_any_work(self, monkeypatch):
-        """One summary row per size 2..min(max_subset, N): sizes past N add
-        no row and nothing to the MAX_SUBSETS count, so a huge max_subset
-        is refused, or run, on the groups of sizes up to N alone, and a
-        refusal comes before the groups are listed."""
-        family = ExplicitEventFamily.from_events([0.5, 0.5], [[0], [1]], 1)
+        """One summary row per size 2..min(max_subset, N - m): sizes past
+        N - m add no row and nothing to the MAX_SUBSETS count, so a huge
+        max_subset is refused, or run, on the groups of sizes up to
+        N - m alone, and a refusal comes before the groups are listed."""
+        family = ExplicitEventFamily.from_events([0.25] * 4, [[2, 3], [1, 3]], 0)
         monkeypatch.setattr(dependence, "MAX_SUBSETS", 0)
         monkeypatch.setattr(ExplicitEventFamily, "subset_groups", no_work)
         for max_subset in (12, 10 ** 18):
@@ -195,7 +195,8 @@ class TestCheckMDependence:
         """A size above N has no subset, so it is neither walked nor
         reported, nor counted against MAX_SUBSETS: every max_subset >= N,
         10**18 included, gives the max_subset = N report, and its
-        2**(size-1) split table is never built."""
+        2**(size-1) split table is never built.  Nor is a size above
+        N - m, which has no split: the claim m = 1 stops at size 5."""
         family = consecutive_run_model(6, m=1)
         if explicit:
             family = expand_window_model(family)
@@ -216,7 +217,7 @@ class TestCheckMDependence:
             assert report == expected
             sizes = [int(c.name.split("=")[1].split(",")[0]) for c in report.checks
                      if c.name.startswith("factorization[")]
-            assert sizes == [2, 3, 4, 5, 6]
+            assert sizes == list(range(2, 8 - far))
 
     @pytest.mark.parametrize("explicit", [False, True], ids=["window", "explicit"])
     def test_sizes_above_n_ask_the_family_nothing(self, monkeypatch, explicit):

@@ -19,7 +19,6 @@ from hypothesis import strategies as st
 
 from mdepbounds import (
     ExplicitEventFamily,
-    block_table,
     consecutive_run_model,
     expand_window_model,
     random_window_model,
@@ -28,7 +27,7 @@ from mdepbounds import (
 from mdepbounds.families import WindowKernel
 from mdepbounds.verify import derivation_check_count
 
-from derivation_walk import derivation_walk
+from derivation_walk import derivation_walk, layout
 
 
 @settings(max_examples=150, deadline=None)
@@ -136,10 +135,11 @@ def test_queries_are_one_array_per_row_width(monkeypatch, m):
 def test_shift_steps_are_one_block_each(m):
     """The product chain of every class, and the block pairs and the
     parity split of every shift, are one block each, with r as an index
-    column, so a report holds at most N + 5 blocks.  No class or shift leaves a block without rows: at m = 20 on
-    30 events, classes of one member have no pair and classes of two no
-    triple.  Only the block pairs can be empty, when no shift has blocks
-    two apart (N < m + 2)."""
+    column, so a report holds at most N + 5 blocks, and none is empty:
+    at m = 20 on 30 events, classes of one member and shifts of two
+    blocks write no row, and classes of two no triple.  At m = 2000 >=
+    N - 1 the claim holds for any 30 events, and the report holds no
+    block."""
     families = [ExplicitEventFamily.from_events([0.5, 0.5], [[0], [0], [1]] * 10, m)]
     if m <= 5:  # a window table holds 2**(m+1) entries
         families.append(random_window_model(
@@ -148,46 +148,50 @@ def test_shift_steps_are_one_block_each(m):
     for family in families:
         n = family.n_events
         report = verify_derivation(family)
+        assert report == derivation_walk(family)
+        if m >= n - 1:
+            assert report.blocks == ()
+            continue
         fmts = [block.fmt for block in report.blocks]
         kinds = [fmt.split("[")[0] for fmt in fmts]
         assert fmts.count("product_chain[r=%d,joint<=product]") == 1
         assert fmts.count("%s[r=%d%s]") == 1
         assert kinds.count("block_independence") == 1
         assert len(report.blocks) <= n + 5
-        empty = [kind for kind, block in zip(kinds, report.blocks)
-                 if not len(block.passed)]
-        assert empty == (["block_independence"] if n < m + 2 else [])
-        assert report == derivation_walk(family)
+        assert all(len(block.passed) for block in report.blocks)
+
+
+def _three_events(m):
+    return ExplicitEventFamily.from_events([0.5, 0.5], [[0], [0], [1]], m)
 
 
 def test_three_events_far_past_n_stay_five_blocks():
-    """At m = 20,000 the 3-event family's 14 checks are five blocks, as
+    """At m = 20,000 the 3-event report stays within five blocks: any
+    three events are 2-dependent, so from m = 2 on it holds none, as
     many checks as ``derivation_check_count`` counts."""
-    family = ExplicitEventFamily.from_events([0.5, 0.5], [[0], [0], [1]], 20_000)
-    report = verify_derivation(family)
-    assert report.n_checks == derivation_check_count(3, 20_000) == 14
-    assert len(report.blocks) <= 5
-    assert report.passed
+    for m in (2, 20_000):
+        report = verify_derivation(_three_events(m))
+        assert report.n_checks == derivation_check_count(3, m) == 0
+        assert report.blocks == () and report.passed
 
 
 def test_three_events_at_m_1e12_are_14_checks():
-    """The shifts 3..m-1 write no row, so the audit at m = 10**12 is the
-    14 checks it is at m = 3, with the same distinct names, and holds no
-    array that grows with m."""
+    """The 3-event audit at m = 10**12 was the 14 checks of m = 3; a
+    claim m >= N - 1 now writes no row, so it is the empty audit of
+    m = 2, and holds no array that grows with m.  At m = 1 it checks
+    the claim."""
     import tracemalloc
-    family = ExplicitEventFamily.from_events([0.5, 0.5], [[0], [0], [1]], 10 ** 12)
+
     tracemalloc.start()
     try:
-        report = verify_derivation(family)
+        report = verify_derivation(_three_events(10 ** 12))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    names = [c.name for c in report.checks]
-    assert len(names) == len(set(names)) == 14
-    assert names == [c.name for c in verify_derivation(
-        ExplicitEventFamily.from_events([0.5, 0.5], [[0], [0], [1]], 3)).checks]
-    assert report.passed
+    assert report.blocks == () and report.passed
+    assert report == verify_derivation(_three_events(2))
     assert peak < 1 << 20
+    assert verify_derivation(_three_events(1)).n_checks == derivation_check_count(3, 1) > 0
 
 
 #: The shift r of a block or parity row's name.
@@ -196,38 +200,36 @@ SHIFT_ROW = re.compile(r"(?:block|parity)_\w+\[r=(\d+)")
 
 @pytest.mark.parametrize("window", [False, True])
 def test_shifts_past_n_write_no_row(window):
-    """Every shift r >= N holds 1..N as the one block j = 0, shift 0's
-    rows with odd and even swapped, so past m = N the report's row names
-    stay those at m = N: no name holds a range, and no block or parity
-    row names a shift r >= N."""
+    """A claim m >= N - 1 writes no row, and below it the shifts run
+    0..m-1 < N, so no block or parity row names a shift r >= N, and no
+    name holds a range."""
     def family_at(m):
         if window:  # a window table holds 2**(m+1) entries
             return random_window_model(1, alphabet_sizes=(2,), dependence_ranges=(m,),
-                                       min_horizon=4, max_horizon=4)
-        return ExplicitEventFamily.from_events([0.3, 0.7], [[0], [1], [0], [1]], m)
+                                       min_horizon=8, max_horizon=8)
+        return ExplicitEventFamily.from_events([0.3, 0.7], [[0], [1]] * 4, m)
 
-    ms = [4, 5, 6] if window else [4, 5, 6, 60, 10 ** 12]
-    at_n = [c.name for c in verify_derivation(family_at(4)).checks]
-    for m in ms:
+    for m in [4, 5, 6, 7, 8] if window else [4, 5, 6, 7, 8, 60, 10 ** 12]:
         names = [c.name for c in verify_derivation(family_at(m)).checks]
-        assert names == at_n
         assert not [name for name in names if ".." in name]
         shifts = [int(match[1]) for match in map(SHIFT_ROW.match, names) if match]
-        assert max(shifts) == 3
+        if m >= 7:
+            assert names == []
+        else:  # a shift r >= 1 holds three blocks while r + m < N
+            assert max(shifts) == min(m - 1, 7 - m)
 
 
 @pytest.mark.parametrize("m", [1, 2, 60])
-def test_no_events_leave_only_the_bound_rows(m):
-    """At N = 0 every shift holds no block, so the derivation report
-    holds only the two bound rows."""
+def test_no_events_leave_no_row(m):
+    """Every claim holds for no events, so at N = 0 the derivation
+    report holds no row, as the walk's."""
     families = [ExplicitEventFamily(np.ones(1), np.zeros((0, 1), dtype=bool), m)]
     if m <= 2:
         families.append(random_window_model(m, dependence_ranges=(m,),
                                             min_horizon=0, max_horizon=0))
     for family in families:
         report = verify_derivation(family)
-        assert [c.name for c in report.checks] == ["bound_vs_exact[first_order]",
-                                                   "bound_vs_exact[second_order]"]
+        assert report.checks == () and report.passed
         assert report == derivation_walk(family)
 
 
@@ -250,19 +252,24 @@ def test_no_two_rows_share_a_name(seed, n, m, window):
 
 @pytest.mark.parametrize("m", [5, 600, 20_000])
 def test_no_product_chain_row_past_n(m):
-    """The classes past N are empty, so the product chain of the 3-event
-    family has exactly the rows r = 1..3, one each, at any m >= 2."""
-    family = ExplicitEventFamily.from_events([0.5, 0.5], [[0], [0], [1]], m)
-    chain = [c.name for c in verify_derivation(family).checks
-             if c.name.startswith("product_chain[")]
-    assert chain == [f"product_chain[r={r},joint<=product]" for r in (1, 2, 3)]
+    """The product chain names only the classes r = 1..min(m+1, N-m-1)
+    of two events or more: a class past N is empty, and a class of one
+    event is its own product.  So the 3-event family has no product-chain
+    row at m >= 2, where the claim holds for any three events, and at
+    m = 1 the row of its class {1, 3} alone, not of {2}."""
+    def chain(m):
+        family = ExplicitEventFamily.from_events([0.5, 0.5], [[0], [0], [1]], m)
+        return [c.name for c in verify_derivation(family).checks
+                if c.name.startswith("product_chain[")]
+
+    assert chain(m) == []
+    assert chain(1) == ["product_chain[r=1,joint<=product]"]
 
 
 def test_each_block_table_row_is_measured_once(monkeypatch):
-    """The audit asks one block event per row of ``block_table``: the
-    shifts 0..N-1, as every shift r >= N repeats shift 0's block 1..N,
-    so far past N it asks fewer than ten, and every interval once.  Its
-    report is the walk's."""
+    """The audit asks one block event per block of a shift that writes
+    rows, one of three blocks or more, so every interval once and none of
+    a shift of two blocks.  Its report is the walk's."""
     from mdepbounds import verify
     asked = []
     measure = verify.block_event_prob
@@ -272,8 +279,10 @@ def test_each_block_table_row_is_measured_once(monkeypatch):
         return measure(family, lo, hi)
 
     monkeypatch.setattr(verify, "block_event_prob", counted)
-    family = ExplicitEventFamily.from_events([0.3, 0.7], [[0], [1], [0], [1]], 60)
+    family = ExplicitEventFamily.from_events([0.3, 0.7], [[0], [1]] * 4, 4)
     report = verify_derivation(family)
-    assert asked == [tuple(row) for row in block_table(4, 60)[:, 2:].tolist()]
-    assert len(asked) == len(set(asked)) < 10
+    layouts = [layout(8, 4, r) for r in range(4)]
+    assert asked == [(lo, hi) for rows in layouts if len(rows) >= 3
+                     for _, lo, hi in rows]
+    assert len(asked) == len(set(asked)) == 9
     assert report == derivation_walk(family)

@@ -32,18 +32,23 @@ from exhaustive import shift_count_mismatches
 
 def loop_check_count(n, m):
     """``derivation_check_count`` by a loop over every residue class and
-    every shift of ``block_table``, r = 0..min(m, N)-1, with each
-    shift's blocks counted from the layout rule: the reference for the
-    closed form."""
+    every shift r = 0..m-1, with each shift's blocks laid out by the
+    layout rule and each row rule applied as stated: the reference for
+    the closed form."""
+    if m >= n - 1:  # every family of N events is (N-1)-dependent
+        return 0
     count = 0
-    for r in range(1, min(m + 1, n) + 1):
+    for r in range(1, m + 2):
         size = len(range(r, n + 1, m + 1))
-        count += (math.comb(size, 2)
-                  + min(math.comb(size, 3), MAX_TRIPLES_PER_CLASS) + 1)
-    if m >= 1:
-        for r in range(min(m, n)):
-            blocks = (n - r - 1) // m - (-r) // m + 1
-            count += math.comb(max(blocks - 1, 0), 2) + 3
+        if size >= 2:  # a class of one has no row
+            count += (math.comb(size, 2)
+                      + min(math.comb(size, 3), MAX_TRIPLES_PER_CLASS) + 1)
+    for r in range(m):
+        js = [j for j, _, _ in layout(n, m, r)]
+        if len(js) >= 3:  # a shift of two blocks or one has no row
+            odd = sum(j % 2 for j in js)
+            count += (math.comb(len(js) - 1, 2) + (odd >= 2)
+                      + (len(js) - odd >= 2) + 1)
     return count + 1 + (m >= 1)
 
 
@@ -149,22 +154,22 @@ class TestVerifyDerivation:
                    for m in range(12))
 
     def test_check_count_matches_the_loop(self):
-        assert [(n, m) for n in range(60) for m in range(70)
+        assert [(n, m) for n in range(61) for m in range(71)
                 if derivation_check_count(n, m) != loop_check_count(n, m)] == []
-        # the 3-event family: 1 product-chain row per class r = 1..3 only,
-        # 3 parity rows per shift 0..2, and no row for the shifts 3..m-1
+        # the 3-event family: every claim m >= 2 holds for any 3 events
         assert [derivation_check_count(3, m) for m in (3, 5, 600, 20_000, 60_000)] \
-            == [14, 14, 14, 14, 14]
+            == [0, 0, 0, 0, 0]
 
     @pytest.mark.parametrize("n", [0, 1, 5, 40])
     def test_check_count_at_huge_m(self, n):
-        """Past m = N no class and no shift adds a row: the classes past
-        N are empty and the shifts N..m-1 write no row, so the count is
-        constant for m >= N (m >= 1 at N = 0, where m = 0 drops the
-        second-order bound row), and m = 10**12 is counted at once."""
+        """From m = N - 1 on, every family of N events meets the claim,
+        so the audit writes no row, and m = 10**12 is counted at once;
+        at m = N - 2 some row can fail."""
         counts = {derivation_check_count(n, m)
-                  for m in (max(n, 1), n + 1, n + 2, 10 ** 12)}
-        assert counts == {loop_check_count(n, n + 2)}
+                  for m in (max(n - 1, 0), n, n + 1, 10 ** 12)}
+        assert counts == {0}
+        if n >= 2:
+            assert derivation_check_count(n, n - 2) == loop_check_count(n, n - 2) > 0
 
     def test_check_count_is_exact(self):
         rng = np.random.default_rng(404)
@@ -227,6 +232,9 @@ def test_every_row_carries_the_audit_tol(tol):
              "parity_product", "block_mass_exponential", "bound_vs_exact"}
     for family in families:
         report = verify_derivation(family, tol=tol)
+        if family.m >= family.n_events - 1:  # a claim every family meets
+            assert report.checks == ()
+            continue
         assert {c.tol for c in report.checks} == {tol}
         assert {c.name.split("[")[0] for c in report.checks} <= steps
         if report.passed and family.m >= 1:
@@ -280,7 +288,7 @@ def test_no_row_checks_a_link_that_holds_for_every_family():
         report = verify_derivation(random_window_model(seed, min_horizon=2,
                                                        max_horizon=40))
         assert not [c.name for c in report.checks if ELEMENTARY.match(c.name)]
-        if report.passed:
+        if report.passed and report.n_checks:
             assert not ELEMENTARY.match(report.worst().name)
 
 
@@ -351,6 +359,20 @@ class TestVerifyReportShape:
         assert violations[0] == rows[0].violation == -math.inf
         assert math.isnan(violations[1]) and math.isnan(rows[1].violation)
         assert worst == rows[2]
+
+    def test_a_block_has_one_row_count(self):
+        """Two value rows under the one-row default index were read as a
+        block of two checks whose second row has no name; such a block,
+        and columns of unequal lengths, are refused."""
+        from mdepbounds import CheckBlock
+        with pytest.raises(ValueError, match=r"one row count \(got \[1, 2, 2, 2, 2\]\)"):
+            CheckBlock.le("x", [0.0, 1.0], [1.0, 1.0], 0.0)
+        with pytest.raises(ValueError, match="one row count"):
+            CheckBlock.eq("x[%d]", [], [], 0.0)
+        block = CheckBlock.le("x[%d]", [0.0, 1.0], [1.0, 1.0], 0.0, np.array([[1], [2]]))
+        with pytest.raises(ValueError, match=r"\(got \[2, 2, 2, 2, 1\]\)"):
+            CheckBlock(block.fmt, block.index, block.kind, block.lhs, block.rhs,
+                       block.tol, block.slack, block.passed[:1])
 
     def test_equality_with_a_non_report_is_not_implemented(self):
         from mdepbounds import VerificationReport

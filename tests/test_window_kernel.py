@@ -421,8 +421,9 @@ class TestPatternWidthCap:
         with pytest.raises(CapExceededError, match=(
                 "pattern laws of 17 events exceed the width cap 16")):
             check_m_dependence(consecutive_run_model(40, m=1), max_subset=17)
+        # sizes up to N - m = 17 have a split
         with pytest.raises(CapExceededError, match="of 17 events"):
-            check_m_dependence(consecutive_run_model(17, m=1), max_subset=20)
+            check_m_dependence(consecutive_run_model(18, m=1), max_subset=20)
 
     def test_verify_past_the_width_cap_exits_2(self, capsys, tmp_path, no_law):
         """The derivation audit runs first and sweeps; the dependence

@@ -28,13 +28,22 @@ and leave the chunk, so the next segment draws only for the live ones.
 The first segment is ``_SEGMENT`` windows wide; each next one at most
 doubles, within ``_WIDEST`` and the room the live trials leave in the
 buffers, so a trial that fires early costs about one segment, not N + m
-draws.  The buffers are position-major (symbol position x live trial) and
-allocated once per call: a segment's words are one broadcast add of each
-position's counter step to the live trials' base words, its Horner slices
-are contiguous row blocks, and a trial's verdict is one OR down a column.
-They hold a fixed budget of cells, so working memory grows with neither
-the trial count nor the horizon, and stays in a core's L2 cache across
-the passes over a segment.
+draws.  The buffers are position-major (symbol position x live trial): a
+segment's words are one broadcast add of each position's counter step to
+the live trials' base words, its Horner slices are contiguous row blocks,
+and a trial's verdict is one OR down a column.  They take 16 bytes a
+cell: the words and the mix scratch 8 each, and the symbol, flag, index
+and mark buffers are views of the scratch's bytes, which are free once a
+segment is mixed (at most 2 + 1 + 2 + 1 bytes a cell for a table of up
+to 2**16 entries; the scratch widens past 8 bytes a cell only when they
+take more).  Chunks run on two workers, threads that each own a buffer
+set of ``_CELL_BUDGET`` cells, pull chunk starts from one iterator and
+add up their integer hit counts, so an estimate is byte-identical however
+the chunks fall between them.  Working memory grows with neither the
+trial count nor the horizon: each set stays in one core's L2 cache
+across the passes over a segment, and both together under 2 MiB.  One
+worker runs when the estimate has one chunk or the process may use only
+one CPU.
 A window fires when its index is one of the table's few fired entries:
 up to ``_COMPARE_MAX`` entries, one compare pass each beats a gather
 from the table, which the loop makes otherwise.  On the benchmark's four
@@ -49,6 +58,8 @@ from __future__ import annotations
 
 import math
 import operator
+import os
+import threading
 from typing import NamedTuple
 
 import numpy as np
@@ -64,12 +75,18 @@ _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
 _U64 = np.uint64(0xFFFFFFFFFFFFFFFF)
 
-#: Trial-symbol cells of one segment.  The buffers take about 20 bytes a
-#: cell, so working memory stays near 1.3 MiB whatever N is.  On the
-#: benchmark's Monte Carlo models 2**16 ran 12-23% faster than 2**15,
-#: whose segments leave numpy's per-call overhead less work to amortize,
-#: and 7-17% faster than 2**17 (2-vCPU Xeon, numpy 2.4).
-_CELL_BUDGET = 1 << 16
+#: Trial-symbol cells of one worker's segment.  A worker's buffers take 16
+#: bytes a cell, 0.8 MiB, and its temporaries about 170 KB more, mostly
+#: numpy's 128 KiB of ufunc buffers for the broadcast word add, which
+#: numpy buffers while fewer than 2,731 trials are live.  So two workers
+#: peak near 2.0 MB whatever N is, within a 2 MiB budget.  53,248 =
+#: 13 * 4096 cells leave room for 2,802 or more trials in the first
+#: segment of a model with m <= 3, which keeps that add unbuffered there
+#: (0.23-0.28 against 0.8-1.0 ns a cell).  Larger segments spread numpy's
+#: per-call overhead over more work: two workers ran about 11% faster at
+#: 2**16 cells than at 53,248, and one worker 12-23% faster at 2**16 than
+#: at 2**15 (benchmark Monte Carlo models, 2-vCPU Xeon, numpy 2.4).
+_CELL_BUDGET = 13 << 12
 
 #: Windows in a chunk's first segment: a trial is drawn segment by segment
 #: and leaves its chunk at the first segment in which a window fires.
@@ -112,6 +129,23 @@ def _mix64(x: np.ndarray, scratch: np.ndarray) -> np.ndarray:
     np.right_shift(x, np.uint64(31), out=scratch)
     x ^= scratch
     return x
+
+
+def _carve(raw: np.ndarray, cells: int, dtypes) -> list[np.ndarray]:
+    """Consecutive arrays of `cells` items, one of each dtype, viewing the
+    bytes of the uint8 array `raw`."""
+    views, at = [], 0
+    for dtype in dtypes:
+        views.append(raw[at:at + cells * dtype.itemsize].view(dtype))
+        at += cells * dtype.itemsize
+    return views
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _thresholds(cum: np.ndarray) -> np.ndarray:
@@ -195,12 +229,18 @@ def estimate_union(model: WindowModel, first: int, last: int,
 
     Simulates `trials` independent symbol strings covering the requested
     windows and counts the strings on which any window fires.  An empty
-    interval (first > last) returns (0, 0, 0).  Working memory is a fixed
-    budget of trial-symbol cells whatever `trials` and N; `chunk_size`
-    (trials per chunk) can only lower it.  Any chunking yields
-    byte-identical results because symbol j of trial t is drawn from
-    counter t*L + j of the seed's stream, L = N + m, whether or not the
-    trial is drawn to its end; a table with no fired entry draws nothing.
+    interval (first > last) returns (0, 0, 0).  Chunks of trials run on
+    two worker threads when there are two chunks or more and the process
+    may use two CPUs, each worker in its own buffers of 16 bytes a
+    trial-symbol cell.  Working memory is a fixed budget of cells a
+    worker whatever `trials` and N, each set within one core's L2 cache
+    and both under 2 MiB; `chunk_size` (trials per chunk) can only lower
+    it.  Any chunking and any split of the chunks between the workers
+    yields byte-identical results because symbol j of trial t is drawn
+    from counter t*L + j of the seed's stream, L = N + m, whether or not
+    the trial is drawn to its end; a table with no fired entry draws
+    nothing.  No worker thread outlives the call: when one worker raises,
+    the other stops at its next chunk and the first exception is raised.
     Raises ValueError unless `model` is a window model, and
     CapExceededError, before any draw, when `trials` times the windows
     exceeds ``MAX_MC_WORK``.
@@ -230,65 +270,111 @@ def estimate_union(model: WindowModel, first: int, last: int,
     steps = np.arange(min(n_windows, _WIDEST) + m, dtype=np.uint64) * _GOLDEN
     trial_ramp = np.arange(rows, dtype=np.uint64) * np.uint64(length * golden & mask)
     thresholds = _thresholds(np.cumsum(model.kernel.dist_array))
-    words = np.empty(cells, dtype=np.uint64)
-    scratch = np.empty_like(words)
-    symbols = np.empty(cells, dtype=np.min_scalar_type(s - 1))
-    flag = np.empty(cells, dtype=bool)
-    # the narrowest type that holds a table index keeps the Horner passes short
-    index = np.empty(cells, dtype=np.min_scalar_type(len(table) - 1))
+    # the narrowest types that hold a symbol and a table index keep the
+    # Horner passes short; widest first, each carved buffer is aligned
+    carved = (np.min_scalar_type(len(table) - 1), np.min_scalar_type(s - 1),
+              np.dtype(bool), np.dtype(bool))
+    scratch_words = -(-cells * max(8, sum(t.itemsize for t in carved)) // 8)
     # a window fires iff its index is one of the few fired entries; with
     # more of them it is gathered from the table
-    few = (np.flatnonzero(table).astype(index.dtype)
+    few = (np.flatnonzero(table).astype(carved[0])
            if fired <= _COMPARE_MAX else None)
-    marked = np.empty(cells, dtype=bool)
+    # a range iterator's next() holds the interpreter lock, so each chunk
+    # start goes to one worker
+    chunk_starts = iter(range(0, trials, rows))
+    stop = threading.Event()
 
-    hits = 0
-    for start in range(0, trials, rows):
-        # the offsets in Python ints, so no numpy scalar overflows
-        base = np.add(trial_ramp[:min(rows, trials - start)],
-                      np.uint64((key + (start * length + 1) * golden) & mask))
-        k, width = 0, narrow
-        while k < n_windows:
-            r = len(base)
-            width = min(width, n_windows - k)
-            span = width + m
-            # symbol k + p of live trial i sits at row p, column i
-            offset = np.add(steps[:span], np.uint64(k * golden & mask))
-            word = words[:span * r].reshape(span, r)
-            np.add(offset[:, None], base, out=word)
-            _mix64(word, scratch[:span * r].reshape(span, r))
-            sym = _symbols(word, thresholds, symbols[:span * r].reshape(span, r),
-                           flag[:span * r].reshape(span, r))
-            # window k + p reads symbols k+p..k+p+m, the earliest the least
-            # significant
-            idx = index[:width * r].reshape(width, r)
-            np.copyto(idx, sym[m:])
-            for j in range(m - 1, -1, -1):
-                idx *= s
-                idx += sym[j:j + width]
-            # window k + p of live trial i is marked if it fires
-            mark = marked[:width * r].reshape(width, r)
-            if few is None:
-                # every index is in range, and "clip" lets take write `out` unbuffered
-                np.take(table, idx, out=mark, mode="clip")
-            else:
-                # the compare passes' scratch: `flag` is free once the indices are built
-                equal = flag[:width * r].reshape(width, r)
-                np.equal(idx, few[0], out=mark)
-                for v in few[1:]:
-                    np.equal(idx, v, out=equal)
-                    mark |= equal
-            hit = np.logical_or.reduce(mark, axis=0)
-            retired = int(np.count_nonzero(hit))
-            if retired:
-                # a trial is decided at its first fired window: only the
-                # live ones draw the next segment
-                hits += retired
-                if retired == r:
-                    break
-                base = base[~hit]
-            # the next segment at most doubles, within the buffers and _WIDEST
-            k += width
-            width = min(2 * width, _WIDEST, cells // len(base) - m)
+    def work() -> int:
+        """Hits in the chunks this worker pulls, until none is left or
+        `stop` is set."""
+        words = np.empty(cells, dtype=np.uint64)
+        scratch = np.empty(scratch_words, dtype=np.uint64)
+        # the mix scratch is free once a segment's words are mixed: the
+        # index, symbol, flag and mark buffers are views of its bytes
+        index, symbols, flag, marked = _carve(scratch.view(np.uint8), cells, carved)
+        hits = 0
+        # a worker pulls no chunk once `stop` is set, and draws to the end
+        # every chunk it pulled
+        while not stop.is_set():
+            start = next(chunk_starts, None)
+            if start is None:
+                break
+            # the offsets in Python ints, so no numpy scalar overflows
+            base = np.add(trial_ramp[:min(rows, trials - start)],
+                          np.uint64((key + (start * length + 1) * golden) & mask))
+            k, width = 0, narrow
+            while k < n_windows:
+                r = len(base)
+                width = min(width, n_windows - k)
+                span = width + m
+                # symbol k + p of live trial i sits at row p, column i
+                offset = np.add(steps[:span], np.uint64(k * golden & mask))
+                word = words[:span * r].reshape(span, r)
+                np.add(offset[:, None], base, out=word)
+                _mix64(word, scratch[:span * r].reshape(span, r))
+                sym = _symbols(word, thresholds, symbols[:span * r].reshape(span, r),
+                               flag[:span * r].reshape(span, r))
+                # window k + p reads symbols k+p..k+p+m, the earliest the
+                # least significant
+                idx = index[:width * r].reshape(width, r)
+                np.copyto(idx, sym[m:])
+                for j in range(m - 1, -1, -1):
+                    idx *= s
+                    idx += sym[j:j + width]
+                # window k + p of live trial i is marked if it fires
+                mark = marked[:width * r].reshape(width, r)
+                if few is None:
+                    # every index is in range, and "clip" lets take write
+                    # `out` unbuffered
+                    np.take(table, idx, out=mark, mode="clip")
+                else:
+                    # the compare passes' scratch: `flag` is free once the
+                    # indices are built
+                    equal = flag[:width * r].reshape(width, r)
+                    np.equal(idx, few[0], out=mark)
+                    for v in few[1:]:
+                        np.equal(idx, v, out=equal)
+                        mark |= equal
+                hit = np.logical_or.reduce(mark, axis=0)
+                retired = int(np.count_nonzero(hit))
+                if retired:
+                    # a trial is decided at its first fired window: only
+                    # the live ones draw the next segment
+                    hits += retired
+                    if retired == r:
+                        break
+                    base = base[~hit]
+                # the next segment at most doubles, within the buffers and
+                # _WIDEST
+                k += width
+                width = min(2 * width, _WIDEST, cells // len(base) - m)
+        return hits
 
+    # the integer counts add up the same however the chunks fall between
+    # the workers
+    totals: list[int] = []
+    errors: list[BaseException] = []
+
+    def run() -> None:
+        try:
+            totals.append(work())
+        except BaseException as error:  # raised again in the caller's thread
+            errors.append(error)
+            stop.set()
+
+    # a second worker when there is a second chunk and a second CPU
+    second = None
+    if trials > rows and _usable_cpus() > 1:
+        second = threading.Thread(target=run)
+        second.start()
+    try:
+        run()
+    finally:
+        # no chunk is left to pull unless this worker failed
+        stop.set()
+        if second is not None:
+            second.join()
+    if errors:
+        raise errors[0]
+    hits = sum(totals)
     return MonteCarloEstimate(hits / trials, *wilson_interval(hits, trials))

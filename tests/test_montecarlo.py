@@ -2,6 +2,8 @@
 
 import bisect
 import itertools
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -14,12 +16,13 @@ from mdepbounds import (
     MonteCarloEstimate,
     WindowModel,
     consecutive_run_model,
+    dump_model,
     estimate_union,
     expand_window_model,
     union_prob,
     wilson_interval,
 )
-from mdepbounds import montecarlo
+from mdepbounds import cli, montecarlo
 from mdepbounds.montecarlo import _symbols, _thresholds
 
 
@@ -395,9 +398,11 @@ def _count_mixed_cells(monkeypatch):
     """Make montecarlo._mix64 add the cells it mixes to the returned list."""
     mixed = [0]
     mix = montecarlo._mix64
+    lock = threading.Lock()  # two workers may mix at once
 
     def counting(x, scratch):
-        mixed[0] += x.size
+        with lock:
+            mixed[0] += x.size
         return mix(x, scratch)
 
     monkeypatch.setattr(montecarlo, "_mix64", counting)
@@ -451,3 +456,165 @@ def test_trials_longer_than_the_budget(monkeypatch, case):
     for chunk in (1, 2, 5, 1 << 16):
         assert estimate_union(model, first, last, trials, seed,
                               chunk_size=chunk) == expected
+
+
+#: Models whose chunks the workers split: a fired entry that needs the
+#: massless top symbol, so every trial is drawn to its end; a table that
+#: retires every trial in its first segment; the benchmark's largest Monte
+#: Carlo shape; and s = 256, whose uint16 index is carved from the scratch.
+_WORKER_MODELS = {
+    "never-fires": WindowModel(3, (0.5, 0.5, 0.0), 1, _pin_table(9, lambda i: i == 8), 40),
+    "all-fire": WindowModel(2, (0.5, 0.5), 1, (True,) * 4, 500),
+    "s3-m2-n200": WindowModel(3, (0.5, 0.3, 0.2), 2, _pin_table(27, lambda i: i == 26), 200),
+    "s256-m1": WindowModel(256, (1 / 256,) * 256, 1,
+                           _pin_table(256 ** 2, lambda i: i % 97 == 0), 20),
+}
+
+
+def _count_started_threads(monkeypatch):
+    """Make threading.Thread add the threads it starts to the returned list."""
+    started = []
+
+    class Counted(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    monkeypatch.setattr(threading, "Thread", Counted)
+    return started
+
+
+@pytest.mark.parametrize("chunk", [1, 7, None], ids=["chunk1", "chunk7", "default"])
+@pytest.mark.parametrize("name", list(_WORKER_MODELS))
+def test_two_workers_give_the_one_worker_estimate(monkeypatch, name, chunk):
+    model = _WORKER_MODELS[name]
+    n, m = model.horizon, model.m
+    rows = montecarlo._CELL_BUDGET // (min(_W, n) + m)
+    # three chunks or more at the default chunk size
+    trials = 300 if chunk else 2 * rows + 1
+    kwargs = {"chunk_size": chunk} if chunk else {}
+    started = _count_started_threads(monkeypatch)
+    estimates = []
+    for cpus in (1, 2):
+        monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: cpus)
+        estimates.append(estimate_union(model, 1, n, trials, 17, **kwargs))
+        assert len(started) == cpus - 1
+    assert estimates[0] == estimates[1]
+    assert (0.0 < estimates[0].estimate < 1.0) == (name not in ("never-fires", "all-fire"))
+    if name == "s256-m1":
+        assert np.min_scalar_type(len(model.predicate_table) - 1) == np.uint16
+
+
+def test_a_worker_draws_every_chunk_it_pulls(monkeypatch):
+    """The second worker first looks at the stop event only after the
+    first has drawn every other chunk and set it: the chunk the second
+    may hold by then is drawn, not dropped."""
+    looked = []
+
+    class LateLook(threading.Event):
+        def is_set(self):
+            if threading.current_thread() is not threading.main_thread() and not looked:
+                looked.append(True)
+                self.wait(10)
+            return super().is_set()
+
+    monkeypatch.setattr(threading, "Event", LateLook)
+    monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 2)
+    model = _WORKER_MODELS["all-fire"]
+    assert estimate_union(model, 1, 500, 300, 5, chunk_size=1).estimate == 1.0
+    assert looked
+
+
+def test_concurrent_estimates_under_fast_switching(monkeypatch):
+    """Four calls at once, eight workers on fewer cores, switching threads
+    every microsecond: a chunk start handed out twice or lost would move
+    an estimate off the one-worker value."""
+    model = _WORKER_MODELS["s3-m2-n200"]
+    monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 1)
+    expected = [estimate_union(model, 1, 200, 400, seed, chunk_size=3)
+                for seed in range(4)]
+    monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 2)
+    got = [None] * 4
+
+    def call(seed):
+        got[seed] = estimate_union(model, 1, 200, 400, seed, chunk_size=3)
+
+    callers = [threading.Thread(target=call, args=(seed,)) for seed in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for caller in callers:
+            caller.start()
+        for caller in callers:
+            caller.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(caller.is_alive() for caller in callers)
+    assert got == expected
+
+
+class _Boom(Exception):
+    pass
+
+
+def _failing_mix(monkeypatch, fails):
+    """Make montecarlo._mix64 raise _Boom on a call for which
+    fails(call number, on the main thread) holds; returns a list holding
+    the number of calls made."""
+    calls = [0]
+    lock = threading.Lock()
+    mix = montecarlo._mix64
+
+    def failing(x, scratch):
+        with lock:
+            calls[0] += 1
+            n = calls[0]
+        if fails(n, threading.current_thread() is threading.main_thread()):
+            raise _Boom(f"call {n}")
+        return mix(x, scratch)
+
+    monkeypatch.setattr(montecarlo, "_mix64", failing)
+    return calls
+
+
+@pytest.mark.parametrize("fails", [
+    lambda n, main: n == 1,        # the seed's key, before any worker
+    lambda n, main: n == 2,
+    lambda n, main: n == 3,
+    lambda n, main: n == 40,
+    lambda n, main: main and n > 1,
+    lambda n, main: not main,
+], ids=["key", "call2", "call3", "call40", "main-worker", "second-worker"])
+def test_a_failing_worker_raises_and_stops_the_other(monkeypatch, fails):
+    """The first exception comes out of estimate_union, the other worker
+    stops at its next chunk, and no thread is left running."""
+    monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 2)
+    model = _WORKER_MODELS["all-fire"]
+    trials = 2000  # one chunk, and one mix, a trial
+    before = threading.active_count()
+    assert estimate_union(model, 1, 500, trials, 5, chunk_size=1).estimate == 1.0
+    assert threading.active_count() == before
+    calls = _failing_mix(monkeypatch, fails)
+    with pytest.raises(_Boom):
+        estimate_union(model, 1, 500, trials, 5, chunk_size=1)
+    assert threading.active_count() == before
+    # the first chunks fail: a worker that went on would mix every trial
+    assert calls[0] < trials // 2
+
+
+def test_out_of_memory_in_the_second_worker_exits_2(capsys, monkeypatch, tmp_path):
+    path = tmp_path / "w.json"
+    dump_model(WindowModel(2, (0.5, 0.5), 1, (False, False, False, True), 8), path)
+    monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 2)
+    mix = montecarlo._mix64
+
+    def second_runs_out(x, scratch):
+        if threading.current_thread() is not threading.main_thread():
+            raise MemoryError("Unable to allocate 7.28 TiB")
+        return mix(x, scratch)
+
+    monkeypatch.setattr(montecarlo, "_mix64", second_runs_out)
+    before = threading.active_count()
+    assert cli.main(["mc", str(path), "1", "8", "100000", "1"]) == 2
+    assert capsys.readouterr() == ("", "error: Unable to allocate 7.28 TiB\n")
+    assert threading.active_count() == before

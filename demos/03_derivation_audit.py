@@ -39,7 +39,8 @@ print()
 print("== a family that lies about its dependence range ==")
 # Three outcomes; the first and third event are the same coin flip, at
 # index gap 2 = m+1, so they sit in one residue class but are maximally
-# correlated: the claimed m = 1 is false.
+# correlated: the claimed m = 1 is false.  The class {1, 3} is its own
+# only pair, so its pair row is its whole product-chain check.
 liar = ExplicitEventFamily.from_events([0.5, 0.25, 0.25],
                                        [[0], [1], [0]], m=1)
 bad = verify_derivation(liar)

@@ -43,10 +43,9 @@ def random_window_model(rng: np.random.Generator | int, *,
                         alphabet_sizes: tuple[int, ...] = (2, 3),
                         dependence_ranges: tuple[int, ...] = (1, 2, 3),
                         min_horizon: int = 1, max_horizon: int = 200,
-                        table_density: float | None = None,
-                        min_symbol_prob: float = 0.02) -> WindowModel:
-    """Random window model with a Dirichlet symbol law (floored at
-    min_symbol_prob) and an i.i.d. Bernoulli predicate table.
+                        table_density: float | None = None) -> WindowModel:
+    """Random window model with a Dirichlet symbol law (each mass floored
+    at 0.02 before normalizing) and an i.i.d. Bernoulli predicate table.
 
     Deterministic given the generator state; pass an integer seed for a
     one-off model.
@@ -56,7 +55,7 @@ def random_window_model(rng: np.random.Generator | int, *,
     s = int(rng.choice(alphabet_sizes))
     m = int(rng.choice(dependence_ranges))
     n = int(rng.integers(min_horizon, max_horizon + 1))
-    dist = rng.dirichlet(np.ones(s)) + min_symbol_prob
+    dist = rng.dirichlet(np.ones(s)) + 0.02
     dist /= dist.sum()
     density = table_density if table_density is not None \
         else float(rng.uniform(0.02, 0.35))

@@ -184,46 +184,42 @@ class MonteCarloEstimate(NamedTuple):
     ci_high: float
 
 
-def wilson_interval(successes: int, trials: int, z: float = Z95) -> tuple[float, float]:
-    """Wilson score interval for a binomial proportion."""
+def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
+    """95% Wilson score interval for a binomial proportion."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if not 0 <= successes <= trials:
         raise ValueError("successes must lie in 0..trials")
     phat = successes / trials
-    z2 = z * z
+    z2 = Z95 * Z95
     denom = 1.0 + z2 / trials
     center = (phat + z2 / (2 * trials)) / denom
-    half = z * math.sqrt(phat * (1.0 - phat) / trials
-                         + z2 / (4.0 * trials * trials)) / denom
+    half = Z95 * math.sqrt(phat * (1.0 - phat) / trials
+                           + z2 / (4.0 * trials * trials)) / denom
     # the edges are exact: k = 0 pins the lower end, k = n the upper
     low = 0.0 if successes == 0 else max(0.0, center - half)
     high = 1.0 if successes == trials else min(1.0, center + half)
     return low, high
 
 
-def _require_mc_scale(model: WindowModel, first: int, last: int, trials: int,
-                      chunk_size: int = 1 << 16) -> tuple[int, int, int, int]:
+def _require_mc_scale(model: WindowModel, first: int, last: int,
+                      trials: int) -> tuple[int, int, int]:
     """Every refusal of ``estimate_union``, in order; returns its ints."""
     if not isinstance(model, WindowModel):
         raise ValueError("Monte Carlo estimation applies to window models only")
     first, last, trials = map(operator.index, (first, last, trials))
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    chunk_size = operator.index(chunk_size)
-    if chunk_size < 1:
-        raise ValueError("chunk_size must be >= 1")
     work = trials * (last - first + 1)
     if _nonempty_interval(model, first, last) and work > MAX_MC_WORK:
         raise CapExceededError(f"the Monte Carlo estimate would cover {work} "
                                f"trial-events, above the Monte Carlo cap "
                                f"{MAX_MC_WORK}; narrow the range or lower TRIALS")
-    return first, last, trials, chunk_size
+    return first, last, trials
 
 
 def estimate_union(model: WindowModel, first: int, last: int,
-                   trials: int, seed: int, *,
-                   chunk_size: int = 1 << 16) -> MonteCarloEstimate:
+                   trials: int, seed: int) -> MonteCarloEstimate:
     """Monte Carlo estimate of P(A_first or ... or A_last) with a 95%
     Wilson interval.
 
@@ -234,19 +230,18 @@ def estimate_union(model: WindowModel, first: int, last: int,
     may use two CPUs, each worker in its own buffers of 16 bytes a
     trial-symbol cell.  Working memory is a fixed budget of cells a
     worker whatever `trials` and N, each set within one core's L2 cache
-    and both under 2 MiB; `chunk_size` (trials per chunk) can only lower
-    it.  Any chunking and any split of the chunks between the workers
-    yields byte-identical results because symbol j of trial t is drawn
-    from counter t*L + j of the seed's stream, L = N + m, whether or not
-    the trial is drawn to its end; a table with no fired entry draws
-    nothing.  No worker thread outlives the call: when one worker raises,
+    and both under 2 MiB; a chunk holds as many trials as the budget's
+    first segment does.  Any chunking and any split of the chunks
+    between the workers yields byte-identical results because symbol j
+    of trial t is drawn from counter t*L + j of the seed's stream,
+    L = N + m, whether or not the trial is drawn to its end; a table
+    with no fired entry draws nothing.  No worker thread outlives the call: when one worker raises,
     the other stops at its next chunk and the first exception is raised.
     Raises ValueError unless `model` is a window model, and
     CapExceededError, before any draw, when `trials` times the windows
     exceeds ``MAX_MC_WORK``.
     """
-    first, last, trials, chunk_size = _require_mc_scale(
-        model, first, last, trials, chunk_size)
+    first, last, trials = _require_mc_scale(model, first, last, trials)
     if first > last:
         return MonteCarloEstimate(0.0, 0.0, 0.0)
 
@@ -259,7 +254,7 @@ def estimate_union(model: WindowModel, first: int, last: int,
 
     length = n_windows + m  # symbols per trial
     narrow = min(_SEGMENT, n_windows)  # windows in a chunk's first segment
-    rows = min(trials, chunk_size, max(1, _CELL_BUDGET // (narrow + m)))
+    rows = min(trials, max(1, _CELL_BUDGET // (narrow + m)))
     cells = max(_CELL_BUDGET, narrow + m)
     mask = int(_U64)
     golden = int(_GOLDEN)

@@ -13,14 +13,20 @@ about the layout alone (``pair_shift_count``).  No row of the report
 checks them; tests pin the shift count.
 
 A row is written only where some family with the same N and claimed m
-could fail it.  Every family of N events is (N-1)-dependent, so a claim
-m >= N - 1 gets an empty report.  Below that, a residue class of one
-event has no product-chain row (its joint is its own product), and a
-shift of at most two blocks has no row at all: it has no far block pair,
-and with at most one block per parity both parity rows follow from
-monotonicity for any events.  So the audit walks the classes r =
-1..min(m+1, N-m-1), which hold two events or more, and the shifts
-0..m-1 that hold three blocks or more.
+could fail it, and no row is, by N and m alone, a copy of another row.
+Every family of N events is (N-1)-dependent, so a claim m >= N - 1 gets
+an empty report.  Below that, a shift of at most two blocks has no row
+at all: it has no far block pair, and with at most one block per parity
+both parity rows follow from monotonicity for any events.  A residue
+class of three events or fewer has no product-chain row: a class of one
+is its own product, and a class of two or three is its own only pair or
+only triple, whose residue-independence row asks the same index row
+against the same product (the same IEEE products of the same factors),
+so that row's |slack| <= tol decides the chain row's slack <= tol.  And
+m = 1 has no second-order bound row: its local pair mass is empty, so
+t_local is 0.0 and the bound is the first-order one, bit for bit.  So
+the audit walks the classes r = 1..min(m+1, N-m-1), which hold two
+events or more, and the shifts 0..m-1 that hold three blocks or more.
 
 Checks run in a fixed order so reports are deterministic and diffable.
 
@@ -32,9 +38,10 @@ binds on N alone.  The exact queries do not grow that way.  The audit
 hands the family one array of equal-size index sets
 (``complement_intersection_probs``) per row width: one for the pairs of
 every residue class, one for their capped triples, one per class size
-for the class joints (a class holds floor or ceil of N/(m+1) events),
-and, across every shift, one per total width (2..2m) of the far block
-pairs; that is at most 2m + 3 arrays at any N.  The family asks one
+for the joints of the classes of four events or more (a class holds
+floor or ceil of N/(m+1) events), and, across every shift, one per
+total width (2..2m) of the far block pairs; that is at most 2m + 3
+arrays at any N.  The family asks one
 query per distinct set: on a window model one per row of gaps clamped at
 m+1, so every class's pairs are one query and its triples another (every
 gap in a class is at least m+1), and a width's block pairs at most one
@@ -45,11 +52,12 @@ m = 2); an explicit family still makes one per check.  Every shift step
 reads the table's columns.
 Checks are kept as blocks (``CheckBlock``): lhs, rhs, slack and passed
 arrays under one name format over index rows, so the N**2 pair checks
-run no Python per check.  The product chain is one block, and so is
-each shift step over all shifts: r is an index column, and the parity
-steps that interleave within a shift are a label column.  Only residue
-pairs and triples (widths differ) stay one block per class with pairs,
-so a report holds at most N + 5 blocks at any m, and none is empty.
+run no Python per check.  The product chain is one block, written only
+when some class holds four events or more, and so is each shift step
+over all shifts: r is an index column, and the parity steps that
+interleave within a shift are a label column.  Only residue pairs and
+triples (widths differ) stay one block per class with pairs, so a
+report holds at most N + 5 blocks at any m, and none is empty.
 The report's summary is array reductions, and ``verify`` writes each
 block's rows straight from its arrays, one ``"".join`` of literal text
 and column texts per slice of rows; a ``Check`` record per row is built
@@ -86,23 +94,24 @@ MAX_TRIPLES_PER_CLASS = 200
 def derivation_check_count(n: int, m: int) -> int:
     """Number of checks ``verify_derivation`` emits for N = n events and
     range m, in closed form and in its order: none for m >= N - 1;
-    else residue-class pairs and capped triples and one product-chain
-    check per class of two events or more, then for m >= 1 per shift
-    0..m-1 of three blocks or more (block positions are consecutive) the
-    block pairs at block distance >= 2, one parity check per parity of
-    two blocks or more and the block-mass check; and the final bound
-    checks.  O(m) time."""
+    else residue-class pairs and capped triples per class of two events
+    or more and one product-chain check per class of four or more, then
+    for m >= 1 per shift 0..m-1 of three blocks or more (block positions
+    are consecutive) the block pairs at block distance >= 2, one parity
+    check per parity of two blocks or more and the block-mass check; and
+    the first-order bound check, and for m >= 2 the second-order one.
+    O(m) time."""
     if m >= n - 1:
         return 0
     count = 0
     for r in range(1, min(m + 1, n - m - 1) + 1):
         size = len(range(r, n + 1, m + 1))
         count += (math.comb(size, 2)
-                  + min(math.comb(size, 3), MAX_TRIPLES_PER_CLASS) + 1)
+                  + min(math.comb(size, 3), MAX_TRIPLES_PER_CLASS) + (size >= 4))
     for r in range(m):
         blocks = block_position(n, m, r) - block_position(1, m, r) + 1
         count += math.comb(blocks - 1, 2) + 2 * (blocks >= 3) + (blocks >= 4)
-    return count + 1 + (m >= 1)
+    return count + 1 + (m >= 2)
 
 
 def _require_desk_scale(family: Family, tol: float) -> None:
@@ -151,11 +160,14 @@ def verify_derivation(family: Family, *, tol: float = 1e-9) -> VerificationRepor
     Bonferroni bound, the parity average min(e**-x, e**-y) <=
     e**(-(x+y)/2), and the proof's pair-shift count
     (``pair_shift_count``, which tests pin).  Nor is a row written that
-    every family with the family's N and m passes: a claim m >= N - 1
-    gets an empty report, a class of one event no product-chain row, a
-    shift of at most two blocks no row, and a parity of one block no
-    parity-product row.  Block checks are skipped for m = 0, which has
-    no block partition.
+    every family with the family's N and m passes, or that N and m alone
+    make a copy of another row: a claim m >= N - 1 gets an empty report,
+    a class of three events or fewer no product-chain row (its
+    residue-independence row asks the same joint against the same
+    product), a shift of at most two blocks no row, a parity of one
+    block no parity-product row, and m = 1 no second-order bound row
+    (there it is the first-order one).  Block checks are skipped for
+    m = 0, which has no block partition.
 
     Factorization checks compare joint complement probabilities against
     products of marginals (pairs plus capped triples), not full
@@ -191,19 +203,22 @@ def verify_derivation(family: Family, *, tol: float = 1e-9) -> VerificationRepor
             fmt = f"residue_independence[r={r},({','.join(['%d'] * rows.shape[1])})]"
             blocks.append(CheckBlock.eq(fmt, lhs, rhs, tol, rows))
 
-    # Class joints against their products, one row per class.  A class
-    # holds floor(N/(m+1)) or ceil(N/(m+1)) events, and the classes of
-    # one size go to the family as one array.
-    joints = [1.0] * len(classes)
-    for size in set(map(len, classes)):
-        which = [r for r, cls in enumerate(classes) if len(cls) == size]
-        rows = np.array([classes[r] for r in which], dtype=np.int64)
-        for r, joint in zip(which, complement_intersection_probs(family, rows).tolist()):
-            joints[r] = joint
-    blocks.append(CheckBlock.le(
-        "product_chain[r=%d,joint<=product]", joints,
-        [math.prod(clear[r::m + 1]) for r in range(len(classes))], tol,
-        np.arange(1, len(classes) + 1)[:, None]))
+    # Class joints against their products, one row per class of four
+    # events or more.  A class of two or three is its own only pair or
+    # only triple, whose residue-independence row asks the same index row
+    # against the same product, so its eq row decides this one.  A class
+    # holds ceil(N/(m+1)) or, from some r on, floor(N/(m+1)) events, so
+    # the classes of four or more are the first ones, and the classes of
+    # one size, which are consecutive, go to the family as one array.
+    chain = [cls for cls in classes if len(cls) >= 4]
+    if chain:
+        joints = [joint for _, same in itertools.groupby(chain, key=len)
+                  for joint in complement_intersection_probs(
+                      family, np.array(list(same), dtype=np.int64)).tolist()]
+        blocks.append(CheckBlock.le(
+            "product_chain[r=%d,joint<=product]", joints,
+            [math.prod(clear[r::m + 1]) for r in range(len(chain))], tol,
+            np.arange(1, len(chain) + 1)[:, None]))
 
     union_all = union_prob(family, 1, n)
     complement_all = 1.0 - union_all
@@ -262,7 +277,9 @@ def verify_derivation(family: Family, *, tol: float = 1e-9) -> VerificationRepor
     s_n = partial_sum(family, n)
     blocks.append(CheckBlock.le("bound_vs_exact[first_order]",
                                 first_order_bound(s_n, m), union_all, tol))
-    if m >= 1:
+    # At m = 1 the local pair mass is empty, t_local is 0.0 and the
+    # second-order bound is the first-order one, bit for bit.
+    if m >= 2:
         _, b2 = second_order_bound(s_n, t_local(family), m)
         blocks.append(CheckBlock.le("bound_vs_exact[second_order]",
                                     b2, union_all, tol))

@@ -11,8 +11,9 @@ package, and it applies no size caps.
 It walks every shift r = 0..m-1, laying out each one's blocks by a
 plain loop over block positions, not by the package's block writer, and
 applies the audit's rules as stated: no row at all for m >= N - 1, no
-product-chain row for a class of one event, no row for a shift of at
-most two blocks, and no parity-product row for a parity of one block.
+product-chain row for a class of three events or fewer, no row for a
+shift of at most two blocks, no parity-product row for a parity of one
+block, and no second-order bound row for m = 1.
 """
 
 from __future__ import annotations
@@ -66,7 +67,7 @@ def derivation_walk(family, *, tol: float = 1e-9) -> VerificationReport:
                 f"residue_independence[r={r},({i},{j},{k})]", lhs, rhs, tol))
 
     for r, cls in enumerate(classes, start=1):
-        if len(cls) < 2:
+        if len(cls) < 4:
             continue
         joint = complement_intersection_prob(family, cls)
         product = math.prod(1 - probs[k] for k in cls)
@@ -116,7 +117,7 @@ def derivation_walk(family, *, tol: float = 1e-9) -> VerificationReport:
     s_n = partial_sum(family, n)
     checks.append(Check.le("bound_vs_exact[first_order]",
                            first_order_bound(s_n, m), union_all, tol))
-    if m >= 1:
+    if m >= 2:
         _, b2 = second_order_bound(s_n, t_local(family), m)
         checks.append(Check.le("bound_vs_exact[second_order]",
                                b2, union_all, tol))

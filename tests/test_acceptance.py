@@ -29,6 +29,7 @@ from mdepbounds import (
     verify_derivation,
     windowed_bound,
 )
+from mdepbounds import montecarlo
 
 from conftest import record_acceptance
 from exhaustive import brute_shift_membership_count
@@ -222,9 +223,11 @@ def test_dp_matches_full_enumeration():
     assert worst <= 1e-12
 
 
-def test_mc_calibration_and_determinism(run_model_24):
+def test_mc_calibration_and_determinism(run_model_24, monkeypatch):
     """100 seeds at 10^5 trials: >= 90 Wilson intervals contain the exact
-    0.1875; identical seeds are byte-identical at any chunking."""
+    0.1875; identical seeds are byte-identical at any chunking, set
+    through the cell budget (a chunk of two windows at m = 2 takes four
+    cells a trial)."""
     start = time.perf_counter()
     exact = union_prob(run_model_24, 1, 2)
     assert exact == pytest.approx(0.1875, abs=1e-12)
@@ -234,10 +237,10 @@ def test_mc_calibration_and_determinism(run_model_24):
         if est.ci_low <= exact <= est.ci_high:
             covered += 1
     reference = estimate_union(run_model_24, 1, 2, 100_000, 77)
-    identical = all(
-        estimate_union(run_model_24, 1, 2, 100_000, 77, chunk_size=c)
-        == reference
-        for c in (999, 4096, 100_000))
+    identical = True
+    for c in (999, 4096, 100_000):
+        monkeypatch.setattr(montecarlo, "_CELL_BUDGET", c * (2 + run_model_24.m))
+        identical &= estimate_union(run_model_24, 1, 2, 100_000, 77) == reference
     elapsed = time.perf_counter() - start
     ok = covered >= 90 and identical and elapsed < 60
     record_acceptance(

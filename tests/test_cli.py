@@ -1146,10 +1146,11 @@ def test_verify_tolerance_edges_match_record_walks(capsys, w1_path, e1_path,
 
 
 def test_verify_holds_no_record_per_check(tmp_path, monkeypatch):
-    """`verify` at N = 400, m = 1 emits 119,610 checks.  Written from the
+    """`verify --max-subset 2` at N = 400, m = 1 emits 119,608 checks,
+    119,607 of them in the derivation section.  Written from the
     blocks' columns, its traced peak stays below 24 MiB (63 MiB with a
     record and a row dict per check), and it makes no more ``Check.eq``
-    or ``Check.le`` records than the audits have blocks (9 derivation
+    or ``Check.le`` records than the audits have blocks (8 derivation
     blocks at m = 1, at most 51 dependence blocks)."""
     import tracemalloc
     from mdepbounds import Check
@@ -1176,9 +1177,9 @@ def test_verify_holds_no_record_per_check(tmp_path, monkeypatch):
         tracemalloc.stop()
     assert code == 0
     assert json.loads((tmp_path / "out.json").read_text())["derivation"]["total"] \
-        == derivation_check_count(400, 1) == 119_608
+        == derivation_check_count(400, 1) == 119_607
     assert peak < 24 << 20
-    assert records <= 9 + 51
+    assert records <= 8 + 51
 
 
 #: The modules a verb that runs no audit must not load.

@@ -137,9 +137,9 @@ def test_shift_steps_are_one_block_each(m):
     parity split of every shift, are one block each, with r as an index
     column, so a report holds at most N + 5 blocks, and none is empty:
     at m = 20 on 30 events, classes of one member and shifts of two
-    blocks write no row, and classes of two no triple.  At m = 2000 >=
-    N - 1 the claim holds for any 30 events, and the report holds no
-    block."""
+    blocks write no row, classes of two no triple, and as no class holds
+    four events there is no product-chain block.  At m = 2000 >= N - 1
+    the claim holds for any 30 events, and the report holds no block."""
     families = [ExplicitEventFamily.from_events([0.5, 0.5], [[0], [0], [1]] * 10, m)]
     if m <= 5:  # a window table holds 2**(m+1) entries
         families.append(random_window_model(
@@ -154,7 +154,7 @@ def test_shift_steps_are_one_block_each(m):
             continue
         fmts = [block.fmt for block in report.blocks]
         kinds = [fmt.split("[")[0] for fmt in fmts]
-        assert fmts.count("product_chain[r=%d,joint<=product]") == 1
+        assert fmts.count("product_chain[r=%d,joint<=product]") == (n >= 3 * m + 4)
         assert fmts.count("%s[r=%d%s]") == 1
         assert kinds.count("block_independence") == 1
         assert len(report.blocks) <= n + 5
@@ -252,18 +252,22 @@ def test_no_two_rows_share_a_name(seed, n, m, window):
 
 @pytest.mark.parametrize("m", [5, 600, 20_000])
 def test_no_product_chain_row_past_n(m):
-    """The product chain names only the classes r = 1..min(m+1, N-m-1)
-    of two events or more: a class past N is empty, and a class of one
-    event is its own product.  So the 3-event family has no product-chain
-    row at m >= 2, where the claim holds for any three events, and at
-    m = 1 the row of its class {1, 3} alone, not of {2}."""
+    """The product chain names only the classes of four events or more:
+    a class past N is empty, a class of one event is its own product,
+    and a class of two or three is its own only pair or triple.  So the
+    10-event family has no product-chain row at m >= 5, whose classes
+    hold two events or none, at m = 2 the row of its class {1, 4, 7, 10}
+    alone, not of {2, 5, 8} or {3, 6, 9}, and at m = 1 the rows of both
+    its classes of five."""
     def chain(m):
-        family = ExplicitEventFamily.from_events([0.5, 0.5], [[0], [0], [1]], m)
+        family = ExplicitEventFamily.from_events([0.5, 0.5], [[0], [0], [1]] * 3 + [[1]], m)
         return [c.name for c in verify_derivation(family).checks
                 if c.name.startswith("product_chain[")]
 
     assert chain(m) == []
-    assert chain(1) == ["product_chain[r=1,joint<=product]"]
+    assert chain(2) == ["product_chain[r=1,joint<=product]"]
+    assert chain(1) == ["product_chain[r=1,joint<=product]",
+                        "product_chain[r=2,joint<=product]"]
 
 
 def test_each_block_table_row_is_measured_once(monkeypatch):

@@ -81,12 +81,6 @@ class TestEstimateUnion:
         with pytest.raises(ValueError):
             estimate_union(run_model_24, 1, 2, 0, 0)
 
-    def test_chunk_size_validation(self, run_model_24):
-        with pytest.raises(TypeError):
-            estimate_union(run_model_24, 1, 2, 10, 0, chunk_size=2.5)
-        with pytest.raises(ValueError):
-            estimate_union(run_model_24, 1, 2, 10, 0, chunk_size=0)
-
     def test_working_memory_is_bounded(self):
         """A long horizon keeps the chunk buffers at a fixed budget; holding
         all 2000 trials of 5002 symbols at once takes over 300 MiB."""
@@ -145,8 +139,8 @@ class TestEstimateUnion:
     def test_chunking_is_invisible(self, run_model_24):
         """Identical (model, range, trials, seed) => byte-identical output
         no matter how trials are partitioned."""
-        runs = [estimate_union(run_model_24, 1, 24, 4321, 99, chunk_size=c)
-                for c in (1, 7, 256, 4321, 10_000)]
+        runs = [estimate_in_chunks(run_model_24, 1, 24, 4321, 99, c)
+                for c in (1, 7, 256, 4321, 10_000, None)]
         assert all(r == runs[0] for r in runs)
 
     def test_different_seeds_differ(self, run_model_24):
@@ -175,16 +169,31 @@ def _pin_table(size, fires):
     return tuple(fires(i) for i in range(size))
 
 
+#: Windows in a chunk's first segment.
+_W = montecarlo._SEGMENT
+
+
+def estimate_in_chunks(model, first, last, trials, seed, chunk):
+    """``estimate_union`` with `chunk` trials a chunk, set through the
+    cell budget (whose first segment holds as many trials), or with the
+    budget's own chunks for None."""
+    with pytest.MonkeyPatch.context() as patch:
+        if chunk is not None:
+            patch.setattr(montecarlo, "_CELL_BUDGET",
+                          chunk * (min(_W, last - first + 1) + model.m))
+        return estimate_union(model, first, last, trials, seed)
+
+
 #: Eight scattered entries of an s = 3, m = 2 table.
 _K8 = (1, 3, 5, 9, 11, 15, 19, 21)
 
 
-#: (model, first, last, trials, seed, chunk_size) -> repr of
-#: (estimate, ci_low, ci_high), recorded from the float-uniform
-#: searchsorted implementation.  Any change to the SplitMix64 stream, the
+#: (model, first, last, trials, seed, trials a chunk or None for the
+#: budget's own) -> repr of (estimate, ci_low, ci_high), recorded from
+#: the float-uniform searchsorted implementation.  Any change to the SplitMix64 stream, the
 #: counter layout or the symbol map shows up here.
 PINNED = [
-    ((WindowModel(2, (0.97, 0.03), 0, (False, True), 40), 1, 40, 3000, 0, 1 << 16),
+    ((WindowModel(2, (0.97, 0.03), 0, (False, True), 40), 1, 40, 3000, 0, None),
      "(0.7026666666666667, 0.6860596364249615, 0.7187553368917065)"),
     # zero-mass middle symbol, seed >= 2**63, sub-range, ragged last chunk
     ((WindowModel(3, (0.6, 0.0, 0.4), 1, _pin_table(9, lambda i: i == 8), 30),
@@ -197,7 +206,7 @@ PINNED = [
      "(0.2816, 0.2643143934634808, 0.2995557564803058)"),
     ((consecutive_run_model(20, m=3), 1, 20, 1237, 2 ** 64 - 1, 100),
      "(0.540016168148747, 0.5121610663106156, 0.5676235018920702)"),
-    ((consecutive_run_model(24), 1, 24, 4321, 99, 1 << 16),
+    ((consecutive_run_model(24), 1, 24, 4321, 99, None),
      "(0.8662346679009488, 0.8557591408785502, 0.8760595928567293)"),
     ((WindowModel(3, (0.25, 0.25, 0.5), 2,
                   _pin_table(27, lambda i: i in (5, 6, 15, 21, 25)), 12),
@@ -222,7 +231,7 @@ PINNED = [
       2, 15, 400, 7, 50),
      "(0.0, 0.0, 0.009512294334296508)"),
     ((WindowModel(2, (0.9, 0.1), 2, _pin_table(8, lambda i: True), 10),
-      1, 10, 300, -3, 1 << 16),
+      1, 10, 300, -3, None),
      "(1.0, 0.9873570287754538, 1.0)"),
     # 8 fired entries: compared
     ((WindowModel(3, (0.8, 0.15, 0.05), 2, _pin_table(27, lambda i: i in _K8), 6),
@@ -251,8 +260,7 @@ def test_pins_straddle_the_compare_cutover():
 
 @pytest.mark.parametrize("case, expected", PINNED)
 def test_pinned_estimates_are_byte_identical(case, expected):
-    model, first, last, trials, seed, chunk = case
-    est = estimate_union(model, first, last, trials, seed, chunk_size=chunk)
+    est = estimate_in_chunks(*case)
     assert repr(tuple(est)) == expected
 
 
@@ -329,10 +337,6 @@ def _scalar_estimate(model, first, last, trials, seed):
     return MonteCarloEstimate(hits / trials, *wilson_interval(hits, trials))
 
 
-#: Windows in a chunk's first segment.
-_W = montecarlo._SEGMENT
-
-
 @st.composite
 def _mc_cases(draw):
     s = draw(st.integers(2, 4))
@@ -355,7 +359,7 @@ def _mc_cases(draw):
 @given(case=_mc_cases())
 def test_matches_scalar_reference(case):
     model, first, last, trials, seed, chunk = case
-    assert (estimate_union(model, first, last, trials, seed, chunk_size=chunk)
+    assert (estimate_in_chunks(model, first, last, trials, seed, chunk)
             == _scalar_estimate(model, first, last, trials, seed))
 
 
@@ -389,9 +393,8 @@ def test_segment_edges_match_scalar_reference(case):
     model, first, last, trials, seed = case
     expected = _scalar_estimate(model, first, last, trials, seed)
     assert 0.0 < expected.estimate < 1.0
-    for chunk in (1, 7, 1 << 16):
-        assert estimate_union(model, first, last, trials, seed,
-                              chunk_size=chunk) == expected
+    for chunk in (1, 7, None):
+        assert estimate_in_chunks(model, first, last, trials, seed, chunk) == expected
 
 
 def _count_mixed_cells(monkeypatch):
@@ -453,9 +456,7 @@ def test_trials_longer_than_the_budget(monkeypatch, case):
     assert last - first + 1 + model.m > 8
     expected = _scalar_estimate(model, first, last, trials, seed)
     assert 0.0 < expected.estimate < 1.0
-    for chunk in (1, 2, 5, 1 << 16):
-        assert estimate_union(model, first, last, trials, seed,
-                              chunk_size=chunk) == expected
+    assert estimate_union(model, first, last, trials, seed) == expected
 
 
 #: Models whose chunks the workers split: a fired entry that needs the
@@ -490,14 +491,13 @@ def test_two_workers_give_the_one_worker_estimate(monkeypatch, name, chunk):
     model = _WORKER_MODELS[name]
     n, m = model.horizon, model.m
     rows = montecarlo._CELL_BUDGET // (min(_W, n) + m)
-    # three chunks or more at the default chunk size
+    # three chunks or more at the budget's chunks
     trials = 300 if chunk else 2 * rows + 1
-    kwargs = {"chunk_size": chunk} if chunk else {}
     started = _count_started_threads(monkeypatch)
     estimates = []
     for cpus in (1, 2):
         monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: cpus)
-        estimates.append(estimate_union(model, 1, n, trials, 17, **kwargs))
+        estimates.append(estimate_in_chunks(model, 1, n, trials, 17, chunk))
         assert len(started) == cpus - 1
     assert estimates[0] == estimates[1]
     assert (0.0 < estimates[0].estimate < 1.0) == (name not in ("never-fires", "all-fire"))
@@ -521,7 +521,7 @@ def test_a_worker_draws_every_chunk_it_pulls(monkeypatch):
     monkeypatch.setattr(threading, "Event", LateLook)
     monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 2)
     model = _WORKER_MODELS["all-fire"]
-    assert estimate_union(model, 1, 500, 300, 5, chunk_size=1).estimate == 1.0
+    assert estimate_in_chunks(model, 1, 500, 300, 5, 1).estimate == 1.0
     assert looked
 
 
@@ -530,14 +530,15 @@ def test_concurrent_estimates_under_fast_switching(monkeypatch):
     every microsecond: a chunk start handed out twice or lost would move
     an estimate off the one-worker value."""
     model = _WORKER_MODELS["s3-m2-n200"]
+    # three trials a chunk, set once for every caller
+    monkeypatch.setattr(montecarlo, "_CELL_BUDGET", 3 * (_W + model.m))
     monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 1)
-    expected = [estimate_union(model, 1, 200, 400, seed, chunk_size=3)
-                for seed in range(4)]
+    expected = [estimate_union(model, 1, 200, 400, seed) for seed in range(4)]
     monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 2)
     got = [None] * 4
 
     def call(seed):
-        got[seed] = estimate_union(model, 1, 200, 400, seed, chunk_size=3)
+        got[seed] = estimate_union(model, 1, 200, 400, seed)
 
     callers = [threading.Thread(target=call, args=(seed,)) for seed in range(4)]
     interval = sys.getswitchinterval()
@@ -592,11 +593,11 @@ def test_a_failing_worker_raises_and_stops_the_other(monkeypatch, fails):
     model = _WORKER_MODELS["all-fire"]
     trials = 2000  # one chunk, and one mix, a trial
     before = threading.active_count()
-    assert estimate_union(model, 1, 500, trials, 5, chunk_size=1).estimate == 1.0
+    assert estimate_in_chunks(model, 1, 500, trials, 5, 1).estimate == 1.0
     assert threading.active_count() == before
     calls = _failing_mix(monkeypatch, fails)
     with pytest.raises(_Boom):
-        estimate_union(model, 1, 500, trials, 5, chunk_size=1)
+        estimate_in_chunks(model, 1, 500, trials, 5, 1)
     assert threading.active_count() == before
     # the first chunks fail: a worker that went on would mix every trial
     assert calls[0] < trials // 2

@@ -41,15 +41,16 @@ def loop_check_count(n, m):
     for r in range(1, m + 2):
         size = len(range(r, n + 1, m + 1))
         if size >= 2:  # a class of one has no row
-            count += (math.comb(size, 2)
-                      + min(math.comb(size, 3), MAX_TRIPLES_PER_CLASS) + 1)
+            count += math.comb(size, 2) + min(math.comb(size, 3), MAX_TRIPLES_PER_CLASS)
+        if size >= 4:  # a class of two or three repeats its pair or triple
+            count += 1
     for r in range(m):
         js = [j for j, _, _ in layout(n, m, r)]
         if len(js) >= 3:  # a shift of two blocks or one has no row
             odd = sum(j % 2 for j in js)
             count += (math.comb(len(js) - 1, 2) + (odd >= 2)
                       + (len(js) - odd >= 2) + 1)
-    return count + 1 + (m >= 1)
+    return count + 1 + (m >= 2)  # at m = 1 the second-order bound is the first
 
 
 def correlated_pair_family(m=1):
